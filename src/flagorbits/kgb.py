@@ -35,6 +35,8 @@ from .root_datum import (
 )
 from .weyl import (
     WeylElt,
+    _apply,
+    _table,
     apply_twist,
     enumerate_elements,
     format_word,
@@ -107,10 +109,6 @@ class KgbGraph:
 
 
 # --- twisted involutions -----------------------------------------------------
-
-
-def twist_elt(datum: RootDatum, w: WeylElt) -> WeylElt:
-    return apply_twist(w)
 
 
 def is_twisted_involution(w: WeylElt) -> bool:
@@ -224,11 +222,12 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             if cr not in g.length:
                 out.append(f"UnknownNode: {tag} cross={cr}")
                 continue
-            if g.cross.get((alpha, cr)) != v:
+            # None when cr has no label here: that is reported as MissingLabel
+            # at cr, and the checks against the partner are skipped.
+            partner = g.label.get((alpha, cr)) if (alpha, cr) in g.cross else None
+            if partner is not None and g.cross[(alpha, cr)] != v:
                 out.append(f"CrossNotInvolution: {tag}")
             # class of the label against the twisted involution
-            from .weyl import _apply
-
             img = _apply(g.tw[v], theta_alpha)
             if lab in _REAL_TYPES:
                 wanted = tuple(-c for c in alpha_root)
@@ -255,12 +254,12 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             if lab is RootType.COMPLEX_ASCENT:
                 if cr == v or g.length[cr] != g.length[v] + 1:
                     out.append(f"AscentPattern: {tag}")
-                elif g.label[(alpha, cr)] is not RootType.COMPLEX_DESCENT:
+                elif partner is not None and partner is not RootType.COMPLEX_DESCENT:
                     out.append(f"PartnerLabel: {tag}")
             elif lab is RootType.COMPLEX_DESCENT:
                 if cr == v or g.length[cr] != g.length[v] - 1:
                     out.append(f"DescentPattern: {tag}")
-                elif g.label[(alpha, cr)] is not RootType.COMPLEX_ASCENT:
+                elif partner is not None and partner is not RootType.COMPLEX_ASCENT:
                     out.append(f"PartnerLabel: {tag}")
             elif lab is RootType.COMPACT_IMAGINARY:
                 if cr != v:
@@ -268,7 +267,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             elif lab is RootType.NONCOMPACT_I:
                 if cr == v or g.length[cr] != g.length[v]:
                     out.append(f"TypeIPattern: {tag}")
-                elif g.label[(alpha, cr)] is not RootType.NONCOMPACT_I:
+                elif partner is not None and partner is not RootType.NONCOMPACT_I:
                     out.append(f"PartnerLabel: {tag}")
                 if has_cayley:
                     t = g.cayley[key]
@@ -281,7 +280,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                             out.append(f"CayleyTarget: {tag} expected r1")
                         if mul(s, g.tw[v]) != g.tw[t]:
                             out.append(f"CayleyTwist: {tag}")
-                        if cr in g.length and g.cayley.get((alpha, cr)) != t:
+                        if partner is not None and g.cayley.get((alpha, cr)) != t:
                             out.append(f"SharedCayley: {tag}")
             elif lab is RootType.NONCOMPACT_II:
                 if cr != v:
@@ -312,10 +311,13 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             for v in g.nodes:
                 x = y = v
                 for step in range(order):
-                    x = g.cross[(a if step % 2 == 0 else b, x)]
-                    y = g.cross[(b if step % 2 == 0 else a, y)]
-                if x != y:
-                    out.append(f"CrossBraid: alpha={a} beta={b} node={v}")
+                    x = g.cross.get((a if step % 2 == 0 else b, x))
+                    y = g.cross.get((b if step % 2 == 0 else a, y))
+                    if x is None or y is None:
+                        break  # a missing label on the way, reported above
+                else:
+                    if x != y:
+                        out.append(f"CrossBraid: alpha={a} beta={b} node={v}")
 
     return sorted(out)
 
@@ -324,8 +326,6 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     """The direction criterion: a label is an ascent exactly when the twisted
     involution sends the twisted simple root to a positive root and the label
     is not compact imaginary."""
-    from .weyl import _apply
-
     out = []
     for alpha in range(1, g.datum.rank + 1):
         theta_alpha = _theta_root(g.datum, alpha)
@@ -342,26 +342,26 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
     """For each start node and reachable target, the minimal-length group
     elements whose monoid action sends start to target must be unique."""
     elements = enumerate_elements(g.datum)
+    table = _table(g.datum)
+    # Element k acts as its canonical word: the last letter after the prefix
+    # k * s_last, which has a smaller id.
+    steps = [(word[-1], table.right[word[-1] - 1][k]) for k, word in enumerate(table.words) if word]
     out = []
     for u in g.nodes:
-        reach: dict[WeylElt, NodeId] = {identity(g.datum): u}
-        for w in elements:
-            if w in reach:
-                continue
-            word = reduced_word(w)
-            shorter = from_word(g.datum, word[:-1])
-            reach[w] = monoid(g, word[-1], reach[shorter])
-        best: dict[NodeId, tuple[int, list[WeylElt]]] = {}
-        for w in elements:
-            t = reach[w]
-            lw = weyl_length(w)
+        reach = [u]
+        for last, prefix in steps:
+            reach.append(monoid(g, last, reach[prefix]))
+        best: dict[NodeId, tuple[int, list[int]]] = {}
+        for k in range(len(elements)):
+            t = reach[k]
+            lw = table.length[k]
             if t not in best or lw < best[t][0]:
-                best[t] = (lw, [w])
+                best[t] = (lw, [k])
             elif lw == best[t][0]:
-                best[t][1].append(w)
-        for t, (lw, ws) in best.items():
-            if len(ws) > 1:
-                words = ";".join(format_word(reduced_word(w)) for w in ws)
+                best[t][1].append(k)
+        for t, (lw, ks) in best.items():
+            if len(ks) > 1:
+                words = ";".join(format_word(table.words[k]) for k in ks)
                 out.append(f"MinimalWNotUnique: start={u} target={t} words={words}")
     return sorted(out)
 
@@ -425,27 +425,23 @@ def group_case(datum: RootDatum) -> KgbGraph:
     complex, and the two copies of each simple root act by the two sides."""
     dd = doubled_datum(datum)
     elements = enumerate_elements(datum)
-    ids = {w: str(i) for i, w in enumerate(elements)}
+    table = _table(datum)
+    ids = [str(k) for k in range(len(elements))]
     r = datum.rank
     tw = {}
     length = {}
     label = {}
     cross = {}
-    for w in elements:
-        v = ids[w]
-        tw[v] = embed_pair(dd, w, inv(w))
-        length[v] = weyl_length(w)
+    for k, w in enumerate(elements):
+        v = ids[k]
+        tw[v] = embed_pair(dd, w, elements[table.inverse[k]])
+        length[v] = table.length[k]
         for i in range(1, r + 1):
-            s = simple_reflection(datum, i)
-            left = mul(s, w)
-            right = mul(w, s)
-            up_left = weyl_length(left) > weyl_length(w)
-            up_right = weyl_length(right) > weyl_length(w)
-            label[(i, v)] = RootType.COMPLEX_ASCENT if up_left else RootType.COMPLEX_DESCENT
-            cross[(i, v)] = ids[left]
-            label[(r + i, v)] = RootType.COMPLEX_ASCENT if up_right else RootType.COMPLEX_DESCENT
-            cross[(r + i, v)] = ids[right]
-    return KgbGraph(dd, tuple(ids.values()), tw, length, label, cross, {}, origin="group_case")
+            for alpha, moved in ((i, table.left[i - 1][k]), (r + i, table.right[i - 1][k])):
+                up = table.length[moved] > length[v]
+                label[(alpha, v)] = RootType.COMPLEX_ASCENT if up else RootType.COMPLEX_DESCENT
+                cross[(alpha, v)] = ids[moved]
+    return KgbGraph(dd, tuple(ids), tw, length, label, cross, {}, origin="group_case")
 
 
 def twisted_shadow(datum: RootDatum) -> KgbGraph:
@@ -459,8 +455,6 @@ def twisted_shadow(datum: RootDatum) -> KgbGraph:
     while frontier:
         nxt = []
         for w in frontier:
-            from .weyl import _apply
-
             for alpha in range(1, datum.rank + 1):
                 theta_alpha = _theta_root(datum, alpha)
                 img = _apply(w, theta_alpha)
@@ -492,8 +486,6 @@ def twisted_shadow(datum: RootDatum) -> KgbGraph:
     label = {}
     cross = {}
     cay = {}
-    from .weyl import _apply
-
     for w in order:
         v = ids[w]
         for alpha in range(1, datum.rank + 1):

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import Mismatch, ParseError, Unreachable
 from .root_datum import RootDatum, simple_root
-from .weyl import format_word, length as weyl_length, mul, reduced_word, simple_reflection
+from .weyl import _table, enumerate_elements, format_word, reduced_word
 
 NodeId = str
 
@@ -70,27 +70,20 @@ class OrbitGraph:
         return sorted(seen.values(), key=lambda t: (t[0], node_sort_key(t[1])))
 
 
-def monoid_apply(g: OrbitGraph, alpha: int, node: NodeId) -> NodeId:
-    """The dense node of the fiber; idempotent by construction."""
-    return g.dense_node(alpha, node)
-
-
 # --- construction from Weyl groups and parabolic quotients ------------------
 
 
 def from_weyl(datum: RootDatum) -> OrbitGraph:
-    from .weyl import enumerate_elements
-
     elements = enumerate_elements(datum)
-    ident = {w: format_word(reduced_word(w)) for w in elements}
-    lengths = {ident[w]: weyl_length(w) for w in elements}
+    table = _table(datum)
+    ident = [format_word(word) for word in table.words]
+    lengths = dict(zip(ident, table.length))
     fibers = []
-    for alpha in range(1, datum.rank + 1):
-        s = simple_reflection(datum, alpha)
-        for w in elements:
-            ws = mul(w, s)
-            if weyl_length(ws) > weyl_length(w):
-                fibers.append((alpha, ident[ws], (ident[w], ident[ws])))
+    for alpha, right in enumerate(table.right, 1):
+        for k in range(len(elements)):
+            ks = right[k]
+            if table.length[ks] > table.length[k]:
+                fibers.append((alpha, ident[ks], (ident[k], ident[ks])))
     return OrbitGraph(datum.name or "custom", datum.rank, lengths, fibers)
 
 

@@ -25,6 +25,7 @@ from .root_datum import (
 from .weyl import (
     WeylElt,
     Word,
+    _apply,
     bruhat_leq,
     enumerate_elements,
     from_word,
@@ -146,8 +147,6 @@ def classify_step(w: WeylElt, alpha: Root, levi: Levi) -> StepType:
         raise NotPositiveRoot(f"{alpha} is not a root")
     if any(c < 0 for c in alpha):
         raise NotPositiveRoot(f"{alpha} is not positive")
-    from .weyl import _apply
-
     pos = classify_wrt_parabolic(w.datum, _apply(w, alpha), levi)
     if pos is RootPosition.LEVI:
         return StepType.LEVI_TYPE

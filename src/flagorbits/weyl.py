@@ -3,6 +3,10 @@
 An element is stored by its images of the simple roots, which makes equality
 and hashing canonical and keeps every product exact.  Words are tuples of
 1-based simple indices.
+
+Whole-group operations build a WeylTable, one per root datum on first use.
+Per-element calls only read a table that exists; otherwise they work on the
+root images, so that E7 and E8, too large to tabulate, still answer queries.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from .errors import DatumMismatch, NotADescent, NotARoot, NotPositiveRoot, NotRe
 from .root_datum import (
     Root,
     RootDatum,
+    all_roots,
     coroot_pairing,
     is_root,
     positive_roots,
+    reflect,
     simple_root,
     twist_root,
 )
@@ -41,9 +47,8 @@ def identity(datum: RootDatum) -> WeylElt:
     return WeylElt(datum, tuple(simple_root(datum, i) for i in range(1, datum.rank + 1)))
 
 
+@lru_cache(maxsize=None)
 def simple_reflection(datum: RootDatum, i: int) -> WeylElt:
-    from .root_datum import reflect
-
     return WeylElt(datum, tuple(reflect(datum, i, simple_root(datum, j)) for j in range(1, datum.rank + 1)))
 
 
@@ -78,34 +83,56 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     return w
 
 
-@lru_cache(maxsize=None)
+def _table_id(w: WeylElt) -> tuple[WeylTable, int] | None:
+    """The table of w's datum and the id of w in it, if the table is built."""
+    table = _tables.get(w.datum)
+    if table is not None:
+        k = table.index.get(w.images)
+        if k is not None:
+            return table, k
+    return None
+
+
 def length(w: WeylElt) -> int:
     """Number of positive roots sent negative."""
+    hit = _table_id(w)
+    if hit is not None:
+        return hit[0].length[hit[1]]
     return sum(1 for beta in positive_roots(w.datum) if any(c < 0 for c in _apply(w, beta)))
 
 
-@lru_cache(maxsize=None)
+def _descent_walk(w: WeylElt) -> Word:
+    """Strip the smallest right descent until the identity is reached: the
+    letters j1..jl with w * s_j1 * ... * s_jl = e.  Since the right descents
+    of w are the left descents of its inverse, these are the greedy
+    left-descent word of the inverse."""
+    word: list[int] = []
+    x = w
+    while True:
+        for i, beta in enumerate(x.images, 1):
+            if any(c < 0 for c in beta):
+                word.append(i)
+                x = mul(x, simple_reflection(w.datum, i))
+                break
+        else:
+            return tuple(word)
+
+
 def reduced_word(w: WeylElt) -> Word:
     """The lexicographically smallest reduced word, built by always taking
     the smallest simple reflection that shortens on the left."""
-    word: list[int] = []
-    x = w
-    e = identity(w.datum)
-    while x != e:
-        for i in range(1, w.datum.rank + 1):
-            y = mul(simple_reflection(w.datum, i), x)
-            if length(y) < length(x):
-                word.append(i)
-                x = y
-                break
-        else:  # pragma: no cover - impossible for a genuine group element
-            raise AssertionError("no left descent found")
-    return tuple(word)
+    hit = _table_id(w)
+    if hit is not None:
+        return hit[0].words[hit[1]]
+    return _descent_walk(inv(w))
 
 
-@lru_cache(maxsize=None)
 def inv(w: WeylElt) -> WeylElt:
-    return from_word(w.datum, tuple(reversed(reduced_word(w))))
+    hit = _table_id(w)
+    if hit is not None:
+        table, k = hit
+        return table.elements[table.inverse[k]]
+    return from_word(w.datum, _descent_walk(w))
 
 
 def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
@@ -191,22 +218,86 @@ def bruhat_leq_subword(u: WeylElt, v: WeylElt, base_word: Sequence[int] | None =
     return u in reachable
 
 
-@lru_cache(maxsize=None)
+class WeylTable:
+    """The whole group of one root datum as integer tables, O(|W| * rank).
+
+    Ids run in (length, canonical word) order, so id 0 is the identity.  For
+    the element w with id k, ``left[i - 1][k]`` and ``right[i - 1][k]`` are
+    the ids of s_i * w and w * s_i, and ``inverse[k]`` is the id of w^-1.
+
+    Built by breadth-first search under left multiplication, one length at a
+    time, on elements held as the indices of their simple-root images in a
+    list of all roots, so that s_i acts by a lookup.  With the simple index
+    in the outer loop, an element is first reached from its smallest left
+    descent i, and its canonical word is i followed by the word of s_i * w;
+    each length's elements are found in canonical-word order.
+    """
+
+    __slots__ = ("elements", "index", "length", "words", "left", "right", "inverse")
+
+    def __init__(self, datum: RootDatum):
+        r = datum.rank
+        roots = sorted(all_roots(datum))
+        position = {beta: k for k, beta in enumerate(roots)}
+        perms = [tuple(position[reflect(datum, i, beta)] for beta in roots) for i in range(1, r + 1)]
+        start = tuple(position[simple_root(datum, j)] for j in range(1, r + 1))
+        keys = [start]
+        seen = {start: 0}
+        words: list[Word] = [()]
+        lengths = [0]
+        left: list[list[int]] = [[] for _ in range(r)]
+        level = [0]
+        while level:
+            nxt = []
+            for i in range(r):
+                perm, row = perms[i], left[i]
+                for x in level:
+                    y = tuple([perm[b] for b in keys[x]])
+                    k = seen.get(y)
+                    if k is None:
+                        k = seen[y] = len(keys)
+                        keys.append(y)
+                        words.append((i + 1,) + words[x])
+                        lengths.append(lengths[x] + 1)
+                        nxt.append(k)
+                    # Per i, x runs through the ids in increasing order.
+                    row.append(k)
+            level = nxt
+        # w = s_a * tail has the prefix w * s_last = s_a * prefix(tail), and
+        # the inverse s_last * inverse(prefix); both are shorter than w.
+        n = len(keys)
+        prefix = [0] * n
+        inverse = [0] * n
+        for k in range(1, n):
+            word = words[k]
+            if len(word) > 1:
+                first = left[word[0] - 1]
+                prefix[k] = first[prefix[first[k]]]
+            inverse[k] = left[word[-1] - 1][inverse[prefix[k]]]
+        self.elements = tuple(WeylElt(datum, tuple([roots[b] for b in key])) for key in keys)
+        self.index = {w.images: k for k, w in enumerate(self.elements)}
+        self.length = tuple(lengths)
+        self.words = tuple(words)
+        self.left = tuple(tuple(row) for row in left)
+        # w * s_i = (s_i * w^-1)^-1
+        self.right = tuple(tuple([inverse[row[inverse[k]]] for k in range(n)]) for row in self.left)
+        self.inverse = tuple(inverse)
+
+
+# One table per root datum, built on first use and kept for the process.
+_tables: dict[RootDatum, WeylTable] = {}
+
+
+def _table(datum: RootDatum) -> WeylTable:
+    table = _tables.get(datum)
+    if table is None:
+        table = _tables[datum] = WeylTable(datum)
+    return table
+
+
 def enumerate_elements(datum: RootDatum) -> tuple[WeylElt, ...]:
     """All elements, sorted by length then by canonical reduced word."""
-    e = identity(datum)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, datum.rank + 1):
-                y = mul(w, simple_reflection(datum, i))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (length(w), reduced_word(w))))
+    return _table(datum).elements
 
 
 def reflection_word(datum: RootDatum, beta: Root) -> Word:
@@ -221,8 +312,6 @@ def reflection_word(datum: RootDatum, beta: Root) -> Word:
             return (i,)
     for i in range(1, datum.rank + 1):
         if coroot_pairing(datum, beta, i) > 0:
-            from .root_datum import reflect
-
             inner = reflection_word(datum, reflect(datum, i, beta))
             return (i,) + inner + (i,)
     raise AssertionError("positive root with no positive coroot pairing")  # pragma: no cover

@@ -87,6 +87,17 @@ def test_validate_error_paths(capsys, tmp_path):
     assert code == 1 and err.startswith("error:")
 
 
+def test_missing_labels_end_in_one_error_line(capsys, tmp_path):
+    run(capsys, "fixtures", "--write", str(tmp_path))
+    text = (tmp_path / "group_case_a2.kgb").read_text()
+    broken = tmp_path / "missing_labels.kgb"
+    broken.write_text("".join(line for line in text.splitlines(True) if not line.startswith("label 3 ")))
+    for argv in (["validate", str(broken)], ["hasse", "--kgb", str(broken)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: MissingLabel: alpha=1 node=3 (+3 more)\n", argv
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     for argv in (
         [],

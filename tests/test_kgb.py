@@ -194,8 +194,17 @@ def test_twisted_involution_counts_and_sets():
         assert got == filtered
 
 
+def test_twisted_involution_counts_type_a():
+    # with either twist, the involution counts of S_{n+1} (OEIS A000085)
+    counts = {1: 2, 2: 4, 3: 10, 4: 26, 5: 76, 6: 232}
+    for n, want in counts.items():
+        for twist in (None, tuple(range(n, 0, -1))):
+            d = build_root_datum(f"A{n}", twist=twist)
+            assert len(twisted_involutions(d)) == want, (n, twist)
+
+
 def test_group_case_poset_is_the_weyl_poset():
-    for name in ("A1", "A2", "B2"):
+    for name in ("A1", "A2", "B2", "A3", "B3"):
         d = build_root_datum(name)
         g = group_case(d)
         poset = to_orbit_poset(g)

@@ -1,8 +1,11 @@
 """Weyl group elements, reduced words, exchange, and the two Bruhat routes."""
 
+import math
+
 import pytest
 
 from flagorbits import (
+    CartanSpec,
     DatumMismatch,
     Direction,
     NotADescent,
@@ -33,7 +36,8 @@ from flagorbits import (
     simple_reflection,
     simple_root,
 )
-from flagorbits.weyl import act_on_root
+from flagorbits import weyl
+from flagorbits.weyl import _table, act_on_root
 
 GROUP_ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
 
@@ -48,6 +52,70 @@ def test_group_orders_and_longest_lengths():
         # sorted by length then canonical word
         keys = [(length(w), reduced_word(w)) for w in elements]
         assert keys == sorted(keys)
+
+
+def closed_form_order(name):
+    letter, n = name[0], int(name[1:])
+    fixed = {"E6": 51840, "F4": 1152, "G2": 12}
+    if name in fixed:
+        return fixed[name]
+    if letter == "A":
+        return math.factorial(n + 1)
+    if letter in "BC":
+        return 2**n * math.factorial(n)
+    return 2 ** (n - 1) * math.factorial(n)  # D
+
+
+def test_group_orders_match_closed_forms():
+    names = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "F4", "G2", "E6")
+    for name in names:
+        d = build_root_datum(name)
+        elements = enumerate_elements(d)
+        assert len(elements) == closed_form_order(name), name
+        assert elements[0] == identity(d)
+        # the longest element sends every positive root negative
+        assert length(elements[-1]) == len(positive_roots(d)), name
+    assert length(elements[-1]) == 36  # E6
+
+
+def test_table_agrees_with_products():
+    for name in ("B3", "A4"):
+        d = build_root_datum(name)
+        elements = enumerate_elements(d)
+        table = _table(d)
+        e = identity(d)
+        for k, w in enumerate(elements):
+            assert mul(elements[table.inverse[k]], w) == e
+            assert inv(w) == elements[table.inverse[k]]
+            for i in range(1, d.rank + 1):
+                s = simple_reflection(d, i)
+                assert elements[table.left[i - 1][k]] == mul(s, w)
+                assert elements[table.right[i - 1][k]] == mul(w, s)
+
+
+def test_table_words_match_the_per_element_path():
+    # An unnamed datum with the same Cartan matrix has the same group, but
+    # no table: its queries take the per-element path on the root images.
+    for name in ("A4", "B3", "G2"):
+        d = build_root_datum(name)
+        bare = build_root_datum(CartanSpec(d.cartan, d.labels))
+        for w in enumerate_elements(d):
+            x = WeylElt(bare, w.images)
+            assert reduced_word(x) == reduced_word(w)
+            assert length(x) == length(w)
+            assert inv(x).images == inv(w).images
+        assert bare not in weyl._tables
+
+
+def test_per_element_queries_build_no_table():
+    d = build_root_datum("E8")
+    u = from_word(d, (4, 2))
+    v = from_word(d, (8, 7, 6, 5, 4, 3, 2))
+    assert bruhat_leq(u, v) == bruhat_leq_subword(u, v)
+    assert reduced_word(from_word(d, (2, 1, 1, 2, 8))) == (8,)
+    assert length(v) == len(reduced_word(v))
+    assert mul(inv(v), v) == identity(d)
+    assert d not in weyl._tables
 
 
 def test_identity_and_simple_reflections():
