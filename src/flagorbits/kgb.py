@@ -13,6 +13,7 @@ Monoid words act first letter first, matching upward sequences of moves.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -24,11 +25,14 @@ from .errors import (
     ParseError,
     Unreachable,
 )
-from .orbit_poset import NodeId, OrbitGraph, node_sort_key
+from .orbit_poset import NodeId, OrbitGraph, node_sort_key, reduced_decomposition
 from .root_datum import (
+    CartanSpec,
     RootDatum,
+    build_root_datum,
     format_root_datum,
     is_m_alpha_trivial,
+    parse_root_datum,
     parse_root_datum_lines,
     simple_root,
     _significant_lines,
@@ -81,23 +85,14 @@ class KgbGraph:
     label: dict[tuple[int, NodeId], RootType]
     cross: dict[tuple[int, NodeId], NodeId]
     cayley: dict[tuple[int, NodeId], NodeId]
-    origin: str = "data"
+    origin: str = field(default="data", compare=False)
+    # Memos, filled on first use: the orbit poset (to_orbit_poset) and the
+    # classes per normalized Levi set (kgp.i_equivalence_classes).
+    _poset: OrbitGraph | None = field(default=None, init=False, compare=False, repr=False)
+    _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.nodes = tuple(sorted(self.nodes, key=node_sort_key))
-
-    def __eq__(self, other):
-        if not isinstance(other, KgbGraph):
-            return NotImplemented
-        return (
-            self.datum == other.datum
-            and self.nodes == other.nodes
-            and self.tw == other.tw
-            and self.length == other.length
-            and self.label == other.label
-            and self.cross == other.cross
-            and self.cayley == other.cayley
-        )
 
     def _require(self, v: NodeId) -> None:
         if v not in self.length:
@@ -370,6 +365,9 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
 
 
 def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
+    """The orbit graph of g, built once and kept on g with its order."""
+    if g._poset is not None:
+        return g._poset
     fibers = []
     for (alpha, v), lab in g.label.items():
         if lab is RootType.COMPLEX_ASCENT:
@@ -381,7 +379,8 @@ def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
         elif lab is RootType.NONCOMPACT_II:
             t = g.cayley[(alpha, v)]
             fibers.append((alpha, t, (v, t)))
-    return OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
+    g._poset = OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
+    return g._poset
 
 
 # --- generated graphs -----------------------------------------------------------
@@ -389,8 +388,6 @@ def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
 
 def doubled_datum(datum: RootDatum) -> RootDatum:
     """Two commuting copies of the datum with the swap twist."""
-    from .root_datum import CartanSpec, build_root_datum
-
     r = datum.rank
     zero = [0] * r
 
@@ -519,8 +516,6 @@ def twisted_shadow(datum: RootDatum) -> KgbGraph:
 def sl2_split() -> KgbGraph:
     """Rank one, simply connected, split: two closed orbits joined by the cross
     action, both Cayley-ascending to the open orbit (type I pattern)."""
-    from .root_datum import build_root_datum
-
     datum = build_root_datum("A1")
     e = identity(datum)
     s = simple_reflection(datum, 1)
@@ -543,8 +538,6 @@ def sl2_split() -> KgbGraph:
 def pgl2_split() -> KgbGraph:
     """Rank one, adjoint, split: the torus element of order two is trivial, so
     the noncompact root is forced to type II (single closed orbit)."""
-    from .root_datum import build_root_datum
-
     datum = build_root_datum("A1", isogeny="adjoint")
     e = identity(datum)
     s = simple_reflection(datum, 1)
@@ -563,8 +556,6 @@ def pgl2_split() -> KgbGraph:
 def a1xa1_swap() -> KgbGraph:
     """Two commuting copies swapped by the twist; both roots complex.  The
     same graph arises as group_case(A1)."""
-    from .root_datum import build_root_datum
-
     datum = build_root_datum("A1xA1", twist=(2, 1))
     e = identity(datum)
     top = from_word(datum, (1, 2))
@@ -587,8 +578,6 @@ def a1xa1_swap() -> KgbGraph:
 
 def builtin_fixtures() -> dict[str, KgbGraph]:
     """Named graphs shipped with the package, in a deterministic order."""
-    from .root_datum import build_root_datum
-
     out = {
         "sl2_split": sl2_split(),
         "pgl2_split": pgl2_split(),
@@ -624,10 +613,7 @@ def _open_node(g: KgbGraph) -> NodeId:
 
 def canonical_sequences(g: KgbGraph, v: NodeId) -> CanonicalSequences:
     g._require(v)
-    poset = to_orbit_poset(g)
-    from .orbit_poset import reduced_decomposition
-
-    rd = reduced_decomposition(poset, v)
+    rd = reduced_decomposition(to_orbit_poset(g), v)
     open_node = _open_node(g)
 
     climb: list[tuple[int, NodeId, NodeId]] = []
@@ -710,12 +696,8 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
     if fields == ["rootsystem", "inline"]:
         datum, rest = parse_root_datum_lines(lines[2:])
     elif len(fields) == 3 and fields[1] == "file":
-        import os
-
         ref = fields[2]
         path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
-        from .root_datum import parse_root_datum
-
         with open(path, "r", encoding="utf-8") as fh:
             datum = parse_root_datum(fh.read())
         rest = lines[2:]
@@ -782,7 +764,5 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
 
 
 def load_kgb(path) -> KgbGraph:
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         return parse_kgb(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))

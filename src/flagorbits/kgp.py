@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import AxiomViolation, Mismatch
 from .kgb import KgbGraph, cross_action, monoid, monoid_word, to_orbit_poset
-from .orbit_poset import NodeId, node_sort_key, poset_leq
+from .orbit_poset import NodeId, cover_pairs, node_sort_key, poset_leq
 from .parabolic import levi_subgroup_elements
 from .root_datum import RootPosition, classify_wrt_parabolic, normalize_levi, simple_root
 from .weyl import _apply, format_word, reduced_word, reflection_word
@@ -38,8 +38,13 @@ class IEquivClass:
     top: NodeId
 
 
-def i_equivalence_classes(g: KgbGraph, levi) -> tuple[IEquivClass, ...]:
+def _classes(g: KgbGraph, levi) -> tuple[tuple[IEquivClass, ...], dict[NodeId, IEquivClass]]:
+    """The classes over a Levi set and the class of each node, computed once
+    per graph and normalized Levi set and kept on the graph."""
     levi = normalize_levi(g.datum, levi)
+    got = g._classes.get(levi)
+    if got is not None:
+        return got
     seen: set[NodeId] = set()
     classes = []
     for start in g.nodes:
@@ -63,19 +68,22 @@ def i_equivalence_classes(g: KgbGraph, levi) -> tuple[IEquivClass, ...]:
                 [f"NonUniqueTop: levi={levi} members={','.join(members)}"]
             )
         classes.append(IEquivClass(members, tops[0]))
-    return tuple(sorted(classes, key=lambda c: node_sort_key(c.top)))
+    ordered = tuple(sorted(classes, key=lambda c: node_sort_key(c.top)))
+    got = g._classes[levi] = (ordered, {v: c for c in ordered for v in c.members})
+    return got
+
+
+def i_equivalence_classes(g: KgbGraph, levi) -> tuple[IEquivClass, ...]:
+    return _classes(g, levi)[0]
 
 
 def class_of(g: KgbGraph, levi, v: NodeId) -> IEquivClass:
     g._require(v)
-    for cls in i_equivalence_classes(g, levi):
-        if v in cls.members:
-            return cls
-    raise Mismatch(f"node {v!r} not covered by any class")
+    return _classes(g, levi)[1][v]
 
 
 def _check_class(g: KgbGraph, levi, cls: IEquivClass) -> None:
-    if cls not in i_equivalence_classes(g, levi):
+    if _classes(g, levi)[1].get(cls.top) != cls:
         raise Mismatch(f"class with top {cls.top!r} does not belong to this graph")
 
 
@@ -97,21 +105,12 @@ def kgp_leq_induced(g: KgbGraph, levi, c1: IEquivClass, c2: IEquivClass) -> bool
     )
 
 
-def _class_index(classes) -> dict[NodeId, int]:
-    out = {}
-    for k, cls in enumerate(classes):
-        for v in cls.members:
-            out[v] = k
-    return out
-
-
 def monoid_descent_check(g: KgbGraph, levi) -> list[str]:
     """Replacing a simple root outside the Levi set by any Levi conjugate
     must land the monoid move in the same class, for dense class members."""
     levi = normalize_levi(g.datum, levi)
     datum = g.datum
-    classes = i_equivalence_classes(g, levi)
-    index = _class_index(classes)
+    index = _classes(g, levi)[1]
     outside = [a for a in range(1, datum.rank + 1) if a not in levi]
     out = []
     for v in p_maximal_set(g, levi):
@@ -134,8 +133,7 @@ def find_descent_counterexample(g: KgbGraph, levi):
     """First witness (dense member, other member, simple index) where the
     naive monoid move leaves the two in different classes, else None."""
     levi = normalize_levi(g.datum, levi)
-    classes = i_equivalence_classes(g, levi)
-    index = _class_index(classes)
+    classes, index = _classes(g, levi)
     outside = [a for a in range(1, g.datum.rank + 1) if a not in levi]
     for cls in classes:
         v = cls.top
@@ -152,8 +150,7 @@ def distinct_ascents_check(g: KgbGraph, levi) -> list[str]:
     """Two genuinely ascending moves from a dense class member along distinct
     roots outside the Levi set must land in distinct classes."""
     levi = normalize_levi(g.datum, levi)
-    classes = i_equivalence_classes(g, levi)
-    index = _class_index(classes)
+    index = _classes(g, levi)[1]
     outside = [a for a in range(1, g.datum.rank + 1) if a not in levi]
     out = []
     for v in p_maximal_set(g, levi):
@@ -167,19 +164,9 @@ def distinct_ascents_check(g: KgbGraph, levi) -> list[str]:
 
 def class_hasse(g: KgbGraph, levi) -> tuple[tuple[NodeId, NodeId], ...]:
     """Cover relations of the class poset, as pairs of dense members."""
-    classes = i_equivalence_classes(g, levi)
     poset = to_orbit_poset(g)
-    tops = [c.top for c in classes]
-    leq = {(a, b): poset_leq(poset, a, b) for a in tops for b in tops}
-    edges = []
-    for a in tops:
-        for b in tops:
-            if a == b or not leq[(a, b)]:
-                continue
-            if any(c not in (a, b) and leq[(a, c)] and leq[(c, b)] for c in tops):
-                continue
-            edges.append((a, b))
-    return tuple(sorted(edges, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))))
+    tops = sum(1 << poset.index[c.top] for c in i_equivalence_classes(g, levi))
+    return tuple(cover_pairs(poset, tops))
 
 
 def levi_conjugate_root_check(datum, levi) -> list[str]:

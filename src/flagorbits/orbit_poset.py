@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import Mismatch, ParseError, Unreachable
-from .root_datum import RootDatum, simple_root
+from .errors import AxiomViolation, Mismatch, ParseError, Unreachable
+from .parabolic import StepType, classify_step, enumerate_cosets, p_length, step_coset
+from .root_datum import RootDatum, _significant_lines, normalize_levi, simple_root
 from .weyl import _table, enumerate_elements, format_word, reduced_word
 
 NodeId = str
@@ -24,7 +25,12 @@ def node_sort_key(node: NodeId) -> tuple:
 
 
 class OrbitGraph:
-    """Immutable after construction; fibers of size one are implicit."""
+    """Immutable after construction; fibers of size one are implicit.
+
+    ``index`` gives each node's position in ``nodes``.  Lower ideals are int
+    bitsets over those positions (bit k stands for ``nodes[k]``), built on
+    demand by lower_ideal and kept on the graph: at most n * n / 8 bytes.
+    """
 
     def __init__(
         self,
@@ -42,7 +48,10 @@ class OrbitGraph:
             group = tuple(sorted(set(members) | {dense}, key=node_sort_key))
             for x in group:
                 self._fibers[(alpha, x)] = (dense, group)
-        self._leq_cache: dict[tuple[NodeId, NodeId], bool | None] = {}
+        self.index = {node: k for k, node in enumerate(self.nodes)}
+        self._ideals: list[int | None] = [None] * len(self.nodes)
+        self._mates: list[list[tuple[int, ...] | None]] | None = None
+        self._shorter: dict[int, int] = {}  # length -> bitset of the nodes shorter
 
     def _require(self, node: NodeId) -> None:
         if node not in self.length:
@@ -70,6 +79,17 @@ class OrbitGraph:
         return sorted(seen.values(), key=lambda t: (t[0], node_sort_key(t[1])))
 
 
+def _lowering(g: OrbitGraph, v: NodeId) -> tuple[int, NodeId] | None:
+    """The step down from v: the smallest simple index at which v is the
+    dense member of a fiber with other members, and the smallest of those
+    members; None if v is dense in no such fiber."""
+    for alpha in range(1, g.rank + 1):
+        got = g._fibers.get((alpha, v))
+        if got is not None and got[0] == v and len(got[1]) > 1:
+            return alpha, next(x for x in got[1] if x != v)
+    return None
+
+
 # --- construction from Weyl groups and parabolic quotients ------------------
 
 
@@ -88,9 +108,6 @@ def from_weyl(datum: RootDatum) -> OrbitGraph:
 
 
 def from_parabolic(datum: RootDatum, levi) -> OrbitGraph:
-    from .parabolic import StepType, classify_step, enumerate_cosets, p_length, step_coset
-    from .root_datum import normalize_levi
-
     levi = normalize_levi(datum, levi)
     cosets = enumerate_cosets(datum, levi)
     ident = {c: format_word(reduced_word(c.min_rep)) for c in cosets}
@@ -144,10 +161,7 @@ def validate(g: OrbitGraph) -> list[str]:
     if all(g.length[node] != 0 for node in g.nodes):
         violations.append("NoClosedNode: no node of length 0")
     for node in g.nodes:
-        if g.length[node] > 0 and not any(
-            g.dense_node(alpha, node) == node and len(g.fiber(alpha, node)) > 1
-            for alpha in range(1, g.rank + 1)
-        ):
+        if g.length[node] > 0 and _lowering(g, node) is None:
             violations.append(f"Unreachable: node={node} has no downward fiber")
     return sorted(violations)
 
@@ -171,16 +185,12 @@ def reduced_decomposition(g: OrbitGraph, v: NodeId) -> ReducedDecomposition:
     rev_roots = []
     node = v
     while g.length[node] > 0:
-        for alpha in range(1, g.rank + 1):
-            group = g.fiber(alpha, node)
-            if len(group) > 1 and g.dense_node(alpha, node) == node:
-                below = min((x for x in group if x != node), key=node_sort_key)
-                rev_roots.append(alpha)
-                rev_nodes.append(below)
-                node = below
-                break
-        else:
+        step = _lowering(g, node)
+        if step is None:
             raise Unreachable(f"node {node} has positive length but no downward fiber")
+        rev_roots.append(step[0])
+        rev_nodes.append(step[1])
+        node = step[1]
     return ReducedDecomposition(tuple(reversed(rev_nodes)), tuple(reversed(rev_roots)))
 
 
@@ -234,38 +244,69 @@ def subexpression_endpoints(g: OrbitGraph, rd: ReducedDecomposition) -> tuple[No
 # --- order --------------------------------------------------------------------
 
 
-def poset_leq(g: OrbitGraph, u: NodeId, v: NodeId) -> bool:
-    """Closure order by downward lifting.  Deterministic: the lowering root is
-    the smallest simple index at which v is dense in a non-singleton fiber."""
-    g._require(u)
+def _members(bits: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _fiber_positions(g: OrbitGraph) -> list[list[tuple[int, ...] | None]]:
+    """Per simple index, each node's fiber as positions in ``g.nodes``
+    (None where the fiber is the node alone), built once per graph."""
+    if g._mates is None:
+        g._mates = [[None] * len(g.nodes) for _ in range(g.rank)]
+        for (alpha, _), (_, group) in g._fibers.items():
+            if 1 <= alpha <= g.rank and len(group) > 1:
+                for x in group:
+                    g._require(x)
+                ks = tuple(g.index[x] for x in group)
+                for k in ks:
+                    g._mates[alpha - 1][k] = ks
+    return g._mates
+
+
+def lower_ideal(g: OrbitGraph, v: NodeId) -> int:
+    """The nodes u <= v in closure order, as a bitset over ``g.nodes``.
+
+    If v lowers along alpha to x (see _lowering), its ideal is v and every
+    fiber_alpha-mate, shorter than v, of a member of the ideal of x
+    (Richardson-Springer).  The lowering chain is walked down to a known
+    ideal and built back up; a chain that returns to a node raises
+    AxiomViolation.  Every ideal is computed once per graph."""
     g._require(v)
-    key = (u, v)
-    cached = g._leq_cache.get(key, "missing")
-    if cached != "missing":
-        return bool(cached)  # in-progress None reads as False: cycle in bad graph
-    if u == v:
-        g._leq_cache[key] = True
-        return True
-    if g.length[u] >= g.length[v]:
-        g._leq_cache[key] = False
-        return False
-    g._leq_cache[key] = None
-    result = False
-    for alpha in range(1, g.rank + 1):
-        group = g.fiber(alpha, v)
-        if len(group) > 1 and g.dense_node(alpha, v) == v:
-            below = min((x for x in group if x != v), key=node_sort_key)
-            u_dense = g.dense_node(alpha, u)
-            if u_dense != u:
-                result = poset_leq(g, u_dense, v)
-            else:
-                result = any(
-                    poset_leq(g, x, below)
-                    for x in sorted(g.fiber(alpha, u), key=node_sort_key)
-                )
+    ideals, mates = g._ideals, _fiber_positions(g)
+    steps: list[tuple[int, int, int]] = []  # (position, alpha, position of x), v first
+    k = g.index[v]
+    while ideals[k] is None:
+        if k in (step[0] for step in steps):
+            raise AxiomViolation([f"LoweringCycle: node={g.nodes[k]} lies below itself"])
+        step = _lowering(g, g.nodes[k])
+        if step is None:
+            ideals[k] = 1 << k
             break
-    g._leq_cache[key] = result
-    return result
+        g._require(step[1])
+        steps.append((k, step[0], g.index[step[1]]))
+        k = steps[-1][2]
+    for k, alpha, j in reversed(steps):
+        bits = ideals[j]
+        for u in _members(bits):
+            for x in mates[alpha - 1][u] or ():
+                bits |= 1 << x
+        top = g.length[g.nodes[k]]
+        if top not in g._shorter:
+            g._shorter[top] = sum(1 << i for i, x in enumerate(g.nodes) if g.length[x] < top)
+        ideals[k] = bits & g._shorter[top] | 1 << k
+    return ideals[g.index[v]]
+
+
+def poset_leq(g: OrbitGraph, u: NodeId, v: NodeId) -> bool:
+    """Closure order: whether u lies in the lower ideal of v."""
+    g._require(u)
+    return bool(lower_ideal(g, v) >> g.index[u] & 1)
 
 
 def property_z_check(g: OrbitGraph) -> list[str]:
@@ -273,15 +314,19 @@ def property_z_check(g: OrbitGraph) -> list[str]:
     conditions must agree.  Nonempty output pinpoints the failing pair."""
     violations = []
     for alpha in range(1, g.rank + 1):
-        moved = [x for x in g.nodes if g.dense_node(alpha, x) != x]
-        for u1 in moved:
-            u2 = g.dense_node(alpha, u1)
-            slide = [x for x in g.fiber(alpha, u1) if x != u2]
-            for v1 in moved:
-                v2 = g.dense_node(alpha, v1)
-                c1 = any(poset_leq(g, x, v1) for x in slide)
-                c2 = poset_leq(g, u2, v2)
-                c3 = poset_leq(g, u1, v2)
+        moved = [(x, g.dense_node(alpha, x)) for x in g.nodes if g.dense_node(alpha, x) != x]
+        # u1 with its bit, its dense node's bit, and the rest of its fiber
+        cols = [
+            (u1, 1 << g.index[u1], 1 << g.index[u2],
+             sum(1 << g.index[x] for x in g.fiber(alpha, u1) if x != u2))
+            for u1, u2 in moved
+        ]
+        for v1, v2 in moved:
+            below_v1, below_v2 = lower_ideal(g, v1), lower_ideal(g, v2)
+            for u1, bit1, bit2, slide in cols:
+                c1 = below_v1 & slide != 0
+                c2 = below_v2 & bit2 != 0
+                c3 = below_v2 & bit1 != 0
                 if not (c1 == c2 == c3):
                     violations.append(
                         f"PropertyZ: alpha={alpha} u1={u1} v1={v1} "
@@ -290,17 +335,25 @@ def property_z_check(g: OrbitGraph) -> list[str]:
     return sorted(violations)
 
 
+def cover_pairs(g: OrbitGraph, among: int) -> list[tuple[NodeId, NodeId]]:
+    """Cover relations of the closure order restricted to the nodes in the
+    bitset ``among``, sorted by node order: for each v, the maximal elements
+    of its strict ideal, that is the strict ideal minus the strict ideals of
+    its members."""
+    strict = {k: lower_ideal(g, g.nodes[k]) & among & ~(1 << k) for k in _members(among)}
+    edges = []
+    for k, below in strict.items():
+        under = 0
+        for u in _members(below):
+            under |= strict[u]
+        edges.extend((u, k) for u in _members(below & ~under))
+    edges.sort()
+    return [(g.nodes[u], g.nodes[v]) for u, v in edges]
+
+
 def hasse(g: OrbitGraph) -> list[tuple[NodeId, NodeId]]:
     """Cover relations of the closure order, sorted for stable output."""
-    below: dict[NodeId, list[NodeId]] = {
-        v: [u for u in g.nodes if u != v and poset_leq(g, u, v)] for v in g.nodes
-    }
-    edges = []
-    for v in g.nodes:
-        for u in below[v]:
-            if not any(poset_leq(g, u, w) for w in below[v] if w != u):
-                edges.append((u, v))
-    return sorted(edges, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1])))
+    return cover_pairs(g, (1 << len(g.nodes)) - 1)
 
 
 def hasse_dot(g: OrbitGraph) -> str:
@@ -336,8 +389,6 @@ def save_orbit_graph(g: OrbitGraph, path) -> None:
 
 
 def parse_orbit_graph(text: str) -> OrbitGraph:
-    from .root_datum import _significant_lines
-
     lines = _significant_lines(text)
     if not lines or lines[0] != FORMAT_HEADER:
         raise ParseError(f"expected header {FORMAT_HEADER!r}")

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotADescent, NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
+from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
 from .root_datum import (
     Root,
     RootDatum,
@@ -19,7 +19,6 @@ from .root_datum import (
     classify_wrt_parabolic,
     is_root,
     normalize_levi,
-    positive_roots,
     simple_root,
 )
 from .weyl import (
@@ -27,11 +26,12 @@ from .weyl import (
     Word,
     _apply,
     bruhat_leq,
+    bruhat_leq_subword,
     enumerate_elements,
+    format_word,
     from_word,
     identity,
     inv,
-    is_reduced,
     length,
     mul,
     reduced_word,
@@ -171,8 +171,6 @@ def coset_bruhat_leq_induced(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
     below some representative of the second.  Oracle for coset_bruhat_leq."""
     if c1.levi != c2.levi or c1.datum != c2.datum:
         raise ParabolicMismatch("cosets live in different quotients")
-    from .weyl import bruhat_leq_subword
-
     return any(
         bruhat_leq_subword(x, y) for x in coset_elements(c1) for y in coset_elements(c2)
     )
@@ -188,54 +186,21 @@ def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]
     return tuple(sorted(seen.values(), key=lambda c: (p_length(c), reduced_word(c.min_rep))))
 
 
-def _lifted_coset_leq(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
-    """Order re-derived purely from downward lifting through shared descents;
-    used to certify that the induced order is the unique one with property Z."""
-    if c1 == c2:
-        return True
-    if p_length(c1) >= p_length(c2):
-        return False
-    datum = c1.datum
-    for i in range(1, datum.rank + 1):
-        if classify_step(c2.min_rep, simple_root(datum, i), c2.levi) is StepType.COMPLEX_DOWNWARD:
-            c2s = step_coset(c2, i)
-            if classify_step(c1.min_rep, simple_root(datum, i), c1.levi) is StepType.COMPLEX_DOWNWARD:
-                return _lifted_coset_leq(step_coset(c1, i), c2s)
-            return _lifted_coset_leq(c1, c2s)
-    return False  # pragma: no cover - positive p-length forces a downward step
-
-
 def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
-    """Exhaustively certify the lifting property on the quotient and that the
-    order is recovered from it.  Returns human-readable violations."""
+    """Exhaustively certify the lifting property on the quotient's orbit
+    graph and that the order it generates is the induced Bruhat order.
+    Returns human-readable violations."""
+    from .orbit_poset import from_parabolic, poset_leq, property_z_check  # imports this module
+
     levi = normalize_levi(datum, levi)
-    violations: list[str] = []
+    g = from_parabolic(datum, levi)
+    violations = property_z_check(g)
     cosets = enumerate_cosets(datum, levi)
-    for s in range(1, datum.rank + 1):
-        alpha = simple_root(datum, s)
-        for cu in cosets:
-            if classify_step(cu.min_rep, alpha, levi) is StepType.COMPLEX_UPWARD:
-                continue
-            cus = step_coset(cu, s)
-            for cv in cosets:
-                if classify_step(cv.min_rep, alpha, levi) is StepType.COMPLEX_UPWARD:
-                    continue
-                cvs = step_coset(cv, s)
-                a = coset_bruhat_leq(cu, cv)
-                b = coset_bruhat_leq(cus, cv)
-                c = coset_bruhat_leq(cus, cvs)
-                if not (a == b == c):
-                    violations.append(
-                        f"lifting failed at s={s}, u={reduced_word(cu.min_rep)}, "
-                        f"v={reduced_word(cv.min_rep)}: {a}, {b}, {c}"
-                    )
-    for c1 in cosets:
-        for c2 in cosets:
-            if _lifted_coset_leq(c1, c2) != coset_bruhat_leq(c1, c2):
-                violations.append(
-                    f"re-derived order disagrees at u={reduced_word(c1.min_rep)}, "
-                    f"v={reduced_word(c2.min_rep)}"
-                )
+    words = [format_word(reduced_word(c.min_rep)) for c in cosets]
+    for c1, u in zip(cosets, words):
+        for c2, v in zip(cosets, words):
+            if poset_leq(g, u, v) != coset_bruhat_leq(c1, c2):
+                violations.append(f"re-derived order disagrees at u={u}, v={v}")
     return sorted(violations)
 
 

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -52,6 +52,19 @@ class RootDatum:
     @property
     def rank(self) -> int:
         return len(self.cartan)
+
+    def __hash__(self) -> int:
+        # The dataclass hash, computed once: data key dicts and caches, and
+        # rehashing the nested tuples costs as much as a table lookup.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+            return self._hash
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes: never carry one over
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

@@ -137,6 +137,10 @@ def inv(w: WeylElt) -> WeylElt:
 
 def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
     """Prefix criterion: each prefix must keep the next simple root positive."""
+    word = tuple(word)
+    for i in word:
+        if not 1 <= i <= datum.rank:
+            raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
     w = identity(datum)
     for i in word:
         beta = w.images[i - 1]

@@ -89,6 +89,16 @@ def test_projection_is_monotone():
                         assert kgp_leq(g, levi, cu, cv), (name, levi, u, v)
 
 
+def test_classes_are_kept_per_normalized_levi_set():
+    g = builtin_fixtures()["group_case_b2"]
+    classes = i_equivalence_classes(g, (1, 3))
+    assert i_equivalence_classes(g, [3, 1, 3]) is classes
+    assert i_equivalence_classes(g, (1,)) is not classes
+    for cls in classes:
+        for v in cls.members:
+            assert class_of(g, (3, 1), v) is cls
+
+
 def test_foreign_class_is_rejected():
     g = builtin_fixtures()["group_case_a2"]
     cls = i_equivalence_classes(g, (1,))[0]

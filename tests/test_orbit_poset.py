@@ -5,20 +5,25 @@ import itertools
 import pytest
 
 from flagorbits import (
+    AxiomViolation,
     Mismatch,
     OrbitGraph,
     ParseError,
     Unreachable,
     all_reduced_decompositions,
     bruhat_leq,
+    bruhat_leq_subword,
     build_root_datum,
+    builtin_fixtures,
     enumerate_elements,
     format_orbit_graph,
     format_word,
     from_parabolic,
+    group_case,
     from_weyl,
     hasse,
     hasse_dot,
+    length,
     load_orbit_graph,
     poset_leq,
     property_z_check,
@@ -26,6 +31,7 @@ from flagorbits import (
     reduced_word,
     save_orbit_graph,
     subexpression_endpoints,
+    to_orbit_poset,
     validate,
 )
 from flagorbits.orbit_poset import parse_orbit_graph
@@ -165,6 +171,49 @@ def test_poset_leq_terminates_on_broken_graph():
     for u in g.nodes:
         for v in g.nodes:
             poset_leq(g, u, v)
+
+
+def test_ill_founded_lowering_chain_is_an_axiom_violation():
+    # v lowers to w along 1 and w lowers back to v along 2
+    g = parse_orbit_graph(
+        "orbitgraph v1\nrootsystem A2\nnodes 3\nnode x 0\nnode v 2\nnode w 3\n"
+        "fiber 1 v w\nfiber 2 w v\n"
+    )
+    with pytest.raises(AxiomViolation, match="node=v"):
+        poset_leq(g, "x", "v")
+    with pytest.raises(AxiomViolation, match="node=w"):
+        poset_leq(g, "x", "w")
+    with pytest.raises(AxiomViolation, match="LoweringCycle"):
+        hasse(g)
+    assert poset_leq(g, "x", "x")
+
+
+def test_order_is_the_subexpression_closure_at_scale():
+    graphs = [
+        from_weyl(build_root_datum("B3")),
+        from_parabolic(build_root_datum("A4"), (2,)),
+        to_orbit_poset(group_case(build_root_datum("A3"))),
+    ]
+    graphs += [to_orbit_poset(g) for g in builtin_fixtures().values()]
+    for g in graphs:
+        for v in g.nodes:
+            below = {u for u in g.nodes if poset_leq(g, u, v)}
+            rd = reduced_decomposition(g, v)
+            assert set(subexpression_endpoints(g, rd)) == below, (g.rootsystem, v)
+
+
+def test_hasse_b3_is_the_subword_covers():
+    d = build_root_datum("B3")
+    elements = enumerate_elements(d)
+    name = {w: format_word(reduced_word(w)) for w in elements}
+    covers = {
+        (name[u], name[v])
+        for u in elements
+        for v in elements
+        if length(v) == length(u) + 1 and bruhat_leq_subword(u, v)
+    }
+    edges = hasse(from_weyl(d))
+    assert len(edges) == len(covers) and set(edges) == covers
 
 
 def test_hasse_a2():

@@ -1,5 +1,10 @@
 """Root datum construction, arithmetic, and the text format."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from flagorbits import (
@@ -21,6 +26,7 @@ from flagorbits import (
     simple_root,
     twist_root,
 )
+from flagorbits.weyl import simple_reflection
 from flagorbits.root_datum import all_roots, is_root, is_positive_root, root_support, normalize_levi
 
 
@@ -176,3 +182,38 @@ def test_parse_errors():
     good = format_root_datum(build_root_datum("A2"))
     with pytest.raises(ParseError):
         parse_root_datum(good + "trailing junk\n")
+
+
+def test_equal_data_hash_equal_and_share_cache_entries():
+    for name, twist in (("F4", None), ("A3", (3, 2, 1))):
+        d = build_root_datum(name, twist=twist)
+        e = parse_root_datum(format_root_datum(d))
+        assert d == e and d is not e
+        assert hash(d) == hash(e) == hash(d)
+        assert simple_reflection(e, 1) is simple_reflection(d, 1)
+        assert {d: 1}[e] == 1
+    d = build_root_datum("B3")
+    positive_roots(d)
+    before = positive_roots.cache_info()
+    positive_roots(parse_root_datum(format_root_datum(d)))
+    after = positive_roots.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_datum_pickled_in_another_process_hashes_like_a_fresh_one():
+    # str hashes differ between processes, so a stored hash must not travel
+    import flagorbits
+
+    code = (
+        "import pickle, sys; from flagorbits import build_root_datum; "
+        "d = build_root_datum('G2'); hash(d); sys.stdout.buffer.write(pickle.dumps(d))"
+    )
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "1",
+        "PYTHONPATH": os.path.dirname(os.path.dirname(flagorbits.__file__)),
+    }
+    sent = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    again = pickle.loads(sent.stdout)
+    d = build_root_datum("G2")
+    assert again == d and hash(again) == hash(d) and {d: 1}[again] == 1

@@ -210,6 +210,15 @@ def test_exchange_rejects_unreduced_words():
         exchange(d, (1, 1, 2), 2)
 
 
+def test_letters_out_of_range_are_not_roots():
+    d = build_root_datum("A2")
+    for word in ((3,), (0,), (-1,), (1, 1, 3)):
+        with pytest.raises(NotARoot):
+            is_reduced(d, word)
+    with pytest.raises(NotARoot):
+        exchange(d, (1, 3), 1)
+
+
 def test_bruhat_routes_agree_on_b2():
     d = build_root_datum("B2")
     elements = enumerate_elements(d)
