@@ -24,14 +24,13 @@ from .kgb import (
 from .kgp import class_hasse, i_equivalence_classes
 from .orbit_poset import (
     from_parabolic,
-    from_weyl,
     hasse_dot,
     load_orbit_graph,
     property_z_check,
     validate as validate_poset,
 )
 from .parabolic import enumerate_cosets, p_length
-from .root_datum import build_root_datum, parse_root_datum
+from .root_datum import _significant_lines, build_root_datum, parse_root_datum
 from .weyl import (
     bruhat_leq,
     enumerate_elements,
@@ -142,12 +141,7 @@ def _collect_violations(path: str) -> tuple[str, list[str]]:
     """Returns (success line, violations) for any of the three formats."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    header = stripped[0] if stripped else ""
+    header = next(iter(_significant_lines(text)), "")
     if header == "rootdatum v1":
         datum = parse_root_datum(text)
         return f"ok: rank {datum.rank}, 0 violations", []
@@ -184,11 +178,7 @@ def _cmd_hasse(args) -> int:
     if args.kgb:
         graph = to_orbit_poset(load_kgb(args.kgb))
     else:
-        datum = _datum_from_args(args)
-        if args.levi is not None:
-            graph = from_parabolic(datum, _parse_levi(args.levi))
-        else:
-            graph = from_weyl(datum)
+        graph = from_parabolic(_datum_from_args(args), _parse_levi(args.levi or ""))
     sys.stdout.write(hasse_dot(graph))
     return 0
 

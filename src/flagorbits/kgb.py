@@ -35,6 +35,7 @@ from .root_datum import (
     parse_root_datum,
     parse_root_datum_lines,
     simple_root,
+    _node_lines,
     _significant_lines,
 )
 from .weyl import (
@@ -47,7 +48,6 @@ from .weyl import (
     from_word,
     identity,
     inv,
-    length as weyl_length,
     mul,
     parse_word,
     reduced_word,
@@ -106,13 +106,21 @@ class KgbGraph:
 # --- twisted involutions -----------------------------------------------------
 
 
-def is_twisted_involution(w: WeylElt) -> bool:
-    return apply_twist(w) == inv(w)
+def _twisted_ids(datum: RootDatum) -> list[int]:
+    """Table ids of the w with theta(w) = w^-1, in id order.  theta on ids is
+    one pass in id order: w = s_a * x, with a the first letter of w's word,
+    has theta(w) = s_twist(a) * theta(x), and x has a smaller id."""
+    table = _table(datum)
+    theta = [0] * len(table.words)
+    for k in range(1, len(theta)):
+        a = table.words[k][0]
+        theta[k] = table.left[datum.twist[a - 1] - 1][theta[table.left[a - 1][k]]]
+    return [k for k, t in enumerate(theta) if t == table.inverse[k]]
 
 
 def twisted_involutions(datum: RootDatum) -> tuple[WeylElt, ...]:
-    """All w with theta(w) equal to the inverse, by brute force."""
-    return tuple(w for w in enumerate_elements(datum) if is_twisted_involution(w))
+    """All w with theta(w) equal to the inverse, in id order."""
+    return tuple(_table(datum).elements[k] for k in _twisted_ids(datum))
 
 
 def _theta_root(datum: RootDatum, alpha: int):
@@ -239,7 +247,8 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                 out.append(f"CrossTwist: {tag}")
             # per-label local pattern
             has_cayley = key in g.cayley
-            if lab in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II):
+            noncompact = lab in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II)
+            if noncompact:
                 if not has_cayley:
                     out.append(f"MissingCayley: {tag}")
             elif has_cayley:
@@ -264,33 +273,9 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                     out.append(f"TypeIPattern: {tag}")
                 elif partner is not None and partner is not RootType.NONCOMPACT_I:
                     out.append(f"PartnerLabel: {tag}")
-                if has_cayley:
-                    t = g.cayley[key]
-                    if t not in g.length:
-                        out.append(f"UnknownNode: {tag} cayley={t}")
-                    else:
-                        if g.length[t] != g.length[v] + 1:
-                            out.append(f"CayleyLength: {tag}")
-                        if g.label.get((alpha, t)) is not RootType.REAL_I:
-                            out.append(f"CayleyTarget: {tag} expected r1")
-                        if mul(s, g.tw[v]) != g.tw[t]:
-                            out.append(f"CayleyTwist: {tag}")
-                        if partner is not None and g.cayley.get((alpha, cr)) != t:
-                            out.append(f"SharedCayley: {tag}")
             elif lab is RootType.NONCOMPACT_II:
                 if cr != v:
                     out.append(f"TypeIIPattern: {tag}")
-                if has_cayley:
-                    t = g.cayley[key]
-                    if t not in g.length:
-                        out.append(f"UnknownNode: {tag} cayley={t}")
-                    else:
-                        if g.length[t] != g.length[v] + 1:
-                            out.append(f"CayleyLength: {tag}")
-                        if g.label.get((alpha, t)) is not RootType.REAL_II:
-                            out.append(f"CayleyTarget: {tag} expected r2")
-                        if mul(s, g.tw[v]) != g.tw[t]:
-                            out.append(f"CayleyTwist: {tag}")
             elif lab in _REAL_TYPES:
                 if cr != v:
                     out.append(f"RealMoved: {tag}")
@@ -298,6 +283,21 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                 want = 2 if lab is RootType.REAL_I else 1
                 if len(pre) != want:
                     out.append(f"InverseCayleyCount: {tag} got={len(pre)} want={want}")
+            if noncompact and has_cayley:
+                t = g.cayley[key]
+                real = RootType.REAL_I if lab is RootType.NONCOMPACT_I else RootType.REAL_II
+                if t not in g.length:
+                    out.append(f"UnknownNode: {tag} cayley={t}")
+                else:
+                    if g.length[t] != g.length[v] + 1:
+                        out.append(f"CayleyLength: {tag}")
+                    if g.label.get((alpha, t)) is not real:
+                        out.append(f"CayleyTarget: {tag} expected {real.value}")
+                    if mul(s, g.tw[v]) != g.tw[t]:
+                        out.append(f"CayleyTwist: {tag}")
+                    if real is RootType.REAL_I and partner is not None:
+                        if g.cayley.get((alpha, cr)) != t:
+                            out.append(f"SharedCayley: {tag}")
 
     # cross actions must satisfy the braid relations pairwise
     for a in range(1, datum.rank + 1):
@@ -444,67 +444,50 @@ def group_case(datum: RootDatum) -> KgbGraph:
 def twisted_shadow(datum: RootDatum) -> KgbGraph:
     """Synthetic test harness, not a symmetric pair: nodes are the twisted
     involutions, and every imaginary root is treated as noncompact type II."""
-    invs = twisted_involutions(datum)
-    e = identity(datum)
-    # breadth-first lengths along upward moves from the identity
-    depth = {e: 0}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for alpha in range(1, datum.rank + 1):
-                theta_alpha = _theta_root(datum, alpha)
-                img = _apply(w, theta_alpha)
-                alpha_root = simple_root(datum, alpha)
-                s = simple_reflection(datum, alpha)
-                s_theta = simple_reflection(datum, datum.twist[alpha - 1])
-                if img == alpha_root:
-                    up = mul(s, w)
-                elif img == tuple(-c for c in alpha_root):
-                    continue
-                else:
-                    cand = mul(mul(s, w), s_theta)
-                    if weyl_length(cand) != weyl_length(w) + 2:
-                        continue
-                    up = cand
-                if up not in depth:
-                    depth[up] = depth[w] + 1
-                    nxt.append(up)
-                elif depth[up] != depth[w] + 1:
-                    raise Unreachable("inconsistent lengths among twisted involutions")
-        frontier = nxt
-    if set(depth) != set(invs):
-        raise Unreachable("some twisted involution is unreachable from the identity")
+    table = _table(datum)
+    left, right, weyl_length = table.left, table.right, table.length
+    invs = _twisted_ids(datum)
+    # The label and move of each simple root a at each w, with b = twist(a):
+    # s_a * w = w * s_b exactly when w(alpha_b) = +-alpha_a, and the sign is
+    # + when w * s_b is the longer.  Otherwise a is complex, moving w to
+    # s_a * w * s_b.
+    moves = {}
+    for k in invs:
+        row = moves[k] = []
+        for a in range(1, datum.rank + 1):
+            ws = right[datum.twist[a - 1] - 1][k]
+            if left[a - 1][k] != ws:
+                other = left[a - 1][ws]
+                longer = weyl_length[other] > weyl_length[k]
+                row.append((RootType.COMPLEX_ASCENT if longer else RootType.COMPLEX_DESCENT, other))
+            elif weyl_length[ws] > weyl_length[k]:
+                row.append((RootType.NONCOMPACT_II, ws))
+            else:
+                row.append((RootType.REAL_II, k))
+    # Lengths along upward moves from the identity, in one pass in id order:
+    # an upward move lengthens the Weyl element, so it leads to a larger id.
+    depth = {0: 0}
+    for k in invs:
+        if k not in depth:
+            raise Unreachable("some twisted involution is unreachable from the identity")
+        for lab, up in moves[k]:
+            if lab in _ASCENT_TYPES and depth.setdefault(up, depth[k] + 1) != depth[k] + 1:
+                raise Unreachable("inconsistent lengths among twisted involutions")
 
-    order = sorted(invs, key=lambda w: (depth[w], reduced_word(w)))
-    ids = {w: str(i) for i, w in enumerate(order)}
-    tw = {ids[w]: w for w in order}
-    length = {ids[w]: depth[w] for w in order}
+    order = sorted(invs, key=lambda k: (depth[k], table.words[k]))
+    ids = {k: str(i) for i, k in enumerate(order)}
     label = {}
     cross = {}
     cay = {}
-    for w in order:
-        v = ids[w]
-        for alpha in range(1, datum.rank + 1):
-            theta_alpha = _theta_root(datum, alpha)
-            img = _apply(w, theta_alpha)
-            alpha_root = simple_root(datum, alpha)
-            s = simple_reflection(datum, alpha)
-            s_theta = simple_reflection(datum, datum.twist[alpha - 1])
-            if img == alpha_root:
-                label[(alpha, v)] = RootType.NONCOMPACT_II
-                cross[(alpha, v)] = v
-                cay[(alpha, v)] = ids[mul(s, w)]
-            elif img == tuple(-c for c in alpha_root):
-                label[(alpha, v)] = RootType.REAL_II
-                cross[(alpha, v)] = v
-            else:
-                other = mul(mul(s, w), s_theta)
-                up = weyl_length(other) > weyl_length(w)
-                label[(alpha, v)] = (
-                    RootType.COMPLEX_ASCENT if up else RootType.COMPLEX_DESCENT
-                )
-                cross[(alpha, v)] = ids[other]
+    for k in order:
+        v = ids[k]
+        for alpha, (lab, t) in enumerate(moves[k], 1):
+            label[(alpha, v)] = lab
+            cross[(alpha, v)] = v if lab is RootType.NONCOMPACT_II else ids[t]
+            if lab is RootType.NONCOMPACT_II:
+                cay[(alpha, v)] = ids[t]
+    tw = {ids[k]: table.elements[k] for k in order}
+    length = {ids[k]: depth[k] for k in order}
     return KgbGraph(
         datum, tuple(ids.values()), tw, length, label, cross, cay, origin="twisted_shadow"
     )
@@ -712,26 +695,13 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
     count = int(fields[1])
     tw = {}
     length = {}
-    pos = 1
-    for _ in range(count):
-        if pos >= len(rest):
-            raise ParseError("truncated node list")
-        fields = rest[pos].split()
-        if len(fields) != 4 or fields[0] != "node":
-            raise ParseError(f"bad node line: {rest[pos]!r}")
-        name = fields[1]
-        if name in length:
-            raise ParseError(f"duplicate node {name!r}")
-        try:
-            length[name] = int(fields[2])
-        except ValueError:
-            raise ParseError(f"bad node length in {rest[pos]!r}") from None
+    for name, n, fields in _node_lines(rest[1:], count, 4):
+        length[name] = n
         tw[name] = from_word(datum, parse_word(datum, fields[3]))
-        pos += 1
     label = {}
     cross = {}
     cay = {}
-    for line in rest[pos:]:
+    for line in rest[1 + count :]:
         fields = line.split()
         if fields[0] != "label" or len(fields) not in (5, 6):
             raise ParseError(f"bad label line: {line!r}")

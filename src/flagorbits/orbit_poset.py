@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AxiomViolation, Mismatch, ParseError, Unreachable
-from .parabolic import StepType, classify_step, enumerate_cosets, p_length, step_coset
-from .root_datum import RootDatum, _significant_lines, normalize_levi, simple_root
-from .weyl import _table, enumerate_elements, format_word, reduced_word
+from .root_datum import RootDatum, _node_lines, _significant_lines, normalize_levi
+from .weyl import _p_minimal, _table, format_word
 
 NodeId = str
 
@@ -94,34 +93,28 @@ def _lowering(g: OrbitGraph, v: NodeId) -> tuple[int, NodeId] | None:
 
 
 def from_weyl(datum: RootDatum) -> OrbitGraph:
-    elements = enumerate_elements(datum)
-    table = _table(datum)
-    ident = [format_word(word) for word in table.words]
-    lengths = dict(zip(ident, table.length))
-    fibers = []
-    for alpha, right in enumerate(table.right, 1):
-        for k in range(len(elements)):
-            ks = right[k]
-            if table.length[ks] > table.length[k]:
-                fibers.append((alpha, ident[ks], (ident[k], ident[ks])))
-    return OrbitGraph(datum.name or "custom", datum.rank, lengths, fibers)
+    return from_parabolic(datum, ())
 
 
 def from_parabolic(datum: RootDatum, levi) -> OrbitGraph:
+    """The orbit graph of P\\G/B, read off the Weyl table.  Its nodes are the
+    minimal coset representatives, named by their canonical words; along
+    alpha a node is joined to its right neighbour under s_alpha when that is
+    a minimal representative too, and longer."""
     levi = normalize_levi(datum, levi)
-    cosets = enumerate_cosets(datum, levi)
-    ident = {c: format_word(reduced_word(c.min_rep)) for c in cosets}
-    lengths = {ident[c]: p_length(c) for c in cosets}
+    table = _table(datum)
+    length = table.length
+    ident = {k: format_word(table.words[k]) for k in _p_minimal(table, levi)}
     fibers = []
-    for alpha in range(1, datum.rank + 1):
-        for c in cosets:
-            if classify_step(c.min_rep, simple_root(datum, alpha), levi) is StepType.COMPLEX_UPWARD:
-                up = step_coset(c, alpha)
-                fibers.append((alpha, ident[up], (ident[c], ident[up])))
+    for alpha, right in enumerate(table.right, 1):
+        for k, node in ident.items():
+            up = right[k]
+            if length[up] > length[k] and up in ident:
+                fibers.append((alpha, ident[up], (node, ident[up])))
     label = datum.name or "custom"
     if levi:
         label += " levi " + ",".join(str(i) for i in levi)
-    return OrbitGraph(label, datum.rank, lengths, fibers)
+    return OrbitGraph(label, datum.rank, {node: length[k] for k, node in ident.items()}, fibers)
 
 
 # --- validation --------------------------------------------------------------
@@ -399,25 +392,10 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
     if len(fields) != 2 or fields[0] != "nodes" or not fields[1].isdigit():
         raise ParseError("expected a node count line")
     count = int(fields[1])
-    lengths: dict[NodeId, int] = {}
-    pos = 3
-    for _ in range(count):
-        if pos >= len(lines):
-            raise ParseError("truncated node list")
-        fields = lines[pos].split()
-        if len(fields) != 3 or fields[0] != "node":
-            raise ParseError(f"bad node line: {lines[pos]!r}")
-        name = fields[1]
-        if name in lengths:
-            raise ParseError(f"duplicate node {name!r}")
-        try:
-            lengths[name] = int(fields[2])
-        except ValueError:
-            raise ParseError(f"bad node length in {lines[pos]!r}") from None
-        pos += 1
+    lengths = {name: n for name, n, _ in _node_lines(lines[3:], count, 3)}
     fibers = []
     rank = 0
-    for line in lines[pos:]:
+    for line in lines[3 + count :]:
         fields = line.split()
         if fields[0] != "fiber" or len(fields) < 4:
             raise ParseError(f"bad fiber line: {line!r}")

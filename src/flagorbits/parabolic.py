@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
+from .orbit_poset import from_parabolic, poset_leq, property_z_check
 from .root_datum import (
     Root,
     RootDatum,
@@ -25,9 +26,10 @@ from .weyl import (
     WeylElt,
     Word,
     _apply,
+    _p_minimal,
+    _table,
     bruhat_leq,
     bruhat_leq_subword,
-    enumerate_elements,
     format_word,
     from_word,
     identity,
@@ -176,22 +178,28 @@ def coset_bruhat_leq_induced(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]:
+    """The cosets by p-length, then by the canonical word of the minimal
+    representative: the minimal ids of the Weyl table, in id order."""
     levi = normalize_levi(datum, levi)
-    seen: dict[WeylElt, ParabolicCoset] = {}
-    for w in enumerate_elements(datum):
-        c = coset_of(w, levi)
-        seen.setdefault(c.min_rep, c)
-    return tuple(sorted(seen.values(), key=lambda c: (p_length(c), reduced_word(c.min_rep))))
+    table = _table(datum)
+    # max_rep = w0 * min_rep, w0 the last id whose word has only Levi letters;
+    # w0 is an involution, so its word may be applied first letter first.
+    inside = set(levi)
+    longest = table.words[max(k for k, word in enumerate(table.words) if inside.issuperset(word))]
+    cosets = []
+    for k in _p_minimal(table, levi):
+        x = k
+        for i in longest:
+            x = table.left[i - 1][x]
+        cosets.append(ParabolicCoset(levi, table.elements[k], table.elements[x]))
+    return tuple(cosets)
 
 
 def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
     """Exhaustively certify the lifting property on the quotient's orbit
     graph and that the order it generates is the induced Bruhat order.
     Returns human-readable violations."""
-    from .orbit_poset import from_parabolic, poset_leq, property_z_check  # imports this module
-
     levi = normalize_levi(datum, levi)
     g = from_parabolic(datum, levi)
     violations = property_z_check(g)

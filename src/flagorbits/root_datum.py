@@ -437,6 +437,26 @@ def _significant_lines(text: str) -> list[str]:
     return out
 
 
+def _node_lines(lines: list[str], count: int, width: int):
+    """Yield (name, length, fields) for the first ``count`` lines, each of the
+    form ``node <name> <length> ...`` with ``width`` fields in all."""
+    seen = set()
+    for pos in range(count):
+        if pos >= len(lines):
+            raise ParseError("truncated node list")
+        parts = lines[pos].split()
+        if len(parts) != width or parts[0] != "node":
+            raise ParseError(f"bad node line: {lines[pos]!r}")
+        if parts[1] in seen:
+            raise ParseError(f"duplicate node {parts[1]!r}")
+        seen.add(parts[1])
+        try:
+            n = int(parts[2])
+        except ValueError:
+            raise ParseError(f"bad node length in {lines[pos]!r}") from None
+        yield parts[1], n, parts
+
+
 def parse_root_datum(text: str) -> RootDatum:
     lines = _significant_lines(text)
     datum, rest = parse_root_datum_lines(lines)

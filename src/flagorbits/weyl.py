@@ -182,24 +182,20 @@ def exchange(datum: RootDatum, word: Sequence[int], alpha: int) -> int:
     raise AssertionError("exchange position must exist at a descent")  # pragma: no cover
 
 
-@lru_cache(maxsize=None)
 def bruhat_leq(u: WeylElt, v: WeylElt) -> bool:
-    """Bruhat order by downward lifting through a shared simple descent of v."""
+    """Bruhat order by downward lifting: strip the smallest descent s of v,
+    and strip it from u too when it is a descent of u, until u is as long
+    as v; then u <= v exactly when the two are equal."""
     if u.datum != v.datum:
         raise DatumMismatch("cannot compare elements of different root data")
-    if u == v:
-        return True
-    if length(u) >= length(v):
-        return False
-    datum = u.datum
-    for i in range(1, datum.rank + 1):
-        if any(c < 0 for c in v.images[i - 1]):
-            s = simple_reflection(datum, i)
-            v2 = mul(v, s)
-            if any(c < 0 for c in u.images[i - 1]):
-                return bruhat_leq(mul(u, s), v2)
-            return bruhat_leq(u, v2)
-    return False  # pragma: no cover - v != e always has a descent
+    lu, lv = length(u), length(v)
+    while lu < lv:
+        i = next(i for i, beta in enumerate(v.images, 1) if any(c < 0 for c in beta))
+        s = simple_reflection(u.datum, i)
+        v, lv = mul(v, s), lv - 1
+        if any(c < 0 for c in u.images[i - 1]):
+            u, lu = mul(u, s), lu - 1
+    return u == v
 
 
 def bruhat_leq_subword(u: WeylElt, v: WeylElt, base_word: Sequence[int] | None = None) -> bool:
@@ -302,6 +298,14 @@ def _table(datum: RootDatum) -> WeylTable:
 def enumerate_elements(datum: RootDatum) -> tuple[WeylElt, ...]:
     """All elements, sorted by length then by canonical reduced word."""
     return _table(datum).elements
+
+
+def _p_minimal(table: WeylTable, levi: Sequence[int]) -> list[int]:
+    """The ids, in id order, with no left descent among the simple indices in
+    levi: the minimal representatives of the cosets W_levi * w."""
+    rows = [table.left[i - 1] for i in levi]
+    length = table.length
+    return [k for k in range(len(length)) if all(length[row[k]] > length[k] for row in rows)]
 
 
 def reflection_word(datum: RootDatum, beta: Root) -> Word:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from flagorbits import format_kgb, format_root_datum, build_root_datum, sl2_split
+from flagorbits import (
+    build_root_datum,
+    format_kgb,
+    format_orbit_graph,
+    format_root_datum,
+    from_weyl,
+    sl2_split,
+)
 from flagorbits.cli import main
 
 
@@ -62,6 +69,15 @@ def test_validate_good_files(capsys, tmp_path):
     rd.write_text(format_root_datum(build_root_datum("B2")))
     code, out, err = run(capsys, "validate", str(rd))
     assert (code, out) == (0, "ok: rank 2, 0 violations\n")
+
+
+def test_validate_reads_the_header_past_a_comment(capsys, tmp_path):
+    # the header is found the way the parsers find it, comments stripped
+    graph = tmp_path / "a2.orbitgraph"
+    text = format_orbit_graph(from_weyl(build_root_datum("A2")))
+    graph.write_text(text.replace("orbitgraph v1\n", "orbitgraph v1  # note\n"))
+    code, out, err = run(capsys, "validate", str(graph))
+    assert (code, out, err) == (0, "ok: 6 nodes, 0 violations\n", "")
 
 
 def test_validate_flags_diagonal_fixture(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Symmetric-subgroup orbit graphs: fixtures, axioms, moves, serialization."""
 
+from pathlib import Path
+
 import pytest
 
 from flagorbits import (
@@ -132,6 +134,100 @@ def test_validate_catches_label_flip():
         parse_kgb(format_kgb(broken))
 
 
+def _corrupt(g, **changes):
+    """A copy of g with some entries of its tw/length/label/cross/cayley maps replaced."""
+    fields = {
+        "tw": dict(g.tw),
+        "length": dict(g.length),
+        "label": dict(g.label),
+        "cross": dict(g.cross),
+        "cayley": dict(g.cayley),
+    }
+    for name, updates in changes.items():
+        fields[name].update(updates)
+    return KgbGraph(g.datum, g.nodes, **fields)
+
+
+def test_validate_checks_cayley_targets_type_i():
+    e = identity(sl2_split().datum)
+    cases = [
+        (
+            {"cayley": {(1, "0"): "9"}},
+            [
+                "InverseCayleyCount: alpha=1 node=2 got=1 want=2",
+                "SharedCayley: alpha=1 node=1",
+                "UnknownNode: alpha=1 node=0 cayley=9",
+            ],
+        ),
+        (
+            {"length": {"2": 2}},
+            ["CayleyLength: alpha=1 node=0", "CayleyLength: alpha=1 node=1"],
+        ),
+        (
+            {"label": {(1, "2"): RootType.REAL_II}},
+            [
+                "CayleyTarget: alpha=1 node=0 expected r1",
+                "CayleyTarget: alpha=1 node=1 expected r1",
+                "InverseCayleyCount: alpha=1 node=2 got=2 want=1",
+            ],
+        ),
+        (
+            {"tw": {"2": e}},
+            [
+                "CayleyTwist: alpha=1 node=0",
+                "CayleyTwist: alpha=1 node=1",
+                "LabelClass: alpha=1 node=2 label=r1 not real",
+            ],
+        ),
+        (
+            {"cayley": {(1, "1"): "0"}},
+            [
+                "CayleyLength: alpha=1 node=1",
+                "CayleyTarget: alpha=1 node=1 expected r1",
+                "CayleyTwist: alpha=1 node=1",
+                "InverseCayleyCount: alpha=1 node=2 got=1 want=2",
+                "SharedCayley: alpha=1 node=0",
+                "SharedCayley: alpha=1 node=1",
+            ],
+        ),
+    ]
+    for changes, want in cases:
+        assert validate_kgb(_corrupt(sl2_split(), **changes)) == want, changes
+
+
+def test_validate_checks_cayley_targets_type_ii():
+    cases = [
+        (
+            {"cayley": {(1, "0"): "7"}},
+            [
+                "InverseCayleyCount: alpha=1 node=1 got=0 want=1",
+                "UnknownNode: alpha=1 node=0 cayley=7",
+            ],
+        ),
+        (
+            {"cayley": {(1, "0"): "0"}},
+            [
+                "CayleyLength: alpha=1 node=0",
+                "CayleyTarget: alpha=1 node=0 expected r2",
+                "CayleyTwist: alpha=1 node=0",
+                "InverseCayleyCount: alpha=1 node=1 got=0 want=1",
+            ],
+        ),
+        ({"length": {"1": 3}}, ["CayleyLength: alpha=1 node=0"]),
+        # a moved type II root is not checked for a shared Cayley target
+        (
+            {"cross": {(1, "0"): "1"}},
+            [
+                "CrossNotInvolution: alpha=1 node=0",
+                "CrossTwist: alpha=1 node=0",
+                "TypeIIPattern: alpha=1 node=0",
+            ],
+        ),
+    ]
+    for changes, want in cases:
+        assert validate_kgb(_corrupt(pgl2_split(), **changes)) == want, changes
+
+
 def test_monoid_idempotent_and_braid():
     for name, g in all_graphs().items():
         r = g.datum.rank
@@ -192,6 +288,10 @@ def test_twisted_involution_counts_and_sets():
             w for w in enumerate_elements(d) if apply_twist(w) == inv(w)
         )
         assert got == filtered
+    for name, twist in (("A5", (5, 4, 3, 2, 1)), ("D4", (1, 2, 4, 3)), ("B3", None), ("F4", None)):
+        d = build_root_datum(name, twist=twist)
+        want = tuple(w for w in enumerate_elements(d) if apply_twist(w) == inv(w))
+        assert twisted_involutions(d) == want, name
 
 
 def test_twisted_involution_counts_type_a():
@@ -307,6 +407,14 @@ def test_format_golden_sl2():
         "label 1 1 nci1 cross=0 cayley=2\n"
         "label 2 1 r1 cross=2\n"
     )
+
+
+def test_builtin_fixtures_match_the_committed_files():
+    directory = Path(__file__).resolve().parent.parent / "fixtures"
+    fixtures = builtin_fixtures()
+    assert sorted(p.stem for p in directory.glob("*.kgb")) == sorted(fixtures)
+    for name, g in fixtures.items():
+        assert format_kgb(g) == (directory / f"{name}.kgb").read_text(encoding="utf-8"), name
 
 
 def test_round_trip_byte_identical(tmp_path):

@@ -16,6 +16,7 @@ from flagorbits import (
     build_root_datum,
     builtin_fixtures,
     enumerate_elements,
+    format_kgb,
     format_orbit_graph,
     format_word,
     from_parabolic,
@@ -25,6 +26,8 @@ from flagorbits import (
     hasse_dot,
     length,
     load_orbit_graph,
+    parse_kgb,
+    pgl2_split,
     poset_leq,
     property_z_check,
     reduced_decomposition,
@@ -260,3 +263,25 @@ def test_parse_errors():
         parse_orbit_graph(good + "mystery line\n")
     with pytest.raises(ParseError):
         parse_orbit_graph(good.replace("nodes 2", "nodes 3"))
+
+
+def test_node_line_errors_name_the_line():
+    # parse_orbit_graph and parse_kgb share the node-line checks
+    orbit = format_orbit_graph(from_weyl(build_root_datum("A1")))
+    kgb = format_kgb(pgl2_split())
+    cases = [
+        (parse_orbit_graph, orbit.split("fiber")[0].replace("nodes 2", "nodes 3"),
+         "truncated node list"),
+        (parse_orbit_graph, orbit.replace("node 1 1", "node 1 1 x"), "bad node line: 'node 1 1 x'"),
+        (parse_orbit_graph, orbit.replace("node 1 1", "node e 1"), "duplicate node 'e'"),
+        (parse_orbit_graph, orbit.replace("node 1 1", "node 1 one"),
+         "bad node length in 'node 1 one'"),
+        (parse_kgb, kgb.split("label")[0].replace("nodes 2", "nodes 3"), "truncated node list"),
+        (parse_kgb, kgb.replace("node 1 1 1", "node 1 1"), "bad node line: 'node 1 1'"),
+        (parse_kgb, kgb.replace("node 1 1 1", "node 0 1 1"), "duplicate node '0'"),
+        (parse_kgb, kgb.replace("node 1 1 1", "node 1 x 1"), "bad node length in 'node 1 x 1'"),
+    ]
+    for parse, text, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message

@@ -19,6 +19,8 @@ from flagorbits import (
     coset_of,
     enumerate_cosets,
     enumerate_elements,
+    format_word,
+    from_parabolic,
     from_word,
     identity,
     is_p_maximal,
@@ -157,6 +159,37 @@ def test_upward_step_raises_p_length():
                         assert p_length(nxt) == p_length(c) - 1
                     else:
                         assert nxt == c
+
+
+QUOTIENT_CASES = (
+    [("A4", levi) for levi in all_levis(4)]
+    + [("B3", levi) for levi in all_levis(3)]
+    + [("D4", levi) for levi in all_levis(4)]
+    + [("G2", levi) for levi in all_levis(2)]
+    + [("F4", (1,)), ("F4", (2, 3))]
+)
+
+
+@pytest.mark.parametrize("name,levi", QUOTIENT_CASES)
+def test_quotient_matches_the_per_element_route(name, levi):
+    # The per-element API (coset_of, classify_step, step_coset) is the oracle
+    # for the cosets and orbit graph read off the Weyl table.
+    d = build_root_datum(name)
+    want = sorted(
+        {coset_of(w, levi) for w in enumerate_elements(d)},
+        key=lambda c: (p_length(c), reduced_word(c.min_rep)),
+    )
+    assert list(enumerate_cosets(d, levi)) == want
+    ident = {c: format_word(reduced_word(c.min_rep)) for c in want}
+    fibers = set()
+    for c in want:
+        for alpha in range(1, d.rank + 1):
+            if classify_step(c.min_rep, simple_root(d, alpha), levi) is StepType.COMPLEX_UPWARD:
+                up = ident[step_coset(c, alpha)]
+                fibers.add((alpha, up, frozenset((ident[c], up))))
+    g = from_parabolic(d, levi)
+    assert g.length == {ident[c]: p_length(c) for c in want}
+    assert {(alpha, dense, frozenset(group)) for alpha, dense, group in g.stored_fibers()} == fibers
 
 
 def test_coset_order_examples():

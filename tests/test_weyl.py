@@ -220,11 +220,21 @@ def test_letters_out_of_range_are_not_roots():
 
 
 def test_bruhat_routes_agree_on_b2():
-    d = build_root_datum("B2")
+    for name in ("B2", "A3", "G2"):
+        elements = enumerate_elements(build_root_datum(name))
+        for u in elements:
+            for v in elements:
+                assert bruhat_leq(u, v) == bruhat_leq_subword(u, v), name
+    # an unnamed datum with the same Cartan matrix has no table, so its
+    # comparisons take the per-element path on the root images
+    d = build_root_datum("B3")
+    bare = build_root_datum(CartanSpec(d.cartan, d.labels))
     elements = enumerate_elements(d)
     for u in elements:
+        x = WeylElt(bare, u.images)
         for v in elements:
-            assert bruhat_leq(u, v) == bruhat_leq_subword(u, v)
+            assert bruhat_leq(x, WeylElt(bare, v.images)) == bruhat_leq_subword(u, v)
+    assert bare not in weyl._tables
 
 
 def test_bruhat_classical_facts():
