@@ -98,7 +98,8 @@ class KgbGraph:
         if v not in self.length:
             raise Mismatch(f"unknown node {v!r}")
 
-    def _require_alpha(self, alpha: int) -> None:
+    def _require_at(self, alpha: int, v: NodeId) -> None:
+        self._require(v)
         if not 1 <= alpha <= self.datum.rank:
             raise Mismatch(f"simple index {alpha} out of range 1..{self.datum.rank}")
 
@@ -131,38 +132,41 @@ def _theta_root(datum: RootDatum, alpha: int):
 
 
 def root_type(g: KgbGraph, alpha: int, v: NodeId) -> RootType:
-    g._require(v)
-    g._require_alpha(alpha)
+    g._require_at(alpha, v)
     return g.label[(alpha, v)]
 
 
 def cross_action(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
-    g._require(v)
-    g._require_alpha(alpha)
+    g._require_at(alpha, v)
     return g.cross[(alpha, v)]
 
 
 def cayley(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
-    g._require(v)
-    g._require_alpha(alpha)
+    g._require_at(alpha, v)
     if g.label[(alpha, v)] not in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II):
         raise NotNoncompact(f"root {alpha} is not noncompact imaginary at node {v}")
     return g.cayley[(alpha, v)]
 
 
 def inverse_cayley(g: KgbGraph, alpha: int, v: NodeId) -> tuple[NodeId, ...]:
-    g._require(v)
-    g._require_alpha(alpha)
+    g._require_at(alpha, v)
     if g.label[(alpha, v)] not in _REAL_TYPES:
         raise NotReal(f"root {alpha} is not real at node {v}")
-    pre = [x for x in g.nodes if g.cayley.get((alpha, x)) == v]
-    return tuple(sorted(pre, key=node_sort_key))
+    return tuple(_cayley_preimages(g, alpha).get(v, ()))
+
+
+def _cayley_preimages(g: KgbGraph, alpha: int) -> dict[NodeId, list[NodeId]]:
+    """Each node's preimages under the Cayley transforms along alpha, in node order."""
+    pre: dict[NodeId, list[NodeId]] = {}
+    for x in g.nodes:
+        if (alpha, x) in g.cayley:
+            pre.setdefault(g.cayley[(alpha, x)], []).append(x)
+    return pre
 
 
 def monoid(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
     """Move to the dense node of the fiber; fixes v unless alpha is an ascent."""
-    g._require(v)
-    g._require_alpha(alpha)
+    g._require_at(alpha, v)
     lab = g.label[(alpha, v)]
     if lab is RootType.COMPLEX_ASCENT:
         return g.cross[(alpha, v)]
@@ -214,6 +218,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
         s = simple_reflection(datum, alpha)
         s_theta = simple_reflection(datum, datum.twist[alpha - 1])
         trivial = is_m_alpha_trivial(datum, alpha)
+        preimages = _cayley_preimages(g, alpha)
         for v in g.nodes:
             key = (alpha, v)
             tag = f"alpha={alpha} node={v}"
@@ -279,7 +284,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             elif lab in _REAL_TYPES:
                 if cr != v:
                     out.append(f"RealMoved: {tag}")
-                pre = [x for x in g.nodes if g.cayley.get((alpha, x)) == v]
+                pre = preimages.get(v, [])
                 want = 2 if lab is RootType.REAL_I else 1
                 if len(pre) != want:
                     out.append(f"InverseCayleyCount: {tag} got={len(pre)} want={want}")

@@ -26,9 +26,13 @@ def node_sort_key(node: NodeId) -> tuple:
 class OrbitGraph:
     """Immutable after construction; fibers of size one are implicit.
 
-    ``index`` gives each node's position in ``nodes``.  Lower ideals are int
-    bitsets over those positions (bit k stands for ``nodes[k]``), built on
-    demand by lower_ideal and kept on the graph: at most n * n / 8 bytes.
+    Everything inside works on positions in ``nodes``; ``index`` maps a node
+    to its position.  Entry k of fiber table row alpha - 1 is the fiber of
+    ``nodes[k]`` along alpha as (dense position, member positions), or None.
+    A fiber naming an unknown node or a simple index outside 1..rank stays
+    out of the table, in ``_loose``, for validate and the text form.  Lower
+    ideals are int bitsets over positions, built by lower_ideal and kept on
+    the graph: at most n * n / 8 bytes.
     """
 
     def __init__(
@@ -42,51 +46,57 @@ class OrbitGraph:
         self.rank = rank
         self.length = dict(lengths)
         self.nodes: tuple[NodeId, ...] = tuple(sorted(self.length, key=node_sort_key))
-        self._fibers: dict[tuple[int, NodeId], tuple[NodeId, tuple[NodeId, ...]]] = {}
-        for alpha, dense, members in fibers:
-            group = tuple(sorted(set(members) | {dense}, key=node_sort_key))
-            for x in group:
-                self._fibers[(alpha, x)] = (dense, group)
         self.index = {node: k for k, node in enumerate(self.nodes)}
+        self._len = [self.length[node] for node in self.nodes]
+        self._table = [[None] * len(self.nodes) for _ in range(rank)]
+        self._loose: dict[tuple[int, tuple[NodeId, ...]], NodeId] = {}  # (alpha, group) -> dense
+        for alpha, dense, members in fibers:
+            group = set(members) | {dense}
+            if 1 <= alpha <= rank and self.index.keys() >= group:
+                ks = tuple(sorted(self.index[x] for x in group))
+                for k in ks:
+                    self._table[alpha - 1][k] = (self.index[dense], ks)
+            else:
+                self._loose[(alpha, tuple(sorted(group, key=node_sort_key)))] = dense
         self._ideals: list[int | None] = [None] * len(self.nodes)
-        self._mates: list[list[tuple[int, ...] | None]] | None = None
-        self._shorter: dict[int, int] = {}  # length -> bitset of the nodes shorter
 
-    def _require(self, node: NodeId) -> None:
-        if node not in self.length:
+    def _position(self, node: NodeId) -> int:
+        if node not in self.index:
             raise Mismatch(f"unknown node {node!r}")
+        return self.index[node]
+
+    def _entry(self, alpha: int, k: int) -> tuple[int, tuple[int, ...]] | None:
+        if not 1 <= alpha <= self.rank:
+            raise Mismatch(f"simple index {alpha} out of range 1..{self.rank}")
+        return self._table[alpha - 1][k]
 
     def fiber(self, alpha: int, node: NodeId) -> tuple[NodeId, ...]:
-        self._require(node)
-        if not 1 <= alpha <= self.rank:
-            raise Mismatch(f"simple index {alpha} out of range 1..{self.rank}")
-        got = self._fibers.get((alpha, node))
-        return got[1] if got else (node,)
+        got = self._entry(alpha, self._position(node))
+        return tuple(self.nodes[k] for k in got[1]) if got else (node,)
 
     def dense_node(self, alpha: int, node: NodeId) -> NodeId:
-        self._require(node)
-        if not 1 <= alpha <= self.rank:
-            raise Mismatch(f"simple index {alpha} out of range 1..{self.rank}")
-        got = self._fibers.get((alpha, node))
-        return got[0] if got else node
+        got = self._entry(alpha, self._position(node))
+        return self.nodes[got[0]] if got else node
 
     def stored_fibers(self) -> list[tuple[int, NodeId, tuple[NodeId, ...]]]:
         """Each explicit fiber once, sorted by simple index then dense node."""
-        seen = {}
-        for (alpha, _), (dense, group) in self._fibers.items():
-            seen[(alpha, group)] = (alpha, dense, group)
-        return sorted(seen.values(), key=lambda t: (t[0], node_sort_key(t[1])))
+        out = [(alpha, dense, group) for (alpha, group), dense in self._loose.items()]
+        for alpha, row in enumerate(self._table, 1):
+            for dense, group in filter(None, dict.fromkeys(row)):
+                out.append((alpha, self.nodes[dense], tuple(self.nodes[k] for k in group)))
+        return sorted(out, key=lambda t: (t[0], node_sort_key(t[1])))
 
 
-def _lowering(g: OrbitGraph, v: NodeId) -> tuple[int, NodeId] | None:
-    """The step down from v: the smallest simple index at which v is the
-    dense member of a fiber with other members, and the smallest of those
-    members; None if v is dense in no such fiber."""
-    for alpha in range(1, g.rank + 1):
-        got = g._fibers.get((alpha, v))
-        if got is not None and got[0] == v and len(got[1]) > 1:
-            return alpha, next(x for x in got[1] if x != v)
-    return None
+def _lowerings(g: OrbitGraph, k: int):
+    """The steps down from position k, in order: (alpha, each other member)
+    for every fiber along alpha with k as its dense member.  The first is
+    the one reduced_decomposition and lower_ideal take."""
+    for alpha, row in enumerate(g._table, 1):
+        got = row[k]
+        if got is not None and got[0] == k:
+            for j in got[1]:
+                if j != k:
+                    yield alpha, j
 
 
 # --- construction from Weyl groups and parabolic quotients ------------------
@@ -138,8 +148,9 @@ def validate(g: OrbitGraph) -> list[str]:
             continue
         if len(group) > 3:
             violations.append(f"FiberTooLarge: {tag} size={len(group)}")
-        for x in group:
-            if g._fibers.get((alpha, x), (None, None))[1] != group:
+        ks = tuple(g.index[x] for x in group)
+        for x, k in zip(group, ks):
+            if g._table[alpha - 1][k][1] != ks:
                 violations.append(f"FiberIncoherent: {tag} node={x}")
         top = max(g.length[x] for x in group)
         at_top = [x for x in group if g.length[x] == top]
@@ -153,9 +164,9 @@ def validate(g: OrbitGraph) -> list[str]:
                     violations.append(f"BadLengthGap: {tag} node={x}")
     if all(g.length[node] != 0 for node in g.nodes):
         violations.append("NoClosedNode: no node of length 0")
-    for node in g.nodes:
-        if g.length[node] > 0 and _lowering(g, node) is None:
-            violations.append(f"Unreachable: node={node} has no downward fiber")
+    for k, n in enumerate(g._len):
+        if n > 0 and next(_lowerings(g, k), None) is None:
+            violations.append(f"Unreachable: node={g.nodes[k]} has no downward fiber")
     return sorted(violations)
 
 
@@ -173,65 +184,59 @@ class ReducedDecomposition:
 def reduced_decomposition(g: OrbitGraph, v: NodeId) -> ReducedDecomposition:
     """Deterministic decomposition: walk down from v, at each step taking the
     smallest simple index that lowers, then the smallest lower node."""
-    g._require(v)
-    rev_nodes = [v]
-    rev_roots = []
-    node = v
-    while g.length[node] > 0:
-        step = _lowering(g, node)
+    k = g._position(v)
+    ks, roots = [k], []
+    while g._len[k] > 0:
+        step = next(_lowerings(g, k), None)
         if step is None:
-            raise Unreachable(f"node {node} has positive length but no downward fiber")
-        rev_roots.append(step[0])
-        rev_nodes.append(step[1])
-        node = step[1]
-    return ReducedDecomposition(tuple(reversed(rev_nodes)), tuple(reversed(rev_roots)))
+            raise Unreachable(f"node {g.nodes[k]} has positive length but no downward fiber")
+        roots.append(step[0])
+        k = step[1]
+        ks.append(k)
+    return ReducedDecomposition(tuple(g.nodes[k] for k in reversed(ks)), tuple(reversed(roots)))
 
 
 def all_reduced_decompositions(g: OrbitGraph, v: NodeId) -> list[ReducedDecomposition]:
-    g._require(v)
-    if g.length[v] == 0:
-        return [ReducedDecomposition((v,), ())]
-    out = []
-    for alpha in range(1, g.rank + 1):
-        group = g.fiber(alpha, v)
-        if len(group) > 1 and g.dense_node(alpha, v) == v:
-            for below in sorted((x for x in group if x != v), key=node_sort_key):
-                for rd in all_reduced_decompositions(g, below):
-                    out.append(ReducedDecomposition(rd.nodes + (v,), rd.roots + (alpha,)))
-    if not out:
-        raise Unreachable(f"node {v} has positive length but no downward fiber")
-    return out
+    def walk(k: int) -> list[ReducedDecomposition]:
+        node = g.nodes[k]
+        if g._len[k] == 0:
+            return [ReducedDecomposition((node,), ())]
+        out = []
+        for alpha, j in _lowerings(g, k):
+            for rd in walk(j):
+                out.append(ReducedDecomposition(rd.nodes + (node,), rd.roots + (alpha,)))
+        if not out:
+            raise Unreachable(f"node {node} has positive length but no downward fiber")
+        return out
 
-
-def _check_rd(g: OrbitGraph, rd: ReducedDecomposition) -> None:
-    if len(rd.nodes) != len(rd.roots) + 1:
-        raise Mismatch("decomposition sequences have inconsistent lengths")
-    for node in rd.nodes:
-        g._require(node)
-    if g.length[rd.nodes[0]] != 0:
-        raise Mismatch(f"decomposition must start at a closed orbit, got {rd.nodes[0]}")
-    for i, alpha in enumerate(rd.roots):
-        prev, cur = rd.nodes[i], rd.nodes[i + 1]
-        if cur == prev or g.dense_node(alpha, prev) != cur:
-            raise Mismatch(f"step {i + 1} is not a dense move along {alpha}")
+    return walk(g._position(v))
 
 
 def subexpression_endpoints(g: OrbitGraph, rd: ReducedDecomposition) -> tuple[NodeId, ...]:
-    """All endpoints of subexpressions of the given decomposition.  A node
-    already dense in its fiber can only stand still; otherwise the whole
-    fiber is reachable in one step (stand still, move to dense, or slide to
-    the other member under the shared dense target)."""
-    _check_rd(g, rd)
-    current = {rd.nodes[0]}
-    for alpha in rd.roots:
+    """All endpoints of subexpressions of the given decomposition, which must
+    be one in g.  A node already dense in its fiber can only stand still;
+    otherwise the whole fiber is reachable in one step (stand still, move to
+    dense, or slide to the other member under the shared dense target)."""
+    if len(rd.nodes) != len(rd.roots) + 1:
+        raise Mismatch("decomposition sequences have inconsistent lengths")
+    ks = [g._position(node) for node in rd.nodes]
+    if g._len[ks[0]] != 0:
+        raise Mismatch(f"decomposition must start at a closed orbit, got {rd.nodes[0]}")
+    current = {ks[0]}
+    for i, alpha in enumerate(rd.roots):
+        prev, cur = ks[i], ks[i + 1]
+        if cur == prev or (g._entry(alpha, prev) or (prev,))[0] != cur:
+            raise Mismatch(f"step {i + 1} is not a dense move along {alpha}")
+        row = g._table[alpha - 1]
         nxt = set()
         for u in current:
-            if g.dense_node(alpha, u) == u:
+            got = row[u]
+            if got is None or got[0] == u:
                 nxt.add(u)
             else:
-                nxt.update(g.fiber(alpha, u))
+                nxt.update(got[1])
         current = nxt
-    return tuple(sorted(current, key=node_sort_key))
+    return tuple(g.nodes[k] for k in sorted(current))
 
 
 # --- order --------------------------------------------------------------------
@@ -247,82 +252,70 @@ def _members(bits: int) -> list[int]:
     return out
 
 
-def _fiber_positions(g: OrbitGraph) -> list[list[tuple[int, ...] | None]]:
-    """Per simple index, each node's fiber as positions in ``g.nodes``
-    (None where the fiber is the node alone), built once per graph."""
-    if g._mates is None:
-        g._mates = [[None] * len(g.nodes) for _ in range(g.rank)]
-        for (alpha, _), (_, group) in g._fibers.items():
-            if 1 <= alpha <= g.rank and len(group) > 1:
-                for x in group:
-                    g._require(x)
-                ks = tuple(g.index[x] for x in group)
-                for k in ks:
-                    g._mates[alpha - 1][k] = ks
-    return g._mates
+def _ideal(g: OrbitGraph, k: int) -> int:
+    """The lower ideal of position k (see lower_ideal)."""
+    if g._loose:
+        raise AxiomViolation(validate(g))
+    ideals, lens = g._ideals, g._len
+    steps: list[tuple[int, int, int]] = []  # (position, alpha, one step down), k first
+    x = k
+    while ideals[x] is None:
+        if x in (step[0] for step in steps):
+            raise AxiomViolation([f"LoweringCycle: node={g.nodes[x]} lies below itself"])
+        step = next(_lowerings(g, x), None)
+        if step is None:
+            ideals[x] = 1 << x
+            break
+        steps.append((x, *step))
+        x = step[1]
+    for x, alpha, j in reversed(steps):
+        bits, row = 1 << x, g._table[alpha - 1]
+        for u in _members(ideals[j]):
+            for y in row[u][1] if row[u] else (u,):
+                if lens[y] < lens[x]:
+                    bits |= 1 << y
+        ideals[x] = bits
+    return ideals[k]
 
 
 def lower_ideal(g: OrbitGraph, v: NodeId) -> int:
     """The nodes u <= v in closure order, as a bitset over ``g.nodes``.
 
-    If v lowers along alpha to x (see _lowering), its ideal is v and every
-    fiber_alpha-mate, shorter than v, of a member of the ideal of x
-    (Richardson-Springer).  The lowering chain is walked down to a known
-    ideal and built back up; a chain that returns to a node raises
-    AxiomViolation.  Every ideal is computed once per graph."""
-    g._require(v)
-    ideals, mates = g._ideals, _fiber_positions(g)
-    steps: list[tuple[int, int, int]] = []  # (position, alpha, position of x), v first
-    k = g.index[v]
-    while ideals[k] is None:
-        if k in (step[0] for step in steps):
-            raise AxiomViolation([f"LoweringCycle: node={g.nodes[k]} lies below itself"])
-        step = _lowering(g, g.nodes[k])
-        if step is None:
-            ideals[k] = 1 << k
-            break
-        g._require(step[1])
-        steps.append((k, step[0], g.index[step[1]]))
-        k = steps[-1][2]
-    for k, alpha, j in reversed(steps):
-        bits = ideals[j]
-        for u in _members(bits):
-            for x in mates[alpha - 1][u] or ():
-                bits |= 1 << x
-        top = g.length[g.nodes[k]]
-        if top not in g._shorter:
-            g._shorter[top] = sum(1 << i for i, x in enumerate(g.nodes) if g.length[x] < top)
-        ideals[k] = bits & g._shorter[top] | 1 << k
-    return ideals[g.index[v]]
+    If v lowers along alpha to x (the first step of _lowerings), its ideal
+    is v and every fiber_alpha-mate, shorter than v, of a member of the
+    ideal of x (Richardson-Springer).  The lowering chain is walked down to
+    a known ideal and built back up; a chain that returns to a node, or a
+    graph holding a fiber kept out of the table, raises AxiomViolation.
+    Every ideal is computed once per graph."""
+    return _ideal(g, g._position(v))
 
 
 def poset_leq(g: OrbitGraph, u: NodeId, v: NodeId) -> bool:
     """Closure order: whether u lies in the lower ideal of v."""
-    g._require(u)
-    return bool(lower_ideal(g, v) >> g.index[u] & 1)
+    k = g._position(u)
+    return bool(lower_ideal(g, v) >> k & 1)
 
 
 def property_z_check(g: OrbitGraph) -> list[str]:
     """For every simple root and every pair of upward moves, the three lifting
     conditions must agree.  Nonempty output pinpoints the failing pair."""
     violations = []
-    for alpha in range(1, g.rank + 1):
-        moved = [(x, g.dense_node(alpha, x)) for x in g.nodes if g.dense_node(alpha, x) != x]
+    for alpha, row in enumerate(g._table, 1):
+        moved = [(k, got) for k, got in enumerate(row) if got is not None and got[0] != k]
         # u1 with its bit, its dense node's bit, and the rest of its fiber
         cols = [
-            (u1, 1 << g.index[u1], 1 << g.index[u2],
-             sum(1 << g.index[x] for x in g.fiber(alpha, u1) if x != u2))
-            for u1, u2 in moved
+            (u1, 1 << u1, 1 << u2, sum(1 << x for x in group if x != u2))
+            for u1, (u2, group) in moved
         ]
-        for v1, v2 in moved:
-            below_v1, below_v2 = lower_ideal(g, v1), lower_ideal(g, v2)
+        for v1, (v2, _) in moved:
+            below_v1, below_v2 = _ideal(g, v1), _ideal(g, v2)
             for u1, bit1, bit2, slide in cols:
                 c1 = below_v1 & slide != 0
                 c2 = below_v2 & bit2 != 0
                 c3 = below_v2 & bit1 != 0
                 if not (c1 == c2 == c3):
                     violations.append(
-                        f"PropertyZ: alpha={alpha} u1={u1} v1={v1} "
+                        f"PropertyZ: alpha={alpha} u1={g.nodes[u1]} v1={g.nodes[v1]} "
                         f"conditions=({c1},{c2},{c3})"
                     )
     return sorted(violations)
@@ -333,7 +326,7 @@ def cover_pairs(g: OrbitGraph, among: int) -> list[tuple[NodeId, NodeId]]:
     bitset ``among``, sorted by node order: for each v, the maximal elements
     of its strict ideal, that is the strict ideal minus the strict ideals of
     its members."""
-    strict = {k: lower_ideal(g, g.nodes[k]) & among & ~(1 << k) for k in _members(among)}
+    strict = {k: _ideal(g, k) & among & ~(1 << k) for k in _members(among)}
     edges = []
     for k, below in strict.items():
         under = 0

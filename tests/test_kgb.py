@@ -104,6 +104,16 @@ def test_move_domain_errors():
         root_type(g, 2, "0")
 
 
+def test_inverse_cayley_is_every_cayley_preimage():
+    graphs = all_graphs()
+    graphs["shadow_a4_flip"] = twisted_shadow(build_root_datum("A4", twist=(4, 3, 2, 1)))
+    for g in graphs.values():
+        for (alpha, v), lab in g.label.items():
+            if lab in (RootType.REAL_I, RootType.REAL_II):
+                scan = tuple(x for x in g.nodes if g.cayley.get((alpha, x)) == v)
+                assert inverse_cayley(g, alpha, v) == scan
+
+
 def test_every_graph_satisfies_all_axioms():
     for name, g in all_graphs().items():
         assert validate_kgb(g) == [], name

@@ -6,6 +6,7 @@ import pytest
 
 from flagorbits import (
     AxiomViolation,
+    FlagOrbitsError,
     Mismatch,
     OrbitGraph,
     ParseError,
@@ -104,10 +105,45 @@ def test_validate_error_codes():
         ("BadLengthGap", {"a": 0, "b": 3}, [(1, "b", ("a", "b"))]),
         ("NoClosedNode", {"a": 1, "b": 2}, [(1, "b", ("a", "b"))]),
         ("Unreachable", {"a": 0, "b": 1}, []),
+        ("FiberIncoherent", {"a": 0, "b": 1, "c": 1}, [(1, "b", ("a", "b")), (1, "c", ("a", "c"))]),
     ]
     for code, lengths, fibers in cases:
         g = OrbitGraph("crafted", 2, lengths, fibers)
         assert any(v.startswith(code) for v in validate(g)), code
+
+
+def test_fiber_incoherent_names_the_node_claimed_twice():
+    # a lies in a/b and in a/c along 1; the later fiber is the one stored at a
+    g = OrbitGraph("crafted", 2, {"a": 0, "b": 1, "c": 1}, [(1, "b", ("a", "b")), (1, "c", ("a", "c"))])
+    assert validate(g) == ["FiberIncoherent: alpha=1 fiber=a/b node=a"]
+
+
+def _fibers_outside_the_table():
+    """A graph for each kind of fiber kept out of the fiber table, with its
+    violations and its fiber line; b is unreachable in both."""
+    good = {"a": 0, "b": 1}
+    unreachable = "Unreachable: node=b has no downward fiber"
+    return [
+        (OrbitGraph("crafted", 2, good, [(7, "b", ("a", "b"))]),
+         ["BadSimpleIndex: alpha=7 fiber=a/b", unreachable], "fiber 7 b a"),
+        (OrbitGraph("crafted", 2, good, [(1, "b", ("zz", "b"))]),
+         ["UnknownNode: alpha=1 fiber=b/zz nodes=zz", unreachable], "fiber 1 b zz"),
+    ]
+
+
+def test_fibers_outside_the_table_are_reported_alike():
+    for g, violations, line in _fibers_outside_the_table():
+        assert validate(g) == violations
+        assert format_orbit_graph(g).splitlines()[-1] == line
+        assert g.fiber(1, "b") == ("b",) and g.dense_node(1, "b") == "b"
+
+
+def test_order_is_refused_on_fibers_outside_the_table():
+    for g, violations, _ in _fibers_outside_the_table():
+        with pytest.raises(FlagOrbitsError, match=violations[0].split(":")[0]):
+            poset_leq(g, "a", "b")
+        with pytest.raises(FlagOrbitsError, match=violations[0].split(":")[0]):
+            hasse(g)
 
 
 def test_validate_flags_wrong_dense():
