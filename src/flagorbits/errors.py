@@ -23,6 +23,10 @@ class NotPositiveRoot(FlagOrbitsError):
     """Root argument must be positive."""
 
 
+class TableTooLarge(FlagOrbitsError):
+    """A whole-group operation would tabulate more elements than the cap."""
+
+
 class DatumMismatch(FlagOrbitsError):
     """Operands belong to different root data."""
 

@@ -40,15 +40,20 @@ from .root_datum import (
 )
 from .weyl import (
     WeylElt,
-    _apply,
+    _element,
+    _ids,
+    _layout,
+    _s_times,
     _table,
+    _tabulate,
+    _times_s,
+    _word,
     apply_twist,
     enumerate_elements,
     format_word,
     from_word,
     identity,
     inv,
-    mul,
     parse_word,
     reduced_word,
     simple_reflection,
@@ -86,10 +91,13 @@ class KgbGraph:
     cross: dict[tuple[int, NodeId], NodeId]
     cayley: dict[tuple[int, NodeId], NodeId]
     origin: str = field(default="data", compare=False)
-    # Memos, filled on first use: the orbit poset (to_orbit_poset) and the
-    # classes per normalized Levi set (kgp.i_equivalence_classes).
+    # Memos, filled on first use: the orbit poset (to_orbit_poset), the
+    # classes per normalized Levi set (kgp.i_equivalence_classes), the open
+    # node (_open_node) and the Cayley preimages per root (_cayley_preimages).
     _poset: OrbitGraph | None = field(default=None, init=False, compare=False, repr=False)
     _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _open: NodeId | None = field(default=None, init=False, compare=False, repr=False)
+    _preimages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.nodes = tuple(sorted(self.nodes, key=node_sort_key))
@@ -121,11 +129,8 @@ def _twisted_ids(datum: RootDatum) -> list[int]:
 
 def twisted_involutions(datum: RootDatum) -> tuple[WeylElt, ...]:
     """All w with theta(w) equal to the inverse, in id order."""
-    return tuple(_table(datum).elements[k] for k in _twisted_ids(datum))
-
-
-def _theta_root(datum: RootDatum, alpha: int):
-    return simple_root(datum, datum.twist[alpha - 1])
+    elements = enumerate_elements(datum)
+    return tuple(elements[k] for k in _twisted_ids(datum))
 
 
 # --- elementary queries ------------------------------------------------------
@@ -156,11 +161,14 @@ def inverse_cayley(g: KgbGraph, alpha: int, v: NodeId) -> tuple[NodeId, ...]:
 
 
 def _cayley_preimages(g: KgbGraph, alpha: int) -> dict[NodeId, list[NodeId]]:
-    """Each node's preimages under the Cayley transforms along alpha, in node order."""
-    pre: dict[NodeId, list[NodeId]] = {}
-    for x in g.nodes:
-        if (alpha, x) in g.cayley:
-            pre.setdefault(g.cayley[(alpha, x)], []).append(x)
+    """Each node's preimages under the Cayley transforms along alpha, in node
+    order; built once per root and kept on g."""
+    pre = g._preimages.get(alpha)
+    if pre is None:
+        pre = g._preimages[alpha] = {}
+        for x in g.nodes:
+            if (alpha, x) in g.cayley:
+                pre.setdefault(g.cayley[(alpha, x)], []).append(x)
     return pre
 
 
@@ -204,6 +212,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
     The ascent criterion is deliberately not examined here, see
     ascent_consistency_check."""
     datum = g.datum
+    _tabulate(datum)
     out: list[str] = []
 
     for v in g.nodes:
@@ -213,10 +222,9 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             out.append(f"TwNotTwisted: node={v}")
 
     for alpha in range(1, datum.rank + 1):
-        theta_alpha = _theta_root(datum, alpha)
+        theta = datum.twist[alpha - 1]
         alpha_root = simple_root(datum, alpha)
-        s = simple_reflection(datum, alpha)
-        s_theta = simple_reflection(datum, datum.twist[alpha - 1])
+        minus_alpha = tuple(-c for c in alpha_root)
         trivial = is_m_alpha_trivial(datum, alpha)
         preimages = _cayley_preimages(g, alpha)
         for v in g.nodes:
@@ -236,19 +244,18 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             if partner is not None and g.cross[(alpha, cr)] != v:
                 out.append(f"CrossNotInvolution: {tag}")
             # class of the label against the twisted involution
-            img = _apply(g.tw[v], theta_alpha)
+            img = g.tw[v].images[theta - 1]
             if lab in _REAL_TYPES:
-                wanted = tuple(-c for c in alpha_root)
-                if img != wanted:
+                if img != minus_alpha:
                     out.append(f"LabelClass: {tag} label={lab.value} not real")
             elif lab in _IMAGINARY_TYPES:
                 if img != alpha_root:
                     out.append(f"LabelClass: {tag} label={lab.value} not imaginary")
             else:
-                if img == alpha_root or img == tuple(-c for c in alpha_root):
+                if img == alpha_root or img == minus_alpha:
                     out.append(f"LabelClass: {tag} label={lab.value} not complex")
             # twisted involution transforms uniformly under the cross action
-            if mul(mul(s, g.tw[v]), s_theta) != g.tw[cr]:
+            if _times_s(_s_times(alpha, g.tw[v]), theta) != g.tw[cr]:
                 out.append(f"CrossTwist: {tag}")
             # per-label local pattern
             has_cayley = key in g.cayley
@@ -298,7 +305,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                         out.append(f"CayleyLength: {tag}")
                     if g.label.get((alpha, t)) is not real:
                         out.append(f"CayleyTarget: {tag} expected {real.value}")
-                    if mul(s, g.tw[v]) != g.tw[t]:
+                    if _s_times(alpha, g.tw[v]) != g.tw[t]:
                         out.append(f"CayleyTwist: {tag}")
                     if real is RootType.REAL_I and partner is not None:
                         if g.cayley.get((alpha, cr)) != t:
@@ -328,10 +335,10 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     is not compact imaginary."""
     out = []
     for alpha in range(1, g.datum.rank + 1):
-        theta_alpha = _theta_root(g.datum, alpha)
+        theta = g.datum.twist[alpha - 1]
         for v in g.nodes:
             lab = g.label[(alpha, v)]
-            img = _apply(g.tw[v], theta_alpha)
+            img = g.tw[v].images[theta - 1]
             predicted = all(c >= 0 for c in img) and lab is not RootType.COMPACT_IMAGINARY
             if (lab in _ASCENT_TYPES) != predicted:
                 out.append(f"AscentCriterion: alpha={alpha} node={v} label={lab.value}")
@@ -340,29 +347,76 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
 
 def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
     """For each start node and reachable target, the minimal-length group
-    elements whose monoid action sends start to target must be unique."""
-    elements = enumerate_elements(g.datum)
-    table = _table(g.datum)
-    # Element k acts as its canonical word: the last letter after the prefix
-    # k * s_last, which has a smaller id.
-    steps = [(word[-1], table.right[word[-1] - 1][k]) for k, word in enumerate(table.words) if word]
+    elements whose monoid action sends start to target must be unique.
+
+    The monoid action factors through the 0-Hecke monoid (Richardson-
+    Springer), so a letter that leaves the node fixed can be dropped: a
+    minimal w lengthens itself and its node at every letter, and lies in
+    layer l(t) - l(u) of the walk from u that appends only such letters.
+    The walk runs over (w, node) pairs, w held as one table id per
+    component of the datum's Dynkin diagram, and never tabulates the whole
+    group; a component is tabulated only if some ascent uses its letters."""
+    datum = g.datum
+    layout = _layout(datum)
+    pos = {v: k for k, v in enumerate(g.nodes)}
+    ascents = [
+        [(a, pos[monoid(g, a, v)]) for a in range(1, datum.rank + 1) if g.label[(a, v)] in _ASCENT_TYPES]
+        for v in g.nodes
+    ]
+    # w is the mixed-radix number sum(id_c * stride_c).  A letter of part c
+    # adds shift[id_c] to it: the move of id_c along the letter's right row
+    # in its table times stride_c, or 0 when the move does not lengthen.
+    tables = [None] * len(layout.parts)
+    for c in {layout.where[a - 1][0] for row in ascents for a, _ in row}:
+        tables[c] = _table(layout.subs[c])
+    sizes = [len(t.length) if t else 1 for t in tables]
+    strides = [1] * len(sizes)
+    for c in range(len(sizes) - 1, 0, -1):
+        strides[c - 1] = strides[c] * sizes[c]
+    moves = {}
+    for a in {a for row in ascents for a, _ in row}:
+        c, local = layout.where[a - 1]
+        t, stride = tables[c], strides[c]
+        shift = [(j - k) * stride if t.length[j] > t.length[k] else 0 for k, j in enumerate(t.right[local - 1])]
+        moves[a] = (stride, sizes[c], shift)
+    if layout.blocks:
+        # The canonical word is the components' words one after another
+        # (see weyl._word), so its text joins theirs.
+        spelled = []
+        for c, t in enumerate(tables):
+            if t:
+                words = [tuple([a + layout.parts[c][0] for a in w]) for w in t.words]
+                spelled.append((strides[c], sizes[c], words, [format_word(w) for w in words]))
+
+        def spell(w: int) -> tuple[tuple[int, ...], str]:
+            word, text = (), []
+            for stride, size, words, texts in spelled:
+                k = w // stride % size
+                if k:
+                    word += words[k]
+                    text.append(texts[k])
+            return word, ",".join(text)
+    else:
+
+        def spell(w: int) -> tuple[tuple[int, ...], str]:
+            word = _word(datum, tables, [w // stride % size for stride, size in zip(strides, sizes)])
+            return word, format_word(word)
+
     out = []
-    for u in g.nodes:
-        reach = [u]
-        for last, prefix in steps:
-            reach.append(monoid(g, last, reach[prefix]))
-        best: dict[NodeId, tuple[int, list[int]]] = {}
-        for k in range(len(elements)):
-            t = reach[k]
-            lw = table.length[k]
-            if t not in best or lw < best[t][0]:
-                best[t] = (lw, [k])
-            elif lw == best[t][0]:
-                best[t][1].append(k)
-        for t, (lw, ks) in best.items():
-            if len(ks) > 1:
-                words = ";".join(format_word(table.words[k]) for k in ks)
-                out.append(f"MinimalWNotUnique: start={u} target={t} words={words}")
+    for u in range(len(g.nodes)):
+        layer = {u: {0}}  # node -> the w reaching it
+        while layer:
+            nxt: dict[int, set[int]] = {}
+            for x, ws in layer.items():
+                if len(ws) > 1:
+                    listed = ";".join(text for _, text in sorted(map(spell, ws)))
+                    out.append(f"MinimalWNotUnique: start={g.nodes[u]} target={g.nodes[x]} words={listed}")
+                for a, y in ascents[x]:
+                    stride, size, shift = moves[a]
+                    got = [w + d for w in ws if (d := shift[w // stride % size])]
+                    if got:
+                        nxt.setdefault(y, set()).update(got)
+            layer = nxt
     return sorted(out)
 
 
@@ -411,32 +465,24 @@ def doubled_datum(datum: RootDatum) -> RootDatum:
     return build_root_datum(spec, isogeny=datum.isogeny, twist=twist, coroot_rows=rows)
 
 
-def embed_pair(doubled: RootDatum, u: WeylElt, v: WeylElt) -> WeylElt:
-    """The element acting as u on the first copy and v on the second."""
-    r = doubled.rank // 2
-    images = []
-    for i in range(r):
-        images.append(tuple(u.images[i]) + (0,) * r)
-    for i in range(r):
-        images.append((0,) * r + tuple(v.images[i]))
-    return WeylElt(doubled, tuple(images))
-
-
 def group_case(datum: RootDatum) -> KgbGraph:
     """The diagonal symmetric pair: nodes are group elements, every label is
     complex, and the two copies of each simple root act by the two sides."""
     dd = doubled_datum(datum)
     elements = enumerate_elements(datum)
     table = _table(datum)
+    # The components of dd are those of datum, then their copies; node k's
+    # twisted involution acts as k on the first copy and k^-1 on the second.
+    comp_ids = [_ids(w)[1] for w in elements]
     ids = [str(k) for k in range(len(elements))]
     r = datum.rank
     tw = {}
     length = {}
     label = {}
     cross = {}
-    for k, w in enumerate(elements):
+    for k in range(len(elements)):
         v = ids[k]
-        tw[v] = embed_pair(dd, w, elements[table.inverse[k]])
+        tw[v] = _element(dd, comp_ids[k] + comp_ids[table.inverse[k]])
         length[v] = table.length[k]
         for i in range(1, r + 1):
             for alpha, moved in ((i, table.left[i - 1][k]), (r + i, table.right[i - 1][k])):
@@ -491,7 +537,8 @@ def twisted_shadow(datum: RootDatum) -> KgbGraph:
             cross[(alpha, v)] = v if lab is RootType.NONCOMPACT_II else ids[t]
             if lab is RootType.NONCOMPACT_II:
                 cay[(alpha, v)] = ids[t]
-    tw = {ids[k]: table.elements[k] for k in order}
+    elements = enumerate_elements(datum)
+    tw = {ids[k]: elements[k] for k in order}
     length = {ids[k]: depth[k] for k in order}
     return KgbGraph(
         datum, tuple(ids.values()), tw, length, label, cross, cay, origin="twisted_shadow"
@@ -592,11 +639,14 @@ class CanonicalSequences:
 
 
 def _open_node(g: KgbGraph) -> NodeId:
-    top = max(g.length.values())
-    at_top = [v for v in g.nodes if g.length[v] == top]
-    if len(at_top) != 1:
-        raise NoOpenNode(f"expected a unique maximal-length node, found {len(at_top)}")
-    return at_top[0]
+    """The unique node of maximal length, found once and kept on g."""
+    if g._open is None:
+        top = max(g.length.values())
+        at_top = [v for v in g.nodes if g.length[v] == top]
+        if len(at_top) != 1:
+            raise NoOpenNode(f"expected a unique maximal-length node, found {len(at_top)}")
+        g._open = at_top[0]
+    return g._open
 
 
 def canonical_sequences(g: KgbGraph, v: NodeId) -> CanonicalSequences:
@@ -653,6 +703,7 @@ _TYPE_BY_CODE = {t.value: t for t in RootType}
 
 
 def format_kgb(g: KgbGraph) -> str:
+    _tabulate(g.datum)
     lines = [FORMAT_HEADER, "rootsystem inline"]
     lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
     lines.append(f"nodes {len(g.nodes)}")
@@ -698,6 +749,7 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
     if len(fields) != 2 or not fields[1].isdigit():
         raise ParseError("expected a node count line")
     count = int(fields[1])
+    _tabulate(datum)
     tw = {}
     length = {}
     for name, n, fields in _node_lines(rest[1:], count, 4):

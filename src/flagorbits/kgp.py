@@ -112,12 +112,13 @@ def monoid_descent_check(g: KgbGraph, levi) -> list[str]:
     datum = g.datum
     index = _classes(g, levi)[1]
     outside = [a for a in range(1, datum.rank + 1) if a not in levi]
+    members = levi_subgroup_elements(datum, levi)
     out = []
     for v in p_maximal_set(g, levi):
         for alpha in outside:
             base = index[monoid(g, alpha, v)]
             alpha_root = simple_root(datum, alpha)
-            for w in levi_subgroup_elements(datum, levi):
+            for w in members:
                 beta = _apply(w, alpha_root)
                 word = reflection_word(datum, beta)
                 got = index[monoid_word(g, word, v)]
@@ -173,12 +174,13 @@ def levi_conjugate_root_check(datum, levi) -> list[str]:
     """For a simple root outside the Levi set, every Levi conjugate must keep
     coefficient one at that root and stay outside the Levi span."""
     levi = normalize_levi(datum, levi)
+    members = levi_subgroup_elements(datum, levi)
     out = []
     for alpha in range(1, datum.rank + 1):
         if alpha in levi:
             continue
         alpha_root = simple_root(datum, alpha)
-        for w in levi_subgroup_elements(datum, levi):
+        for w in members:
             beta = _apply(w, alpha_root)
             if beta[alpha - 1] != 1:
                 out.append(f"AlphaCoefficient: alpha={alpha} beta={beta}")

@@ -181,6 +181,17 @@ class ReducedDecomposition:
     roots: tuple[int, ...]
 
 
+def _cycle(g: OrbitGraph, chain: list[int]) -> AxiomViolation:
+    """The violation for a lowering chain of positions that comes back to a
+    position (as one longer than the graph must): it names the first one."""
+    seen: set[int] = set()
+    for k in chain:
+        if k in seen:
+            break
+        seen.add(k)
+    return AxiomViolation([f"LoweringCycle: node={g.nodes[k]} lies below itself"])
+
+
 def reduced_decomposition(g: OrbitGraph, v: NodeId) -> ReducedDecomposition:
     """Deterministic decomposition: walk down from v, at each step taking the
     smallest simple index that lowers, then the smallest lower node."""
@@ -190,6 +201,8 @@ def reduced_decomposition(g: OrbitGraph, v: NodeId) -> ReducedDecomposition:
         step = next(_lowerings(g, k), None)
         if step is None:
             raise Unreachable(f"node {g.nodes[k]} has positive length but no downward fiber")
+        if len(ks) > len(g._len):
+            raise _cycle(g, ks)
         roots.append(step[0])
         k = step[1]
         ks.append(k)
@@ -197,14 +210,20 @@ def reduced_decomposition(g: OrbitGraph, v: NodeId) -> ReducedDecomposition:
 
 
 def all_reduced_decompositions(g: OrbitGraph, v: NodeId) -> list[ReducedDecomposition]:
+    path: list[int] = []  # the positions on the way down to k
+
     def walk(k: int) -> list[ReducedDecomposition]:
         node = g.nodes[k]
         if g._len[k] == 0:
             return [ReducedDecomposition((node,), ())]
+        if k in path:
+            raise _cycle(g, path + [k])
+        path.append(k)
         out = []
         for alpha, j in _lowerings(g, k):
             for rd in walk(j):
                 out.append(ReducedDecomposition(rd.nodes + (node,), rd.roots + (alpha,)))
+        path.pop()
         if not out:
             raise Unreachable(f"node {node} has positive length but no downward fiber")
         return out
@@ -260,12 +279,12 @@ def _ideal(g: OrbitGraph, k: int) -> int:
     steps: list[tuple[int, int, int]] = []  # (position, alpha, one step down), k first
     x = k
     while ideals[x] is None:
-        if x in (step[0] for step in steps):
-            raise AxiomViolation([f"LoweringCycle: node={g.nodes[x]} lies below itself"])
         step = next(_lowerings(g, x), None)
         if step is None:
             ideals[x] = 1 << x
             break
+        if len(steps) > len(ideals):
+            raise _cycle(g, [s[0] for s in steps])
         steps.append((x, *step))
         x = step[1]
     for x, alpha, j in reversed(steps):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
 from .orbit_poset import from_parabolic, poset_leq, property_z_check
@@ -27,9 +26,11 @@ from .weyl import (
     Word,
     _apply,
     _p_minimal,
+    _part_datum,
     _table,
     bruhat_leq,
     bruhat_leq_subword,
+    enumerate_elements,
     format_word,
     from_word,
     identity,
@@ -62,29 +63,27 @@ class ParabolicCoset:
         return self.min_rep.datum
 
 
-@lru_cache(maxsize=None)
-def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
-    """The subgroup generated by the chosen simple reflections."""
+def _levi_words(datum: RootDatum, levi: Levi) -> tuple[Levi, tuple[Word, ...]]:
+    """The normalized Levi set and the canonical words of W_levi by length,
+    then word, read off the table of the Levi set's own sub-diagram, whose
+    letter a stands for levi[a - 1].  Every reduced word of an element of
+    W_levi uses only letters from levi, and renaming the letters in
+    increasing order keeps the order of the words."""
     levi = normalize_levi(datum, levi)
-    e = identity(datum)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in levi:
-                y = mul(w, simple_reflection(datum, i))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (length(w), reduced_word(w))))
+    words = _table(_part_datum(datum, [i - 1 for i in levi])).words if levi else ((),)
+    return levi, words
 
 
-@lru_cache(maxsize=None)
+def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
+    """The subgroup generated by the chosen simple reflections, sorted by
+    length, then by canonical reduced word."""
+    levi, words = _levi_words(datum, levi)
+    return tuple(from_word(datum, [levi[a - 1] for a in word]) for word in words)
+
+
 def longest_levi_element(datum: RootDatum, levi: Levi) -> WeylElt:
-    members = levi_subgroup_elements(datum, normalize_levi(datum, levi))
-    return members[-1]
+    levi, words = _levi_words(datum, levi)
+    return from_word(datum, [levi[a - 1] for a in words[-1]])
 
 
 def is_p_minimal(w: WeylElt, levi: Levi) -> bool:
@@ -181,18 +180,18 @@ def coset_bruhat_leq_induced(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
 def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]:
     """The cosets by p-length, then by the canonical word of the minimal
     representative: the minimal ids of the Weyl table, in id order."""
-    levi = normalize_levi(datum, levi)
+    levi, words = _levi_words(datum, levi)
     table = _table(datum)
-    # max_rep = w0 * min_rep, w0 the last id whose word has only Levi letters;
-    # w0 is an involution, so its word may be applied first letter first.
-    inside = set(levi)
-    longest = table.words[max(k for k, word in enumerate(table.words) if inside.issuperset(word))]
+    elements = enumerate_elements(datum)
+    # max_rep = w0 * min_rep, w0 the longest element of W_levi; w0 is an
+    # involution, so its word may be applied first letter first.
+    longest = [levi[a - 1] for a in words[-1]]
     cosets = []
     for k in _p_minimal(table, levi):
         x = k
         for i in longest:
             x = table.left[i - 1][x]
-        cosets.append(ParabolicCoset(levi, table.elements[k], table.elements[x]))
+        cosets.append(ParabolicCoset(levi, elements[k], elements[x]))
     return tuple(cosets)
 
 

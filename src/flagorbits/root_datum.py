@@ -63,8 +63,9 @@ class RootDatum:
             return self._hash
 
     def __getstate__(self) -> dict:
-        # str hashes differ between processes: never carry one over
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # str hashes differ between processes, and weyl keeps the datum's
+        # table layout here: carry neither over
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_layout")}
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

@@ -4,19 +4,33 @@ An element is stored by its images of the simple roots, which makes equality
 and hashing canonical and keeps every product exact.  Words are tuples of
 1-based simple indices.
 
-Whole-group operations build a WeylTable, one per root datum on first use.
-Per-element calls only read a table that exists; otherwise they work on the
-root images, so that E7 and E8, too large to tabulate, still answer queries.
+The group of a datum is the product of the groups of the connected
+components of its Dynkin diagram.  There is one WeylTable per irreducible
+Cartan matrix, shared by every datum with such a component (the two copies
+in group_case's doubled datum read the table of the one group), and an
+element is looked up as one table id per component.  Whole-group operations
+build the tables, up to TABLE_CAP elements; per-element calls only read
+tables that exist, and otherwise work on the root images with
+simple-reflection kernels, so that E7 and E8 still answer queries.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DatumMismatch, NotADescent, NotARoot, NotPositiveRoot, NotReduced, ParseError
+from .errors import (
+    DatumMismatch,
+    NotADescent,
+    NotARoot,
+    NotPositiveRoot,
+    NotReduced,
+    ParseError,
+    TableTooLarge,
+)
 from .root_datum import (
     Root,
     RootDatum,
@@ -30,6 +44,10 @@ from .root_datum import (
 )
 
 Word = tuple[int, ...]
+Cartan = tuple[tuple[int, ...], ...]
+
+# |W(E6)|: the largest group tabulated, so about 50 MB of tables at most.
+TABLE_CAP = 51_840
 
 
 @dataclass(frozen=True)
@@ -77,76 +95,53 @@ def mul(u: WeylElt, v: WeylElt) -> WeylElt:
 
 
 def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
-    w = identity(datum)
+    layout = _layout(datum)
+    tables = layout.tables()
+    if tables is None:
+        return _root_from_word(datum, word)
+    ids = [0] * len(tables)
     for i in word:
-        w = mul(w, simple_reflection(datum, i))
-    return w
-
-
-def _table_id(w: WeylElt) -> tuple[WeylTable, int] | None:
-    """The table of w's datum and the id of w in it, if the table is built."""
-    table = _tables.get(w.datum)
-    if table is not None:
-        k = table.index.get(w.images)
-        if k is not None:
-            return table, k
-    return None
+        _check_letter(datum, i)
+        c, a = layout.where[i - 1]
+        ids[c] = tables[c].right[a - 1][ids[c]]
+    return _element(datum, ids)
 
 
 def length(w: WeylElt) -> int:
     """Number of positive roots sent negative."""
-    hit = _table_id(w)
-    if hit is not None:
-        return hit[0].length[hit[1]]
-    return sum(1 for beta in positive_roots(w.datum) if any(c < 0 for c in _apply(w, beta)))
-
-
-def _descent_walk(w: WeylElt) -> Word:
-    """Strip the smallest right descent until the identity is reached: the
-    letters j1..jl with w * s_j1 * ... * s_jl = e.  Since the right descents
-    of w are the left descents of its inverse, these are the greedy
-    left-descent word of the inverse."""
-    word: list[int] = []
-    x = w
-    while True:
-        for i, beta in enumerate(x.images, 1):
-            if any(c < 0 for c in beta):
-                word.append(i)
-                x = mul(x, simple_reflection(w.datum, i))
-                break
-        else:
-            return tuple(word)
+    hit = _ids(w)
+    if hit is None:
+        return _root_length(w)
+    tables, ids = hit
+    return sum([table.length[k] for table, k in zip(tables, ids)])
 
 
 def reduced_word(w: WeylElt) -> Word:
     """The lexicographically smallest reduced word, built by always taking
     the smallest simple reflection that shortens on the left."""
-    hit = _table_id(w)
-    if hit is not None:
-        return hit[0].words[hit[1]]
-    return _descent_walk(inv(w))
+    hit = _ids(w)
+    if hit is None:
+        return _descent_walk(_root_inv(w))
+    return _word(w.datum, *hit)
 
 
 def inv(w: WeylElt) -> WeylElt:
-    hit = _table_id(w)
-    if hit is not None:
-        table, k = hit
-        return table.elements[table.inverse[k]]
-    return from_word(w.datum, _descent_walk(w))
+    hit = _ids(w)
+    if hit is None:
+        return _root_inv(w)
+    return _element(w.datum, [table.inverse[k] for table, k in zip(*hit)])
 
 
 def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
     """Prefix criterion: each prefix must keep the next simple root positive."""
     word = tuple(word)
     for i in word:
-        if not 1 <= i <= datum.rank:
-            raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
+        _check_letter(datum, i)
     w = identity(datum)
     for i in word:
-        beta = w.images[i - 1]
-        if any(c < 0 for c in beta):
+        if any(c < 0 for c in w.images[i - 1]):
             return False
-        w = mul(w, simple_reflection(datum, i))
+        w = _times_s(w, i)
     return True
 
 
@@ -172,10 +167,9 @@ def exchange(datum: RootDatum, word: Sequence[int], alpha: int) -> int:
     if not is_reduced(datum, word):
         raise NotReduced(f"{word} is not reduced")
     w = from_word(datum, word)
-    s = simple_reflection(datum, alpha)
     if descent_direction(w, simple_root(datum, alpha)) is Direction.UP:
         raise NotADescent(f"simple root {alpha} is not a descent")
-    target = mul(w, s)
+    target = _times_s(w, alpha)
     for j in range(len(word)):
         if from_word(datum, word[:j] + word[j + 1 :]) == target:
             return j + 1
@@ -191,10 +185,9 @@ def bruhat_leq(u: WeylElt, v: WeylElt) -> bool:
     lu, lv = length(u), length(v)
     while lu < lv:
         i = next(i for i, beta in enumerate(v.images, 1) if any(c < 0 for c in beta))
-        s = simple_reflection(u.datum, i)
-        v, lv = mul(v, s), lv - 1
+        v, lv = _times_s(v, i), lv - 1
         if any(c < 0 for c in u.images[i - 1]):
-            u, lu = mul(u, s), lu - 1
+            u, lu = _times_s(u, i), lu - 1
     return u == v
 
 
@@ -218,12 +211,83 @@ def bruhat_leq_subword(u: WeylElt, v: WeylElt, base_word: Sequence[int] | None =
     return u in reachable
 
 
+# --- simple-reflection kernels on the root images -----------------------------
+
+
+def _check_letter(datum: RootDatum, i: int) -> None:
+    if not 1 <= i <= datum.rank:
+        raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
+
+
+def _times_s(w: WeylElt, i: int) -> WeylElt:
+    """w * s_i: since s_i(alpha_j) = alpha_j - a_ji alpha_i, only alpha_i and
+    its neighbours in the Dynkin diagram change image."""
+    images = w.images
+    img = images[i - 1]
+    out = list(images)
+    out[i - 1] = tuple([-c for c in img])
+    for j, a in _layout(w.datum).links[i - 1]:
+        out[j] = tuple([x - a * y for x, y in zip(images[j], img)])
+    return WeylElt(w.datum, tuple(out))
+
+
+def _s_times(i: int, w: WeylElt) -> WeylElt:
+    """s_i * w: s_i(beta) = beta - <beta, coroot_i> alpha_i on every image,
+    the pairing read off the neighbours of i."""
+    links = _layout(w.datum).links[i - 1]
+    k = i - 1
+    out = []
+    for beta in w.images:
+        c = 2 * beta[k]
+        for j, a in links:
+            c += a * beta[j]
+        out.append(beta[:k] + (beta[k] - c,) + beta[i:] if c else beta)
+    return WeylElt(w.datum, tuple(out))
+
+
+def _root_length(w: WeylElt) -> int:
+    return sum(1 for beta in positive_roots(w.datum) if any(c < 0 for c in _apply(w, beta)))
+
+
+def _descent_walk(w: WeylElt) -> Word:
+    """Strip the smallest right descent until the identity is reached: the
+    letters j1..jl with w * s_j1 * ... * s_jl = e.  Since the right descents
+    of w are the left descents of its inverse, these are the greedy
+    left-descent word of the inverse."""
+    word: list[int] = []
+    x = w
+    while True:
+        for i, beta in enumerate(x.images, 1):
+            if any(c < 0 for c in beta):
+                word.append(i)
+                x = _times_s(x, i)
+                break
+        else:
+            return tuple(word)
+
+
+def _root_from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
+    w = identity(datum)
+    for i in word:
+        _check_letter(datum, i)
+        w = _times_s(w, i)
+    return w
+
+
+def _root_inv(w: WeylElt) -> WeylElt:
+    return _root_from_word(w.datum, _descent_walk(w))
+
+
+# --- tables and component lookups ------------------------------------------------
+
+
 class WeylTable:
-    """The whole group of one root datum as integer tables, O(|W| * rank).
+    """The whole group of one Cartan matrix as integer tables, O(|W| * rank).
 
     Ids run in (length, canonical word) order, so id 0 is the identity.  For
-    the element w with id k, ``left[i - 1][k]`` and ``right[i - 1][k]`` are
-    the ids of s_i * w and w * s_i, and ``inverse[k]`` is the id of w^-1.
+    the element w with id k, ``images[k]`` holds its simple-root images,
+    ``left[i - 1][k]`` and ``right[i - 1][k]`` are the ids of s_i * w and
+    w * s_i, and ``inverse[k]`` is the id of w^-1.
 
     Built by breadth-first search under left multiplication, one length at a
     time, on elements held as the indices of their simple-root images in a
@@ -233,7 +297,7 @@ class WeylTable:
     each length's elements are found in canonical-word order.
     """
 
-    __slots__ = ("elements", "index", "length", "words", "left", "right", "inverse")
+    __slots__ = ("images", "index", "length", "words", "left", "right", "inverse")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -274,8 +338,8 @@ class WeylTable:
                 first = left[word[0] - 1]
                 prefix[k] = first[prefix[first[k]]]
             inverse[k] = left[word[-1] - 1][inverse[prefix[k]]]
-        self.elements = tuple(WeylElt(datum, tuple([roots[b] for b in key])) for key in keys)
-        self.index = {w.images: k for k, w in enumerate(self.elements)}
+        self.images = tuple(tuple([roots[b] for b in key]) for key in keys)
+        self.index = {images: k for k, images in enumerate(self.images)}
         self.length = tuple(lengths)
         self.words = tuple(words)
         self.left = tuple(tuple(row) for row in left)
@@ -284,20 +348,192 @@ class WeylTable:
         self.inverse = tuple(inverse)
 
 
-# One table per root datum, built on first use and kept for the process.
-_tables: dict[RootDatum, WeylTable] = {}
+# One table per Cartan matrix, built on first whole-group use and kept for
+# the process: irreducible ones serve every datum with such a component,
+# and a reducible datum's own table serves its whole-group walks.
+_tables: dict[Cartan, WeylTable] = {}
+
+
+def group_order(datum: RootDatum) -> int:
+    """|W| as the product of the degrees, read off the heights of the positive
+    roots (Kostant): there are as many exponents >= h as positive roots of
+    height h, and the degrees are the exponents plus one."""
+    count = Counter(sum(beta) for beta in positive_roots(datum))
+    order = 1
+    for h, m in count.items():
+        order *= (h + 1) ** (m - count[h + 1])
+    return order
 
 
 def _table(datum: RootDatum) -> WeylTable:
-    table = _tables.get(datum)
+    """The table of the whole group of the datum, built on first use, with
+    those of its components; refused above TABLE_CAP elements."""
+    table = _tables.get(datum.cartan)
     if table is None:
-        table = _tables[datum] = WeylTable(datum)
+        order = group_order(datum)
+        if order > TABLE_CAP:
+            raise TableTooLarge(f"|W| = {order} is above the table cap of {TABLE_CAP} elements")
+        subs = _layout(datum).subs
+        if len(subs) > 1:
+            for sub in subs:
+                _table(sub)
+        table = _tables[datum.cartan] = WeylTable(datum)
     return table
+
+
+def _part_datum(datum: RootDatum, part: Sequence[int]) -> RootDatum:
+    """The simply connected datum of the sub-diagram on the 0-based indices
+    in part; a sub-matrix of a valid Cartan matrix needs no validation."""
+    n = len(part)
+    cartan = tuple(tuple(datum.cartan[i][j] for j in part) for i in part)
+    return RootDatum(
+        cartan=cartan,
+        labels=tuple(str(i + 1) for i in range(n)),
+        root_images=cartan,
+        coroot_images=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+        twist=tuple(range(1, n + 1)),
+        isogeny="simply_connected",
+        name=None,
+    )
+
+
+def _tabulate(datum: RootDatum) -> None:
+    """Build the tables of the datum's components of at most TABLE_CAP
+    elements, so that lookups on its elements read them."""
+    for sub in _layout(datum).subs:
+        if group_order(sub) <= TABLE_CAP:
+            _table(sub)
+
+
+class _Layout:
+    """A datum's connected components: ``parts`` holds each one's 0-based
+    simple indices (the parts in order of their smallest index), ``subs``
+    its datum, and ``where[i - 1]`` the part and local 1-based letter of
+    simple index i; ``blocks`` tells whether the parts are consecutive runs
+    of indices.  ``links[i - 1]`` lists the neighbours j of i with
+    a_ji = <alpha_j, coroot_i>, for the kernels.  The component tables are
+    remembered here once built, and so is the element list of
+    enumerate_elements."""
+
+    __slots__ = ("parts", "subs", "where", "blocks", "links", "found", "elements")
+
+    def __init__(self, datum: RootDatum):
+        r = datum.rank
+        seen = [False] * r
+        parts = []
+        for start in range(r):
+            if seen[start]:
+                continue
+            seen[start] = True
+            part, frontier = [start], [start]
+            while frontier:
+                i = frontier.pop()
+                for j in range(r):
+                    if datum.cartan[i][j] and not seen[j]:
+                        seen[j] = True
+                        part.append(j)
+                        frontier.append(j)
+            parts.append(tuple(sorted(part)))
+        self.parts = tuple(parts)
+        self.subs = tuple(_part_datum(datum, part) for part in parts)
+        self.where: list[tuple[int, int]] = [(0, 0)] * r
+        for c, part in enumerate(self.parts):
+            for a, i in enumerate(part, 1):
+                self.where[i] = (c, a)
+        self.blocks = [i for part in self.parts for i in part] == list(range(r))
+        self.links = [
+            [(j, row[i]) for j, row in enumerate(datum.cartan) if row[i] and j != i] for i in range(r)
+        ]
+        self.found: list[WeylTable] | None = None
+        self.elements: tuple[WeylElt, ...] | None = None
+
+    def tables(self) -> list[WeylTable] | None:
+        """The component tables, or None while some component has none."""
+        if self.found is None:
+            got = [_tables.get(sub.cartan) for sub in self.subs]
+            if None in got:
+                return None
+            self.found = got
+        return self.found
+
+
+def _layout(datum: RootDatum) -> _Layout:
+    """The datum's layout, made once and kept on the datum, as its hash is:
+    every element lookup starts here."""
+    try:
+        return datum._layout
+    except AttributeError:
+        layout = _Layout(datum)
+        object.__setattr__(datum, "_layout", layout)
+        return layout
+
+
+def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
+    """The component tables of w's datum and the id of w in each, or None
+    without tables."""
+    layout = _layout(w.datum)
+    tables = layout.tables()
+    if tables is None:
+        return None
+    if len(tables) == 1:
+        k = tables[0].index.get(w.images)
+        return None if k is None else (tables, (k,))
+    ids = []
+    for part, table in zip(layout.parts, tables):
+        k = table.index.get(tuple(tuple(w.images[i][j] for j in part) for i in part))
+        if k is None:
+            return None
+        ids.append(k)
+    return tables, tuple(ids)
+
+
+def _element(datum: RootDatum, ids: Sequence[int]) -> WeylElt:
+    """The element with the given component ids; the tables must exist."""
+    layout = _layout(datum)
+    tables = layout.tables()
+    if len(tables) == 1:
+        if layout.elements is not None:
+            return layout.elements[ids[0]]
+        return WeylElt(datum, tables[0].images[ids[0]])
+    r = datum.rank
+    images: list[Root] = [()] * r
+    for part, table, k in zip(layout.parts, tables, ids):
+        for i, local in zip(part, table.images[k]):
+            full = [0] * r
+            for j, c in zip(part, local):
+                full[j] = c
+            images[i] = tuple(full)
+    return WeylElt(datum, tuple(images))
+
+
+def _word(datum: RootDatum, tables: Sequence[WeylTable | None], ids: Sequence[int]) -> Word:
+    """The canonical word from component ids (a component without a table
+    must have id 0).  Letters of different components commute, so the
+    greedy smallest-left-descent word takes, at each step, the smallest
+    first letter left among the components' words (when the components are
+    consecutive blocks of indices, their words one after another)."""
+    if len(tables) == 1:
+        return tables[0].words[ids[0]]
+    parts = _layout(datum).parts
+    words = [[part[a - 1] + 1 for a in table.words[k]] for part, table, k in zip(parts, tables, ids) if k]
+    at = [0] * len(words)
+    out = []
+    for _ in range(sum(map(len, words))):
+        first, c = min((word[at[j]], j) for j, word in enumerate(words) if at[j] < len(word))
+        out.append(first)
+        at[c] += 1
+    return tuple(out)
+
+
+# --- whole-group operations ----------------------------------------------------------
 
 
 def enumerate_elements(datum: RootDatum) -> tuple[WeylElt, ...]:
     """All elements, sorted by length then by canonical reduced word."""
-    return _table(datum).elements
+    layout = _layout(datum)
+    if layout.elements is None:
+        layout.elements = tuple(WeylElt(datum, images) for images in _table(datum).images)
+    return layout.elements
 
 
 def _p_minimal(table: WeylTable, levi: Sequence[int]) -> list[int]:
@@ -342,7 +578,7 @@ def apply_twist(w: WeylElt) -> WeylElt:
 
 
 def format_word(word: Word) -> str:
-    return ",".join(str(i) for i in word) if word else "e"
+    return ",".join(map(str, word)) if word else "e"
 
 
 def parse_word(datum: RootDatum, text: str) -> Word:

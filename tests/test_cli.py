@@ -40,6 +40,15 @@ def test_enumerate(capsys):
     assert run(capsys, "enumerate", "--type", "A2", "--twist", "flip")[1] == out
 
 
+def test_whole_group_commands_refuse_e7(capsys):
+    # |W(E7)| is above the table cap: one error line, not exhausted memory
+    for argv in (("enumerate", "--type", "E7"), ("hasse", "--type", "E7")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: |W| = 2903040 is above the table cap") and err.count("\n") == 1
+    assert run(capsys, "reduce", "--type", "E7", "7,7,1")[:2] == (0, "1\n")
+
+
 def test_cosets(capsys):
     code, out, err = run(capsys, "cosets", "--type", "A2", "--levi", "1")
     assert code == 0

@@ -52,8 +52,10 @@ from flagorbits import (
     validate as validate_poset,
     validate_kgb,
 )
-from flagorbits.kgb import _braid_order
+from flagorbits import CartanSpec, weyl
+from flagorbits.kgb import _braid_order, _cayley_preimages, _open_node
 from flagorbits.orbit_poset import from_weyl, lower_ideal
+from flagorbits.weyl import _table
 from flagorbits.weyl import length as weyl_length
 
 
@@ -360,6 +362,71 @@ def test_minimal_w_uniqueness_fails_on_diagonal_cases():
     violations = minimal_w_uniqueness_check(builtin_fixtures()["group_case_a2"])
     assert len(violations) == 9
     assert violations[0] == "MinimalWNotUnique: start=0 target=1 words=1;3"
+
+
+def minimal_w_by_brute_force(g):
+    """Oracle: act by every element of the whole group, through its canonical
+    word, and keep the shortest elements reaching each target."""
+    table = _table(g.datum)
+    # Element k acts as its canonical word: the last letter after the prefix
+    # k * s_last, which has a smaller id.
+    steps = [(word[-1], table.right[word[-1] - 1][k]) for k, word in enumerate(table.words) if word]
+    out = []
+    for u in g.nodes:
+        reach = [u]
+        for last, prefix in steps:
+            reach.append(monoid(g, last, reach[prefix]))
+        best = {}
+        for k, t in enumerate(reach):
+            lw = table.length[k]
+            if t not in best or lw < best[t][0]:
+                best[t] = (lw, [k])
+            elif lw == best[t][0]:
+                best[t][1].append(k)
+        for t, (lw, ks) in best.items():
+            if len(ks) > 1:
+                words = ";".join(format_word(table.words[k]) for k in ks)
+                out.append(f"MinimalWNotUnique: start={u} target={t} words={words}")
+    return sorted(out)
+
+
+def test_minimal_w_layers_match_the_brute_force():
+    graphs = dict(builtin_fixtures())
+    for name in ("A3", "B3", "A4"):
+        graphs[f"group_case_{name}"] = group_case(build_root_datum(name))
+    shadows = [("A3", None), ("B3", None), ("A4", None), ("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3))]
+    for name, twist in shadows:
+        graphs[f"shadow_{name}_{twist}"] = twisted_shadow(build_root_datum(name, twist=twist))
+    # components {1, 3} and {2}, swapped with each other by no twist: the
+    # canonical words interleave the letters of the two components
+    interleaved = CartanSpec(((2, 0, -1), (0, 2, 0), (-1, 0, 2)), ("1", "2", "3"))
+    graphs["shadow_interleaved"] = twisted_shadow(build_root_datum(interleaved, twist=(3, 2, 1)))
+    for name, g in graphs.items():
+        assert minimal_w_uniqueness_check(g) == minimal_w_by_brute_force(g), name
+
+
+def test_group_case_reads_the_table_of_the_one_group():
+    d = build_root_datum("G2")
+    g = group_case(d)
+    text = format_kgb(g)
+    again = parse_kgb(text)
+    assert format_kgb(again) == text
+    assert validate_kgb(again) == []
+    layered = minimal_w_uniqueness_check(g)
+    # the doubled datum is looked up as two copies of G2, never tabulated
+    assert weyl._layout(g.datum).tables() == [_table(d), _table(d)]
+    assert g.datum.cartan not in weyl._tables
+    assert layered == minimal_w_by_brute_force(g)
+
+
+def test_open_node_and_cayley_preimages_are_kept_on_the_graph():
+    g = twisted_shadow(build_root_datum("A3", twist=(3, 2, 1)))
+    assert _open_node(g) is _open_node(g)
+    for alpha in range(1, g.datum.rank + 1):
+        assert _cayley_preimages(g, alpha) is _cayley_preimages(g, alpha)
+        assert sum(map(len, _cayley_preimages(g, alpha).values())) == sum(
+            1 for (a, _) in g.cayley if a == alpha
+        )
 
 
 def test_canonical_sequences_sl2():

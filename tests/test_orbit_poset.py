@@ -224,7 +224,12 @@ def test_ill_founded_lowering_chain_is_an_axiom_violation():
         poset_leq(g, "x", "w")
     with pytest.raises(AxiomViolation, match="LoweringCycle"):
         hasse(g)
+    for decompose in (reduced_decomposition, all_reduced_decompositions):
+        for node in ("v", "w"):
+            with pytest.raises(AxiomViolation, match=f"LoweringCycle: node={node}"):
+                decompose(g, node)
     assert poset_leq(g, "x", "x")
+    assert reduced_decomposition(g, "x").nodes == ("x",)
 
 
 def test_order_is_the_subexpression_closure_at_scale():

@@ -116,6 +116,34 @@ def test_representative_bijection():
                 }
 
 
+def levi_subgroup_by_search(d, levi):
+    """Oracle: breadth-first search under the Levi reflections, then sorted."""
+    seen = {identity(d)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in levi:
+                y = mul(w, simple_reflection(d, i))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda w: (length(w), reduced_word(w))))
+
+
+def test_levi_subgroups_match_the_search():
+    for name in ("A3", "B3", "G2", "A2xA2"):
+        d = build_root_datum(name)
+        for levi in all_levis(d.rank):
+            want = levi_subgroup_by_search(d, levi)
+            assert levi_subgroup_elements(d, levi) == want, (name, levi)
+            assert longest_levi_element(d, levi) == want[-1], (name, levi)
+    # the Levi set is normalized first
+    d = build_root_datum("B3")
+    assert levi_subgroup_elements(d, (3, 1, 3)) == levi_subgroup_by_search(d, (1, 3))
+
+
 def test_is_p_reduced_examples():
     d = build_root_datum("A2")
     assert is_p_reduced(d, (), (1,))

@@ -36,7 +36,7 @@ from flagorbits import (
     simple_reflection,
     simple_root,
 )
-from flagorbits import weyl
+from flagorbits import TableTooLarge, group_order, weyl
 from flagorbits.weyl import _table, act_on_root
 
 GROUP_ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
@@ -55,8 +55,10 @@ def test_group_orders_and_longest_lengths():
 
 
 def closed_form_order(name):
+    if "x" in name:
+        return math.prod(closed_form_order(part) for part in name.split("x"))
     letter, n = name[0], int(name[1:])
-    fixed = {"E6": 51840, "F4": 1152, "G2": 12}
+    fixed = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}
     if name in fixed:
         return fixed[name]
     if letter == "A":
@@ -64,6 +66,22 @@ def closed_form_order(name):
     if letter in "BC":
         return 2**n * math.factorial(n)
     return 2 ** (n - 1) * math.factorial(n)  # D
+
+
+def test_group_order_is_the_product_of_the_degrees():
+    names = [f"A{n}" for n in range(1, 9)]
+    names += ["B4", "C3", "D4", "D6", "F4", "G2", "E6", "E7", "E8", "A2xB2"]
+    for name in names:
+        assert group_order(build_root_datum(name)) == closed_form_order(name), name
+
+
+def test_whole_group_tables_are_capped():
+    d = build_root_datum("E7")
+    with pytest.raises(TableTooLarge):
+        enumerate_elements(d)
+    assert d.cartan not in weyl._tables
+    # per-element queries still answer on the root images
+    assert reduced_word(from_word(d, (7, 7, 1))) == (1,)
 
 
 def test_group_orders_match_closed_forms():
@@ -93,18 +111,47 @@ def test_table_agrees_with_products():
                 assert elements[table.right[i - 1][k]] == mul(w, s)
 
 
-def test_table_words_match_the_per_element_path():
-    # An unnamed datum with the same Cartan matrix has the same group, but
-    # no table: its queries take the per-element path on the root images.
-    for name in ("A4", "B3", "G2"):
-        d = build_root_datum(name)
-        bare = build_root_datum(CartanSpec(d.cartan, d.labels))
+# Components {1, 3} (an A2) and {2} (an A1): letters of the two interleave.
+INTERLEAVED = CartanSpec(((2, 0, -1), (0, 2, 0), (-1, 0, 2)), ("1", "2", "3"))
+
+
+def test_component_lookups_match_the_root_image_path():
+    # Tables are keyed by Cartan matrix, so the root-image path is called
+    # directly; the reducible data are looked up one component at a time.
+    for spec in ("A4", "B3", "G2", "A3xA3", "B2xB2", INTERLEAVED):
+        d = build_root_datum(spec)
         for w in enumerate_elements(d):
-            x = WeylElt(bare, w.images)
-            assert reduced_word(x) == reduced_word(w)
-            assert length(x) == length(w)
-            assert inv(x).images == inv(w).images
-        assert bare not in weyl._tables
+            word = reduced_word(w)
+            assert word == weyl._descent_walk(weyl._root_inv(w)), spec
+            assert length(w) == weyl._root_length(w) == len(word)
+            assert inv(w) == weyl._root_inv(w)
+            assert from_word(d, word) == weyl._root_from_word(d, word) == w
+            doubled = word + word[::-1]
+            assert from_word(d, doubled) == weyl._root_from_word(d, doubled) == identity(d)
+    # A3xA3 is looked up through the A3 table
+    d = build_root_datum("A3xA3")
+    assert len(weyl._layout(d).tables()) == 2
+    assert weyl._layout(d).tables()[0] is _table(build_root_datum("A3"))
+
+
+def test_interleaved_components_merge_their_words():
+    d = build_root_datum(INTERLEAVED)
+    words = [format_word(reduced_word(w)) for w in enumerate_elements(d)]
+    assert words == ["e", "1", "2", "3", "1,2", "1,3", "2,3", "3,1", "1,2,3", "1,3,1", "2,3,1", "1,2,3,1"]
+
+
+def test_kernels_are_products_with_simple_reflections():
+    for spec in ("B3", "G2", INTERLEAVED):
+        d = build_root_datum(spec)
+        for w in enumerate_elements(d):
+            for i in range(1, d.rank + 1):
+                s = simple_reflection(d, i)
+                assert weyl._times_s(w, i) == mul(w, s)
+                assert weyl._s_times(i, w) == mul(s, w)
+    for d in (build_root_datum("A2"), build_root_datum("E8")):
+        for word in ((d.rank + 1,), (0,), (1, -1)):
+            with pytest.raises(NotARoot):
+                from_word(d, word)
 
 
 def test_per_element_queries_build_no_table():
@@ -115,7 +162,7 @@ def test_per_element_queries_build_no_table():
     assert reduced_word(from_word(d, (2, 1, 1, 2, 8))) == (8,)
     assert length(v) == len(reduced_word(v))
     assert mul(inv(v), v) == identity(d)
-    assert d not in weyl._tables
+    assert d.cartan not in weyl._tables and weyl._layout(d).tables() is None
 
 
 def test_identity_and_simple_reflections():
@@ -225,16 +272,22 @@ def test_bruhat_routes_agree_on_b2():
         for u in elements:
             for v in elements:
                 assert bruhat_leq(u, v) == bruhat_leq_subword(u, v), name
-    # an unnamed datum with the same Cartan matrix has no table, so its
-    # comparisons take the per-element path on the root images
+    # B3 with its simple roots numbered backwards has a Cartan matrix no
+    # table is built for, so its comparisons take the per-element path on
+    # the root images
     d = build_root_datum("B3")
-    bare = build_root_datum(CartanSpec(d.cartan, d.labels))
+    flipped = tuple(tuple(row[::-1]) for row in d.cartan[::-1])
+    bare = build_root_datum(CartanSpec(flipped, d.labels))
+
+    def renumbered(w):
+        return WeylElt(bare, tuple(img[::-1] for img in w.images[::-1]))
+
     elements = enumerate_elements(d)
     for u in elements:
-        x = WeylElt(bare, u.images)
+        x = renumbered(u)
         for v in elements:
-            assert bruhat_leq(x, WeylElt(bare, v.images)) == bruhat_leq_subword(u, v)
-    assert bare not in weyl._tables
+            assert bruhat_leq(x, renumbered(v)) == bruhat_leq_subword(u, v)
+    assert weyl._layout(bare).tables() is None
 
 
 def test_bruhat_classical_facts():
