@@ -45,7 +45,6 @@ from .weyl import (
     _layout,
     _s_times,
     _table,
-    _tabulate,
     _times_s,
     _word,
     apply_twist,
@@ -212,7 +211,6 @@ def validate_kgb(g: KgbGraph) -> list[str]:
     The ascent criterion is deliberately not examined here, see
     ascent_consistency_check."""
     datum = g.datum
-    _tabulate(datum)
     out: list[str] = []
 
     for v in g.nodes:
@@ -355,7 +353,13 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
     layer l(t) - l(u) of the walk from u that appends only such letters.
     The walk runs over (w, node) pairs, w held as one table id per
     component of the datum's Dynkin diagram, and never tabulates the whole
-    group; a component is tabulated only if some ascent uses its letters."""
+    group; a component is tabulated only if some ascent uses its letters.
+
+    Precondition: the monoid action satisfies the braid relations, so that
+    every reduced word of w acts alike.  Then the answer is that of acting
+    by each element's canonical word.  validate_kgb checks the braid
+    relations of the cross action only; on a graph whose Cayley moves break
+    them, the two readings may list different words."""
     datum = g.datum
     layout = _layout(datum)
     pos = {v: k for k, v in enumerate(g.nodes)}
@@ -379,28 +383,10 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
         t, stride = tables[c], strides[c]
         shift = [(j - k) * stride if t.length[j] > t.length[k] else 0 for k, j in enumerate(t.right[local - 1])]
         moves[a] = (stride, sizes[c], shift)
-    if layout.blocks:
-        # The canonical word is the components' words one after another
-        # (see weyl._word), so its text joins theirs.
-        spelled = []
-        for c, t in enumerate(tables):
-            if t:
-                words = [tuple([a + layout.parts[c][0] for a in w]) for w in t.words]
-                spelled.append((strides[c], sizes[c], words, [format_word(w) for w in words]))
 
-        def spell(w: int) -> tuple[tuple[int, ...], str]:
-            word, text = (), []
-            for stride, size, words, texts in spelled:
-                k = w // stride % size
-                if k:
-                    word += words[k]
-                    text.append(texts[k])
-            return word, ",".join(text)
-    else:
-
-        def spell(w: int) -> tuple[tuple[int, ...], str]:
-            word = _word(datum, tables, [w // stride % size for stride, size in zip(strides, sizes)])
-            return word, format_word(word)
+    def spell(w: int) -> tuple[tuple[int, ...], str]:
+        word = _word(datum, tables, [w // stride % size for stride, size in zip(strides, sizes)])
+        return word, format_word(word)
 
     out = []
     for u in range(len(g.nodes)):
@@ -703,7 +689,6 @@ _TYPE_BY_CODE = {t.value: t for t in RootType}
 
 
 def format_kgb(g: KgbGraph) -> str:
-    _tabulate(g.datum)
     lines = [FORMAT_HEADER, "rootsystem inline"]
     lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
     lines.append(f"nodes {len(g.nodes)}")
@@ -749,7 +734,6 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
     if len(fields) != 2 or not fields[1].isdigit():
         raise ParseError("expected a node count line")
     count = int(fields[1])
-    _tabulate(datum)
     tw = {}
     length = {}
     for name, n, fields in _node_lines(rest[1:], count, 4):

@@ -28,6 +28,7 @@ from .weyl import (
     _p_minimal,
     _part_datum,
     _table,
+    _times_s,
     bruhat_leq,
     bruhat_leq_subword,
     enumerate_elements,
@@ -76,14 +77,25 @@ def _levi_words(datum: RootDatum, levi: Levi) -> tuple[Levi, tuple[Word, ...]]:
 
 def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
     """The subgroup generated by the chosen simple reflections, sorted by
-    length, then by canonical reduced word."""
+    length, then by canonical reduced word.  A whole-subgroup walk: it
+    builds the table of the Levi sub-diagram, so it raises TableTooLarge
+    above TABLE_CAP elements, as coset_elements does."""
     levi, words = _levi_words(datum, levi)
     return tuple(from_word(datum, [levi[a - 1] for a in word]) for word in words)
 
 
 def longest_levi_element(datum: RootDatum, levi: Levi) -> WeylElt:
-    levi, words = _levi_words(datum, levi)
-    return from_word(datum, [levi[a - 1] for a in words[-1]])
+    """The longest element of W_levi, grown on the root images without a
+    table: w * s_i is longer than w exactly when w sends alpha_i to a
+    positive root, and w0 is the element of W_levi that no letter of levi
+    lengthens."""
+    levi = normalize_levi(datum, levi)
+    w = identity(datum)
+    while True:
+        i = next((i for i in levi if all(c >= 0 for c in w.images[i - 1])), None)
+        if i is None:
+            return w
+        w = _times_s(w, i)
 
 
 def is_p_minimal(w: WeylElt, levi: Levi) -> bool:

@@ -20,6 +20,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -397,25 +398,16 @@ def _part_datum(datum: RootDatum, part: Sequence[int]) -> RootDatum:
     )
 
 
-def _tabulate(datum: RootDatum) -> None:
-    """Build the tables of the datum's components of at most TABLE_CAP
-    elements, so that lookups on its elements read them."""
-    for sub in _layout(datum).subs:
-        if group_order(sub) <= TABLE_CAP:
-            _table(sub)
-
-
 class _Layout:
     """A datum's connected components: ``parts`` holds each one's 0-based
     simple indices (the parts in order of their smallest index), ``subs``
     its datum, and ``where[i - 1]`` the part and local 1-based letter of
-    simple index i; ``blocks`` tells whether the parts are consecutive runs
-    of indices.  ``links[i - 1]`` lists the neighbours j of i with
+    simple index i.  ``links[i - 1]`` lists the neighbours j of i with
     a_ji = <alpha_j, coroot_i>, for the kernels.  The component tables are
-    remembered here once built, and so is the element list of
-    enumerate_elements."""
+    remembered here once built, and so are the element list of
+    enumerate_elements and, per component id, the runs of _word."""
 
-    __slots__ = ("parts", "subs", "where", "blocks", "links", "found", "elements")
+    __slots__ = ("parts", "subs", "where", "links", "found", "elements", "runs")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -440,12 +432,12 @@ class _Layout:
         for c, part in enumerate(self.parts):
             for a, i in enumerate(part, 1):
                 self.where[i] = (c, a)
-        self.blocks = [i for part in self.parts for i in part] == list(range(r))
         self.links = [
             [(j, row[i]) for j, row in enumerate(datum.cartan) if row[i] and j != i] for i in range(r)
         ]
         self.found: list[WeylTable] | None = None
         self.elements: tuple[WeylElt, ...] | None = None
+        self.runs: list[dict[int, list[Word]]] = [{} for _ in parts]
 
     def tables(self) -> list[WeylTable] | None:
         """The component tables, or None while some component has none."""
@@ -510,19 +502,44 @@ def _word(datum: RootDatum, tables: Sequence[WeylTable | None], ids: Sequence[in
     """The canonical word from component ids (a component without a table
     must have id 0).  Letters of different components commute, so the
     greedy smallest-left-descent word takes, at each step, the smallest
-    first letter left among the components' words (when the components are
-    consecutive blocks of indices, their words one after another)."""
+    first letter left among the components' words.  Cut each word before
+    every letter larger than all letters before it: the letters of a run
+    after its first are smaller than the first, so the merge takes each run
+    whole, and takes the runs in increasing order of their first letters.
+    When the components are consecutive blocks of indices, that is their
+    words one after another."""
     if len(tables) == 1:
         return tables[0].words[ids[0]]
-    parts = _layout(datum).parts
-    words = [[part[a - 1] + 1 for a in table.words[k]] for part, table, k in zip(parts, tables, ids) if k]
-    at = [0] * len(words)
-    out = []
-    for _ in range(sum(map(len, words))):
-        first, c = min((word[at[j]], j) for j, word in enumerate(words) if at[j] < len(word))
-        out.append(first)
-        at[c] += 1
-    return tuple(out)
+    layout = _layout(datum)
+    runs = []
+    for c, k in enumerate(ids):
+        if k:
+            memo = layout.runs[c]
+            got = memo.get(k)
+            if got is None:
+                got = memo[k] = _runs(layout.parts[c], tables[c].words[k])
+            runs += got
+    # First letters are distinct, so the tuples sort by them.
+    runs.sort()
+    return tuple(chain.from_iterable(runs))
+
+
+def _runs(part: Sequence[int], word: Word) -> list[Word]:
+    """The word in the datum's letters, cut before each new largest letter."""
+    out: list[Word] = []
+    run: list[int] = []
+    top = 0
+    for a in word:
+        i = part[a - 1] + 1
+        if i > top:
+            if run:
+                out.append(tuple(run))
+            run, top = [i], i
+        else:
+            run.append(i)
+    if run:
+        out.append(tuple(run))
+    return out
 
 
 # --- whole-group operations ----------------------------------------------------------

@@ -10,6 +10,7 @@ from flagorbits import (
     NotPReduced,
     ParabolicMismatch,
     StepType,
+    TableTooLarge,
     build_root_datum,
     bruhat_leq,
     classify_step,
@@ -142,6 +143,28 @@ def test_levi_subgroups_match_the_search():
     # the Levi set is normalized first
     d = build_root_datum("B3")
     assert levi_subgroup_elements(d, (3, 1, 3)) == levi_subgroup_by_search(d, (1, 3))
+
+
+def test_per_element_coset_functions_build_no_table():
+    # The Levi subgroup D7 of E8 has 322 560 elements, above the table cap:
+    # coset_of and step_coset still answer on the root images, while the
+    # whole coset is a walk of W_L and is refused.
+    from flagorbits import weyl
+
+    d = build_root_datum("E8")
+    levi = (2, 3, 4, 5, 6, 7, 8)
+    before = set(weyl._tables)
+    w_l = longest_levi_element(d, levi)
+    assert length(w_l) == 42 and all(i in levi for i in reduced_word(w_l))
+    c = coset_of(from_word(d, (2, 4, 1, 3, 4, 5)), levi)
+    assert is_p_minimal(c.min_rep, levi) and is_p_maximal(c.max_rep, levi)
+    assert reduced_word(c.min_rep) == (1, 3, 4, 5) and c.max_rep == mul(w_l, c.min_rep)
+    up = step_coset(c, 6)
+    assert reduced_word(up.min_rep) == (1, 3, 4, 5, 6)
+    assert set(weyl._tables) == before
+    with pytest.raises(TableTooLarge):
+        coset_elements(c)
+    assert set(weyl._tables) == before
 
 
 def test_is_p_reduced_examples():

@@ -113,12 +113,25 @@ def test_table_agrees_with_products():
 
 # Components {1, 3} (an A2) and {2} (an A1): letters of the two interleave.
 INTERLEAVED = CartanSpec(((2, 0, -1), (0, 2, 0), (-1, 0, 2)), ("1", "2", "3"))
+# Components {1, 3, 5} (an A3), {2, 4} (a B2) and {6} (an A1): canonical
+# words such as 3,1,5,3 rise and fall, so the merge interleaves runs.
+THREE_WAY = CartanSpec(
+    (
+        (2, 0, -1, 0, 0, 0),
+        (0, 2, 0, -2, 0, 0),
+        (-1, 0, 2, 0, -1, 0),
+        (0, -1, 0, 2, 0, 0),
+        (0, 0, -1, 0, 2, 0),
+        (0, 0, 0, 0, 0, 2),
+    ),
+    ("1", "2", "3", "4", "5", "6"),
+)
 
 
 def test_component_lookups_match_the_root_image_path():
     # Tables are keyed by Cartan matrix, so the root-image path is called
     # directly; the reducible data are looked up one component at a time.
-    for spec in ("A4", "B3", "G2", "A3xA3", "B2xB2", INTERLEAVED):
+    for spec in ("A4", "B3", "G2", "A3xA3", "B2xB2", INTERLEAVED, THREE_WAY):
         d = build_root_datum(spec)
         for w in enumerate_elements(d):
             word = reduced_word(w)
