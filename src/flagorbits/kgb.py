@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -77,6 +78,7 @@ _ASCENT_TYPES = frozenset(
 _IMAGINARY_TYPES = frozenset(
     {RootType.COMPACT_IMAGINARY, RootType.NONCOMPACT_I, RootType.NONCOMPACT_II}
 )
+_NONCOMPACT_TYPES = frozenset({RootType.NONCOMPACT_I, RootType.NONCOMPACT_II})
 _REAL_TYPES = frozenset({RootType.REAL_I, RootType.REAL_II})
 
 
@@ -90,13 +92,12 @@ class KgbGraph:
     cross: dict[tuple[int, NodeId], NodeId]
     cayley: dict[tuple[int, NodeId], NodeId]
     origin: str = field(default="data", compare=False)
-    # Memos, filled on first use: the orbit poset (to_orbit_poset), the
-    # classes per normalized Levi set (kgp.i_equivalence_classes), the open
-    # node (_open_node) and the Cayley preimages per root (_cayley_preimages).
+    # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
+    # fiber table every move reads, the classes per normalized Levi set
+    # (kgp.i_equivalence_classes) and the open node (_open_node).
     _poset: OrbitGraph | None = field(default=None, init=False, compare=False, repr=False)
     _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _open: NodeId | None = field(default=None, init=False, compare=False, repr=False)
-    _preimages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.nodes = tuple(sorted(self.nodes, key=node_sort_key))
@@ -147,47 +148,40 @@ def cross_action(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
 
 def cayley(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
     g._require_at(alpha, v)
-    if g.label[(alpha, v)] not in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II):
+    if g.label[(alpha, v)] not in _NONCOMPACT_TYPES:
         raise NotNoncompact(f"root {alpha} is not noncompact imaginary at node {v}")
     return g.cayley[(alpha, v)]
+
+
+def _below(poset: OrbitGraph, alpha: int, k: int) -> list[int]:
+    """The positions one step down from k along alpha: the other members of
+    its fiber when k is the dense one."""
+    got = poset._entry(alpha, k)
+    return [j for j in got[1] if j != k] if got and got[0] == k else []
 
 
 def inverse_cayley(g: KgbGraph, alpha: int, v: NodeId) -> tuple[NodeId, ...]:
     g._require_at(alpha, v)
     if g.label[(alpha, v)] not in _REAL_TYPES:
         raise NotReal(f"root {alpha} is not real at node {v}")
-    return tuple(_cayley_preimages(g, alpha).get(v, ()))
-
-
-def _cayley_preimages(g: KgbGraph, alpha: int) -> dict[NodeId, list[NodeId]]:
-    """Each node's preimages under the Cayley transforms along alpha, in node
-    order; built once per root and kept on g."""
-    pre = g._preimages.get(alpha)
-    if pre is None:
-        pre = g._preimages[alpha] = {}
-        for x in g.nodes:
-            if (alpha, x) in g.cayley:
-                pre.setdefault(g.cayley[(alpha, x)], []).append(x)
-    return pre
+    poset = to_orbit_poset(g)
+    return tuple(poset.nodes[j] for j in _below(poset, alpha, poset.index[v]))
 
 
 def monoid(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
     """Move to the dense node of the fiber; fixes v unless alpha is an ascent."""
-    g._require_at(alpha, v)
-    lab = g.label[(alpha, v)]
-    if lab is RootType.COMPLEX_ASCENT:
-        return g.cross[(alpha, v)]
-    if lab in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II):
-        return g.cayley[(alpha, v)]
-    return v
+    return monoid_word(g, (alpha,), v)
 
 
 def monoid_word(g: KgbGraph, word, v: NodeId) -> NodeId:
     """Apply a sequence of simple monoid moves, first letter first."""
-    node = v
-    for i in word:
-        node = monoid(g, i, node)
-    return node
+    poset = to_orbit_poset(g)
+    k = poset._position(v)
+    for alpha in word:
+        got = poset._entry(alpha, k)
+        if got:
+            k = got[0]
+    return poset.nodes[k]
 
 
 def monoid_elt(g: KgbGraph, w: WeylElt, v: NodeId) -> NodeId:
@@ -212,6 +206,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
     ascent_consistency_check."""
     datum = g.datum
     out: list[str] = []
+    preimages = Counter((alpha, t) for (alpha, _), t in g.cayley.items())
 
     for v in g.nodes:
         if not isinstance(g.length[v], int) or g.length[v] < 0:
@@ -224,7 +219,6 @@ def validate_kgb(g: KgbGraph) -> list[str]:
         alpha_root = simple_root(datum, alpha)
         minus_alpha = tuple(-c for c in alpha_root)
         trivial = is_m_alpha_trivial(datum, alpha)
-        preimages = _cayley_preimages(g, alpha)
         for v in g.nodes:
             key = (alpha, v)
             tag = f"alpha={alpha} node={v}"
@@ -257,7 +251,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                 out.append(f"CrossTwist: {tag}")
             # per-label local pattern
             has_cayley = key in g.cayley
-            noncompact = lab in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II)
+            noncompact = lab in _NONCOMPACT_TYPES
             if noncompact:
                 if not has_cayley:
                     out.append(f"MissingCayley: {tag}")
@@ -289,10 +283,9 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             elif lab in _REAL_TYPES:
                 if cr != v:
                     out.append(f"RealMoved: {tag}")
-                pre = preimages.get(v, [])
                 want = 2 if lab is RootType.REAL_I else 1
-                if len(pre) != want:
-                    out.append(f"InverseCayleyCount: {tag} got={len(pre)} want={want}")
+                if preimages[key] != want:
+                    out.append(f"InverseCayleyCount: {tag} got={preimages[key]} want={want}")
             if noncompact and has_cayley:
                 t = g.cayley[key]
                 real = RootType.REAL_I if lab is RootType.NONCOMPACT_I else RootType.REAL_II
@@ -331,6 +324,7 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     """The direction criterion: a label is an ascent exactly when the twisted
     involution sends the twisted simple root to a positive root and the label
     is not compact imaginary."""
+    _require_moves(g)
     out = []
     for alpha in range(1, g.datum.rank + 1):
         theta = g.datum.twist[alpha - 1]
@@ -362,10 +356,10 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
     them, the two readings may list different words."""
     datum = g.datum
     layout = _layout(datum)
-    pos = {v: k for k, v in enumerate(g.nodes)}
+    poset = to_orbit_poset(g)
     ascents = [
-        [(a, pos[monoid(g, a, v)]) for a in range(1, datum.rank + 1) if g.label[(a, v)] in _ASCENT_TYPES]
-        for v in g.nodes
+        [(a, row[k][0]) for a, row in enumerate(poset._table, 1) if row[k] and row[k][0] != k]
+        for k in range(len(poset.nodes))
     ]
     # w is the mixed-radix number sum(id_c * stride_c).  A letter of part c
     # adds shift[id_c] to it: the move of id_c along the letter's right row
@@ -389,14 +383,14 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
         return word, format_word(word)
 
     out = []
-    for u in range(len(g.nodes)):
+    for u in range(len(ascents)):
         layer = {u: {0}}  # node -> the w reaching it
         while layer:
             nxt: dict[int, set[int]] = {}
             for x, ws in layer.items():
                 if len(ws) > 1:
                     listed = ";".join(text for _, text in sorted(map(spell, ws)))
-                    out.append(f"MinimalWNotUnique: start={g.nodes[u]} target={g.nodes[x]} words={listed}")
+                    out.append(f"MinimalWNotUnique: start={poset.nodes[u]} target={poset.nodes[x]} words={listed}")
                 for a, y in ascents[x]:
                     stride, size, shift = moves[a]
                     got = [w + d for w in ws if (d := shift[w // stride % size])]
@@ -409,21 +403,31 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
 # --- export -------------------------------------------------------------------
 
 
+def _require_moves(g: KgbGraph) -> None:
+    """Raise AxiomViolation with validate_kgb's list unless every node has a
+    label and a cross target along every root, and a Cayley target where the
+    label is noncompact, all of them nodes: what the moves read."""
+    keys = [(alpha, v) for alpha in range(1, g.datum.rank + 1) for v in g.nodes]
+    labels = [g.label.get(key) for key in keys]
+    targets = {g.cross.get(key) for key in keys}  # None where one is missing
+    targets.update(g.cayley.get(key) for key, lab in zip(keys, labels) if lab in _NONCOMPACT_TYPES)
+    if None in labels or not g.length.keys() >= targets:
+        raise AxiomViolation(validate_kgb(g))
+
+
 def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
-    """The orbit graph of g, built once and kept on g with its order."""
+    """The orbit graph of g, built once and kept on g with its order.  Its
+    fiber table holds every move: along alpha, the monoid sends a node to
+    its fiber's dense member, and the dense member steps down to the others
+    (across a complex descent, or to the Cayley preimages of a real root)."""
     if g._poset is not None:
         return g._poset
+    _require_moves(g)
     fibers = []
     for (alpha, v), lab in g.label.items():
-        if lab is RootType.COMPLEX_ASCENT:
-            t = g.cross[(alpha, v)]
-            fibers.append((alpha, t, (v, t)))
-        elif lab is RootType.NONCOMPACT_I:
-            t = g.cayley[(alpha, v)]
+        if lab in _ASCENT_TYPES:
+            t = g.cross[(alpha, v)] if lab is RootType.COMPLEX_ASCENT else g.cayley[(alpha, v)]
             fibers.append((alpha, t, (v, g.cross[(alpha, v)], t)))
-        elif lab is RootType.NONCOMPACT_II:
-            t = g.cayley[(alpha, v)]
-            fibers.append((alpha, t, (v, t)))
     g._poset = OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
     return g._poset
 
@@ -636,30 +640,22 @@ def _open_node(g: KgbGraph) -> NodeId:
 
 
 def canonical_sequences(g: KgbGraph, v: NodeId) -> CanonicalSequences:
-    g._require(v)
-    rd = reduced_decomposition(to_orbit_poset(g), v)
+    poset = to_orbit_poset(g)
+    rd = reduced_decomposition(poset, v)
     open_node = _open_node(g)
-
-    climb: list[tuple[int, NodeId, NodeId]] = []
-    node = v
-    while node != open_node:
-        for alpha in range(1, g.datum.rank + 1):
-            if g.label[(alpha, node)] in _ASCENT_TYPES:
-                upper = monoid(g, alpha, node)
-                climb.append((alpha, node, upper))
-                node = upper
+    top, k = poset.index[open_node], poset.index[v]
+    down = []  # from v up, reversed at the end
+    while k != top:
+        for alpha, row in enumerate(poset._table, 1):
+            dense, members = row[k] or (k, ())
+            if dense != k:
                 break
         else:
-            raise Unreachable(f"node {node} has no ascent but is not the open node")
-    down = []
-    for alpha, lower, upper in reversed(climb):
-        lab = g.label[(alpha, upper)]
-        if lab is RootType.REAL_I:
-            branch = inverse_cayley(g, alpha, upper).index(lower)
-            down.append((alpha, branch))
-        else:
-            down.append((alpha, None))
-    return CanonicalSequences(rd.nodes[0], rd.roots, open_node, tuple(down))
+            raise Unreachable(f"node {poset.nodes[k]} has no ascent but is not the open node")
+        branch = _below(poset, alpha, dense).index(k) if len(members) > 2 else None
+        down.append((alpha, branch))
+        k = dense
+    return CanonicalSequences(rd.nodes[0], rd.roots, open_node, tuple(reversed(down)))
 
 
 def replay_upward(g: KgbGraph, start: NodeId, up) -> NodeId:
@@ -667,18 +663,18 @@ def replay_upward(g: KgbGraph, start: NodeId, up) -> NodeId:
 
 
 def replay_downward(g: KgbGraph, down) -> NodeId:
-    node = _open_node(g)
+    """Walk down from the open node; a branch picks among two lower nodes and
+    may be None where there is one."""
+    poset = to_orbit_poset(g)
+    k = poset.index[_open_node(g)]
     for alpha, branch in down:
-        lab = g.label[(alpha, node)]
-        if lab is RootType.COMPLEX_DESCENT:
-            node = g.cross[(alpha, node)]
-        elif lab is RootType.REAL_I:
-            node = inverse_cayley(g, alpha, node)[branch]
-        elif lab is RootType.REAL_II:
-            node = inverse_cayley(g, alpha, node)[0]
-        else:
-            raise Mismatch(f"root {alpha} does not descend from node {node}")
-    return node
+        below = _below(poset, alpha, k)
+        if branch is None and len(below) == 1:
+            branch = 0
+        if type(branch) is not int or not 0 <= branch < len(below):
+            raise Mismatch(f"no step down from node {poset.nodes[k]} along root {alpha} with branch {branch!r}")
+        k = below[branch]
+    return poset.nodes[k]
 
 
 # --- text format ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Orbits on a partial flag variety, as equivalence classes of graph nodes.
 
-Fixing a subset I of the simple roots, two nodes are identified when the
-monoid moves and cross actions along I connect them.  Every class carries a
-unique member of maximal length; those members are exactly the nodes fixed
-by all the monoid generators from I, and they inherit the closure order.
+Fixing a subset I of the simple roots, two nodes are identified when a
+chain of fibers along roots of I connects them.  Every class carries a
+unique member of maximal length; those members are exactly the nodes dense
+in their fiber along every root of I, and they inherit the closure order.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, Mismatch
-from .kgb import KgbGraph, cross_action, monoid, monoid_word, to_orbit_poset
+from .kgb import KgbGraph, monoid, monoid_word, to_orbit_poset
 from .orbit_poset import NodeId, cover_pairs, node_sort_key, poset_leq
 from .parabolic import levi_subgroup_elements
 from .root_datum import RootPosition, classify_wrt_parabolic, normalize_levi, simple_root
@@ -19,13 +19,11 @@ from .weyl import _apply, format_word, reduced_word, reflection_word
 
 
 def p_maximal_set(g: KgbGraph, levi) -> tuple[NodeId, ...]:
-    """Nodes fixed by every monoid generator from the Levi set."""
+    """Nodes dense in their fiber along every root of the Levi set."""
     levi = normalize_levi(g.datum, levi)
-    return tuple(
-        v
-        for v in g.nodes
-        if all(monoid(g, alpha, v) == v for alpha in levi)
-    )
+    poset = to_orbit_poset(g)
+    rows = [poset._table[alpha - 1] for alpha in levi]
+    return tuple(v for k, v in enumerate(poset.nodes) if all(not row[k] or row[k][0] == k for row in rows))
 
 
 @dataclass(frozen=True)
@@ -45,29 +43,30 @@ def _classes(g: KgbGraph, levi) -> tuple[tuple[IEquivClass, ...], dict[NodeId, I
     got = g._classes.get(levi)
     if got is not None:
         return got
-    seen: set[NodeId] = set()
+    poset = to_orbit_poset(g)
+    rows = [poset._table[alpha - 1] for alpha in levi]
+    lens = poset._len
+    seen = [False] * len(lens)
     classes = []
-    for start in g.nodes:
-        if start in seen:
+    for start in range(len(lens)):
+        if seen[start]:
             continue
-        block = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for alpha in levi:
-                for nxt in (monoid(g, alpha, v), cross_action(g, alpha, v)):
-                    if nxt not in block:
-                        block.add(nxt)
-                        frontier.append(nxt)
-        seen |= block
-        members = tuple(sorted(block, key=node_sort_key))
-        top_len = max(g.length[v] for v in members)
-        tops = [v for v in members if g.length[v] == top_len]
+        seen[start] = True
+        block = [start]  # the component of start, grown while it is walked
+        for k in block:
+            for row in rows:
+                for j in row[k][1] if row[k] else ():
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+        members = tuple(poset.nodes[k] for k in sorted(block))
+        top_len = max(lens[k] for k in block)
+        tops = [k for k in block if lens[k] == top_len]
         if len(tops) != 1:
             raise AxiomViolation(
                 [f"NonUniqueTop: levi={levi} members={','.join(members)}"]
             )
-        classes.append(IEquivClass(members, tops[0]))
+        classes.append(IEquivClass(members, poset.nodes[tops[0]]))
     ordered = tuple(sorted(classes, key=lambda c: node_sort_key(c.top)))
     got = g._classes[levi] = (ordered, {v: c for c in ordered for v in c.members})
     return got

@@ -111,12 +111,11 @@ def _validate_cartan(entries: tuple[tuple[int, ...], ...]) -> None:
                 raise InvalidCartan(f"zero pattern is not symmetric at ({i + 1},{j + 1})")
             if entries[i][j] * entries[j][i] not in (0, 1, 2, 3):
                 raise InvalidCartan(f"pair product at ({i + 1},{j + 1}) outside finite range")
-    # Finite type: every principal minor is positive.
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        sub = [[entries[i][j] for j in idx] for i in idx]
-        if _det(sub) <= 0:
-            raise InvalidCartan("a principal minor is not positive; matrix is not of finite type")
+    # Finite type: every principal minor is positive.  The matrix has no
+    # positive entry off the diagonal, so positive leading minors imply it
+    # (such a matrix is then a nonsingular M-matrix; Fiedler and Ptak, 1962).
+    if any(_det([row[:k] for row in entries[:k]]) <= 0 for k in range(1, n + 1)):
+        raise InvalidCartan("a principal minor is not positive; matrix is not of finite type")
 
 
 def _chain(n: int) -> list[list[int]]:

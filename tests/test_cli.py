@@ -68,6 +68,22 @@ def test_classes_and_kgp_order(capsys, tmp_path):
     assert (code, out) == (0, "1 < 3\n3 < 5\n")
 
 
+def test_classes_do_not_depend_on_node_names(capsys, tmp_path):
+    # sl2_split with nodes 0 and 2 swapped, so that the open node is 0
+    head = format_kgb(sl2_split()).split("nodes 3\n")[0]
+    path = tmp_path / "renamed.kgb"
+    path.write_text(
+        head + "nodes 3\n"
+        "node 0 1 1\nnode 1 0 e\nnode 2 0 e\n"
+        "label 0 1 r1 cross=0\n"
+        "label 1 1 nci1 cross=2 cayley=0\n"
+        "label 2 1 nci1 cross=1 cayley=0\n"
+    )
+    assert run(capsys, "validate", str(path))[:2] == (0, "ok: 3 nodes, 0 violations\n")
+    code, out, err = run(capsys, "classes", str(path), "--levi", "1")
+    assert (code, out) == (0, "class 0: top=0 members=0,1,2\n")
+
+
 def test_validate_good_files(capsys, tmp_path):
     kgb = tmp_path / "sl2.kgb"
     kgb.write_text(format_kgb(sl2_split()))

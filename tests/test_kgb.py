@@ -20,11 +20,13 @@ from flagorbits import (
     builtin_fixtures,
     canonical_sequences,
     cayley,
+    class_hasse,
     cross_action,
     enumerate_elements,
     format_kgb,
     format_word,
     group_case,
+    i_equivalence_classes,
     identity,
     inv,
     inverse_cayley,
@@ -35,6 +37,7 @@ from flagorbits import (
     monoid_elt,
     monoid_word,
     mul,
+    p_maximal_set,
     parse_kgb,
     pgl2_split,
     poset_leq,
@@ -53,7 +56,7 @@ from flagorbits import (
     validate_kgb,
 )
 from flagorbits import CartanSpec, weyl
-from flagorbits.kgb import _braid_order, _cayley_preimages, _open_node
+from flagorbits.kgb import _braid_order, _open_node
 from flagorbits.orbit_poset import from_weyl, lower_ideal
 from flagorbits.weyl import _table
 from flagorbits.weyl import length as weyl_length
@@ -106,14 +109,102 @@ def test_move_domain_errors():
         root_type(g, 2, "0")
 
 
-def test_inverse_cayley_is_every_cayley_preimage():
+def monoid_by_label(g, alpha, v):
+    """Oracle: the monoid move read off the label."""
+    lab = g.label[(alpha, v)]
+    if lab is RootType.COMPLEX_ASCENT:
+        return g.cross[(alpha, v)]
+    if lab in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II):
+        return g.cayley[(alpha, v)]
+    return v
+
+
+def descents_by_label(g, alpha, v):
+    """Oracle: the nodes one step below v along alpha, in node order: the
+    cross partner of a complex descent, the Cayley preimages of a real root."""
+    lab = g.label[(alpha, v)]
+    if lab is RootType.COMPLEX_DESCENT:
+        return (g.cross[(alpha, v)],)
+    if lab in (RootType.REAL_I, RootType.REAL_II):
+        return tuple(x for x in g.nodes if g.cayley.get((alpha, x)) == v)
+    return ()
+
+
+def down_by_label(g, v):
+    """Oracle: climb from v by the first ascending label, then record the
+    way back down from the open node, with a branch at every type I real root."""
+    climb = []
+    while v != _open_node(g):
+        alpha = next(a for a in range(1, g.datum.rank + 1) if monoid_by_label(g, a, v) != v)
+        climb.append((alpha, v, monoid_by_label(g, alpha, v)))
+        v = climb[-1][2]
+    return tuple(
+        (alpha, descents_by_label(g, alpha, upper).index(lower) if g.label[(alpha, upper)] is RootType.REAL_I else None)
+        for alpha, lower, upper in reversed(climb)
+    )
+
+
+def replay_down_by_label(g, down):
+    v = _open_node(g)
+    for alpha, branch in down:
+        v = descents_by_label(g, alpha, v)[branch or 0]
+    return v
+
+
+def oracle_graphs():
     graphs = all_graphs()
-    graphs["shadow_a4_flip"] = twisted_shadow(build_root_datum("A4", twist=(4, 3, 2, 1)))
-    for g in graphs.values():
-        for (alpha, v), lab in g.label.items():
-            if lab in (RootType.REAL_I, RootType.REAL_II):
-                scan = tuple(x for x in g.nodes if g.cayley.get((alpha, x)) == v)
-                assert inverse_cayley(g, alpha, v) == scan
+    for name in ("A3", "B3"):
+        graphs[f"group_case_{name}"] = group_case(build_root_datum(name))
+    for name, twist in (("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3))):
+        graphs[f"shadow_{name}_flip"] = twisted_shadow(build_root_datum(name, twist=twist))
+    return graphs
+
+
+def test_moves_match_the_label_dispatch():
+    for name, g in oracle_graphs().items():
+        poset = to_orbit_poset(g)
+        for alpha in range(1, g.datum.rank + 1):
+            for v in g.nodes:
+                assert monoid(g, alpha, v) == monoid_by_label(g, alpha, v), (name, alpha, v)
+                below = descents_by_label(g, alpha, v)
+                if poset.dense_node(alpha, v) == v:
+                    assert tuple(x for x in poset.fiber(alpha, v) if x != v) == below, (name, alpha, v)
+                else:
+                    assert below == (), (name, alpha, v)
+                if g.label[(alpha, v)] in (RootType.REAL_I, RootType.REAL_II):
+                    assert inverse_cayley(g, alpha, v) == below, (name, alpha, v)
+        for v in g.nodes:
+            cs = canonical_sequences(g, v)
+            assert cs.down == down_by_label(g, v), (name, v)
+            assert replay_downward(g, cs.down) == replay_down_by_label(g, cs.down) == v, (name, v)
+
+
+def test_missing_moves_are_axiom_violations():
+    sl2 = sl2_split()
+    del sl2.label[(1, "1")]
+    a2 = group_case(build_root_datum("A2"))
+    del a2.label[(3, "4")]
+    unknown = _corrupt(pgl2_split(), cross={(1, "1"): "7"})
+    no_cayley = sl2_split()
+    del no_cayley.cayley[(1, "0")]
+    reads = (
+        to_orbit_poset,
+        ascent_consistency_check,
+        minimal_w_uniqueness_check,
+        lambda g: monoid(g, 1, "0"),
+        lambda g: canonical_sequences(g, "0"),
+        lambda g: i_equivalence_classes(g, (1,)),
+        lambda g: p_maximal_set(g, (1,)),
+    )
+    for g in (sl2, a2, unknown, no_cayley):
+        want = validate_kgb(g)
+        assert want
+        for read in reads:
+            with pytest.raises(AxiomViolation) as err:
+                read(g)
+            assert err.value.violations == want
+    assert validate_kgb(sl2) == ["MissingLabel: alpha=1 node=1"]
+    assert validate_kgb(a2) == ["MissingLabel: alpha=3 node=4"]
 
 
 def test_every_graph_satisfies_all_axioms():
@@ -419,14 +510,63 @@ def test_group_case_reads_the_table_of_the_one_group():
     assert layered == minimal_w_by_brute_force(g)
 
 
-def test_open_node_and_cayley_preimages_are_kept_on_the_graph():
+def renamed(g, perm):
+    """A copy of g with every node v called perm[v]."""
+    def keyed(moves):
+        return {(alpha, perm[v]): perm[t] for (alpha, v), t in moves.items()}
+
+    return KgbGraph(
+        g.datum,
+        tuple(perm[v] for v in g.nodes),
+        {perm[v]: w for v, w in g.tw.items()},
+        {perm[v]: n for v, n in g.length.items()},
+        {(alpha, perm[v]): lab for (alpha, v), lab in g.label.items()},
+        keyed(g.cross),
+        keyed(g.cayley),
+    )
+
+
+def test_answers_map_across_a_renaming():
+    graphs = {
+        "sl2_split": (sl2_split(), [()]),
+        "group_case_A3": (group_case(build_root_datum("A3")), [(1,), (2, 4), (1, 2, 6)]),
+        "shadow_A4_flip": (twisted_shadow(build_root_datum("A4", twist=(4, 3, 2, 1))), [(2,), (1, 3)]),
+    }
+    for name, (g, levis) in graphs.items():
+        n = len(g.nodes)
+        perm = {v: str(n - 1 - int(v)) for v in g.nodes}  # the open node becomes "0"
+        h = renamed(g, perm)
+        assert validate_kgb(h) == [], name
+        for levi in levis + [tuple(range(1, g.datum.rank + 1))]:
+            classes = {(frozenset(map(perm.get, c.members)), perm[c.top]) for c in i_equivalence_classes(g, levi)}
+            assert {(frozenset(c.members), c.top) for c in i_equivalence_classes(h, levi)} == classes, (name, levi)
+            assert set(p_maximal_set(h, levi)) == set(map(perm.get, p_maximal_set(g, levi))), (name, levi)
+            want = {(perm[u], perm[v]) for u, v in class_hasse(g, levi)}
+            assert set(class_hasse(h, levi)) == want, (name, levi)
+        for (alpha, v), lab in g.label.items():
+            if lab in (RootType.REAL_I, RootType.REAL_II):
+                got = inverse_cayley(h, alpha, perm[v])
+                assert set(got) == set(map(perm.get, inverse_cayley(g, alpha, v))), (name, alpha, v)
+        for v in h.nodes:
+            cs = canonical_sequences(h, v)
+            assert replay_upward(h, cs.start, cs.up) == v == replay_downward(h, cs.down), (name, v)
+
+
+def test_replay_downward_refuses_a_malformed_route():
+    g = sl2_split()
+    assert replay_downward(g, ((1, 1),)) == "1"
+    for down in (((1, None),), ((1, 2),), ((1, -1),), ((1, "0"),), ((1, 0), (1, 0)), ((2, 0),)):
+        with pytest.raises(Mismatch):
+            replay_downward(g, down)
+    h = pgl2_split()
+    assert replay_downward(h, ((1, None),)) == replay_downward(h, ((1, 0),)) == "0"
+    with pytest.raises(Mismatch):
+        replay_downward(h, ((1, 1),))
+
+
+def test_open_node_is_kept_on_the_graph():
     g = twisted_shadow(build_root_datum("A3", twist=(3, 2, 1)))
     assert _open_node(g) is _open_node(g)
-    for alpha in range(1, g.datum.rank + 1):
-        assert _cayley_preimages(g, alpha) is _cayley_preimages(g, alpha)
-        assert sum(map(len, _cayley_preimages(g, alpha).values())) == sum(
-            1 for (a, _) in g.cayley if a == alpha
-        )
 
 
 def test_canonical_sequences_sl2():

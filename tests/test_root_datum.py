@@ -2,8 +2,10 @@
 
 import os
 import pickle
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -27,7 +29,15 @@ from flagorbits import (
     twist_root,
 )
 from flagorbits.weyl import simple_reflection
-from flagorbits.root_datum import all_roots, is_root, is_positive_root, root_support, normalize_levi
+from flagorbits.root_datum import (
+    _det,
+    _validate_cartan,
+    all_roots,
+    is_positive_root,
+    is_root,
+    normalize_levi,
+    root_support,
+)
 
 
 def test_builtin_cartan_matrices():
@@ -54,6 +64,46 @@ def test_cartan_validation_rejects_affine_and_junk():
         build_root_datum(CartanSpec(((2, 1), (1, 2)), ("1", "2")))  # positive off-diagonal
     with pytest.raises(InvalidCartan):
         build_root_datum(CartanSpec(((1, 0), (0, 2)), ("1", "2")))  # bad diagonal
+
+
+def every_principal_minor_positive(entries):
+    """Oracle: finite type by all 2**n principal minors."""
+    n = len(entries)
+    return all(
+        _det([[entries[i][j] for j in idx] for i in idx]) > 0
+        for k in range(1, n + 1)
+        for idx in combinations(range(n), k)
+    )
+
+
+def test_finite_type_check_matches_every_principal_minor():
+    rng = random.Random(11)
+    bonds = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1)]
+    matrices = [cartan_matrix(name).entries for name in ("A8", "B8", "C8", "D8", "E8", "F4xG2", "E6xA2")]
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in combinations(range(n), 2):
+            if rng.random() < 1.6 / n:
+                m[i][j], m[j][i] = rng.choice(bonds)
+        matrices.append(tuple(map(tuple, m)))
+    verdicts = set()
+    for m in matrices:
+        try:
+            _validate_cartan(m)
+            finite = True
+        except InvalidCartan as err:
+            assert str(err) == "a principal minor is not positive; matrix is not of finite type"
+            finite = False
+        assert finite == every_principal_minor_positive(m), m
+        verdicts.add((finite, len(m)))
+    assert {(True, 8), (False, 8), (True, 3), (False, 3)} <= verdicts
+
+
+def test_high_rank_types_build():
+    # the finite-type test costs n determinants, not 2**n
+    for name in ("A20", "B24", "D24"):
+        assert build_root_datum(name).rank == int(name[1:])
 
 
 def test_isogenies_of_rank_one():
