@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     AxiomViolation,
@@ -82,25 +82,57 @@ _NONCOMPACT_TYPES = frozenset({RootType.NONCOMPACT_I, RootType.NONCOMPACT_II})
 _REAL_TYPES = frozenset({RootType.REAL_I, RootType.REAL_II})
 
 
-@dataclass
-class KgbGraph:
-    datum: RootDatum
-    nodes: tuple[NodeId, ...]
-    tw: dict[NodeId, WeylElt]
-    length: dict[NodeId, int]
-    label: dict[tuple[int, NodeId], RootType]
-    cross: dict[tuple[int, NodeId], NodeId]
-    cayley: dict[tuple[int, NodeId], NodeId]
-    origin: str = field(default="data", compare=False)
-    # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
-    # fiber table every move reads, the classes per normalized Levi set
-    # (kgp.i_equivalence_classes) and the open node (_open_node).
-    _poset: OrbitGraph | None = field(default=None, init=False, compare=False, repr=False)
-    _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _open: NodeId | None = field(default=None, init=False, compare=False, repr=False)
+_GRAPH_FIELDS = ("datum", "nodes", "tw", "length", "label", "cross", "cayley")
 
-    def __post_init__(self):
-        self.nodes = tuple(sorted(self.nodes, key=node_sort_key))
+
+class KgbGraph:
+    """A K\\G/B graph: per node its twisted involution and length, and per
+    (simple index, node) its root type, cross action and, for noncompact
+    roots, Cayley transform.  ``nodes`` is kept sorted.  Two graphs are
+    equal when these fields are; ``origin`` and the memos do not count, and
+    a graph, being mutable, is not hashable."""
+
+    __slots__ = _GRAPH_FIELDS + ("origin", "_poset", "_classes", "_open")
+
+    def __init__(
+        self,
+        datum: RootDatum,
+        nodes: tuple[NodeId, ...],
+        tw: dict[NodeId, WeylElt],
+        length: dict[NodeId, int],
+        label: dict[tuple[int, NodeId], RootType],
+        cross: dict[tuple[int, NodeId], NodeId],
+        cayley: dict[tuple[int, NodeId], NodeId],
+        origin: str = "data",
+    ):
+        self.datum = datum
+        self.nodes = tuple(sorted(nodes, key=node_sort_key))
+        self.tw = tw
+        self.length = length
+        self.label = label
+        self.cross = cross
+        self.cayley = cayley
+        self.origin = origin
+        # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
+        # fiber table every move reads, the classes per normalized Levi set
+        # (kgp.i_equivalence_classes) and the open node (_open_node).
+        self._poset: OrbitGraph | None = None
+        self._classes: dict = {}
+        self._open: NodeId | None = None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in _GRAPH_FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is not KgbGraph:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in _GRAPH_FIELDS + ("origin",))
+        return f"KgbGraph({fields})"
 
     def _require(self, v: NodeId) -> None:
         if v not in self.length:
@@ -616,8 +648,7 @@ def builtin_fixtures() -> dict[str, KgbGraph]:
 # --- canonical sequences -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalSequences:
+class CanonicalSequences(NamedTuple):
     """Two ways to reach a node: up from a closed node by monoid moves, and
     down from the open node with a recorded branch at every double-valued
     inverse Cayley."""
@@ -631,7 +662,7 @@ class CanonicalSequences:
 def _open_node(g: KgbGraph) -> NodeId:
     """The unique node of maximal length, found once and kept on g."""
     if g._open is None:
-        top = max(g.length.values())
+        top = max(g.length.values(), default=None)
         at_top = [v for v in g.nodes if g.length[v] == top]
         if len(at_top) != 1:
             raise NoOpenNode(f"expected a unique maximal-length node, found {len(at_top)}")

@@ -8,7 +8,7 @@ in their fiber along every root of I, and they inherit the closure order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AxiomViolation, Mismatch
 from .kgb import KgbGraph, monoid, monoid_word, to_orbit_poset
@@ -26,8 +26,7 @@ def p_maximal_set(g: KgbGraph, levi) -> tuple[NodeId, ...]:
     return tuple(v for k, v in enumerate(poset.nodes) if all(not row[k] or row[k][0] == k for row in rows))
 
 
-@dataclass(frozen=True)
-class IEquivClass:
+class IEquivClass(NamedTuple):
     """A class of nodes over a fixed Levi set, with its dense member.
 
     members are kept sorted for deterministic reporting."""

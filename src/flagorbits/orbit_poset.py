@@ -8,8 +8,7 @@ against subexpression enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AxiomViolation, Mismatch, ParseError, Unreachable
 from .root_datum import RootDatum, _node_lines, _significant_lines, normalize_levi
@@ -173,8 +172,7 @@ def validate(g: OrbitGraph) -> list[str]:
 # --- reduced decompositions and subexpressions -------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedDecomposition:
+class ReducedDecomposition(NamedTuple):
     """Path of orbits from a closed one to the target, one dense step each."""
 
     nodes: tuple[NodeId, ...]

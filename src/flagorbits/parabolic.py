@@ -8,7 +8,7 @@ an exchange map, and the Bruhat order induced from the full group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
 from .orbit_poset import from_parabolic, poset_leq, property_z_check
@@ -53,8 +53,7 @@ class StepType(enum.Enum):
     COMPLEX_DOWNWARD = "ComplexDownward"
 
 
-@dataclass(frozen=True)
-class ParabolicCoset:
+class ParabolicCoset(NamedTuple):
     levi: Levi
     min_rep: WeylElt
     max_rep: WeylElt

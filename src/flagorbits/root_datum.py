@@ -13,25 +13,25 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCartan, InvalidTwist, NotARoot, ParseError
 
 Root = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CartanSpec:
+class CartanSpec(NamedTuple):
     """A candidate Cartan matrix with ordered simple-root labels."""
 
     entries: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+_DATUM_FIELDS = ("cartan", "labels", "root_images", "coroot_images", "twist", "isogeny", "name")
+
+
 class RootDatum:
     """A finite-type root datum with a chosen isogeny and diagram twist.
 
@@ -39,7 +39,13 @@ class RootDatum:
     lattice, ``coroot_images`` each simple coroot in the dual basis of the
     cocharacter lattice; their pairing reproduces ``cartan``.  ``twist`` is
     an involutive diagram automorphism stored as 1-based images.
+
+    Immutable: equal data compare and hash equal.  Data key many dicts and
+    caches, so the hash is computed once; weyl keeps the datum's table
+    layout in the ``_layout`` slot.
     """
+
+    __slots__ = _DATUM_FIELDS + ("_hash", "_layout")
 
     cartan: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
@@ -49,23 +55,45 @@ class RootDatum:
     isogeny: str
     name: str | None
 
+    def __init__(self, cartan, labels, root_images, coroot_images, twist, isogeny, name):
+        self._fill((cartan, labels, root_images, coroot_images, twist, isogeny, name))
+
+    def _fill(self, values: tuple) -> None:
+        for f, v in zip(_DATUM_FIELDS, values):
+            object.__setattr__(self, f, v)
+        object.__setattr__(self, "_hash", hash(values))
+
     @property
     def rank(self) -> int:
         return len(self.cartan)
 
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in _DATUM_FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is not RootDatum:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._key() == other._key())
+
     def __hash__(self) -> int:
-        # The dataclass hash, computed once: data key dicts and caches, and
-        # rehashing the nested tuples costs as much as a table lookup.
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-            return self._hash
+        return self._hash
+
+    def __repr__(self) -> str:
+        return "RootDatum(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in _DATUM_FIELDS) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> dict:
-        # str hashes differ between processes, and weyl keeps the datum's
-        # table layout here: carry neither over
-        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_layout")}
+        # str hashes differ between processes, and the table layout is
+        # rebuilt on demand: carry neither over
+        return {f: getattr(self, f) for f in _DATUM_FIELDS}
+
+    def __setstate__(self, state: dict) -> None:
+        self._fill(tuple([state[f] for f in _DATUM_FIELDS]))
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -189,6 +217,8 @@ def _solve_root_images(
     a fractional solution means the simple roots fall outside the character
     lattice dual to the chosen cocharacter lattice.
     """
+    from fractions import Fraction  # only lattice data get here
+
     n = len(cartan)
     mat = [[Fraction(v) for v in row] for row in coroot_rows]
     aug = [[Fraction(cartan[i][j]) for i in range(n)] for j in range(n)]  # aug[j][i] = A[i][j]
@@ -328,20 +358,28 @@ def reflect(datum: RootDatum, i: int, beta: Root) -> Root:
 
 @lru_cache(maxsize=None)
 def all_roots(datum: RootDatum) -> frozenset[Root]:
-    """The full root set, generated from the simple roots by reflections."""
-    simples = [simple_root(datum, i) for i in range(1, datum.rank + 1)]
-    seen: set[Root] = set(simples)
-    frontier = list(simples)
+    """The full root set: the positive roots grown from the simple roots,
+    height by height, and their negatives.  A positive root that is not
+    simple pairs positively with some simple coroot, and reflecting it
+    there gives a lower positive root, so every positive root is s_i(beta)
+    for a lower positive beta with <beta, coroot_i> < 0."""
+    n = datum.rank
+    cols = [tuple([row[i] for row in datum.cartan]) for i in range(n)]
+    simples = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
+    seen = set(simples)
+    frontier = simples
     while frontier:
         nxt = []
         for beta in frontier:
-            for i in range(1, datum.rank + 1):
-                c = coroot_pairing(datum, beta, i)
-                gamma = tuple(beta[j] - c * (1 if j == i - 1 else 0) for j in range(datum.rank))
-                if gamma not in seen:
-                    seen.add(gamma)
-                    nxt.append(gamma)
+            for i, col in enumerate(cols):
+                c = sum(map(mul, beta, col))
+                if c < 0:
+                    gamma = beta[:i] + (beta[i] - c,) + beta[i + 1 :]
+                    if gamma not in seen:
+                        seen.add(gamma)
+                        nxt.append(gamma)
         frontier = nxt
+    seen.update([tuple([-c for c in beta]) for beta in seen])
     return frozenset(seen)
 
 

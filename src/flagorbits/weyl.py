@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
@@ -51,12 +50,24 @@ Cartan = tuple[tuple[int, ...], ...]
 TABLE_CAP = 51_840
 
 
-@dataclass(frozen=True)
 class WeylElt:
-    """A Weyl group element, canonically the tuple of simple-root images."""
+    """A Weyl group element, canonically the tuple of simple-root images.
+    Treat it as immutable: it is hashed by value."""
 
-    datum: RootDatum
-    images: tuple[Root, ...]
+    __slots__ = ("datum", "images")
+
+    def __init__(self, datum: RootDatum, images: tuple[Root, ...]):
+        self.datum = datum
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not WeylElt:
+            return NotImplemented
+        # one tuple comparison: an identical datum is not compared field by field
+        return (self.datum, self.images) == (other.datum, other.images)
+
+    def __hash__(self) -> int:
+        return hash((self.datum, self.images))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WeylElt({format_word(reduced_word(self))})"

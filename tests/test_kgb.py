@@ -608,6 +608,17 @@ def test_canonical_sequences_need_unique_open_node():
         canonical_sequences(g, "0")
 
 
+def test_replay_on_a_loaded_graph_without_nodes_has_no_open_node(tmp_path):
+    path = tmp_path / "empty.kgb"
+    path.write_text(
+        "kgbgraph v1\nrootsystem inline\nrootdatum v1\ntype A1\nisogeny simply_connected\ntwist id\nnodes 0\n"
+    )
+    g = load_kgb(path)
+    assert g.nodes == ()
+    with pytest.raises(NoOpenNode, match="found 0"):
+        replay_downward(g, ())
+
+
 def test_format_golden_sl2():
     assert format_kgb(sl2_split()) == (
         "kgbgraph v1\n"

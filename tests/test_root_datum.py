@@ -162,6 +162,53 @@ def test_positive_root_counts():
         assert all(is_positive_root(d, beta) for beta in pos)
 
 
+def _reflection_closure(datum):
+    """Every image of the simple roots under simple reflections, by
+    breadth-first search over all roots with the public pairing."""
+    n = datum.rank
+    simples = [simple_root(datum, i) for i in range(1, n + 1)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i in range(1, n + 1):
+                c = coroot_pairing(datum, beta, i)
+                gamma = tuple(beta[j] - c * (1 if j == i - 1 else 0) for j in range(n))
+                if gamma not in seen:
+                    seen.add(gamma)
+                    nxt.append(gamma)
+        frontier = nxt
+    return frozenset(seen)
+
+
+COXETER_NUMBERS = {
+    **{f"A{n}": n + 1 for n in range(1, 9)},
+    **{f"B{n}": 2 * n for n in range(2, 9)},
+    **{f"C{n}": 2 * n for n in range(2, 9)},
+    **{f"D{n}": 2 * n - 2 for n in range(3, 9)},
+    "E6": 12,
+    "E7": 18,
+    "E8": 30,
+    "F4": 12,
+    "G2": 6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COXETER_NUMBERS))
+def test_all_roots_is_the_reflection_closure(name):
+    d = build_root_datum(name)
+    roots = all_roots(d)
+    assert roots == _reflection_closure(d)
+    assert len(roots) == d.rank * COXETER_NUMBERS[name]
+
+
+def test_all_roots_of_reducible_and_lattice_data():
+    lattice = build_root_datum("A1", isogeny="lattice", coroot_rows=[[2]])
+    for d in (build_root_datum("A1xB3"), build_root_datum("G2xA2xA1"), lattice):
+        assert all_roots(d) == _reflection_closure(d)
+
+
 def test_root_membership_and_support():
     d = build_root_datum("A2")
     assert is_root(d, (1, 1))
