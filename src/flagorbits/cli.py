@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import FlagOrbitsError, InvalidTwist, ParseError
+from .errors import FlagOrbitsError, ParseError
 from .kgb import (
     builtin_fixtures,
     load_kgb,
@@ -41,26 +41,6 @@ from .weyl import (
 )
 
 
-def _flip_twist(type_name: str) -> tuple[int, ...]:
-    if "x" in type_name or len(type_name) < 2 or not type_name[1:].isdigit():
-        raise InvalidTwist(f"no diagram flip for type {type_name!r}")
-    letter = type_name[0].upper()
-    n = int(type_name[1:])
-    if letter == "A" and n >= 2:
-        return tuple(range(n, 0, -1))
-    if letter == "D" and n >= 3:
-        return tuple(range(1, n - 1)) + (n, n - 1)
-    if letter == "E" and n == 6:
-        return (6, 2, 5, 4, 3, 1)
-    raise InvalidTwist(f"no diagram flip for type {type_name!r}")
-
-
-def _datum_from_args(args):
-    isogeny = "adjoint" if args.adjoint else "simply_connected"
-    twist = _flip_twist(args.type) if args.twist == "flip" else None
-    return build_root_datum(args.type, isogeny=isogeny, twist=twist)
-
-
 def _parse_levi(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -76,19 +56,17 @@ def _parse_levi(text: str) -> tuple[int, ...]:
 
 def _add_datum_options(sub):
     sub.add_argument("--type", required=True, help="built-in type name, e.g. A2 or B3")
-    sub.add_argument("--adjoint", action="store_true", help="adjoint instead of simply connected")
-    sub.add_argument("--twist", choices=["flip"], help="enable the diagram involution")
 
 
 def _cmd_enumerate(args) -> int:
-    datum = _datum_from_args(args)
+    datum = build_root_datum(args.type)
     for w in enumerate_elements(datum):
         print(format_word(reduced_word(w)))
     return 0
 
 
 def _cmd_order(args) -> int:
-    datum = _datum_from_args(args)
+    datum = build_root_datum(args.type)
     u = from_word(datum, parse_word(datum, args.left))
     v = from_word(datum, parse_word(datum, args.right))
     below = bruhat_leq(u, v)
@@ -105,14 +83,14 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    datum = _datum_from_args(args)
+    datum = build_root_datum(args.type)
     w = from_word(datum, parse_word(datum, args.word))
     print(format_word(reduced_word(w)))
     return 0
 
 
 def _cmd_cosets(args) -> int:
-    datum = _datum_from_args(args)
+    datum = build_root_datum(args.type)
     levi = _parse_levi(args.levi)
     for coset in enumerate_cosets(datum, levi):
         minw = format_word(reduced_word(coset.min_rep))
@@ -178,7 +156,7 @@ def _cmd_hasse(args) -> int:
     if args.kgb:
         graph = to_orbit_poset(load_kgb(args.kgb))
     else:
-        graph = from_parabolic(_datum_from_args(args), _parse_levi(args.levi or ""))
+        graph = from_parabolic(build_root_datum(args.type), _parse_levi(args.levi or ""))
     sys.stdout.write(hasse_dot(graph))
     return 0
 
@@ -240,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hasse", help="emit the cover graph in DOT form")
     p.add_argument("--type", help="built-in type name")
-    p.add_argument("--adjoint", action="store_true")
-    p.add_argument("--twist", choices=["flip"])
     p.add_argument("--levi", help="quotient by this Levi set")
     p.add_argument("--kgb", help="kgbgraph file instead of --type")
     p.set_defaults(func=_cmd_hasse)
@@ -259,14 +235,11 @@ def main(argv=None) -> int:
     if args.command == "hasse":
         if bool(args.kgb) == bool(args.type):
             parser.error("hasse needs exactly one of --type or --kgb")
-        if args.kgb and (args.levi or args.adjoint or args.twist):
-            parser.error("--kgb cannot be combined with datum options")
+        if args.kgb and args.levi:
+            parser.error("--kgb cannot be combined with --levi")
     try:
         return args.func(args)
-    except FlagOrbitsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FlagOrbitsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ from .root_datum import (
     simple_root,
 )
 from .weyl import (
+    Direction,
     WeylElt,
     Word,
     _apply,
@@ -31,11 +32,14 @@ from .weyl import (
     _times_s,
     bruhat_leq,
     bruhat_leq_subword,
+    descent_direction,
     enumerate_elements,
+    exchange,
     format_word,
     from_word,
     identity,
     inv,
+    is_reduced,
     length,
     mul,
     reduced_word,
@@ -83,18 +87,22 @@ def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
     return tuple(from_word(datum, [levi[a - 1] for a in word]) for word in words)
 
 
-def longest_levi_element(datum: RootDatum, levi: Levi) -> WeylElt:
-    """The longest element of W_levi, grown on the root images without a
-    table: w * s_i is longer than w exactly when w sends alpha_i to a
-    positive root, and w0 is the element of W_levi that no letter of levi
-    lengthens."""
-    levi = normalize_levi(datum, levi)
-    w = identity(datum)
+def _extreme(w: WeylElt, levi: Levi, shorten: bool) -> WeylElt:
+    """Multiply w on the right by letters of levi while one shortens it (or,
+    with shorten false, lengthens it): w * s_i is shorter than w exactly
+    when w sends alpha_i to a negative root.  The result is the minimal (or
+    maximal) element of the right coset w * W_levi."""
     while True:
-        i = next((i for i in levi if all(c >= 0 for c in w.images[i - 1])), None)
+        i = next((i for i in levi if any(c < 0 for c in w.images[i - 1]) == shorten), None)
         if i is None:
             return w
         w = _times_s(w, i)
+
+
+def longest_levi_element(datum: RootDatum, levi: Levi) -> WeylElt:
+    """The longest element of W_levi, grown on the root images without a
+    table: the maximal element of the coset e * W_levi."""
+    return _extreme(identity(datum), normalize_levi(datum, levi), False)
 
 
 def is_p_minimal(w: WeylElt, levi: Levi) -> bool:
@@ -112,18 +120,11 @@ def is_p_maximal(w: WeylElt, levi: Levi) -> bool:
 
 
 def coset_of(w: WeylElt, levi: Levi) -> ParabolicCoset:
+    """The coset W_levi * w, whose representatives are the inverses of
+    those of w^-1 * W_levi."""
     levi = normalize_levi(w.datum, levi)
-    x = w
-    changed = True
-    while changed:
-        changed = False
-        for i in levi:
-            y = mul(simple_reflection(w.datum, i), x)
-            if length(y) < length(x):
-                x = y
-                changed = True
-                break
-    return ParabolicCoset(levi, x, mul(longest_levi_element(w.datum, levi), x))
+    winv = inv(w)
+    return ParabolicCoset(levi, inv(_extreme(winv, levi, True)), inv(_extreme(winv, levi, False)))
 
 
 def coset_elements(coset: ParabolicCoset) -> tuple[WeylElt, ...]:
@@ -140,15 +141,10 @@ def p_length(coset: ParabolicCoset) -> int:
 
 
 def is_p_reduced(datum: RootDatum, word: Word, levi: Levi) -> bool:
-    """Every prefix must send the next simple root into the nilradical."""
+    """A reduced word of a minimal coset representative.  Equivalently,
+    every prefix sends the next simple root into the nilradical."""
     levi = normalize_levi(datum, levi)
-    w = identity(datum)
-    for i in word:
-        beta = w.images[i - 1]
-        if classify_wrt_parabolic(datum, beta, levi) is not RootPosition.NILRADICAL:
-            return False
-        w = mul(w, simple_reflection(datum, i))
-    return True
+    return is_reduced(datum, word) and is_p_minimal(from_word(datum, word), levi)
 
 
 def classify_step(w: WeylElt, alpha: Root, levi: Levi) -> StepType:
@@ -224,17 +220,16 @@ def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
 
 def quotient_exchange(datum: RootDatum, word: Word, alpha: int, levi: Levi) -> int:
     """Exchange in the quotient: the 1-based letter whose removal leaves a
-    reduced-relative-to-the-quotient word for the lowered coset."""
+    reduced-relative-to-the-quotient word for the lowered coset.  This is
+    W's own exchange: a descent s of a minimal representative w lowers its
+    coset (w sends alpha to a negative root, which is not a Levi root, as
+    w^-1 keeps the positive Levi roots positive), and w * s is again a
+    minimal representative, since these are closed under prefixes."""
     levi = normalize_levi(datum, levi)
     word = tuple(word)
     if not is_p_reduced(datum, word, levi):
         raise NotPReduced(f"{word} is not reduced relative to the quotient")
     w = from_word(datum, word)
-    if classify_step(w, simple_root(datum, alpha), levi) is not StepType.COMPLEX_DOWNWARD:
+    if descent_direction(w, simple_root(datum, alpha)) is Direction.UP:
         raise NotDownward(f"simple root {alpha} does not lower the coset of {word}")
-    target = mul(w, simple_reflection(datum, alpha))
-    for j in range(len(word)):
-        shorter = word[:j] + word[j + 1 :]
-        if from_word(datum, shorter) == target and is_p_reduced(datum, shorter, levi):
-            return j + 1
-    raise AssertionError("exchange position must exist at a downward step")  # pragma: no cover
+    return exchange(datum, word, alpha)

@@ -7,7 +7,7 @@ Conventions used throughout the package:
 * ``cartan[i][j]`` is the pairing of the i-th simple root with the j-th
   simple coroot, so the reflection in the j-th simple root acts by
   ``s_j(beta) = beta - <beta, coroot_j> alpha_j``;
-* all arithmetic is exact (ints and Fractions, never floats).
+* all arithmetic is exact (integers only, never floats).
 """
 
 from __future__ import annotations
@@ -213,44 +213,24 @@ def _solve_root_images(
 ) -> tuple[tuple[int, ...], ...]:
     """Find integer root rows R with R * C^T = A, i.e. solve C r_i = a_i per row.
 
-    Here C holds the coroot rows and a_i is the i-th row of the Cartan matrix;
-    a fractional solution means the simple roots fall outside the character
-    lattice dual to the chosen cocharacter lattice.
+    Here C holds the coroot rows and a_i is the i-th row of the Cartan matrix.
+    By Cramer's rule the k-th coordinate of r_i is det(C with column k
+    replaced by a_i) / det(C); a fractional one means the simple roots fall
+    outside the character lattice dual to the chosen cocharacter lattice.
     """
-    from fractions import Fraction  # only lattice data get here
-
     n = len(cartan)
-    mat = [[Fraction(v) for v in row] for row in coroot_rows]
-    aug = [[Fraction(cartan[i][j]) for i in range(n)] for j in range(n)]  # aug[j][i] = A[i][j]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if piv is None:
-            raise InvalidCartan("lattice rows are linearly dependent")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(col + 1, n):
-            f = mat[r][col] / mat[col][col]
-            if f:
-                for c in range(col, n):
-                    mat[r][c] -= f * mat[col][c]
-                for c in range(n):
-                    aug[r][c] -= f * aug[col][c]
-    sol = [[Fraction(0)] * n for _ in range(n)]
-    for row in range(n - 1, -1, -1):
-        for i in range(n):
-            s = aug[row][i]
-            for c in range(row + 1, n):
-                s -= mat[row][c] * sol[c][i]
-            sol[row][i] = s / mat[row][row]
-    # sol[k][i] is the k-th coordinate of the i-th simple root.
+    d = _det(coroot_rows)
+    if d == 0:
+        raise InvalidCartan("lattice rows are linearly dependent")
     rows = []
-    for i in range(n):
+    for a in cartan:
         row = []
         for k in range(n):
-            v = sol[k][i]
-            if v.denominator != 1:
+            replaced = [c[:k] + (a[j],) + c[k + 1 :] for j, c in enumerate(coroot_rows)]
+            q, r = divmod(_det(replaced), d)
+            if r:
                 raise InvalidCartan("simple roots do not lie in the character lattice")
-            row.append(int(v))
+            row.append(q)
         rows.append(tuple(row))
     return tuple(rows)
 

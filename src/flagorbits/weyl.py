@@ -120,10 +120,11 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
 
 
 def length(w: WeylElt) -> int:
-    """Number of positive roots sent negative."""
+    """Number of positive roots sent negative: without a table, the number
+    of letters of the descent walk."""
     hit = _ids(w)
     if hit is None:
-        return _root_length(w)
+        return len(_descent_walk(w))
     tables, ids = hit
     return sum([table.length[k] for table, k in zip(tables, ids)])
 
@@ -255,10 +256,6 @@ def _s_times(i: int, w: WeylElt) -> WeylElt:
             c += a * beta[j]
         out.append(beta[:k] + (beta[k] - c,) + beta[i:] if c else beta)
     return WeylElt(w.datum, tuple(out))
-
-
-def _root_length(w: WeylElt) -> int:
-    return sum(1 for beta in positive_roots(w.datum) if any(c < 0 for c in _apply(w, beta)))
 
 
 def _descent_walk(w: WeylElt) -> Word:

@@ -33,11 +33,11 @@ def test_reduce(capsys):
 
 
 def test_enumerate(capsys):
-    code, out, err = run(capsys, "enumerate", "--type", "A2", "--twist", "flip")
+    code, out, err = run(capsys, "enumerate", "--type", "A2")
     assert code == 0
     assert out == "e\n1\n2\n1,2\n2,1\n1,2,1\n"
     # deterministic across runs
-    assert run(capsys, "enumerate", "--type", "A2", "--twist", "flip")[1] == out
+    assert run(capsys, "enumerate", "--type", "A2")[1] == out
 
 
 def test_whole_group_commands_refuse_e7(capsys):
@@ -203,7 +203,15 @@ def test_fixtures_listing_and_writing(capsys, tmp_path):
     assert (tmp_path / "sub" / "sl2_split.kgb").read_text() == format_kgb(sl2_split())
 
 
-def test_flip_twist_rejects_odd_types(capsys):
-    code, out, err = run(capsys, "enumerate", "--type", "B2", "--twist", "flip")
-    assert code == 1
-    assert err.startswith("error: no diagram flip")
+def test_isogeny_and_twist_flags_are_gone(capsys):
+    # W and its quotients do not depend on the isogeny or the twist, so the
+    # commands take no such options.
+    for argv in (
+        ["enumerate", "--type", "A2", "--twist", "flip"],
+        ["order", "--type", "A2", "--adjoint", "1", "2"],
+        ["hasse", "--type", "A2", "--adjoint"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err

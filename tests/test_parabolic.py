@@ -1,19 +1,25 @@
 """Parabolic quotients: representatives, P-reduced words, order, exchange."""
 
+import functools
 import itertools
 
 import pytest
 
 from flagorbits import (
+    NotARoot,
     NotDownward,
     NotPositiveRoot,
     NotPReduced,
+    ParabolicCoset,
     ParabolicMismatch,
+    RootPosition,
     StepType,
     TableTooLarge,
     build_root_datum,
     bruhat_leq,
+    class_hasse,
     classify_step,
+    classify_wrt_parabolic,
     coset_bruhat_leq,
     coset_bruhat_leq_induced,
     coset_elements,
@@ -22,8 +28,12 @@ from flagorbits import (
     enumerate_elements,
     format_word,
     from_parabolic,
+    from_weyl,
     from_word,
+    group_case,
+    hasse,
     identity,
+    inv,
     is_p_maximal,
     is_p_minimal,
     is_p_reduced,
@@ -39,6 +49,8 @@ from flagorbits import (
     simple_root,
     step_coset,
 )
+from flagorbits.orbit_poset import cover_pairs
+from flagorbits.root_datum import normalize_levi
 
 
 def all_levis(rank):
@@ -306,3 +318,124 @@ def test_quotient_exchange_on_longest_b2_coset():
     assert is_p_reduced(d, shorter, levi)
     lowered = mul(top.min_rep, simple_reflection(d, downward[0]))
     assert coset_of(from_word(d, shorter), levi) == coset_of(lowered, levi)
+
+
+def test_letters_out_of_range_raise_not_a_root():
+    # as is_reduced and exchange do; the prefix loop indexed the images first
+    d = build_root_datum("A2")
+    for word in ((3,), (0,), (2, 3)):
+        with pytest.raises(NotARoot):
+            is_p_reduced(d, word, (1,))
+    with pytest.raises(NotARoot):
+        quotient_exchange(d, (2, 3), 2, (1,))
+
+
+# --- the per-prefix routines that the W kernels replaced, kept as oracles ----
+
+
+def is_p_reduced_by_prefixes(d, word, levi):
+    """Oracle: every prefix sends the next simple root into the nilradical."""
+    levi = normalize_levi(d, levi)
+    w = identity(d)
+    for i in word:
+        if classify_wrt_parabolic(d, w.images[i - 1], levi) is not RootPosition.NILRADICAL:
+            return False
+        w = mul(w, simple_reflection(d, i))
+    return True
+
+
+def quotient_exchange_by_search(d, word, alpha, levi):
+    """Oracle: the first letter whose removal spells the lowered element by a
+    P-reduced word."""
+    levi = normalize_levi(d, levi)
+    if not is_p_reduced_by_prefixes(d, word, levi):
+        raise NotPReduced(f"{word} is not reduced relative to the quotient")
+    w = from_word(d, word)
+    if classify_step(w, simple_root(d, alpha), levi) is not StepType.COMPLEX_DOWNWARD:
+        raise NotDownward(f"simple root {alpha} does not lower the coset of {word}")
+    target = mul(w, simple_reflection(d, alpha))
+    for j in range(len(word)):
+        shorter = word[:j] + word[j + 1 :]
+        if from_word(d, shorter) == target and is_p_reduced_by_prefixes(d, shorter, levi):
+            return j + 1
+    raise AssertionError("no exchange position")
+
+
+def coset_of_by_left_descents(w, levi):
+    """Oracle: strip left Levi descents by multiplying and comparing lengths."""
+    levi = normalize_levi(w.datum, levi)
+    x = w
+    changed = True
+    while changed:
+        changed = False
+        for i in levi:
+            y = mul(simple_reflection(w.datum, i), x)
+            if length(y) < length(x):
+                x, changed = y, True
+                break
+    return ParabolicCoset(levi, x, mul(longest_levi_element(w.datum, levi), x))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (NotPReduced, NotDownward) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "A1xA2"])
+def test_quotient_routines_match_the_per_prefix_oracles(name):
+    d = build_root_datum(name)
+    letters = range(1, d.rank + 1)
+    words = [word for k in range(6) for word in itertools.product(letters, repeat=k)]
+    elements = {word: from_word(d, word) for word in words}
+    for levi in all_levis(d.rank):
+        for word, w in elements.items():
+            assert is_p_reduced(d, word, levi) == is_p_reduced_by_prefixes(d, word, levi)
+            assert coset_of(w, levi) == coset_of_by_left_descents(w, levi)
+            for alpha in letters:
+                assert outcome(quotient_exchange, d, word, alpha, levi) == outcome(
+                    quotient_exchange_by_search, d, word, alpha, levi
+                ), (word, alpha, levi)
+
+
+HEADLINE_CASES = [
+    (name, levi)
+    for name in ("A3", "B3", "A4", "D4", "F4")
+    for levi in all_levis(int(name[1]))
+    if 0 < len(levi) < int(name[1])
+]
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_and_group_case(name):
+    """from_weyl and group_case of a type, with each element's word and the
+    word of its inverse by position in enumerate_elements (which is how
+    group_case names its nodes): built once for all Levi sets."""
+    d = build_root_datum(name)
+    elements = enumerate_elements(d)
+    words = [format_word(reduced_word(w)) for w in elements]
+    inverse = [format_word(reduced_word(inv(w))) for w in elements]
+    return d, from_weyl(d), group_case(d), words, inverse
+
+
+@pytest.mark.parametrize("name,levi", HEADLINE_CASES)
+def test_quotient_order_four_ways(name, levi):
+    # The Bruhat order on W_L\W, as the covers of from_parabolic's closure
+    # order, equals the order that B\G/B induces on maximal representatives,
+    # and the class order of the group case (the diagonal pair G x G, whose
+    # first copy acts on the left and second on the right) with the Levi
+    # set in either copy.  Every cover is named by minimal-representative words.
+    d, weyl, g, words, inverse = weyl_and_group_case(name)
+    to_min = {}  # maximal-representative word -> minimal-representative word
+    for c in enumerate_cosets(d, levi):
+        to_min[format_word(reduced_word(c.max_rep))] = format_word(reduced_word(c.min_rep))
+    want = sorted(hasse(from_parabolic(d, levi)))
+    tops = sum(1 << weyl.index[v] for v in to_min)
+    assert sorted((to_min[u], to_min[v]) for u, v in cover_pairs(weyl, tops)) == want
+    left = [(to_min[words[int(u)]], to_min[words[int(v)]]) for u, v in class_hasse(g, levi)]
+    assert sorted(left) == want
+    # x W_L has the maximal representative x', and W_L x^-1 the inverse of x'
+    second = [d.rank + i for i in levi]
+    right = [(to_min[inverse[int(u)]], to_min[inverse[int(v)]]) for u, v in class_hasse(g, second)]
+    assert sorted(right) == want

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from flagorbits import (
 from flagorbits.weyl import simple_reflection
 from flagorbits.root_datum import (
     _det,
+    _solve_root_images,
     _validate_cartan,
     all_roots,
     is_positive_root,
@@ -128,6 +130,74 @@ def test_lattice_isogeny_requires_integral_roots():
     # index-two sublattice that does not contain the root
     with pytest.raises(InvalidCartan):
         build_root_datum("A1", isogeny="lattice", coroot_rows=((3,),))
+
+
+def solve_by_elimination(cartan, coroot_rows):
+    """Oracle: Gaussian elimination over the rationals for C r_i = a_i."""
+    from fractions import Fraction
+
+    n = len(cartan)
+    mat = [[Fraction(v) for v in row] for row in coroot_rows]
+    aug = [[Fraction(cartan[i][j]) for i in range(n)] for j in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if piv is None:
+            raise InvalidCartan("lattice rows are linearly dependent")
+        mat[col], mat[piv] = mat[piv], mat[col]
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(col + 1, n):
+            f = mat[r][col] / mat[col][col]
+            for c in range(col, n):
+                mat[r][c] -= f * mat[col][c]
+            for c in range(n):
+                aug[r][c] -= f * aug[col][c]
+    sol = [[Fraction(0)] * n for _ in range(n)]
+    for row in range(n - 1, -1, -1):
+        for i in range(n):
+            s = aug[row][i] - sum(mat[row][c] * sol[c][i] for c in range(row + 1, n))
+            sol[row][i] = s / mat[row][row]
+    if any(sol[k][i].denominator != 1 for i in range(n) for k in range(n)):
+        raise InvalidCartan("simple roots do not lie in the character lattice")
+    return tuple(tuple(int(sol[k][i]) for k in range(n)) for i in range(n))
+
+
+def test_cramer_solver_matches_rational_elimination():
+    # Random coroot rows of four kinds: small entries (mostly refused as
+    # fractional), the simply connected and the adjoint rows in a random
+    # basis of the cocharacter lattice (solvable), and such rows with one
+    # row repeated (refused as dependent).
+    rng = random.Random(11)
+    seen = Counter()
+    for name in ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4", "D5", "E6"):
+        cartan = cartan_matrix(name).entries
+        n = len(cartan)
+        adjoint = [[row[j] for row in cartan] for j in range(n)]
+        for trial in range(80):
+            kind = trial % 4
+            if kind == 0:
+                rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            else:
+                rows = [[int(i == j) for j in range(n)] for i in range(n)] if kind == 1 else adjoint
+                rows = [list(row) for row in rows]
+                for _ in range(2 * n if n > 1 else 0):  # column operations keep the lattice
+                    a, b = rng.sample(range(n), 2)
+                    c = rng.choice((-1, 1))
+                    for row in rows:
+                        row[a] += c * row[b]
+                if kind == 3:
+                    rows[-1] = list(rows[0])
+            rows = tuple(tuple(row) for row in rows)
+            try:
+                want = solve_by_elimination(cartan, rows)
+            except InvalidCartan as exc:
+                with pytest.raises(InvalidCartan) as got:
+                    _solve_root_images(cartan, rows)
+                assert str(got.value) == str(exc), (name, rows)
+                seen[str(exc)] += 1
+            else:
+                assert _solve_root_images(cartan, rows) == want, (name, rows)
+                seen["solved"] += 1
+    assert len(seen) == 3 and min(seen.values()) > 100, seen
 
 
 def test_twist_validation():

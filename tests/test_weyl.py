@@ -1,6 +1,7 @@
 """Weyl group elements, reduced words, exchange, and the two Bruhat routes."""
 
 import math
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from flagorbits import (
     inv,
     is_reduced,
     length,
+    longest_levi_element,
     mul,
     parse_word,
     positive_roots,
@@ -136,7 +138,8 @@ def test_component_lookups_match_the_root_image_path():
         for w in enumerate_elements(d):
             word = reduced_word(w)
             assert word == weyl._descent_walk(weyl._root_inv(w)), spec
-            assert length(w) == weyl._root_length(w) == len(word)
+            inversions = sum(any(c < 0 for c in weyl._apply(w, beta)) for beta in positive_roots(d))
+            assert length(w) == inversions == len(word)
             assert inv(w) == weyl._root_inv(w)
             assert from_word(d, word) == weyl._root_from_word(d, word) == w
             doubled = word + word[::-1]
@@ -176,6 +179,23 @@ def test_per_element_queries_build_no_table():
     assert length(v) == len(reduced_word(v))
     assert mul(inv(v), v) == identity(d)
     assert d.cartan not in weyl._tables and weyl._layout(d).tables() is None
+
+
+def test_descent_walk_length_counts_inversions():
+    # Without a table, length is the number of letters of the descent walk;
+    # the inversion count over all positive roots is the oracle.
+    rng = random.Random(3)
+    for name in ("E6", "E7", "E8"):
+        d = build_root_datum(name)
+        pos = positive_roots(d)
+        w0 = longest_levi_element(d, range(1, d.rank + 1))
+        samples = [w0, identity(d)]
+        samples += [from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(1, 60))]) for _ in range(40)]
+        for w in samples:
+            inversions = sum(any(c < 0 for c in weyl._apply(w, beta)) for beta in pos)
+            assert len(weyl._descent_walk(w)) == inversions, name
+            assert length(w) == inversions, name
+        assert length(w0) == len(pos)
 
 
 def test_identity_and_simple_reflections():
