@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import os
 from collections import Counter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -90,7 +91,8 @@ class KgbGraph:
     (simple index, node) its root type, cross action and, for noncompact
     roots, Cayley transform.  ``nodes`` is kept sorted.  Two graphs are
     equal when these fields are; ``origin`` and the memos do not count, and
-    a graph, being mutable, is not hashable."""
+    a graph, being mutable, is not hashable.  Once to_orbit_poset has read
+    the five maps they are read-only; assigning a field drops the memos."""
 
     __slots__ = _GRAPH_FIELDS + ("origin", "_poset", "_classes", "_open")
 
@@ -113,12 +115,16 @@ class KgbGraph:
         self.cross = cross
         self.cayley = cayley
         self.origin = origin
-        # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
-        # fiber table every move reads, the classes per normalized Levi set
-        # (kgp.i_equivalence_classes) and the open node (_open_node).
-        self._poset: OrbitGraph | None = None
-        self._classes: dict = {}
-        self._open: NodeId | None = None
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name in _GRAPH_FIELDS:
+            # Memos, filled on first use: the orbit poset (to_orbit_poset),
+            # whose fiber table every move reads, the classes per normalized
+            # Levi set (kgp.i_equivalence_classes) and the open node.
+            object.__setattr__(self, "_poset", None)
+            object.__setattr__(self, "_classes", {})
+            object.__setattr__(self, "_open", None)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in _GRAPH_FIELDS])
@@ -131,8 +137,9 @@ class KgbGraph:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in _GRAPH_FIELDS + ("origin",))
-        return f"KgbGraph({fields})"
+        values = [dict(v) if isinstance(v, MappingProxyType) else v for v in self._key()]
+        fields = "".join(f"{f}={v!r}, " for f, v in zip(_GRAPH_FIELDS, values))
+        return f"KgbGraph({fields}origin={self.origin!r})"
 
     def _require(self, v: NodeId) -> None:
         if v not in self.length:
@@ -460,8 +467,12 @@ def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
         if lab in _ASCENT_TYPES:
             t = g.cross[(alpha, v)] if lab is RootType.COMPLEX_ASCENT else g.cayley[(alpha, v)]
             fibers.append((alpha, t, (v, g.cross[(alpha, v)], t)))
-    g._poset = OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
-    return g._poset
+    poset = OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
+    # the poset answers for these maps from now on, so they become read-only
+    for f in _GRAPH_FIELDS[2:]:
+        setattr(g, f, MappingProxyType(dict(getattr(g, f))))
+    g._poset = poset
+    return poset
 
 
 # --- generated graphs -----------------------------------------------------------

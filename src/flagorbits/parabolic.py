@@ -67,23 +67,16 @@ class ParabolicCoset(NamedTuple):
         return self.min_rep.datum
 
 
-def _levi_words(datum: RootDatum, levi: Levi) -> tuple[Levi, tuple[Word, ...]]:
-    """The normalized Levi set and the canonical words of W_levi by length,
-    then word, read off the table of the Levi set's own sub-diagram, whose
-    letter a stands for levi[a - 1].  Every reduced word of an element of
+def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
+    """The subgroup generated by the chosen simple reflections, sorted by
+    length, then by canonical reduced word.  A whole-subgroup walk: it
+    builds the table of the Levi set's own sub-diagram, whose letter a
+    stands for levi[a - 1], so it raises TableTooLarge above TABLE_CAP
+    elements, as coset_elements does.  Every reduced word of an element of
     W_levi uses only letters from levi, and renaming the letters in
     increasing order keeps the order of the words."""
     levi = normalize_levi(datum, levi)
     words = _table(_part_datum(datum, [i - 1 for i in levi])).words if levi else ((),)
-    return levi, words
-
-
-def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
-    """The subgroup generated by the chosen simple reflections, sorted by
-    length, then by canonical reduced word.  A whole-subgroup walk: it
-    builds the table of the Levi sub-diagram, so it raises TableTooLarge
-    above TABLE_CAP elements, as coset_elements does."""
-    levi, words = _levi_words(datum, levi)
     return tuple(from_word(datum, [levi[a - 1] for a in word]) for word in words)
 
 
@@ -187,12 +180,12 @@ def coset_bruhat_leq_induced(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
 def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]:
     """The cosets by p-length, then by the canonical word of the minimal
     representative: the minimal ids of the Weyl table, in id order."""
-    levi, words = _levi_words(datum, levi)
+    levi = normalize_levi(datum, levi)
     table = _table(datum)
     elements = enumerate_elements(datum)
     # max_rep = w0 * min_rep, w0 the longest element of W_levi; w0 is an
     # involution, so its word may be applied first letter first.
-    longest = [levi[a - 1] for a in words[-1]]
+    longest = reduced_word(longest_levi_element(datum, levi))
     cosets = []
     for k in _p_minimal(table, levi):
         x = k

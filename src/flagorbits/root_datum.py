@@ -96,28 +96,29 @@ class RootDatum:
         self._fill(tuple([state[f] for f in _DATUM_FIELDS]))
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _eliminate(m: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    of the square leading block of the integer rows m, in place; every
+    division is exact.  Returns the pivots met before any row swap: the
+    leading principal minors until one is 0, where it stops if no row can
+    be swapped in.  Done, the block is d * I, d = +-det, and each other
+    column is d times the block's inverse applied to it."""
+    n = len(m)
+    pivots, prev = [], 1
+    for k in range(n):
+        pivots.append(m[k][k])
+        if not m[k][k]:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return pivots
+            m[k], m[r] = m[r], m[k]
+        top, d = m[k], m[k][k]
+        for i, row in enumerate(m):
+            c = row[k]
+            if i != k and (c or d != prev):
+                m[i] = [(d * x - c * y) // prev for x, y in zip(row, top)]
+        prev = d
+    return pivots
 
 
 def _validate_cartan(entries: tuple[tuple[int, ...], ...]) -> None:
@@ -142,7 +143,9 @@ def _validate_cartan(entries: tuple[tuple[int, ...], ...]) -> None:
     # Finite type: every principal minor is positive.  The matrix has no
     # positive entry off the diagonal, so positive leading minors imply it
     # (such a matrix is then a nonsingular M-matrix; Fiedler and Ptak, 1962).
-    if any(_det([row[:k] for row in entries[:k]]) <= 0 for k in range(1, n + 1)):
+    # They are the pivots of one elimination until one is zero, which would
+    # need a row swap.
+    if min(_eliminate([list(row) for row in entries])) <= 0:
         raise InvalidCartan("a principal minor is not positive; matrix is not of finite type")
 
 
@@ -213,26 +216,20 @@ def _solve_root_images(
 ) -> tuple[tuple[int, ...], ...]:
     """Find integer root rows R with R * C^T = A, i.e. solve C r_i = a_i per row.
 
-    Here C holds the coroot rows and a_i is the i-th row of the Cartan matrix.
-    By Cramer's rule the k-th coordinate of r_i is det(C with column k
-    replaced by a_i) / det(C); a fractional one means the simple roots fall
-    outside the character lattice dual to the chosen cocharacter lattice.
+    Here C holds the coroot rows and a_i is the i-th row of the Cartan
+    matrix.  One elimination of [C | A^T] leaves [d * I | d * C^-1 A^T]; a
+    coordinate that d does not divide means the simple roots fall outside the
+    character lattice dual to the chosen cocharacter lattice.
     """
     n = len(cartan)
-    d = _det(coroot_rows)
-    if d == 0:
+    m = [list(c) + list(a) for c, a in zip(coroot_rows, zip(*cartan))]
+    _eliminate(m)
+    if not all(row[k] for k, row in enumerate(m)):
         raise InvalidCartan("lattice rows are linearly dependent")
-    rows = []
-    for a in cartan:
-        row = []
-        for k in range(n):
-            replaced = [c[:k] + (a[j],) + c[k + 1 :] for j, c in enumerate(coroot_rows)]
-            q, r = divmod(_det(replaced), d)
-            if r:
-                raise InvalidCartan("simple roots do not lie in the character lattice")
-            row.append(q)
-        rows.append(tuple(row))
-    return tuple(rows)
+    d = m[0][0]
+    if any(row[i] % d for row in m for i in range(n, 2 * n)):
+        raise InvalidCartan("simple roots do not lie in the character lattice")
+    return tuple(tuple(row[i] // d for row in m) for i in range(n, 2 * n))
 
 
 def build_root_datum(
@@ -255,31 +252,22 @@ def build_root_datum(
     _validate_cartan(entries)
     n = len(entries)
 
-    if isogeny == "simply_connected":
-        if coroot_rows is not None:
-            raise InvalidCartan("coroot rows are only accepted with the lattice isogeny")
-        coroots = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        roots = entries
-    elif isogeny == "adjoint":
-        if coroot_rows is not None:
-            raise InvalidCartan("coroot rows are only accepted with the lattice isogeny")
-        roots = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        coroots = tuple(tuple(entries[i][j] for i in range(n)) for j in range(n))
-    elif isogeny == "lattice":
-        if coroot_rows is None:
-            raise InvalidCartan("lattice isogeny requires explicit coroot rows")
-        coroots = tuple(tuple(int(v) for v in row) for row in coroot_rows)
-        if len(coroots) != n or any(len(r) != n for r in coroots):
-            raise InvalidCartan("lattice data must give one row of length rank per coroot")
-        roots = _solve_root_images(entries, coroots)
-    else:
+    lattices = {
+        "simply_connected": [[int(i == j) for j in range(n)] for i in range(n)],
+        "adjoint": list(zip(*entries)),
+        "lattice": coroot_rows,
+    }
+    if isogeny not in lattices:
         raise InvalidCartan(f"unknown isogeny {isogeny!r}")
-
-    for i in range(n):
-        for j in range(n):
-            pair = sum(roots[i][k] * coroots[j][k] for k in range(n))
-            if pair != entries[i][j]:
-                raise InvalidCartan("lattice pairing does not reproduce the Cartan matrix")
+    if isogeny == "lattice" and coroot_rows is None:
+        raise InvalidCartan("lattice isogeny requires explicit coroot rows")
+    if isogeny != "lattice" and coroot_rows is not None:
+        raise InvalidCartan("coroot rows are only accepted with the lattice isogeny")
+    coroots = tuple(tuple(int(v) for v in row) for row in lattices[isogeny])
+    if len(coroots) != n or any(len(r) != n for r in coroots):
+        raise InvalidCartan("lattice data must give one row of length rank per coroot")
+    # an exact integer solution reproduces the pairing with the Cartan matrix
+    roots = _solve_root_images(entries, coroots)
 
     if twist is None:
         tw = tuple(range(1, n + 1))
@@ -315,16 +303,19 @@ class RootPosition(enum.Enum):
     OPPOSITE_NILRADICAL = "opposite_nilradical"
 
 
-def simple_root(datum: RootDatum, i: int) -> Root:
+def _check_letter(datum: RootDatum, i: int) -> None:
     if not 1 <= i <= datum.rank:
         raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
+
+
+def simple_root(datum: RootDatum, i: int) -> Root:
+    _check_letter(datum, i)
     return tuple(1 if j == i - 1 else 0 for j in range(datum.rank))
 
 
 def coroot_pairing(datum: RootDatum, beta: Root, i: int) -> int:
     """Pairing of an arbitrary integer vector with the i-th simple coroot."""
-    if not 1 <= i <= datum.rank:
-        raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
+    _check_letter(datum, i)
     return sum(beta[j] * datum.cartan[j][i - 1] for j in range(datum.rank))
 
 
@@ -416,8 +407,7 @@ def classify_wrt_parabolic(datum: RootDatum, beta: Root, levi: Iterable[int]) ->
 def is_m_alpha_trivial(datum: RootDatum, i: int) -> bool:
     """Whether the order-two torus element attached to the i-th simple root is
     trivial, i.e. the simple coroot is divisible by 2 in the cocharacter lattice."""
-    if not 1 <= i <= datum.rank:
-        raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
+    _check_letter(datum, i)
     return all(c % 2 == 0 for c in datum.coroot_images[i - 1])
 
 
@@ -483,6 +473,22 @@ def parse_root_datum(text: str) -> RootDatum:
     return datum
 
 
+def _int_rows(
+    lines: list[str], pos: int, count: int, kind: str, truncated: str
+) -> list[tuple[int, ...]]:
+    """The ``count`` rows of integers from ``lines[pos]`` on; a bad row is
+    reported before a missing one."""
+    rows = []
+    for line in lines[pos : pos + max(count, 0)]:
+        try:
+            rows.append(tuple(int(v) for v in line.split()))
+        except ValueError:
+            raise ParseError(f"bad {kind} row {line!r}") from None
+    if len(rows) < count:
+        raise ParseError(truncated)
+    return rows
+
+
 def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
     """Parse a root datum block from the front of ``lines``.
 
@@ -494,26 +500,16 @@ def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
     pos = 1
     if pos >= len(lines):
         raise ParseError("missing type or cartan line")
-    name: str | None = None
     if lines[pos].startswith("type "):
-        name = lines[pos].split(None, 1)[1]
-        spec: CartanSpec | str = name
+        spec: CartanSpec | str = lines[pos].split(None, 1)[1]
         pos += 1
     elif lines[pos].startswith("cartan "):
         try:
             rank = int(lines[pos].split()[1])
         except (IndexError, ValueError):
             raise ParseError("malformed cartan line") from None
-        pos += 1
-        rows = []
-        for _ in range(rank):
-            if pos >= len(lines):
-                raise ParseError("truncated cartan matrix")
-            try:
-                rows.append(tuple(int(v) for v in lines[pos].split()))
-            except ValueError:
-                raise ParseError(f"bad cartan row {lines[pos]!r}") from None
-            pos += 1
+        rows = _int_rows(lines, pos + 1, rank, "cartan", "truncated cartan matrix")
+        pos += 1 + len(rows)
         spec = CartanSpec(tuple(rows), tuple(str(i + 1) for i in range(rank)))
     else:
         raise ParseError(f"expected type or cartan line, got {lines[pos]!r}")
@@ -524,17 +520,9 @@ def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
     pos += 1
     coroot_rows = None
     if isogeny == "lattice":
-        probe = build_root_datum(spec) if isinstance(spec, str) else None
-        rank = probe.rank if probe else len(spec.entries)  # type: ignore[union-attr]
-        coroot_rows = []
-        for _ in range(rank):
-            if pos >= len(lines):
-                raise ParseError("truncated lattice rows")
-            try:
-                coroot_rows.append(tuple(int(v) for v in lines[pos].split()))
-            except ValueError:
-                raise ParseError(f"bad lattice row {lines[pos]!r}") from None
-            pos += 1
+        rank = len((cartan_matrix(spec) if isinstance(spec, str) else spec).entries)
+        coroot_rows = _int_rows(lines, pos, rank, "lattice", "truncated lattice rows")
+        pos += rank
 
     if pos >= len(lines) or not lines[pos].startswith("twist"):
         raise ParseError("missing twist line")

@@ -34,6 +34,7 @@ from .errors import (
 from .root_datum import (
     Root,
     RootDatum,
+    _check_letter,
     all_roots,
     coroot_pairing,
     is_root,
@@ -225,11 +226,6 @@ def bruhat_leq_subword(u: WeylElt, v: WeylElt, base_word: Sequence[int] | None =
 
 
 # --- simple-reflection kernels on the root images -----------------------------
-
-
-def _check_letter(datum: RootDatum, i: int) -> None:
-    if not 1 <= i <= datum.rank:
-        raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
 
 
 def _times_s(w: WeylElt, i: int) -> WeylElt:

@@ -331,6 +331,102 @@ def test_validate_checks_cayley_targets_type_ii():
         assert validate_kgb(_corrupt(pgl2_split(), **changes)) == want, changes
 
 
+def test_validate_reports_every_local_axiom():
+    """One corrupted graph per violation code that no valid graph shows."""
+    swap = a1xa1_swap()
+    shadow = twisted_shadow(build_root_datum("A2"))
+    ci, c_up = RootType.COMPACT_IMAGINARY, RootType.COMPLEX_ASCENT
+    cases = [
+        ("BadLength", pgl2_split(), {"length": {"0": -1}}, ["CayleyLength: alpha=1 node=0"]),
+        (
+            "TwNotTwisted",
+            shadow,
+            {"tw": {"0": weyl.from_word(shadow.datum, (1, 2))}},
+            [
+                "CayleyTwist: alpha=1 node=0",
+                "CayleyTwist: alpha=2 node=0",
+                "CrossTwist: alpha=1 node=0",
+                "CrossTwist: alpha=2 node=0",
+                "LabelClass: alpha=1 node=0 label=nci2 not imaginary",
+                "LabelClass: alpha=2 node=0 label=nci2 not imaginary",
+            ],
+        ),
+        (
+            "LabelClass: alpha=1 node=0 label=ci not imaginary",
+            swap,
+            {"label": {(1, "0"): ci}},
+            ["CompactMoved: alpha=1 node=0", "PartnerLabel: alpha=1 node=1"],
+        ),
+        (
+            "LabelClass: alpha=1 node=0 label=C+ not complex",
+            pgl2_split(),
+            {"label": {(1, "0"): c_up}},
+            ["AscentPattern: alpha=1 node=0", "SpuriousCayley: alpha=1 node=0"],
+        ),
+        ("SpuriousCayley", pgl2_split(), {"cayley": {(1, "1"): "0"}}, []),
+        (
+            "TypeIForbidden",
+            pgl2_split(),
+            {"label": {(1, "1"): RootType.REAL_I}},
+            ["CayleyTarget: alpha=1 node=0 expected r2", "InverseCayleyCount: alpha=1 node=1 got=1 want=2"],
+        ),
+        (
+            "AscentPattern",
+            swap,
+            {"length": {"1": 2}},
+            ["DescentPattern: alpha=1 node=1", "DescentPattern: alpha=2 node=1"],
+        ),
+        (
+            "DescentPattern",
+            swap,
+            {"cross": {(1, "1"): "1"}},
+            [
+                "CrossBraid: alpha=1 beta=2 node=0",
+                "CrossBraid: alpha=1 beta=2 node=1",
+                "CrossNotInvolution: alpha=1 node=0",
+                "CrossTwist: alpha=1 node=1",
+            ],
+        ),
+        (
+            "CompactMoved",
+            sl2_split(),
+            {"label": {(1, "0"): ci, (1, "1"): ci}},
+            ["SpuriousCayley: alpha=1 node=0", "SpuriousCayley: alpha=1 node=1"],
+        ),
+        (
+            "TypeIPattern",
+            sl2_split(),
+            {"length": {"1": 1}},
+            ["CayleyLength: alpha=1 node=1"],
+        ),
+        (
+            "RealMoved",
+            sl2_split(),
+            {"cross": {(1, "2"): "0"}},
+            ["CrossNotInvolution: alpha=1 node=2", "CrossTwist: alpha=1 node=2"],
+        ),
+        ("PartnerLabel", swap, {"label": {(1, "1"): c_up}}, ["AscentPattern: alpha=1 node=1"]),
+        (
+            "CrossBraid",
+            swap,
+            {"cross": {(1, "0"): "0"}},
+            [
+                "AscentPattern: alpha=1 node=0",
+                "CrossNotInvolution: alpha=1 node=1",
+                "CrossTwist: alpha=1 node=0",
+            ],
+        ),
+    ]
+    for code, g, changes, others in cases:
+        got = validate_kgb(_corrupt(g, **changes))
+        named = [v for v in got if v.startswith(code)]
+        assert named and sorted(named + others) == got, (code, got)
+    # the direction criterion is checked apart from the axioms
+    g = _corrupt(swap, label={(1, "1"): c_up})
+    assert ascent_consistency_check(g) == ["AscentCriterion: alpha=1 node=1 label=C+"]
+    assert all(ascent_consistency_check(g) == [] for g in all_graphs().values())
+
+
 def test_monoid_idempotent_and_braid():
     for name, g in all_graphs().items():
         r = g.datum.rank
@@ -569,6 +665,23 @@ def test_open_node_is_kept_on_the_graph():
     assert _open_node(g) is _open_node(g)
 
 
+def test_lowered_graph_is_read_only_and_assignment_drops_the_memos():
+    g = sl2_split()
+    assert monoid(g, 1, "0") == "2"
+    assert [c.members for c in i_equivalence_classes(g, (1,))] == [("0", "1", "2")]
+    assert _open_node(g) == "2"
+    for name in ("tw", "length", "label", "cross", "cayley"):
+        with pytest.raises(TypeError):
+            getattr(g, name)[next(iter(getattr(g, name)))] = None
+    assert g == sl2_split() and repr(g) == repr(sl2_split())
+    g.cayley = {**g.cayley, (1, "0"): "1", (1, "1"): "0"}
+    assert (g._poset, g._classes, g._open) == (None, {}, None)
+    assert len(validate_kgb(g)) == 9
+    assert monoid(g, 1, "0") == "0"
+    with pytest.raises(AxiomViolation):
+        i_equivalence_classes(g, (1,))
+
+
 def test_canonical_sequences_sl2():
     g = sl2_split()
     cs = canonical_sequences(g, "2")
@@ -640,6 +753,9 @@ def test_format_golden_sl2():
 def test_builtin_fixtures_match_the_committed_files():
     directory = Path(__file__).resolve().parent.parent / "fixtures"
     fixtures = builtin_fixtures()
+    assert sorted(fixtures) == [
+        "a1xa1_swap", "group_case_a1", "group_case_a2", "group_case_b2", "pgl2_split", "sl2_split"
+    ]
     assert sorted(p.stem for p in directory.glob("*.kgb")) == sorted(fixtures)
     for name, g in fixtures.items():
         assert format_kgb(g) == (directory / f"{name}.kgb").read_text(encoding="utf-8"), name

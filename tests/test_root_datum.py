@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,8 +22,11 @@ from flagorbits import (
     cartan_matrix,
     classify_wrt_parabolic,
     coroot_pairing,
+    format_kgb,
     format_root_datum,
+    group_case,
     is_m_alpha_trivial,
+    parse_kgb,
     parse_root_datum,
     positive_roots,
     reflect,
@@ -31,7 +35,6 @@ from flagorbits import (
 )
 from flagorbits.weyl import simple_reflection
 from flagorbits.root_datum import (
-    _det,
     _solve_root_images,
     _validate_cartan,
     all_roots,
@@ -68,11 +71,29 @@ def test_cartan_validation_rejects_affine_and_junk():
         build_root_datum(CartanSpec(((1, 0), (0, 2)), ("1", "2")))  # bad diagonal
 
 
+def fraction_det(rows):
+    """Oracle determinant: Gaussian elimination over the rationals."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        piv = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, len(mat)):
+            f = mat[r][col] / mat[col][col]
+            mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return det
+
+
 def every_principal_minor_positive(entries):
     """Oracle: finite type by all 2**n principal minors."""
     n = len(entries)
     return all(
-        _det([[entries[i][j] for j in idx] for i in idx]) > 0
+        fraction_det([[entries[i][j] for j in idx] for i in idx]) > 0
         for k in range(1, n + 1)
         for idx in combinations(range(n), k)
     )
@@ -134,8 +155,6 @@ def test_lattice_isogeny_requires_integral_roots():
 
 def solve_by_elimination(cartan, coroot_rows):
     """Oracle: Gaussian elimination over the rationals for C r_i = a_i."""
-    from fractions import Fraction
-
     n = len(cartan)
     mat = [[Fraction(v) for v in row] for row in coroot_rows]
     aug = [[Fraction(cartan[i][j]) for i in range(n)] for j in range(n)]
@@ -161,7 +180,7 @@ def solve_by_elimination(cartan, coroot_rows):
     return tuple(tuple(int(sol[k][i]) for k in range(n)) for i in range(n))
 
 
-def test_cramer_solver_matches_rational_elimination():
+def test_lattice_solver_matches_rational_elimination():
     # Random coroot rows of four kinds: small entries (mostly refused as
     # fractional), the simply connected and the adjoint rows in a random
     # basis of the cocharacter lattice (solvable), and such rows with one
@@ -337,6 +356,66 @@ def test_format_round_trip_custom_lattice():
     d = build_root_datum("A1", isogeny="lattice", coroot_rows=((2,),))
     text = format_root_datum(d)
     assert parse_root_datum(text) == d
+
+
+def unnamed_data():
+    """Data given by their Cartan matrices: one simply connected with a
+    twist, one adjoint and two lattices, one in a sheared basis."""
+    return [
+        build_root_datum(cartan_matrix("A3"), twist=(3, 2, 1)),
+        build_root_datum(cartan_matrix("B2"), isogeny="adjoint"),
+        build_root_datum(cartan_matrix("B2"), isogeny="lattice", coroot_rows=((2, -1), (-2, 2))),
+        build_root_datum(cartan_matrix("A2"), isogeny="lattice", coroot_rows=((1, 1), (0, 1))),
+    ]
+
+
+def test_format_round_trip_unnamed():
+    for d in unnamed_data():
+        text = format_root_datum(d)
+        assert text.splitlines()[1] == f"cartan {d.rank}"
+        again = parse_root_datum(text)
+        assert again == d
+        assert format_root_datum(again) == text
+    lattice = unnamed_data()[3]
+    assert lattice.root_images == ((3, -1), (-3, 2))  # solves C r_i = a_i
+
+
+def test_group_case_of_an_unnamed_datum_round_trips():
+    for d in unnamed_data():
+        g = group_case(d)
+        assert g.datum.name is None and g.datum.isogeny == d.isogeny
+        text = format_kgb(g)
+        again = parse_kgb(text)
+        assert again == g
+        assert format_kgb(again) == text
+
+
+def test_unnamed_parse_errors_name_the_block():
+    good = format_root_datum(unnamed_data()[2]).splitlines()
+    assert good == [
+        "rootdatum v1", "cartan 2", "2 -2", "-1 2", "isogeny lattice", "2 -1", "-2 2", "twist id"
+    ]
+
+    def edited(at, *lines):
+        return "\n".join(good[:at] + list(lines) + good[at + 1 :]) + "\n"
+
+    cases = [
+        ("\n".join(good[:3]) + "\n", "truncated cartan matrix"),
+        (edited(2, "2 -2x"), "bad cartan row '2 -2x'"),
+        (edited(1, "cartan two"), "malformed cartan line"),
+        ("\n".join(good[:6]) + "\n", "truncated lattice rows"),
+        (edited(6, "-2 two"), "bad lattice row '-2 two'"),
+        (edited(4), "missing isogeny line"),
+        (edited(7, "twist 2 x"), "bad twist line"),
+        (edited(7, "twist"), "bad twist line"),
+        # a bad row is reported before the rows run out
+        ("\n".join(good[:2] + ["2 x"]) + "\n", "bad cartan row '2 x'"),
+        ("\n".join(good[:5] + ["z"]) + "\n", "bad lattice row 'z'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_root_datum(text)
+        assert str(err.value) == message, text
 
 
 def test_parse_errors():
