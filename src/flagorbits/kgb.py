@@ -91,8 +91,8 @@ class KgbGraph:
     (simple index, node) its root type, cross action and, for noncompact
     roots, Cayley transform.  ``nodes`` is kept sorted.  Two graphs are
     equal when these fields are; ``origin`` and the memos do not count, and
-    a graph, being mutable, is not hashable.  Once to_orbit_poset has read
-    the five maps they are read-only; assigning a field drops the memos."""
+    a graph is not hashable.  Immutable: the constructor keeps read-only
+    copies of the five maps, so the memos never go stale."""
 
     __slots__ = _GRAPH_FIELDS + ("origin", "_poset", "_classes", "_open")
 
@@ -107,24 +107,19 @@ class KgbGraph:
         cayley: dict[tuple[int, NodeId], NodeId],
         origin: str = "data",
     ):
-        self.datum = datum
-        self.nodes = tuple(sorted(nodes, key=node_sort_key))
-        self.tw = tw
-        self.length = length
-        self.label = label
-        self.cross = cross
-        self.cayley = cayley
-        self.origin = origin
+        maps = [MappingProxyType(dict(m)) for m in (tw, length, label, cross, cayley)]
+        # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
+        # fiber table every move reads, the classes per normalized Levi set
+        # (kgp.i_equivalence_classes) and the open node.
+        values = (datum, tuple(sorted(nodes, key=node_sort_key)), *maps, origin, None, {}, None)
+        for f, v in zip(self.__slots__, values):
+            object.__setattr__(self, f, v)
 
     def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name in _GRAPH_FIELDS:
-            # Memos, filled on first use: the orbit poset (to_orbit_poset),
-            # whose fiber table every move reads, the classes per normalized
-            # Levi set (kgp.i_equivalence_classes) and the open node.
-            object.__setattr__(self, "_poset", None)
-            object.__setattr__(self, "_classes", {})
-            object.__setattr__(self, "_open", None)
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in _GRAPH_FIELDS])
@@ -137,8 +132,8 @@ class KgbGraph:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        values = [dict(v) if isinstance(v, MappingProxyType) else v for v in self._key()]
-        fields = "".join(f"{f}={v!r}, " for f, v in zip(_GRAPH_FIELDS, values))
+        datum, nodes, *maps = self._key()
+        fields = "".join(f"{f}={v!r}, " for f, v in zip(_GRAPH_FIELDS, [datum, nodes, *map(dict, maps)]))
         return f"KgbGraph({fields}origin={self.origin!r})"
 
     def _require(self, v: NodeId) -> None:
@@ -363,7 +358,7 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     """The direction criterion: a label is an ascent exactly when the twisted
     involution sends the twisted simple root to a positive root and the label
     is not compact imaginary."""
-    _require_moves(g)
+    to_orbit_poset(g)  # refuses a graph with a move missing
     out = []
     for alpha in range(1, g.datum.rank + 1):
         theta = g.datum.twist[alpha - 1]
@@ -442,36 +437,28 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
 # --- export -------------------------------------------------------------------
 
 
-def _require_moves(g: KgbGraph) -> None:
-    """Raise AxiomViolation with validate_kgb's list unless every node has a
-    label and a cross target along every root, and a Cayley target where the
-    label is noncompact, all of them nodes: what the moves read."""
-    keys = [(alpha, v) for alpha in range(1, g.datum.rank + 1) for v in g.nodes]
-    labels = [g.label.get(key) for key in keys]
-    targets = {g.cross.get(key) for key in keys}  # None where one is missing
-    targets.update(g.cayley.get(key) for key, lab in zip(keys, labels) if lab in _NONCOMPACT_TYPES)
-    if None in labels or not g.length.keys() >= targets:
-        raise AxiomViolation(validate_kgb(g))
-
-
 def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
     """The orbit graph of g, built once and kept on g with its order.  Its
     fiber table holds every move: along alpha, the monoid sends a node to
     its fiber's dense member, and the dense member steps down to the others
-    (across a complex descent, or to the Cayley preimages of a real root)."""
+    (across a complex descent, or to the Cayley preimages of a real root).
+    Raises AxiomViolation with validate_kgb's list unless every node has a
+    label and a cross target along every root, and a Cayley target where the
+    label is noncompact, all of them nodes: what the moves read."""
     if g._poset is not None:
         return g._poset
-    _require_moves(g)
     fibers = []
-    for (alpha, v), lab in g.label.items():
-        if lab in _ASCENT_TYPES:
-            t = g.cross[(alpha, v)] if lab is RootType.COMPLEX_ASCENT else g.cayley[(alpha, v)]
-            fibers.append((alpha, t, (v, g.cross[(alpha, v)], t)))
+    for alpha in range(1, g.datum.rank + 1):
+        for v in g.nodes:
+            lab = g.label.get((alpha, v))
+            cr = g.cross.get((alpha, v))
+            t = g.cayley.get((alpha, v)) if lab in _NONCOMPACT_TYPES else cr
+            if lab is None or cr not in g.length or t not in g.length:
+                raise AxiomViolation(validate_kgb(g))
+            if lab in _ASCENT_TYPES:
+                fibers.append((alpha, t, (v, cr, t)))
     poset = OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
-    # the poset answers for these maps from now on, so they become read-only
-    for f in _GRAPH_FIELDS[2:]:
-        setattr(g, f, MappingProxyType(dict(getattr(g, f))))
-    g._poset = poset
+    object.__setattr__(g, "_poset", poset)
     return poset
 
 
@@ -677,7 +664,7 @@ def _open_node(g: KgbGraph) -> NodeId:
         at_top = [v for v in g.nodes if g.length[v] == top]
         if len(at_top) != 1:
             raise NoOpenNode(f"expected a unique maximal-length node, found {len(at_top)}")
-        g._open = at_top[0]
+        object.__setattr__(g, "_open", at_top[0])
     return g._open
 
 

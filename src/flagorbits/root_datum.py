@@ -191,14 +191,22 @@ def _simple_cartan(letter: str, n: int) -> list[list[int]]:
     raise InvalidCartan(f"unknown type {letter}{n}")
 
 
+# The largest total rank of a type name: A200 builds in well under 10 s.
+RANK_CAP = 200
+
+
 def cartan_matrix(name: str) -> CartanSpec:
-    """Build the Cartan matrix for a type name such as A2, B3, G2 or A1xA1."""
-    blocks = []
+    """Build the Cartan matrix for a type name such as A2, B3, G2 or A1xA1;
+    a name of total rank above RANK_CAP is refused before any matrix is made."""
+    parts = []
     for part in name.split("x"):
         if len(part) < 2 or not part[0].isalpha() or not part[1:].isdigit():
             raise InvalidCartan(f"cannot parse type name {name!r}")
-        blocks.append(_simple_cartan(part[0].upper(), int(part[1:])))
-    total = sum(len(b) for b in blocks)
+        parts.append((part[0].upper(), int(part[1:])))
+    total = sum(n for _, n in parts)
+    if total > RANK_CAP:
+        raise InvalidCartan(f"type {name!r} has rank {total}, above the cap of {RANK_CAP}")
+    blocks = [_simple_cartan(letter, n) for letter, n in parts]
     m = [[0] * total for _ in range(total)]
     offset = 0
     for b in blocks:

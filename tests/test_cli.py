@@ -139,6 +139,14 @@ def test_missing_labels_end_in_one_error_line(capsys, tmp_path):
         assert err == "error: MissingLabel: alpha=1 node=3 (+3 more)\n", argv
 
 
+def test_type_names_above_the_rank_cap_end_in_one_error_line(capsys, tmp_path):
+    big = tmp_path / "a201.rootdatum"
+    big.write_text("rootdatum v1\ntype A201\nisogeny simply_connected\ntwist id\n")
+    for argv in (["validate", str(big)], ["order", "--type", "A201", "e", "e"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: type 'A201' has rank 201, above the cap of 200\n"), argv
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     for argv in (
         [],

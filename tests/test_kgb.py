@@ -180,13 +180,10 @@ def test_moves_match_the_label_dispatch():
 
 
 def test_missing_moves_are_axiom_violations():
-    sl2 = sl2_split()
-    del sl2.label[(1, "1")]
-    a2 = group_case(build_root_datum("A2"))
-    del a2.label[(3, "4")]
+    sl2 = _corrupt(sl2_split(), label={(1, "1"): None})
+    a2 = _corrupt(group_case(build_root_datum("A2")), label={(3, "4"): None})
     unknown = _corrupt(pgl2_split(), cross={(1, "1"): "7"})
-    no_cayley = sl2_split()
-    del no_cayley.cayley[(1, "0")]
+    no_cayley = _corrupt(sl2_split(), cayley={(1, "0"): None})
     reads = (
         to_orbit_poset,
         ascent_consistency_check,
@@ -238,16 +235,11 @@ def test_validate_catches_label_flip():
 
 
 def _corrupt(g, **changes):
-    """A copy of g with some entries of its tw/length/label/cross/cayley maps replaced."""
-    fields = {
-        "tw": dict(g.tw),
-        "length": dict(g.length),
-        "label": dict(g.label),
-        "cross": dict(g.cross),
-        "cayley": dict(g.cayley),
-    }
+    """A copy of g with some entries of its tw/length/label/cross/cayley maps
+    replaced, or deleted where the new value is None."""
+    fields = {name: dict(getattr(g, name)) for name in ("tw", "length", "label", "cross", "cayley")}
     for name, updates in changes.items():
-        fields[name].update(updates)
+        fields[name] = {k: v for k, v in {**fields[name], **updates}.items() if v is not None}
     return KgbGraph(g.datum, g.nodes, **fields)
 
 
@@ -406,6 +398,18 @@ def test_validate_reports_every_local_axiom():
             ["CrossNotInvolution: alpha=1 node=2", "CrossTwist: alpha=1 node=2"],
         ),
         ("PartnerLabel", swap, {"label": {(1, "1"): c_up}}, ["AscentPattern: alpha=1 node=1"]),
+        (
+            "PartnerLabel: alpha=1 node=0",
+            sl2_split(),
+            {"label": {(1, "1"): ci}},
+            ["CompactMoved: alpha=1 node=1", "SpuriousCayley: alpha=1 node=1"],
+        ),
+        (
+            "TypeIIPattern",
+            pgl2_split(),
+            {"cross": {(1, "0"): "1"}},
+            ["CrossNotInvolution: alpha=1 node=0", "CrossTwist: alpha=1 node=0"],
+        ),
         (
             "CrossBraid",
             swap,
@@ -665,21 +669,28 @@ def test_open_node_is_kept_on_the_graph():
     assert _open_node(g) is _open_node(g)
 
 
-def test_lowered_graph_is_read_only_and_assignment_drops_the_memos():
-    g = sl2_split()
+def test_graph_is_read_only_from_construction():
+    sl2 = sl2_split()
+    fields = {name: dict(getattr(sl2, name)) for name in ("tw", "length", "label", "cross", "cayley")}
+    g = KgbGraph(sl2.datum, sl2.nodes, **fields, origin="fixture")
+    for name, m in fields.items():
+        with pytest.raises(TypeError):
+            getattr(g, name)[next(iter(m))] = None
+        m.clear()  # the caller's dict; the graph keeps its own copy
+    for name in ("nodes", "cayley", "origin", "_poset"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == sl2_split() and repr(g) == repr(sl2_split())
     assert monoid(g, 1, "0") == "2"
     assert [c.members for c in i_equivalence_classes(g, (1,))] == [("0", "1", "2")]
     assert _open_node(g) == "2"
-    for name in ("tw", "length", "label", "cross", "cayley"):
-        with pytest.raises(TypeError):
-            getattr(g, name)[next(iter(getattr(g, name)))] = None
-    assert g == sl2_split() and repr(g) == repr(sl2_split())
-    g.cayley = {**g.cayley, (1, "0"): "1", (1, "1"): "0"}
-    assert (g._poset, g._classes, g._open) == (None, {}, None)
-    assert len(validate_kgb(g)) == 9
-    assert monoid(g, 1, "0") == "0"
+    bad = _corrupt(g, cayley={(1, "0"): "1", (1, "1"): "0"})
+    assert len(validate_kgb(bad)) == 9
+    assert monoid(bad, 1, "0") == "0"
     with pytest.raises(AxiomViolation):
-        i_equivalence_classes(g, (1,))
+        i_equivalence_classes(bad, (1,))
 
 
 def test_canonical_sequences_sl2():
@@ -787,20 +798,32 @@ def test_rootsystem_file_reference(tmp_path):
 
 def test_parse_errors():
     good = format_kgb(pgl2_split())
-    for bad in (
-        "",
-        good.replace("kgbgraph v1", "kgbgraph v2"),
-        good.replace("rootsystem inline", "rootsystem maybe"),
-        good.replace("nodes 2", "nodes 3"),
-        good.replace("node 1 1 1", "node 0 1 1"),  # duplicate id
-        good.replace("label 0 1 nci2", "label zz 1 nci2"),
-        good.replace("label 0 1 nci2", "label 0 9 nci2"),
-        good.replace("label 0 1 nci2", "label 0 1 xyz"),
-        good.replace("cross=0 cayley=1", "cross=0 cayley=1 extra=2"),
-        good + "label 0 1 nci2 cross=0 cayley=1\n",  # duplicate label
+    header = "expected header 'kgbgraph v1'"
+    for bad, message in (
+        ("", header),
+        (good.replace("kgbgraph v1", "kgbgraph v2"), header),
+        ("kgbgraph v1\n", "expected a rootsystem line"),
+        (good.replace("rootsystem inline", "rootsystem maybe"), "bad rootsystem line: 'rootsystem maybe'"),
+        (good.split("nodes")[0], "expected a node count line"),
+        (good.replace("nodes 2", "nodes two"), "expected a node count line"),
+        (good.replace("nodes 2", "nodes 3"), "bad node line: 'label 0 1 nci2 cross=0 cayley=1'"),
+        (good.replace("node 1 1 1", "node 0 1 1"), "duplicate node '0'"),
+        (good.replace("label 1 1 r2", "labels 1 1 r2"), "bad label line: 'labels 1 1 r2 cross=1'"),
+        (good.replace("label 0 1 nci2", "label zz 1 nci2"), "label for unknown node 'zz'"),
+        (good.replace("label 0 1 nci2", "label 0 one nci2"), "bad simple index in 'label 0 one nci2 cross=0 cayley=1'"),
+        (good.replace("label 0 1 nci2", "label 0 9 nci2"), "simple index out of range in 'label 0 9 nci2 cross=0 cayley=1'"),
+        (good.replace("label 0 1 nci2", "label 0 1 xyz"), "unknown label code in 'label 0 1 xyz cross=0 cayley=1'"),
+        (
+            good.replace("cross=0 cayley=1", "cross=0 cayley=1 extra=2"),
+            "bad label line: 'label 0 1 nci2 cross=0 cayley=1 extra=2'",
+        ),
+        (good + "label 0 1 nci2 cross=0 cayley=1\n", "duplicate label for node '0', root 1"),
+        (good.replace("cross=0 cayley=1", "across=0 cayley=1"), "bad cross field in 'label 0 1 nci2 across=0 cayley=1'"),
+        (good.replace("cross=0 cayley=1", "cross=0 cayly=1"), "bad cayley field in 'label 0 1 nci2 cross=0 cayly=1'"),
     ):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_kgb(bad)
+        assert str(info.value) == message, bad
 
 
 def test_parsed_graphs_must_satisfy_axioms():

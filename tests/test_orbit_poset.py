@@ -295,15 +295,24 @@ def test_round_trip_byte_identical(tmp_path):
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_orbit_graph("")
-    with pytest.raises(ParseError):
-        parse_orbit_graph("orbitgraph v2\nrootsystem A1\nnodes 0\n")
     good = format_orbit_graph(from_weyl(build_root_datum("A1")))
-    with pytest.raises(ParseError):
-        parse_orbit_graph(good + "mystery line\n")
-    with pytest.raises(ParseError):
-        parse_orbit_graph(good.replace("nodes 2", "nodes 3"))
+    header = "expected header 'orbitgraph v1'"
+    for bad, message in (
+        ("", header),
+        ("orbitgraph v2\nrootsystem A1\nnodes 0\n", header),
+        ("orbitgraph v1\nrootsystem A1\n", "expected a rootsystem line"),
+        (good.replace("rootsystem A1", "root system A1"), "expected a rootsystem line"),
+        (good.replace("nodes 2", "nodes two"), "expected a node count line"),
+        (good + "mystery line\n", "bad fiber line: 'mystery line'"),
+        (good.replace("nodes 2", "nodes 3"), "bad node line: 'fiber 1 1 e'"),
+        (good.replace("fiber 1 1 e", "fiber 1 1"), "bad fiber line: 'fiber 1 1'"),
+        (good.replace("fiber 1 1 e", "fiber one 1 e"), "bad simple index in 'fiber one 1 e'"),
+        (good.replace("fiber 1 1 e", "fiber 0 1 e"), "bad simple index in 'fiber 0 1 e'"),
+        (good.replace("fiber 1 1 e", "fiber 1 1 x"), "fiber mentions unknown node 'x'"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_orbit_graph(bad)
+        assert str(info.value) == message, bad
 
 
 def test_node_line_errors_name_the_line():

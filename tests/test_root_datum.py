@@ -35,6 +35,7 @@ from flagorbits import (
 )
 from flagorbits.weyl import simple_reflection
 from flagorbits.root_datum import (
+    RANK_CAP,
     _solve_root_images,
     _validate_cartan,
     all_roots,
@@ -57,6 +58,14 @@ def test_bad_type_names():
     for name in ("", "A", "A0", "H3", "B1", "E9", "2A", "A2x"):
         with pytest.raises(InvalidCartan):
             cartan_matrix(name)
+
+
+def test_type_names_above_the_rank_cap_are_refused():
+    assert len(cartan_matrix("A200").entries) == RANK_CAP == 200
+    for name, total in (("A201", 201), ("A100xB101", 201), ("A100000", 100000)):
+        with pytest.raises(InvalidCartan) as info:
+            cartan_matrix(name)
+        assert str(info.value) == f"type {name!r} has rank {total}, above the cap of 200"
 
 
 def test_cartan_validation_rejects_affine_and_junk():
