@@ -8,10 +8,11 @@ against subexpression enumeration.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import AxiomViolation, Mismatch, ParseError, Unreachable
-from .root_datum import RootDatum, _node_lines, _significant_lines, normalize_levi
+from .errors import AxiomViolation, InvalidCartan, Mismatch, ParseError, Unreachable
+from .root_datum import RootDatum, _node_lines, _significant_lines, cartan_matrix, normalize_levi
 from .weyl import _p_minimal, _table, format_word
 
 NodeId = str
@@ -41,14 +42,8 @@ class OrbitGraph:
         lengths: Mapping[NodeId, int],
         fibers: Iterable[tuple[int, NodeId, Sequence[NodeId]]],
     ):
-        self.rootsystem = rootsystem
-        self.rank = rank
-        self.length = dict(lengths)
-        self.nodes: tuple[NodeId, ...] = tuple(sorted(self.length, key=node_sort_key))
-        self.index = {node: k for k, node in enumerate(self.nodes)}
-        self._len = [self.length[node] for node in self.nodes]
-        self._table = [[None] * len(self.nodes) for _ in range(rank)]
-        self._loose: dict[tuple[int, tuple[NodeId, ...]], NodeId] = {}  # (alpha, group) -> dense
+        nodes = tuple(sorted(lengths, key=node_sort_key))
+        self._fill(rootsystem, nodes, [lengths[x] for x in nodes], [[None] * len(nodes) for _ in range(rank)])
         for alpha, dense, members in fibers:
             group = set(members) | {dense}
             if 1 <= alpha <= rank and self.index.keys() >= group:
@@ -57,7 +52,15 @@ class OrbitGraph:
                     self._table[alpha - 1][k] = (self.index[dense], ks)
             else:
                 self._loose[(alpha, tuple(sorted(group, key=node_sort_key)))] = dense
-        self._ideals: list[int | None] = [None] * len(self.nodes)
+
+    def _fill(self, rootsystem: str, nodes: tuple[NodeId, ...], lens: list[int], table: list[list]) -> OrbitGraph:
+        """Set every field from nodes in node order, lengths and table rows."""
+        self.rootsystem, self.rank, self.nodes = rootsystem, len(table), nodes
+        self.index = {node: k for k, node in enumerate(nodes)}
+        self.length, self._len, self._table = dict(zip(nodes, lens)), lens, table
+        self._loose: dict[tuple[int, tuple[NodeId, ...]], NodeId] = {}  # (alpha, group) -> dense
+        self._ideals: list[int | None] = [None] * len(nodes)
+        return self
 
     def _position(self, node: NodeId) -> int:
         if node not in self.index:
@@ -113,17 +116,22 @@ def from_parabolic(datum: RootDatum, levi) -> OrbitGraph:
     levi = normalize_levi(datum, levi)
     table = _table(datum)
     length = table.length
-    ident = {k: format_word(table.words[k]) for k in _p_minimal(table, levi)}
-    fibers = []
-    for alpha, right in enumerate(table.right, 1):
-        for k, node in ident.items():
-            up = right[k]
-            if length[up] > length[k] and up in ident:
-                fibers.append((alpha, ident[up], (node, ident[up])))
+    name = {k: format_word(table.words[k]) for k in _p_minimal(table, levi)}
+    ids = sorted(name, key=lambda k: node_sort_key(name[k]))
+    position = {k: p for p, k in enumerate(ids)}
+    rows = []
+    for right in table.right:
+        row: list = [None] * len(ids)
+        for p, k in enumerate(ids):
+            q = position.get(right[k])
+            if q is not None and length[right[k]] > length[k]:
+                row[p] = row[q] = (q, (p, q) if p < q else (q, p))
+        rows.append(row)
     label = datum.name or "custom"
     if levi:
         label += " levi " + ",".join(str(i) for i in levi)
-    return OrbitGraph(label, datum.rank, {node: length[k] for k, node in ident.items()}, fibers)
+    nodes = tuple(name[k] for k in ids)
+    return OrbitGraph.__new__(OrbitGraph)._fill(label, nodes, [length[k] for k in ids], rows)
 
 
 # --- validation --------------------------------------------------------------
@@ -269,23 +277,31 @@ def _members(bits: int) -> list[int]:
     return out
 
 
-def _ideal(g: OrbitGraph, k: int) -> int:
-    """The lower ideal of position k (see lower_ideal)."""
+def _first_lowerings(g: OrbitGraph, k: int, known: list, base) -> list[tuple[int, int, int]]:
+    """The first lowering steps (position, alpha, one step down) from k
+    down to a position set in known; one with no step down is set to
+    base(position).  A chain that comes back, or a graph holding a fiber
+    kept out of the table, raises AxiomViolation."""
     if g._loose:
         raise AxiomViolation(validate(g))
-    ideals, lens = g._ideals, g._len
-    steps: list[tuple[int, int, int]] = []  # (position, alpha, one step down), k first
+    steps: list[tuple[int, int, int]] = []
     x = k
-    while ideals[x] is None:
+    while known[x] is None:
         step = next(_lowerings(g, x), None)
         if step is None:
-            ideals[x] = 1 << x
+            known[x] = base(x)
             break
-        if len(steps) > len(ideals):
+        if len(steps) > len(known):
             raise _cycle(g, [s[0] for s in steps])
         steps.append((x, *step))
         x = step[1]
-    for x, alpha, j in reversed(steps):
+    return steps
+
+
+def _ideal(g: OrbitGraph, k: int) -> int:
+    """The lower ideal of position k (see lower_ideal)."""
+    ideals, lens = g._ideals, g._len
+    for x, alpha, j in reversed(_first_lowerings(g, k, ideals, lambda x: 1 << x)):
         bits, row = 1 << x, g._table[alpha - 1]
         for u in _members(ideals[j]):
             for y in row[u][1] if row[u] else (u,):
@@ -313,28 +329,42 @@ def poset_leq(g: OrbitGraph, u: NodeId, v: NodeId) -> bool:
     return bool(lower_ideal(g, v) >> k & 1)
 
 
+def _gather(source: list[int]):
+    """The map sending a bitset over positions to the bitset whose bit u is
+    bit source[u] of it, where source[u] = len(source) reads as 0.  It runs
+    at C level: a 0/1 string picked apart by one itemgetter."""
+    n = len(source)
+    pick, width = itemgetter(*(n - p for p in reversed(source))), f"0{n + 1}b"
+    return lambda bits: int("".join(pick(format(bits, width))), 2)
+
+
 def property_z_check(g: OrbitGraph) -> list[str]:
-    """For every simple root and every pair of upward moves, the three lifting
-    conditions must agree.  Nonempty output pinpoints the failing pair."""
-    violations = []
+    """For every simple root and every pair (u1, v1) of nodes it moves up,
+    to u2 and v2, the lifting conditions must agree: v1 above a non-dense
+    member of u1's fiber, v2 above u2, v2 above u1.  Each is a bitset over
+    all u1, gathered through maps read off each position's own entry."""
+    violations, n = [], len(g.nodes)
     for alpha, row in enumerate(g._table, 1):
         moved = [(k, got) for k, got in enumerate(row) if got is not None and got[0] != k]
-        # u1 with its bit, its dense node's bit, and the rest of its fiber
-        cols = [
-            (u1, 1 << u1, 1 << u2, sum(1 << x for x in group if x != u2))
-            for u1, (u2, group) in moved
-        ]
+        if not moved:
+            continue
+        up, mates = [n] * n, [()] * n  # u1's dense node, the rest of its slide
+        for u1, (u2, group) in moved:
+            up[u1], mates[u1] = u2, [x for x in group if x not in (u1, u2)]
+        dense = _gather(up)
+        slides = [_gather([m[i] if len(m) > i else n for m in mates]) for i in range(max(map(len, mates)))]
+        mask = sum(1 << u1 for u1, _ in moved)
         for v1, (v2, _) in moved:
             below_v1, below_v2 = _ideal(g, v1), _ideal(g, v2)
-            for u1, bit1, bit2, slide in cols:
-                c1 = below_v1 & slide != 0
-                c2 = below_v2 & bit2 != 0
-                c3 = below_v2 & bit1 != 0
-                if not (c1 == c2 == c3):
-                    violations.append(
-                        f"PropertyZ: alpha={alpha} u1={g.nodes[u1]} v1={g.nodes[v1]} "
-                        f"conditions=({c1},{c2},{c3})"
-                    )
+            c1, c2, c3 = below_v1, dense(below_v2), below_v2 & mask
+            for slide in slides:
+                c1 |= slide(below_v1)
+            c1 &= mask
+            for u1 in _members((c1 ^ c2) | (c2 ^ c3)):
+                violations.append(
+                    f"PropertyZ: alpha={alpha} u1={g.nodes[u1]} v1={g.nodes[v1]} "
+                    f"conditions=({c1 >> u1 & 1 == 1},{c2 >> u1 & 1 == 1},{c3 >> u1 & 1 == 1})"
+                )
     return sorted(violations)
 
 
@@ -355,19 +385,31 @@ def cover_pairs(g: OrbitGraph, among: int) -> list[tuple[NodeId, NodeId]]:
 
 
 def hasse(g: OrbitGraph) -> list[tuple[NodeId, NodeId]]:
-    """Cover relations of the closure order, sorted for stable output."""
-    return cover_pairs(g, (1 << len(g.nodes)) - 1)
+    """Cover relations, sorted, from coatoms (du Cloux): if v lowers along
+    alpha to x (the first step of _lowerings), v's coatoms are its other
+    alpha-fiber members and dense_alpha(z) for each coatom z of x not dense
+    along alpha.  This needs property Z (the paper proves it for spherical
+    cases); a coatom not one shorter than v raises AxiomViolation."""
+    lens, coatoms = g._len, [None] * len(g._len)
+    for k in range(len(lens)):
+        for x, alpha, j in reversed(_first_lowerings(g, k, coatoms, lambda x: ())):
+            row = g._table[alpha - 1]
+            cover = {y for y in row[x][1] if y != x}
+            cover.update(row[z][0] for z in coatoms[j] if row[z] and row[z][0] != z)
+            if any(lens[y] != lens[x] - 1 for y in cover):
+                raise AxiomViolation(validate(g))
+            coatoms[x] = tuple(cover)
+    edges = sorted((u, v) for v, below in enumerate(coatoms) for u in below)
+    return [(g.nodes[u], g.nodes[v]) for u, v in edges]
 
 
 def hasse_dot(g: OrbitGraph) -> str:
     """Cover graph in DOT form, nodes annotated with their lengths."""
     lines = ["digraph closure_order {"]
-    for node in g.nodes:
-        lines.append(f'  "{node}" [label="{node} len={g.length[node]}"];')
-    for u, v in hasse(g):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{node}" [label="{node} len={g.length[node]}"];' for node in g.nodes]
+    lines += [f'  "{u}" -> "{v}";' for u, v in hasse(g)]
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 # --- text format ---------------------------------------------------------------
@@ -404,7 +446,7 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
     count = int(fields[1])
     lengths = {name: n for name, n, _ in _node_lines(lines[3:], count, 3)}
     fibers = []
-    rank = 0
+    top = 0
     for line in lines[3 + count :]:
         fields = line.split()
         if fields[0] != "fiber" or len(fields) < 4:
@@ -415,11 +457,15 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
             raise ParseError(f"bad simple index in {line!r}") from None
         if alpha < 1:
             raise ParseError(f"bad simple index in {line!r}")
-        rank = max(rank, alpha)
+        top = max(top, alpha)
         for name in fields[2:]:
             if name not in lengths:
                 raise ParseError(f"fiber mentions unknown node {name!r}")
         fibers.append((alpha, fields[2], tuple(fields[2:])))
+    try:
+        rank = len(cartan_matrix(rootsystem.split()[0]).entries)
+    except InvalidCartan:
+        rank = top
     return OrbitGraph(rootsystem, rank, lengths, fibers)
 
 

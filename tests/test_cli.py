@@ -145,6 +145,12 @@ def test_type_names_above_the_rank_cap_end_in_one_error_line(capsys, tmp_path):
     for argv in (["validate", str(big)], ["order", "--type", "A201", "e", "e"]):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", "error: type 'A201' has rank 201, above the cap of 200\n"), argv
+    huge = "9" * 4400
+    for name, message in (
+        ("A²", "cannot parse type name 'A²'"),
+        ("A" + huge, f"type 'A{huge}' has rank {huge}, above the cap of 200"),
+    ):
+        assert run(capsys, "order", "--type", name, "e", "e") == (1, "", f"error: {message}\n")
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):

@@ -34,11 +34,13 @@ from flagorbits import (
     reduced_decomposition,
     reduced_word,
     save_orbit_graph,
+    sl2_split,
     subexpression_endpoints,
     to_orbit_poset,
+    twisted_shadow,
     validate,
 )
-from flagorbits.orbit_poset import parse_orbit_graph
+from flagorbits.orbit_poset import cover_pairs, lower_ideal, parse_orbit_graph
 
 
 def all_levis(rank):
@@ -156,6 +158,90 @@ def test_property_z_clean_and_mutation_sensitive():
     assert property_z_check(g) == []
     broken = mutate_dense_flip(g)
     assert len(property_z_check(broken)) >= 1
+
+
+def pairwise_property_z(g):
+    """The pairwise property Z loop, kept as the reference: for each simple
+    root, each pair of nodes it moves up, one bit test per condition."""
+    violations = []
+    for alpha, row in enumerate(g._table, 1):
+        moved = [(k, got) for k, got in enumerate(row) if got is not None and got[0] != k]
+        cols = [
+            (u1, 1 << u1, 1 << u2, sum(1 << x for x in group if x != u2))
+            for u1, (u2, group) in moved
+        ]
+        for v1, (v2, _) in moved:
+            below_v1 = lower_ideal(g, g.nodes[v1])
+            below_v2 = lower_ideal(g, g.nodes[v2])
+            for u1, bit1, bit2, slide in cols:
+                c1 = below_v1 & slide != 0
+                c2 = below_v2 & bit2 != 0
+                c3 = below_v2 & bit1 != 0
+                if not (c1 == c2 == c3):
+                    violations.append(
+                        f"PropertyZ: alpha={alpha} u1={g.nodes[u1]} v1={g.nodes[v1]} "
+                        f"conditions=({c1},{c2},{c3})"
+                    )
+    return sorted(violations)
+
+
+def dense_moved_to(g, alpha, dense):
+    """g with the dense node of its fiber along alpha through dense moved to dense."""
+    fibers = [
+        (a, dense if a == alpha and dense in group else d, group) for a, d, group in g.stored_fibers()
+    ]
+    return OrbitGraph(g.rootsystem, g.rank, g.length, fibers)
+
+
+def test_property_z_matches_the_pairwise_reference():
+    clean = [from_weyl(build_root_datum(name)) for name in ("A2", "B2", "G2", "A3", "B3")]
+    clean += [from_parabolic(build_root_datum(name), (1,)) for name in ("A3", "B3", "D4")]
+    clean += [to_orbit_poset(g) for g in builtin_fixtures().values()]
+    split = to_orbit_poset(sl2_split())  # one fiber of three members, 0/1/2
+    mutants = [mutate_dense_flip(g) for g in clean if any(len(f[2]) == 2 for f in g.stored_fibers())]
+    mutants += [dense_moved_to(split, 1, x) for x in ("0", "1")]
+    # along root 1 the added fiber 2/e overlaps e/1 and 2/2,1
+    text = format_orbit_graph(from_weyl(build_root_datum("A2")))
+    incoherent = parse_orbit_graph(text + "fiber 1 2 e\n")
+    assert validate(incoherent) == [
+        "FiberIncoherent: alpha=1 fiber=1/e node=e",
+        "FiberIncoherent: alpha=1 fiber=2/2,1 node=2",
+    ]
+
+    def outcome(check, g):
+        try:
+            return check(g)
+        except AxiomViolation as err:  # a flip can close a lowering cycle
+            return str(err)
+
+    outcomes = [outcome(pairwise_property_z, g) for g in clean + mutants + [split, incoherent]]
+    for g, expected in zip(clean + mutants + [split, incoherent], outcomes):
+        assert outcome(property_z_check, g) == expected, g.rootsystem
+    assert outcomes[: len(clean)] == [[]] * len(clean) and outcomes[-2] == []
+    assert all(outcomes[len(clean) : -2]) and outcomes[-1]
+
+
+def test_hasse_is_cover_pairs():
+    graphs = []
+    for name in ("A3", "B3", "D4", "F4", "G2"):
+        datum = build_root_datum(name)
+        graphs += [from_weyl(datum), from_parabolic(datum, (1,)), from_parabolic(datum, (2,))]
+    graphs += [to_orbit_poset(group_case(build_root_datum(name))) for name in ("A3", "B3", "D4")]
+    graphs += [
+        to_orbit_poset(twisted_shadow(build_root_datum(name, twist=twist)))
+        for name, twist in (("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3)))
+    ]
+    graphs += [to_orbit_poset(g) for g in builtin_fixtures().values()]
+    for g in graphs:
+        assert hasse(g) == cover_pairs(g, (1 << len(g.nodes)) - 1), g.rootsystem
+
+
+def test_hasse_refuses_a_graph_without_property_z():
+    # a flipped dense node leaves a coatom that is not one shorter
+    for name in ("A2", "A3", "B3", "G2"):
+        g = mutate_dense_flip(from_weyl(build_root_datum(name)))
+        with pytest.raises(AxiomViolation, match="NoDenseNode"):
+            hasse(g)
 
 
 def test_reduced_decomposition_example():
@@ -292,6 +378,25 @@ def test_round_trip_byte_identical(tmp_path):
             assert format_orbit_graph(again) == text
             assert again.length == g.length
             assert again.stored_fibers() == g.stored_fibers()
+
+
+def test_round_trip_keeps_the_rank():
+    for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA2", "A4", "D4"):
+        datum = build_root_datum(name)
+        for levi in all_levis(datum.rank):
+            g = from_parabolic(datum, levi)
+            assert parse_orbit_graph(format_orbit_graph(g)).rank == g.rank == datum.rank, g.rootsystem
+
+
+def test_parsed_rank_comes_from_the_type_name():
+    text = "orbitgraph v1\nrootsystem {}\nnodes 2\nnode 0 0\nnode 1 1\nfiber 9 1 0\n"
+    assert validate(parse_orbit_graph(text.format("A1"))) == [
+        "BadSimpleIndex: alpha=9 fiber=0/1",
+        "Unreachable: node=1 has no downward fiber",
+    ]
+    for rootsystem in ("custom", "A1x", "A²", "E9 levi 1"):
+        g = parse_orbit_graph(text.format(rootsystem))
+        assert g.rank == 9 and validate(g) == [], rootsystem
 
 
 def test_parse_errors():

@@ -55,14 +55,15 @@ def test_builtin_cartan_matrices():
 
 
 def test_bad_type_names():
-    for name in ("", "A", "A0", "H3", "B1", "E9", "2A", "A2x"):
+    for name in ("", "A", "A0", "H3", "B1", "E9", "2A", "A2x", "A²", "A٣", "A1xA²"):
         with pytest.raises(InvalidCartan):
             cartan_matrix(name)
 
 
 def test_type_names_above_the_rank_cap_are_refused():
     assert len(cartan_matrix("A200").entries) == RANK_CAP == 200
-    for name, total in (("A201", 201), ("A100xB101", 201), ("A100000", 100000)):
+    huge = "9" * 4400  # more digits than int() converts
+    for name, total in (("A201", 201), ("A100xB101", 201), ("A100000", 100000), ("A" + huge, huge)):
         with pytest.raises(InvalidCartan) as info:
             cartan_matrix(name)
         assert str(info.value) == f"type {name!r} has rank {total}, above the cap of 200"
