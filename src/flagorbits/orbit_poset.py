@@ -8,7 +8,8 @@ against subexpression enumeration.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AxiomViolation, InvalidCartan, Mismatch, ParseError, Unreachable
@@ -32,7 +33,8 @@ class OrbitGraph:
     A fiber naming an unknown node or a simple index outside 1..rank stays
     out of the table, in ``_loose``, for validate and the text form.  Lower
     ideals are int bitsets over positions, built by lower_ideal and kept on
-    the graph: at most n * n / 8 bytes.
+    the graph: at most n * n / 8 bytes.  ``_graded`` holds when the order is
+    known to be graded by length (from_parabolic: Bruhat order on W^J).
     """
 
     def __init__(
@@ -53,9 +55,9 @@ class OrbitGraph:
             else:
                 self._loose[(alpha, tuple(sorted(group, key=node_sort_key)))] = dense
 
-    def _fill(self, rootsystem: str, nodes: tuple[NodeId, ...], lens: list[int], table: list[list]) -> OrbitGraph:
+    def _fill(self, rootsystem: str, nodes: tuple[NodeId, ...], lens: list[int], table: list[list], graded=False):
         """Set every field from nodes in node order, lengths and table rows."""
-        self.rootsystem, self.rank, self.nodes = rootsystem, len(table), nodes
+        self.rootsystem, self.rank, self.nodes, self._graded = rootsystem, len(table), nodes, graded
         self.index = {node: k for k, node in enumerate(nodes)}
         self.length, self._len, self._table = dict(zip(nodes, lens)), lens, table
         self._loose: dict[tuple[int, tuple[NodeId, ...]], NodeId] = {}  # (alpha, group) -> dense
@@ -127,11 +129,9 @@ def from_parabolic(datum: RootDatum, levi) -> OrbitGraph:
             if q is not None and length[right[k]] > length[k]:
                 row[p] = row[q] = (q, (p, q) if p < q else (q, p))
         rows.append(row)
-    label = datum.name or "custom"
-    if levi:
-        label += " levi " + ",".join(str(i) for i in levi)
+    label = (datum.name or "custom") + (" levi " + ",".join(map(str, levi)) if levi else "")
     nodes = tuple(name[k] for k in ids)
-    return OrbitGraph.__new__(OrbitGraph)._fill(label, nodes, [length[k] for k in ids], rows)
+    return OrbitGraph.__new__(OrbitGraph)._fill(label, nodes, [length[k] for k in ids], rows, graded=True)
 
 
 # --- validation --------------------------------------------------------------
@@ -284,8 +284,7 @@ def _first_lowerings(g: OrbitGraph, k: int, known: list, base) -> list[tuple[int
     kept out of the table, raises AxiomViolation."""
     if g._loose:
         raise AxiomViolation(validate(g))
-    steps: list[tuple[int, int, int]] = []
-    x = k
+    steps, x = [], k
     while known[x] is None:
         step = next(_lowerings(g, x), None)
         if step is None:
@@ -316,10 +315,8 @@ def lower_ideal(g: OrbitGraph, v: NodeId) -> int:
 
     If v lowers along alpha to x (the first step of _lowerings), its ideal
     is v and every fiber_alpha-mate, shorter than v, of a member of the
-    ideal of x (Richardson-Springer).  The lowering chain is walked down to
-    a known ideal and built back up; a chain that returns to a node, or a
-    graph holding a fiber kept out of the table, raises AxiomViolation.
-    Every ideal is computed once per graph."""
+    ideal of x (Richardson-Springer).  Every ideal is computed once per
+    graph; _first_lowerings says when the walk raises AxiomViolation."""
     return _ideal(g, g._position(v))
 
 
@@ -330,19 +327,18 @@ def poset_leq(g: OrbitGraph, u: NodeId, v: NodeId) -> bool:
 
 
 def _gather(source: list[int]):
-    """The map sending a bitset over positions to the bitset whose bit u is
-    bit source[u] of it, where source[u] = len(source) reads as 0.  It runs
-    at C level: a 0/1 string picked apart by one itemgetter."""
+    """The map from a bitset over positions to the one whose bit u is its bit
+    source[u] (0 for len(source)): a 0/1 string picked apart at C level."""
     n = len(source)
     pick, width = itemgetter(*(n - p for p in reversed(source))), f"0{n + 1}b"
     return lambda bits: int("".join(pick(format(bits, width))), 2)
 
 
 def property_z_check(g: OrbitGraph) -> list[str]:
-    """For every simple root and every pair (u1, v1) of nodes it moves up,
-    to u2 and v2, the lifting conditions must agree: v1 above a non-dense
-    member of u1's fiber, v2 above u2, v2 above u1.  Each is a bitset over
-    all u1, gathered through maps read off each position's own entry."""
+    """For each simple root and pair (u1, v1) of nodes it moves up, to u2 and
+    v2, the lifting conditions agree: v1 above a non-dense mate of u1, v2
+    above u2, v2 above u1.  Each is a bitset over all u1, gathered off each
+    position's own table entry; nonempty output names the failing pairs."""
     violations, n = [], len(g.nodes)
     for alpha, row in enumerate(g._table, 1):
         moved = [(k, got) for k, got in enumerate(row) if got is not None and got[0] != k]
@@ -351,9 +347,8 @@ def property_z_check(g: OrbitGraph) -> list[str]:
         up, mates = [n] * n, [()] * n  # u1's dense node, the rest of its slide
         for u1, (u2, group) in moved:
             up[u1], mates[u1] = u2, [x for x in group if x not in (u1, u2)]
-        dense = _gather(up)
+        dense, mask = _gather(up), sum(1 << u1 for u1, _ in moved)
         slides = [_gather([m[i] if len(m) > i else n for m in mates]) for i in range(max(map(len, mates)))]
-        mask = sum(1 << u1 for u1, _ in moved)
         for v1, (v2, _) in moved:
             below_v1, below_v2 = _ideal(g, v1), _ideal(g, v2)
             c1, c2, c3 = below_v1, dense(below_v2), below_v2 & mask
@@ -385,11 +380,12 @@ def cover_pairs(g: OrbitGraph, among: int) -> list[tuple[NodeId, NodeId]]:
 
 
 def hasse(g: OrbitGraph) -> list[tuple[NodeId, NodeId]]:
-    """Cover relations, sorted, from coatoms (du Cloux): if v lowers along
-    alpha to x (the first step of _lowerings), v's coatoms are its other
-    alpha-fiber members and dense_alpha(z) for each coatom z of x not dense
-    along alpha.  This needs property Z (the paper proves it for spherical
-    cases); a coatom not one shorter than v raises AxiomViolation."""
+    """Cover relations, sorted.  If v lowers along alpha to x (the first step
+    of _lowerings), the nodes one shorter than v in its ideal are its other
+    alpha-fiber members and dense_alpha(z) for each such z of x that alpha
+    moves up (du Cloux); one of another length raises AxiomViolation.  They
+    are the covers if the order is graded by length, as from_parabolic's is;
+    on other graphs cover_pairs answers if their ideals show it is not."""
     lens, coatoms = g._len, [None] * len(g._len)
     for k in range(len(lens)):
         for x, alpha, j in reversed(_first_lowerings(g, k, coatoms, lambda x: ())):
@@ -399,6 +395,11 @@ def hasse(g: OrbitGraph) -> list[tuple[NodeId, NodeId]]:
             if any(lens[y] != lens[x] - 1 for y in cover):
                 raise AxiomViolation(validate(g))
             coatoms[x] = tuple(cover)
+    if not g._graded:
+        ideals = [_ideal(g, k) for k in range(len(lens))]
+        for v, below in enumerate(coatoms):
+            if reduce(or_, map(ideals.__getitem__, below), 1 << v) != ideals[v]:
+                return cover_pairs(g, (1 << len(lens)) - 1)
     edges = sorted((u, v) for v, below in enumerate(coatoms) for u in below)
     return [(g.nodes[u], g.nodes[v]) for u, v in edges]
 

@@ -200,13 +200,12 @@ def cartan_matrix(name: str) -> CartanSpec:
     a name of total rank above RANK_CAP is refused before any matrix is made."""
     parts = []
     for part in name.split("x"):
-        rank = part[1:].lstrip("0") or "0"
-        if len(part) < 2 or not part[0].isalpha() or not (rank.isascii() and rank.isdigit()):
+        if len(part) < 2 or not part[0].isalpha() or not (part[1:].isascii() and part[1:].isdigit()):
             raise InvalidCartan(f"cannot parse type name {name!r}")
-        if len(rank) > len(str(RANK_CAP)):  # refused before int(), which caps digit counts
-            whose = "" if part == name else "a component of "
-            raise InvalidCartan(f"type {name!r} has {whose}rank {rank}, above the cap of {RANK_CAP}")
-        parts.append((part[0].upper(), int(rank)))
+        try:
+            parts.append((part[0].upper(), int(part[1:])))
+        except ValueError:  # more digits than int() converts
+            raise InvalidCartan(f"cannot parse type name {name!r}") from None
     total = sum(n for _, n in parts)
     if total > RANK_CAP:
         raise InvalidCartan(f"type {name!r} has rank {total}, above the cap of {RANK_CAP}")

@@ -232,8 +232,17 @@ def test_hasse_is_cover_pairs():
         for name, twist in (("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3)))
     ]
     graphs += [to_orbit_poset(g) for g in builtin_fixtures().values()]
+    graphs += [parse_orbit_graph(format_orbit_graph(g)) for g in graphs[:6]]  # not known to be graded
     for g in graphs:
         assert hasse(g) == cover_pairs(g, (1 << len(g.nodes)) - 1), g.rootsystem
+
+
+def test_hasse_on_an_order_not_graded_by_length():
+    # d < c is a cover two steps long, which no chain of fibers shows
+    text = "orbitgraph v1\nrootsystem custom\nnodes 5\nnode 0 0\nnode a 1\nnode d 1\nnode b 2\nnode c 3\n"
+    g = parse_orbit_graph(text + "fiber 1 a 0\nfiber 2 b a\nfiber 3 c b\nfiber 3 d 0\n")
+    assert validate(g) == [] and property_z_check(g) == []
+    assert hasse(g) == cover_pairs(g, 0b11111) == [("0", "a"), ("0", "d"), ("a", "b"), ("b", "c"), ("d", "c")]
 
 
 def test_hasse_refuses_a_graph_without_property_z():

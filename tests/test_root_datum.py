@@ -62,11 +62,15 @@ def test_bad_type_names():
 
 def test_type_names_above_the_rank_cap_are_refused():
     assert len(cartan_matrix("A200").entries) == RANK_CAP == 200
-    huge = "9" * 4400  # more digits than int() converts
-    for name, total in (("A201", 201), ("A100xB101", 201), ("A100000", 100000), ("A" + huge, huge)):
+    for name, total in (("A201", 201), ("A100xB101", 201), ("A100000", 100000), ("A1xA1000", 1001)):
         with pytest.raises(InvalidCartan) as info:
             cartan_matrix(name)
         assert str(info.value) == f"type {name!r} has rank {total}, above the cap of 200"
+    huge = "A" + "9" * 4400  # more digits than int() converts
+    for name in (huge, "A1x" + huge):
+        with pytest.raises(InvalidCartan) as info:
+            cartan_matrix(name)
+        assert str(info.value) == f"cannot parse type name {name!r}"
 
 
 def test_cartan_validation_rejects_affine_and_junk():
