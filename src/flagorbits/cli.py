@@ -8,54 +8,28 @@ error (bad data, violated axiom) with a one-line diagnostic on stderr, and
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import FlagOrbitsError, ParseError
-from .kgb import (
-    builtin_fixtures,
-    load_kgb,
-    save_kgb,
-    to_orbit_poset,
-    ascent_consistency_check,
-    minimal_w_uniqueness_check,
-)
+from .kgb import ascent_consistency_check, builtin_fixtures, load_kgb, minimal_w_uniqueness_check
+from .kgb import save_kgb, to_orbit_poset
 from .kgp import class_hasse, i_equivalence_classes
-from .orbit_poset import (
-    from_parabolic,
-    hasse_dot,
-    load_orbit_graph,
-    property_z_check,
-    validate as validate_poset,
-)
+from .orbit_poset import from_parabolic, hasse_dot, load_orbit_graph, property_z_check
+from .orbit_poset import validate as validate_poset
 from .parabolic import enumerate_cosets, p_length
-from .root_datum import _significant_lines, build_root_datum, parse_root_datum
-from .weyl import (
-    bruhat_leq,
-    enumerate_elements,
-    format_word,
-    from_word,
-    parse_word,
-    reduced_word,
-)
+from .root_datum import _decimal, _significant_lines, build_root_datum, parse_root_datum
+from .weyl import bruhat_leq, enumerate_elements, format_word, from_word, parse_word, reduced_word
 
 
 def _parse_levi(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece.lstrip("-").isdigit():
+    pieces = [piece.strip() for piece in text.split(",")] if text.strip() else []
+    for piece in pieces:
+        if _decimal(piece.removeprefix("-")) is None:
             raise ParseError(f"bad levi index {piece!r}")
-        out.append(int(piece))
-    return tuple(out)
-
-
-def _add_datum_options(sub):
-    sub.add_argument("--type", required=True, help="built-in type name, e.g. A2 or B3")
+    return tuple(map(int, pieces))
 
 
 def _cmd_enumerate(args) -> int:
@@ -69,16 +43,8 @@ def _cmd_order(args) -> int:
     datum = build_root_datum(args.type)
     u = from_word(datum, parse_word(datum, args.left))
     v = from_word(datum, parse_word(datum, args.right))
-    below = bruhat_leq(u, v)
-    above = bruhat_leq(v, u)
-    if below and above:
-        print("equal")
-    elif below:
-        print("leq")
-    elif above:
-        print("geq")
-    else:
-        print("incomparable")
+    below, above = bruhat_leq(u, v), bruhat_leq(v, u)
+    print("equal" if below and above else "leq" if below else "geq" if above else "incomparable")
     return 0
 
 
@@ -90,9 +56,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_cosets(args) -> int:
-    datum = build_root_datum(args.type)
-    levi = _parse_levi(args.levi)
-    for coset in enumerate_cosets(datum, levi):
+    for coset in enumerate_cosets(build_root_datum(args.type), _parse_levi(args.levi)):
         minw = format_word(reduced_word(coset.min_rep))
         maxw = format_word(reduced_word(coset.max_rep))
         print(f"min={minw} max={maxw} plen={p_length(coset)}")
@@ -100,17 +64,13 @@ def _cmd_cosets(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    g = load_kgb(args.graph)
-    levi = _parse_levi(args.levi)
-    for k, cls in enumerate(i_equivalence_classes(g, levi)):
+    for k, cls in enumerate(i_equivalence_classes(load_kgb(args.graph), _parse_levi(args.levi))):
         print(f"class {k}: top={cls.top} members={','.join(cls.members)}")
     return 0
 
 
 def _cmd_kgp_order(args) -> int:
-    g = load_kgb(args.graph)
-    levi = _parse_levi(args.levi)
-    for a, b in class_hasse(g, levi):
+    for a, b in class_hasse(load_kgb(args.graph), _parse_levi(args.levi)):
         print(f"{a} < {b}")
     return 0
 
@@ -125,19 +85,13 @@ def _collect_violations(path: str) -> tuple[str, list[str]]:
         return f"ok: rank {datum.rank}, 0 violations", []
     if header == "orbitgraph v1":
         g = load_orbit_graph(path)
-        violations = validate_poset(g)
-        if not violations:
-            violations = property_z_check(g)
+        violations = validate_poset(g) or property_z_check(g)
         return f"ok: {len(g.nodes)} nodes, 0 violations", violations
     if header == "kgbgraph v1":
         g = load_kgb(path)  # structural axioms enforced here
         poset = to_orbit_poset(g)
-        violations = (
-            validate_poset(poset)
-            + property_z_check(poset)
-            + ascent_consistency_check(g)
-            + minimal_w_uniqueness_check(g)
-        )
+        violations = validate_poset(poset) + property_z_check(poset)
+        violations += ascent_consistency_check(g) + minimal_w_uniqueness_check(g)
         return f"ok: {len(g.nodes)} nodes, 0 violations", violations
     raise ParseError(f"unrecognized format header {header!r}")
 
@@ -175,70 +129,116 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flagorbits",
-        description="Bruhat order on orbit posets of flag varieties",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _hasse_check(args):
+    if bool(args.kgb) == bool(args.type):
+        return "hasse needs exactly one of --type or --kgb"
+    return "--kgb cannot be combined with --levi" if args.kgb and args.levi else None
 
-    p = sub.add_parser("enumerate", help="list group elements as reduced words")
-    _add_datum_options(p)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("order", help="compare two elements in Bruhat order")
-    _add_datum_options(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_order)
+_TYPE = {"--type TYPE": "built-in type name, e.g. A2 or B3"}
+_LEVI = {"--levi LEVI": "comma-separated simple indices"}
+_GRAPH = {"graph": "kgbgraph file"}
+_WRITE = {"[--write DIR]": "write fixture files here"}
+# command: (handler, help, arguments, usage check).  Each argument is written as
+# in the usage line ("--name METAVAR" an option, "[...]" optional, a bare word a
+# positional) and mapped to its help; the check returns a usage error or None.
+COMMANDS = {
+    "enumerate": (_cmd_enumerate, "list group elements as reduced words", _TYPE, None),
+    "order": (_cmd_order, "compare two elements in Bruhat order", {**_TYPE, "left": "", "right": ""}, None),
+    "reduce": (_cmd_reduce, "canonical reduced word of a product", {**_TYPE, "word": ""}, None),
+    "cosets": (_cmd_cosets, "parabolic quotient representatives", {**_TYPE, **_LEVI}, None),
+    "classes": (_cmd_classes, "equivalence classes of a graph file", {**_GRAPH, **_LEVI}, None),
+    "kgp-order": (_cmd_kgp_order, "Hasse edges of the class poset", {**_GRAPH, **_LEVI}, None),
+    "validate": (_cmd_validate, "validate a data file, any format", {"file": ""}, None),
+    "hasse": (_cmd_hasse, "emit the cover graph in DOT form", {"[--type TYPE]": "built-in type name",
+              "[--levi LEVI]": "quotient by this Levi set", "[--kgb KGB]": "kgbgraph file instead of --type"},
+              _hasse_check),
+    "fixtures": (_cmd_fixtures, "list or write the built-in graphs", _WRITE, None),
+}
+_TOP_USAGE = "[-h] {" + ",".join(COMMANDS) + "} ..."
 
-    p = sub.add_parser("reduce", help="canonical reduced word of a product")
-    _add_datum_options(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("cosets", help="parabolic quotient representatives")
-    _add_datum_options(p)
-    p.add_argument("--levi", required=True, help="comma-separated simple indices")
-    p.set_defaults(func=_cmd_cosets)
+def _usage_error(usage: str, message: str):
+    sys.stderr.write(f"usage: flagorbits {usage}\nflagorbits: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("classes", help="equivalence classes of a graph file")
-    p.add_argument("graph", help="kgbgraph file")
-    p.add_argument("--levi", required=True, help="comma-separated simple indices")
-    p.set_defaults(func=_cmd_classes)
 
-    p = sub.add_parser("kgp-order", help="Hasse edges of the class poset")
-    p.add_argument("graph", help="kgbgraph file")
-    p.add_argument("--levi", required=True, help="comma-separated simple indices")
-    p.set_defaults(func=_cmd_kgp_order)
+def _help(usage: str, about: str, entries: dict):
+    entries = {"-h, --help": "show this help message and exit", **entries}
+    print(f"usage: flagorbits {usage}\n\n{about}\n")
+    print("\n".join(f"  {key:<14} {text}".rstrip() for key, text in entries.items()))
+    raise SystemExit(0)
 
-    p = sub.add_parser("validate", help="validate a data file, any format")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("hasse", help="emit the cover graph in DOT form")
-    p.add_argument("--type", help="built-in type name")
-    p.add_argument("--levi", help="quotient by this Levi set")
-    p.add_argument("--kgb", help="kgbgraph file instead of --type")
-    p.set_defaults(func=_cmd_hasse)
+def _classify(word: str, names: list, usage: str):
+    """A word as argparse reads it: (None, None) for a positional, ("", None) for
+    an unknown option, else (option name, the value attached to it or None)."""
+    if not word.startswith("-") or word == "-":
+        return None, None
+    name, eq, value = word.partition("=")
+    matches = [name] if name in names else [n for n in names if name[:2] == "--" and n.startswith(name)]
+    if not matches and word.startswith("-h"):  # the rest of the word is -h's value
+        matches, eq, value = ["-h"], "=", word[2:]
+    if len(matches) > 1:
+        _usage_error(usage, f"ambiguous option: {word} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    return (None, None) if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word else ("", None)
 
-    p = sub.add_parser("fixtures", help="list or write the built-in graphs")
-    p.add_argument("--write", metavar="DIR", help="write fixture files here")
-    p.set_defaults(func=_cmd_fixtures)
 
-    return parser
+def parse_args(argv: list):
+    """The namespace of one command line, read through COMMANDS as argparse
+    reads it.  Usage errors exit 2, -h exits 0 after the help."""
+    if not argv:
+        _usage_error(_TOP_USAGE, "the following arguments are required: command")
+    if argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0]):
+        about = "Bruhat order on orbit posets of flag varieties"
+        _help(_TOP_USAGE, about, {command: spec[1] for command, spec in COMMANDS.items()})
+    if argv[0] not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(_TOP_USAGE, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    command, words = argv[0], argv[1:]
+    _, about, arguments, check = COMMANDS[command]
+    usage = f"{command} [-h] " + " ".join(arguments)
+    keys = {key.strip("[]").split()[0]: key for key in arguments}
+    names = ["-h", "--help", *(name for name in keys if name.startswith("--"))]
+    positionals = [name for name in keys if name[0] != "-"]
+    split = words.index("--") if "--" in words else len(words)  # every later word is a positional
+    kinds = [_classify(word, names, usage) for word in words[:split]] + [(None, None)] * (len(words) - split)
+    values, extras, filled, last, i = {}, [], 0, None, 0
+    while i < len(words):
+        name, value = kinds[i]
+        if i == split:  # argparse drops "--" only where a positional's pattern takes it
+            if not (last == i - 1 or filled < len(positionals) and i + 1 < len(words)):
+                extras.append("--")
+        elif name is None and filled < len(positionals):
+            values[positionals[filled]], filled, last = words[i], filled + 1, i
+        elif not name:
+            extras.append(words[i])
+        elif name in ("-h", "--help"):
+            if value is not None:
+                _usage_error(usage, f"argument -h/--help: ignored explicit argument {value!r}")
+            _help(usage, about, {key.strip("[]"): text for key, text in arguments.items()})
+        elif value is None and not (i + 1 < split and kinds[i + 1][0] is None):
+            _usage_error(usage, f"argument {name}: expected one argument")
+        else:  # the value given with the option, else the next word
+            values[name.lstrip("-")], i = (value, i) if value is not None else (words[i + 1], i + 1)
+        i += 1
+    missing = [name for name, key in keys.items() if key[0] != "[" and name.lstrip("-") not in values]
+    if missing:
+        _usage_error(usage, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _usage_error(usage, "unrecognized arguments: " + " ".join(extras))
+    args = SimpleNamespace(command=command, **{name.lstrip("-"): None for name in keys} | values)
+    if check and check(args):
+        _usage_error(usage, check(args))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "hasse":
-        if bool(args.kgb) == bool(args.type):
-            parser.error("hasse needs exactly one of --type or --kgb")
-        if args.kgb and args.levi:
-            parser.error("--kgb cannot be combined with --levi")
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (FlagOrbitsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,7 @@ from .root_datum import (
     parse_root_datum,
     parse_root_datum_lines,
     simple_root,
+    _decimal,
     _node_lines,
     _significant_lines,
 )
@@ -753,31 +754,24 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
     else:
         raise ParseError(f"bad rootsystem line: {lines[1]!r}")
 
-    if not rest or not rest[0].startswith("nodes "):
-        raise ParseError("expected a node count line")
-    fields = rest[0].split()
-    if len(fields) != 2 or not fields[1].isdigit():
-        raise ParseError("expected a node count line")
-    count = int(fields[1])
     tw = {}
     length = {}
-    for name, n, fields in _node_lines(rest[1:], count, 4):
+    for name, n, fields in _node_lines(rest, 4):
         length[name] = n
         tw[name] = from_word(datum, parse_word(datum, fields[3]))
     label = {}
     cross = {}
     cay = {}
-    for line in rest[1 + count :]:
+    for line in rest[1 + len(length) :]:
         fields = line.split()
         if fields[0] != "label" or len(fields) not in (5, 6):
             raise ParseError(f"bad label line: {line!r}")
         name = fields[1]
         if name not in length:
             raise ParseError(f"label for unknown node {name!r}")
-        try:
-            alpha = int(fields[2])
-        except ValueError:
-            raise ParseError(f"bad simple index in {line!r}") from None
+        alpha = _decimal(fields[2])
+        if alpha is None:
+            raise ParseError(f"bad simple index in {line!r}")
         if not 1 <= alpha <= datum.rank:
             raise ParseError(f"simple index out of range in {line!r}")
         if fields[3] not in _TYPE_BY_CODE:

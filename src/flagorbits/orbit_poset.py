@@ -13,15 +13,17 @@ from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AxiomViolation, InvalidCartan, Mismatch, ParseError, Unreachable
-from .root_datum import RootDatum, _node_lines, _significant_lines, cartan_matrix, normalize_levi
+from .root_datum import RootDatum, _decimal, _node_lines, _significant_lines, cartan_matrix, normalize_levi
 from .weyl import _p_minimal, _table, format_word
 
 NodeId = str
 
 
 def node_sort_key(node: NodeId) -> tuple:
-    """Numeric ids sort numerically, everything else lexicographically after."""
-    return (0, int(node)) if node.isdigit() else (1, node)
+    """Numeric ids sort numerically (by digit count, then digits: int() fails on
+    non-ASCII digits and on 4 301 digits), everything else lexicographically after."""
+    digits = node.lstrip("0") if node.isascii() and node.isdigit() else None
+    return (1, node) if digits is None else (0, len(digits), digits)
 
 
 class OrbitGraph:
@@ -441,22 +443,15 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
     if len(lines) < 3 or not lines[1].startswith("rootsystem "):
         raise ParseError("expected a rootsystem line")
     rootsystem = lines[1][len("rootsystem ") :].strip()
-    fields = lines[2].split()
-    if len(fields) != 2 or fields[0] != "nodes" or not fields[1].isdigit():
-        raise ParseError("expected a node count line")
-    count = int(fields[1])
-    lengths = {name: n for name, n, _ in _node_lines(lines[3:], count, 3)}
+    lengths = {name: n for name, n, _ in _node_lines(lines[2:], 3)}
     fibers = []
     top = 0
-    for line in lines[3 + count :]:
+    for line in lines[3 + len(lengths) :]:
         fields = line.split()
         if fields[0] != "fiber" or len(fields) < 4:
             raise ParseError(f"bad fiber line: {line!r}")
-        try:
-            alpha = int(fields[1])
-        except ValueError:
-            raise ParseError(f"bad simple index in {line!r}") from None
-        if alpha < 1:
+        alpha = _decimal(fields[1])
+        if not alpha:
             raise ParseError(f"bad simple index in {line!r}")
         top = max(top, alpha)
         for name in fields[2:]:

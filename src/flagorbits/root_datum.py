@@ -200,12 +200,10 @@ def cartan_matrix(name: str) -> CartanSpec:
     a name of total rank above RANK_CAP is refused before any matrix is made."""
     parts = []
     for part in name.split("x"):
-        if len(part) < 2 or not part[0].isalpha() or not (part[1:].isascii() and part[1:].isdigit()):
+        rank = _decimal(part[1:])
+        if not part[:1].isalpha() or rank is None:
             raise InvalidCartan(f"cannot parse type name {name!r}")
-        try:
-            parts.append((part[0].upper(), int(part[1:])))
-        except ValueError:  # more digits than int() converts
-            raise InvalidCartan(f"cannot parse type name {name!r}") from None
+        parts.append((part[0].upper(), rank))
     total = sum(n for _, n in parts)
     if total > RANK_CAP:
         raise InvalidCartan(f"type {name!r} has rank {total}, above the cap of {RANK_CAP}")
@@ -456,10 +454,23 @@ def _significant_lines(text: str) -> list[str]:
     return out
 
 
-def _node_lines(lines: list[str], count: int, width: int):
-    """Yield (name, length, fields) for the first ``count`` lines, each of the
-    form ``node <name> <length> ...`` with ``width`` fields in all."""
-    seen = set()
+def _decimal(text: str) -> int | None:
+    """The value of an ASCII numeral that int() converts, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _node_lines(lines: list[str], width: int):
+    """Read ``nodes <count>`` and yield (name, length, fields) for the ``count``
+    lines after it, each ``node <name> <length> ...`` with ``width`` fields;
+    names are distinct, so a dict of them has ``count`` entries."""
+    fields = lines[0].split() if lines else []
+    count = _decimal(fields[1]) if len(fields) == 2 and fields[0] == "nodes" else None
+    if count is None:
+        raise ParseError("expected a node count line")
+    lines, seen = lines[1:], set()
     for pos in range(count):
         if pos >= len(lines):
             raise ParseError("truncated node list")

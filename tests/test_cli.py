@@ -1,5 +1,11 @@
 """End-to-end command-line checks, driven through main() for speed."""
 
+import argparse
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 from flagorbits import (
@@ -10,7 +16,7 @@ from flagorbits import (
     from_weyl,
     sl2_split,
 )
-from flagorbits.cli import main
+from flagorbits.cli import COMMANDS, main, parse_args
 
 
 def run(capsys, *argv):
@@ -229,3 +235,255 @@ def test_isogeny_and_twist_flags_are_gone(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_levi_indices_int_cannot_convert_end_in_one_error_line(capsys):
+    huge = "9" * 4400
+    for levi in ("²", huge, "--1", "1,٣"):
+        code, out, err = run(capsys, "cosets", "--type", "A3", f"--levi={levi}")
+        bad = levi.split(",")[-1]
+        assert (code, out, err) == (1, "", f"error: bad levi index {bad!r}\n"), levi
+    assert run(capsys, "cosets", "--type", "A3", "--levi", "-1") == (1, "", "error: Levi index -1 out of range 1..3\n")
+
+
+def test_node_counts_and_names_int_cannot_convert(capsys, tmp_path):
+    orbit = tmp_path / "g.orbitgraph"
+    kgb = tmp_path / "g.kgb"
+    for count in ("²", "9" * 4400):
+        orbit.write_text(f"orbitgraph v1\nrootsystem A1\nnodes {count}\n")
+        kgb.write_text(format_kgb(sl2_split()).replace("nodes 3", f"nodes {count}"))
+        for argv in (["validate", str(orbit)], ["validate", str(kgb)], ["hasse", "--kgb", str(kgb)]):
+            assert run(capsys, *argv) == (1, "", "error: expected a node count line\n"), argv
+    # a node named by a non-ASCII digit sorts after the numerals, as any other name
+    orbit.write_text("orbitgraph v1\nrootsystem A1\nnodes 2\nnode ² 0\nnode 1 1\nfiber 1 1 ²\n")
+    assert run(capsys, "validate", str(orbit)) == (0, "ok: 2 nodes, 0 violations\n", "")
+    text = format_kgb(sl2_split()).replace("node 1 ", "node ² ").replace("label 1 ", "label ² ")
+    kgb.write_text(text.replace("cross=1", "cross=²"))
+    assert run(capsys, "validate", str(kgb)) == (0, "ok: 3 nodes, 0 violations\n", "")
+    code, out, err = run(capsys, "classes", str(kgb), "--levi", "1")
+    assert (code, out) == (0, "class 0: top=2 members=0,2,²\n")
+
+
+# --- the table-driven parser against argparse -------------------------------------------
+
+
+def reference_parser():
+    """The argparse parser the command table replaces, kept as its oracle."""
+    parser = argparse.ArgumentParser(
+        prog="flagorbits",
+        description="Bruhat order on orbit posets of flag varieties",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    type_help = "built-in type name, e.g. A2 or B3"
+    levi_help = "comma-separated simple indices"
+
+    p = sub.add_parser("enumerate", help="list group elements as reduced words")
+    p.add_argument("--type", required=True, help=type_help)
+
+    p = sub.add_parser("order", help="compare two elements in Bruhat order")
+    p.add_argument("--type", required=True, help=type_help)
+    p.add_argument("left")
+    p.add_argument("right")
+
+    p = sub.add_parser("reduce", help="canonical reduced word of a product")
+    p.add_argument("--type", required=True, help=type_help)
+    p.add_argument("word")
+
+    p = sub.add_parser("cosets", help="parabolic quotient representatives")
+    p.add_argument("--type", required=True, help=type_help)
+    p.add_argument("--levi", required=True, help=levi_help)
+
+    p = sub.add_parser("classes", help="equivalence classes of a graph file")
+    p.add_argument("graph", help="kgbgraph file")
+    p.add_argument("--levi", required=True, help=levi_help)
+
+    p = sub.add_parser("kgp-order", help="Hasse edges of the class poset")
+    p.add_argument("graph", help="kgbgraph file")
+    p.add_argument("--levi", required=True, help=levi_help)
+
+    p = sub.add_parser("validate", help="validate a data file, any format")
+    p.add_argument("file")
+
+    p = sub.add_parser("hasse", help="emit the cover graph in DOT form")
+    p.add_argument("--type", help="built-in type name")
+    p.add_argument("--levi", help="quotient by this Levi set")
+    p.add_argument("--kgb", help="kgbgraph file instead of --type")
+
+    p = sub.add_parser("fixtures", help="list or write the built-in graphs")
+    p.add_argument("--write", metavar="DIR", help="write fixture files here")
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def reference_parse(argv):
+    args = REFERENCE.parse_args(argv)
+    if args.command == "hasse":
+        if bool(args.kgb) == bool(args.type):
+            REFERENCE.error("hasse needs exactly one of --type or --kgb")
+        if args.kgb and args.levi:
+            REFERENCE.error("--kgb cannot be combined with --levi")
+    return args
+
+
+def outcome(parse, argv, capsys):
+    """("ok", namespace) or ("exit", code, the message of the error line)."""
+    try:
+        args = vars(parse(list(argv)))
+    except SystemExit as exc:
+        err = capsys.readouterr().err
+        return ("exit", exc.code, err.rpartition("error: ")[2] if exc.code else "")
+    capsys.readouterr()
+    return ("ok", args)
+
+
+ACCEPTED = [
+    ["enumerate", "--type", "A2"],
+    ["order", "--type", "B2", "1,2", "2,1"],
+    ["reduce", "--type=E8", "8,8,1"],
+    ["cosets", "--type", "A3", "--levi", "1,2"],
+    ["classes", "g.kgb", "--levi", "1"],
+    ["kgp-order", "--levi=1", "g.kgb"],
+    ["validate", "f.orbitgraph"],
+    ["fixtures"],
+    ["fixtures", "--write", "out"],
+    ["fixtures", "--w=out"],
+    # unique prefixes, with a value after them or attached by "="
+    ["order", "--ty", "A2", "1", "e"],
+    ["cosets", "--t=A2", "--le", "2"],
+    ["hasse", "--ty", "A2", "--l=1"],
+    ["hasse", "--k", "g.kgb"],
+    # options between and after positionals; the last of a repeated option wins
+    ["order", "1", "--type", "A2", "2"],
+    ["order", "1", "2", "--type", "A2"],
+    ["cosets", "--type", "A2", "--levi", "1", "--type", "B2"],
+    ["hasse", "--type", "A2", "--type=B3"],
+    # "--" ends the options; words that look like negative numbers are values
+    ["order", "--type", "A2", "--", "-1", "2"],
+    ["order", "--type", "A2", "1", "--", "2"],
+    ["order", "--type", "A2", "1", "2", "--"],
+    ["validate", "--", "--type"],
+    ["validate", "--", "--"],
+    ["order", "--type", "-1", "-2", "-3.5"],
+    ["cosets", "--type", "A2", "--levi", "-1"],
+    ["cosets", "--type", "A2", "--levi", ""],
+    ["cosets", "--type", "A2", "--levi="],
+    ["order", "--type", "A2", "-", "-x y"],
+    # both hasse forms, with and without --levi
+    ["hasse", "--type", "A2"],
+    ["hasse", "--type", "A2", "--levi", "1"],
+    ["hasse", "--levi", "1", "--type", "A2"],
+    ["hasse", "--kgb", "g.kgb"],
+    ["hasse", "--kgb", "g.kgb", "--levi", ""],
+]
+
+USAGE_ERRORS = [
+    # test_usage_errors_exit_2
+    [],
+    ["no-such-command"],
+    ["enumerate"],
+    ["hasse"],
+    ["hasse", "--type", "A2", "--kgb", "x.kgb"],
+    ["hasse", "--kgb", "x.kgb", "--levi", "1"],
+    ["order", "--type", "A2", "1"],
+    # test_isogeny_and_twist_flags_are_gone
+    ["enumerate", "--type", "A2", "--twist", "flip"],
+    ["order", "--type", "A2", "--adjoint", "1", "2"],
+    ["hasse", "--type", "A2", "--adjoint"],
+    # an ambiguous prefix, a missing option value, and more
+    ["hasse", "--=A2"],
+    ["cosets", "--type", "A2", "--levi"],
+    ["cosets", "--type", "A2", "--levi", "-x"],
+    ["cosets", "--type", "A2", "--levi", "--", "1"],
+    ["order", "--type", "A2", "1", "2", "3"],
+    ["order", "-t", "A2", "1", "2"],
+    ["order", "--", "1", "2", "--type", "A2"],
+    ["order", "--help=3"],
+    ["order", "-hx"],
+    ["fixtures", "--"],
+    ["hasse", "--type", "A2", "--"],
+    ["classes", "--levi", "1"],
+    ["validate", "a", "--", "b"],
+    ["--", "validate", "f"],
+    ["-1"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_table_parser_reads_what_argparse_reads(argv, capsys):
+    want = outcome(reference_parse, argv, capsys)
+    assert want[0] == "ok", want
+    assert outcome(parse_args, argv, capsys) == want
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_table_parser_refuses_what_argparse_refuses(argv, capsys):
+    want = outcome(reference_parse, argv, capsys)
+    assert want[:2] == ("exit", 2), want
+    assert outcome(parse_args, argv, capsys) == want
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("usage: flagorbits ")
+    assert lines[1] == "flagorbits: error: " + want[2].rstrip("\n")
+
+
+def test_table_parser_agrees_with_argparse_on_random_command_lines(capsys):
+    # A seeded sample of command lines: a command, then up to six words from
+    # option names, prefixes, values, "--" and negative-number look-alikes.
+    # Left out: a second "--" (argparse hands the positional after it an
+    # empty list where the table keeps the word "--").
+    words = ["--type", "--ty", "--t=A2", "--type=", "--levi", "--le", "--levi=1", "--kgb", "--k=x",
+             "--write", "--w", "--=v", "--x", "-x", "-h", "--he", "-hx", "--help=2", "--",
+             "-1", "-1.5", "-", "-x y", "A2", "1", "2,1", "e", ""]
+    rng = random.Random(1311)
+    checked = 0
+    while checked < 1500:
+        argv = [rng.choice(list(COMMANDS))] + rng.choices(words, k=rng.randint(0, 6))
+        if argv.count("--") > 1:
+            continue
+        assert outcome(parse_args, argv, capsys) == outcome(reference_parse, argv, capsys), argv
+        checked += 1
+
+
+def test_help_names_every_command_and_option(capsys):
+    for argv in (["-h"], ["--help"], ["--he"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: flagorbits ")
+        for command, (_, about, _, _) in COMMANDS.items():
+            assert command in out and about in out
+    for action in REFERENCE._subparsers._group_actions:
+        for command, sub in action.choices.items():
+            for argv in ([command, "-h"], [command, "--type", "A2", "--help"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 0
+                out = capsys.readouterr().out
+                assert out.startswith(f"usage: flagorbits {command} ")
+                for arg in sub._actions:
+                    for name in arg.option_strings or [arg.dest]:
+                        assert name in out, (command, name)
+                    assert (arg.help or "") in out, (command, arg.help)
+
+
+def test_a_cold_request_loads_no_argparse_or_gettext():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        "import flagorbits.cli\n"
+        "codes = [flagorbits.cli.main(argv) for argv in (\n"
+        "    ['order', '--type', 'E8', '1', '2'],\n"
+        "    ['validate', 'fixtures/group_case_b2.kgb'],\n"
+        "    ['hasse', '--kgb', 'fixtures/sl2_split.kgb'])]\n"
+        "loaded = [m for m in ('argparse', 'gettext') if m in sys.modules]\n"
+        "sys.stderr.write(f'codes={codes} loaded={loaded}\\n')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    got = subprocess.run([sys.executable, "-S", "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stderr.splitlines()[-1] == "codes=[0, 1, 0] loaded=[]"

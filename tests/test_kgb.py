@@ -806,12 +806,16 @@ def test_parse_errors():
         (good.replace("rootsystem inline", "rootsystem maybe"), "bad rootsystem line: 'rootsystem maybe'"),
         (good.split("nodes")[0], "expected a node count line"),
         (good.replace("nodes 2", "nodes two"), "expected a node count line"),
+        (good.replace("nodes 2", "nodes ²"), "expected a node count line"),
+        (good.replace("nodes 2", "nodes " + "9" * 4400), "expected a node count line"),
         (good.replace("nodes 2", "nodes 3"), "bad node line: 'label 0 1 nci2 cross=0 cayley=1'"),
         (good.replace("node 1 1 1", "node 0 1 1"), "duplicate node '0'"),
         (good.replace("label 1 1 r2", "labels 1 1 r2"), "bad label line: 'labels 1 1 r2 cross=1'"),
         (good.replace("label 0 1 nci2", "label zz 1 nci2"), "label for unknown node 'zz'"),
         (good.replace("label 0 1 nci2", "label 0 one nci2"), "bad simple index in 'label 0 one nci2 cross=0 cayley=1'"),
         (good.replace("label 0 1 nci2", "label 0 9 nci2"), "simple index out of range in 'label 0 9 nci2 cross=0 cayley=1'"),
+        (good.replace("label 0 1 nci2", "label 0 -1 nci2"), "bad simple index in 'label 0 -1 nci2 cross=0 cayley=1'"),
+        (good.replace("label 0 1 nci2", "label 0 ١ nci2"), "bad simple index in 'label 0 ١ nci2 cross=0 cayley=1'"),
         (good.replace("label 0 1 nci2", "label 0 1 xyz"), "unknown label code in 'label 0 1 xyz cross=0 cayley=1'"),
         (
             good.replace("cross=0 cayley=1", "cross=0 cayley=1 extra=2"),

@@ -40,7 +40,7 @@ from flagorbits import (
     twisted_shadow,
     validate,
 )
-from flagorbits.orbit_poset import cover_pairs, lower_ideal, parse_orbit_graph
+from flagorbits.orbit_poset import cover_pairs, lower_ideal, node_sort_key, parse_orbit_graph
 
 
 def all_levis(rank):
@@ -417,16 +417,30 @@ def test_parse_errors():
         ("orbitgraph v1\nrootsystem A1\n", "expected a rootsystem line"),
         (good.replace("rootsystem A1", "root system A1"), "expected a rootsystem line"),
         (good.replace("nodes 2", "nodes two"), "expected a node count line"),
+        (good.replace("nodes 2", "nodes ²"), "expected a node count line"),
+        (good.replace("nodes 2", "nodes " + "9" * 4400), "expected a node count line"),
         (good + "mystery line\n", "bad fiber line: 'mystery line'"),
         (good.replace("nodes 2", "nodes 3"), "bad node line: 'fiber 1 1 e'"),
         (good.replace("fiber 1 1 e", "fiber 1 1"), "bad fiber line: 'fiber 1 1'"),
         (good.replace("fiber 1 1 e", "fiber one 1 e"), "bad simple index in 'fiber one 1 e'"),
         (good.replace("fiber 1 1 e", "fiber 0 1 e"), "bad simple index in 'fiber 0 1 e'"),
+        (good.replace("fiber 1 1 e", "fiber ١ 1 e"), "bad simple index in 'fiber ١ 1 e'"),
+        (good.replace("fiber 1 1 e", "fiber +1 1 e"), "bad simple index in 'fiber +1 1 e'"),
         (good.replace("fiber 1 1 e", "fiber 1 1 x"), "fiber mentions unknown node 'x'"),
     ):
         with pytest.raises(ParseError) as info:
             parse_orbit_graph(bad)
         assert str(info.value) == message, bad
+
+
+def test_node_sort_key_orders_numerals_without_int():
+    # int() fails on non-ASCII digits and on numerals of more than 4 300 digits
+    huge = "9" * 4400
+    names = ["b", huge, "²", "10", "002", "1", "e", "0"]
+    assert sorted(names, key=node_sort_key) == ["0", "1", "002", "10", huge, "b", "e", "²"]
+    assert node_sort_key("2") == node_sort_key("002")
+    g = parse_orbit_graph("orbitgraph v1\nrootsystem A1\nnodes 2\nnode ² 0\nnode 1 1\nfiber 1 1 ²\n")
+    assert g.nodes == ("1", "²")
 
 
 def test_node_line_errors_name_the_line():
