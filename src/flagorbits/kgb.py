@@ -239,118 +239,128 @@ def validate_kgb(g: KgbGraph) -> list[str]:
     """Check the structural axioms; returns sorted human-readable violations.
     The ascent criterion is deliberately not examined here, see
     ascent_consistency_check."""
-    datum = g.datum
+    datum, nodes, tw, length = g.datum, g.nodes, g.tw, g.length
     out: list[str] = []
     preimages = Counter((alpha, t) for (alpha, _), t in g.cayley.items())
 
-    for v in g.nodes:
-        if not isinstance(g.length[v], int) or g.length[v] < 0:
+    for v in nodes:
+        if not isinstance(length[v], int) or length[v] < 0:
             out.append(f"BadLength: node={v}")
-        if apply_twist(g.tw[v]) != inv(g.tw[v]):
+        if apply_twist(tw[v]) != inv(tw[v]):
             out.append(f"TwNotTwisted: node={v}")
 
+    # The cross action as rows of positions per root, local to this call:
+    # k is nodes[k], n a missing entry, and past n a target that is not a
+    # node; the last two lead to n, where a braid walk stops.
+    n = len(nodes)
+    pos = {v: k for k, v in enumerate((*nodes, None))}
+    rows = []
     for alpha in range(1, datum.rank + 1):
         theta = datum.twist[alpha - 1]
         alpha_root = simple_root(datum, alpha)
         minus_alpha = tuple(-c for c in alpha_root)
         trivial = is_m_alpha_trivial(datum, alpha)
-        for v in g.nodes:
-            key = (alpha, v)
-            tag = f"alpha={alpha} node={v}"
-            if key not in g.label or key not in g.cross:
-                out.append(f"MissingLabel: {tag}")
+        keys = [(alpha, v) for v in nodes]
+        labels = list(map(g.label.get, keys))
+        targets = list(map(g.cross.get, keys))
+        row = [pos.setdefault(t, len(pos)) for t in targets]
+        rows.append(row)
+        # s_alpha * x * s_theta(alpha) is an involution on x, so the CrossTwist
+        # verdict at v holds at cr too when cr crosses back to v.
+        twisted = {}
+        for k, v in enumerate(nodes):
+            lab, cr, j = labels[k], targets[k], row[k]
+            if lab is None or j == n:
+                out.append(f"MissingLabel: alpha={alpha} node={v}")
                 continue
-            lab = g.label[key]
-            cr = g.cross[key]
-            if cr not in g.length:
-                out.append(f"UnknownNode: {tag} cross={cr}")
+            if j > n:
+                out.append(f"UnknownNode: alpha={alpha} node={v} cross={cr}")
                 continue
             # None when cr has no label here: that is reported as MissingLabel
             # at cr, and the checks against the partner are skipped.
-            partner = g.label.get((alpha, cr)) if (alpha, cr) in g.cross else None
-            if partner is not None and g.cross[(alpha, cr)] != v:
-                out.append(f"CrossNotInvolution: {tag}")
+            partner = labels[j] if row[j] != n else None
+            if partner is not None and row[j] != k:
+                out.append(f"CrossNotInvolution: alpha={alpha} node={v}")
             # class of the label against the twisted involution
-            img = g.tw[v].images[theta - 1]
+            img = tw[v].images[theta - 1]
             if lab in _REAL_TYPES:
                 if img != minus_alpha:
-                    out.append(f"LabelClass: {tag} label={lab.value} not real")
+                    out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not real")
             elif lab in _IMAGINARY_TYPES:
                 if img != alpha_root:
-                    out.append(f"LabelClass: {tag} label={lab.value} not imaginary")
+                    out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not imaginary")
             else:
                 if img == alpha_root or img == minus_alpha:
-                    out.append(f"LabelClass: {tag} label={lab.value} not complex")
+                    out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not complex")
             # twisted involution transforms uniformly under the cross action
-            if _times_s(_s_times(alpha, g.tw[v]), theta) != g.tw[cr]:
-                out.append(f"CrossTwist: {tag}")
+            bad = twisted.pop(k) if k in twisted else _times_s(_s_times(alpha, tw[v]), theta) != tw[cr]
+            if bad:
+                out.append(f"CrossTwist: alpha={alpha} node={v}")
+            if row[j] == k:
+                twisted[j] = bad
             # per-label local pattern
+            key = keys[k]
             has_cayley = key in g.cayley
             noncompact = lab in _NONCOMPACT_TYPES
             if noncompact:
                 if not has_cayley:
-                    out.append(f"MissingCayley: {tag}")
+                    out.append(f"MissingCayley: alpha={alpha} node={v}")
             elif has_cayley:
-                out.append(f"SpuriousCayley: {tag}")
+                out.append(f"SpuriousCayley: alpha={alpha} node={v}")
             if trivial and lab in (RootType.NONCOMPACT_I, RootType.REAL_I):
-                out.append(f"TypeIForbidden: {tag} (m_alpha trivial)")
+                out.append(f"TypeIForbidden: alpha={alpha} node={v} (m_alpha trivial)")
             if lab is RootType.COMPLEX_ASCENT:
-                if cr == v or g.length[cr] != g.length[v] + 1:
-                    out.append(f"AscentPattern: {tag}")
+                if cr == v or length[cr] != length[v] + 1:
+                    out.append(f"AscentPattern: alpha={alpha} node={v}")
                 elif partner is not None and partner is not RootType.COMPLEX_DESCENT:
-                    out.append(f"PartnerLabel: {tag}")
+                    out.append(f"PartnerLabel: alpha={alpha} node={v}")
             elif lab is RootType.COMPLEX_DESCENT:
-                if cr == v or g.length[cr] != g.length[v] - 1:
-                    out.append(f"DescentPattern: {tag}")
+                if cr == v or length[cr] != length[v] - 1:
+                    out.append(f"DescentPattern: alpha={alpha} node={v}")
                 elif partner is not None and partner is not RootType.COMPLEX_ASCENT:
-                    out.append(f"PartnerLabel: {tag}")
+                    out.append(f"PartnerLabel: alpha={alpha} node={v}")
             elif lab is RootType.COMPACT_IMAGINARY:
                 if cr != v:
-                    out.append(f"CompactMoved: {tag}")
+                    out.append(f"CompactMoved: alpha={alpha} node={v}")
             elif lab is RootType.NONCOMPACT_I:
-                if cr == v or g.length[cr] != g.length[v]:
-                    out.append(f"TypeIPattern: {tag}")
+                if cr == v or length[cr] != length[v]:
+                    out.append(f"TypeIPattern: alpha={alpha} node={v}")
                 elif partner is not None and partner is not RootType.NONCOMPACT_I:
-                    out.append(f"PartnerLabel: {tag}")
+                    out.append(f"PartnerLabel: alpha={alpha} node={v}")
             elif lab is RootType.NONCOMPACT_II:
                 if cr != v:
-                    out.append(f"TypeIIPattern: {tag}")
+                    out.append(f"TypeIIPattern: alpha={alpha} node={v}")
             elif lab in _REAL_TYPES:
                 if cr != v:
-                    out.append(f"RealMoved: {tag}")
+                    out.append(f"RealMoved: alpha={alpha} node={v}")
                 want = 2 if lab is RootType.REAL_I else 1
                 if preimages[key] != want:
-                    out.append(f"InverseCayleyCount: {tag} got={preimages[key]} want={want}")
+                    out.append(f"InverseCayleyCount: alpha={alpha} node={v} got={preimages[key]} want={want}")
             if noncompact and has_cayley:
                 t = g.cayley[key]
                 real = RootType.REAL_I if lab is RootType.NONCOMPACT_I else RootType.REAL_II
-                if t not in g.length:
-                    out.append(f"UnknownNode: {tag} cayley={t}")
+                if t not in length:
+                    out.append(f"UnknownNode: alpha={alpha} node={v} cayley={t}")
                 else:
-                    if g.length[t] != g.length[v] + 1:
-                        out.append(f"CayleyLength: {tag}")
+                    if length[t] != length[v] + 1:
+                        out.append(f"CayleyLength: alpha={alpha} node={v}")
                     if g.label.get((alpha, t)) is not real:
-                        out.append(f"CayleyTarget: {tag} expected {real.value}")
-                    if _s_times(alpha, g.tw[v]) != g.tw[t]:
-                        out.append(f"CayleyTwist: {tag}")
+                        out.append(f"CayleyTarget: alpha={alpha} node={v} expected {real.value}")
+                    if _s_times(alpha, tw[v]) != tw[t]:
+                        out.append(f"CayleyTwist: alpha={alpha} node={v}")
                     if real is RootType.REAL_I and partner is not None:
                         if g.cayley.get((alpha, cr)) != t:
-                            out.append(f"SharedCayley: {tag}")
+                            out.append(f"SharedCayley: alpha={alpha} node={v}")
 
-    # cross actions must satisfy the braid relations pairwise
+    # cross actions must satisfy the braid relations pairwise, walked from
+    # every node at once; a walk that reached n met a gap, reported above
+    rows = [row + [n] * (len(pos) - n) for row in rows]
     for a in range(1, datum.rank + 1):
         for b in range(a + 1, datum.rank + 1):
-            order = _braid_order(datum, a, b)
-            for v in g.nodes:
-                x = y = v
-                for step in range(order):
-                    x = g.cross.get((a if step % 2 == 0 else b, x))
-                    y = g.cross.get((b if step % 2 == 0 else a, y))
-                    if x is None or y is None:
-                        break  # a missing label on the way, reported above
-                else:
-                    if x != y:
-                        out.append(f"CrossBraid: alpha={a} beta={b} node={v}")
+            x, y, ra, rb = range(n), range(n), rows[a - 1], rows[b - 1]
+            for _ in range(_braid_order(datum, a, b)):
+                x, y, ra, rb = [ra[k] for k in x], [rb[k] for k in y], rb, ra
+            out.extend(f"CrossBraid: alpha={a} beta={b} node={v}" for v, p, q in zip(nodes, x, y) if p != q and n not in (p, q))
 
     return sorted(out)
 

@@ -109,18 +109,18 @@ def monoid_descent_check(g: KgbGraph, levi) -> list[str]:
     levi = normalize_levi(g.datum, levi)
     datum = g.datum
     index = _classes(g, levi)[1]
-    outside = [a for a in range(1, datum.rank + 1) if a not in levi]
     members = levi_subgroup_elements(datum, levi)
+    # the word of each Levi conjugate depends on (alpha, w) only
+    conjugates = {
+        alpha: [(w, reflection_word(datum, _apply(w, simple_root(datum, alpha)))) for w in members]
+        for alpha in range(1, datum.rank + 1) if alpha not in levi
+    }
     out = []
     for v in p_maximal_set(g, levi):
-        for alpha in outside:
+        for alpha, spelled in conjugates.items():
             base = index[monoid(g, alpha, v)]
-            alpha_root = simple_root(datum, alpha)
-            for w in members:
-                beta = _apply(w, alpha_root)
-                word = reflection_word(datum, beta)
-                got = index[monoid_word(g, word, v)]
-                if got != base:
+            for w, word in spelled:
+                if index[monoid_word(g, word, v)] != base:
                     out.append(
                         f"MonoidDescent: v={v} alpha={alpha} "
                         f"w={format_word(reduced_word(w))}"
@@ -153,7 +153,7 @@ def distinct_ascents_check(g: KgbGraph, levi) -> list[str]:
     outside = [a for a in range(1, g.datum.rank + 1) if a not in levi]
     out = []
     for v in p_maximal_set(g, levi):
-        moved = [(a, monoid(g, a, v)) for a in outside if monoid(g, a, v) != v]
+        moved = [(a, t) for a in outside if (t := monoid(g, a, v)) != v]
         for i, (a, ta) in enumerate(moved):
             for b, tb in moved[i + 1 :]:
                 if index[ta] == index[tb]:

@@ -13,7 +13,7 @@ from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AxiomViolation, InvalidCartan, Mismatch, ParseError, Unreachable
-from .root_datum import RootDatum, _decimal, _node_lines, _significant_lines, cartan_matrix, normalize_levi
+from .root_datum import RANK_CAP, RootDatum, _decimal, _node_lines, _significant_lines, cartan_matrix, normalize_levi
 from .weyl import _p_minimal, _table, format_word
 
 NodeId = str
@@ -461,6 +461,8 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
     try:
         rank = len(cartan_matrix(rootsystem.split()[0]).entries)
     except InvalidCartan:
+        if top > RANK_CAP:
+            raise ParseError(f"fiber index {top} is above the rank cap of {RANK_CAP}") from None
         rank = top
     return OrbitGraph(rootsystem, rank, lengths, fibers)
 

@@ -482,6 +482,8 @@ def _node_lines(lines: list[str], width: int):
         seen.add(parts[1])
         try:
             n = int(parts[2])
+            if str(n) != parts[2]:  # refuses +1, 01, 1_0 and non-ASCII digits
+                raise ValueError
         except ValueError:
             raise ParseError(f"bad node length in {lines[pos]!r}") from None
         yield parts[1], n, parts

@@ -1,5 +1,7 @@
 """Symmetric-subgroup orbit graphs: fixtures, axioms, moves, serialization."""
 
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,9 +58,10 @@ from flagorbits import (
     validate_kgb,
 )
 from flagorbits import CartanSpec, weyl
-from flagorbits.kgb import _braid_order, _open_node
-from flagorbits.orbit_poset import from_weyl, lower_ideal
-from flagorbits.weyl import _table
+from flagorbits.kgb import _IMAGINARY_TYPES, _NONCOMPACT_TYPES, _REAL_TYPES, _braid_order, _open_node
+from flagorbits.orbit_poset import from_weyl, lower_ideal, node_sort_key
+from flagorbits.root_datum import simple_root
+from flagorbits.weyl import _s_times, _table, _times_s
 from flagorbits.weyl import length as weyl_length
 
 
@@ -429,6 +432,181 @@ def test_validate_reports_every_local_axiom():
     g = _corrupt(swap, label={(1, "1"): c_up})
     assert ascent_consistency_check(g) == ["AscentCriterion: alpha=1 node=1 label=C+"]
     assert all(ascent_consistency_check(g) == [] for g in all_graphs().values())
+
+
+def reference_validate_kgb(g):
+    """validate_kgb as it read every move through the name-keyed maps, one
+    (root, node) at a time: the oracle for the row-based version."""
+    datum = g.datum
+    out = []
+    preimages = Counter((alpha, t) for (alpha, _), t in g.cayley.items())
+
+    for v in g.nodes:
+        if not isinstance(g.length[v], int) or g.length[v] < 0:
+            out.append(f"BadLength: node={v}")
+        if apply_twist(g.tw[v]) != inv(g.tw[v]):
+            out.append(f"TwNotTwisted: node={v}")
+
+    for alpha in range(1, datum.rank + 1):
+        theta = datum.twist[alpha - 1]
+        alpha_root = simple_root(datum, alpha)
+        minus_alpha = tuple(-c for c in alpha_root)
+        trivial = is_m_alpha_trivial(datum, alpha)
+        for v in g.nodes:
+            key = (alpha, v)
+            tag = f"alpha={alpha} node={v}"
+            if key not in g.label or key not in g.cross:
+                out.append(f"MissingLabel: {tag}")
+                continue
+            lab = g.label[key]
+            cr = g.cross[key]
+            if cr not in g.length:
+                out.append(f"UnknownNode: {tag} cross={cr}")
+                continue
+            partner = g.label.get((alpha, cr)) if (alpha, cr) in g.cross else None
+            if partner is not None and g.cross[(alpha, cr)] != v:
+                out.append(f"CrossNotInvolution: {tag}")
+            img = g.tw[v].images[theta - 1]
+            if lab in _REAL_TYPES:
+                if img != minus_alpha:
+                    out.append(f"LabelClass: {tag} label={lab.value} not real")
+            elif lab in _IMAGINARY_TYPES:
+                if img != alpha_root:
+                    out.append(f"LabelClass: {tag} label={lab.value} not imaginary")
+            else:
+                if img == alpha_root or img == minus_alpha:
+                    out.append(f"LabelClass: {tag} label={lab.value} not complex")
+            if _times_s(_s_times(alpha, g.tw[v]), theta) != g.tw[cr]:
+                out.append(f"CrossTwist: {tag}")
+            has_cayley = key in g.cayley
+            noncompact = lab in _NONCOMPACT_TYPES
+            if noncompact:
+                if not has_cayley:
+                    out.append(f"MissingCayley: {tag}")
+            elif has_cayley:
+                out.append(f"SpuriousCayley: {tag}")
+            if trivial and lab in (RootType.NONCOMPACT_I, RootType.REAL_I):
+                out.append(f"TypeIForbidden: {tag} (m_alpha trivial)")
+            if lab is RootType.COMPLEX_ASCENT:
+                if cr == v or g.length[cr] != g.length[v] + 1:
+                    out.append(f"AscentPattern: {tag}")
+                elif partner is not None and partner is not RootType.COMPLEX_DESCENT:
+                    out.append(f"PartnerLabel: {tag}")
+            elif lab is RootType.COMPLEX_DESCENT:
+                if cr == v or g.length[cr] != g.length[v] - 1:
+                    out.append(f"DescentPattern: {tag}")
+                elif partner is not None and partner is not RootType.COMPLEX_ASCENT:
+                    out.append(f"PartnerLabel: {tag}")
+            elif lab is RootType.COMPACT_IMAGINARY:
+                if cr != v:
+                    out.append(f"CompactMoved: {tag}")
+            elif lab is RootType.NONCOMPACT_I:
+                if cr == v or g.length[cr] != g.length[v]:
+                    out.append(f"TypeIPattern: {tag}")
+                elif partner is not None and partner is not RootType.NONCOMPACT_I:
+                    out.append(f"PartnerLabel: {tag}")
+            elif lab is RootType.NONCOMPACT_II:
+                if cr != v:
+                    out.append(f"TypeIIPattern: {tag}")
+            elif lab in _REAL_TYPES:
+                if cr != v:
+                    out.append(f"RealMoved: {tag}")
+                want = 2 if lab is RootType.REAL_I else 1
+                if preimages[key] != want:
+                    out.append(f"InverseCayleyCount: {tag} got={preimages[key]} want={want}")
+            if noncompact and has_cayley:
+                t = g.cayley[key]
+                real = RootType.REAL_I if lab is RootType.NONCOMPACT_I else RootType.REAL_II
+                if t not in g.length:
+                    out.append(f"UnknownNode: {tag} cayley={t}")
+                else:
+                    if g.length[t] != g.length[v] + 1:
+                        out.append(f"CayleyLength: {tag}")
+                    if g.label.get((alpha, t)) is not real:
+                        out.append(f"CayleyTarget: {tag} expected {real.value}")
+                    if _s_times(alpha, g.tw[v]) != g.tw[t]:
+                        out.append(f"CayleyTwist: {tag}")
+                    if real is RootType.REAL_I and partner is not None:
+                        if g.cayley.get((alpha, cr)) != t:
+                            out.append(f"SharedCayley: {tag}")
+
+    for a in range(1, datum.rank + 1):
+        for b in range(a + 1, datum.rank + 1):
+            order = _braid_order(datum, a, b)
+            for v in g.nodes:
+                x = y = v
+                for step in range(order):
+                    x = g.cross.get((a if step % 2 == 0 else b, x))
+                    y = g.cross.get((b if step % 2 == 0 else a, y))
+                    if x is None or y is None:
+                        break
+                else:
+                    if x != y:
+                        out.append(f"CrossBraid: alpha={a} beta={b} node={v}")
+
+    return sorted(out)
+
+
+def random_corruption(g, rng):
+    """g with one to three seeded changes: a cross entry retargeted (to a
+    node or to a name that is not one) or deleted, a label deleted with its
+    cross entry kept or swapped with another, a Cayley entry added, removed
+    or retargeted, two twisted involutions swapped, or a length shifted."""
+    keys = sorted(g.label, key=lambda k: (k[0], node_sort_key(k[1])))
+    targets = list(g.nodes) + ["zz", "zz2"]
+    changes = {"tw": {}, "length": {}, "label": {}, "cross": {}, "cayley": {}}
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(9)
+        key = rng.choice(keys)
+        if kind == 0:
+            changes["cross"][key] = rng.choice(targets)
+        elif kind == 1:
+            changes["cross"][key] = None
+        elif kind == 2:
+            changes["label"][key] = None
+        elif kind == 3:
+            other = rng.choice(keys)
+            changes["label"][key], changes["label"][other] = g.label[other], g.label[key]
+        elif kind == 4:
+            changes["label"][key] = rng.choice(list(RootType))
+        elif kind == 5:
+            changes["cayley"][key] = rng.choice(targets)
+        elif kind == 6 and g.cayley:
+            changes["cayley"][rng.choice(sorted(g.cayley, key=keys.index))] = None
+        elif kind == 7:
+            u, v = rng.sample(g.nodes, 2)
+            changes["tw"][u], changes["tw"][v] = g.tw[v], g.tw[u]
+        else:
+            v = rng.choice(g.nodes)
+            changes["length"][v] = g.length[v] + rng.choice((-2, -1, 1, 2))
+    return _corrupt(g, **changes)
+
+
+def test_validate_matches_the_name_keyed_reference():
+    graphs = dict(builtin_fixtures())
+    for name in ("A1", "A2", "B2", "A3", "B3", "G2"):
+        graphs[f"group_case_{name}"] = group_case(build_root_datum(name))
+    for name, twist in (("A3", None), ("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3))):
+        graphs[f"shadow_{name}"] = twisted_shadow(build_root_datum(name, twist=twist))
+    for name, g in graphs.items():
+        assert validate_kgb(g) == reference_validate_kgb(g) == [], name
+    # a braid walk whose last step lands on a name that is not a node, and
+    # one through a node whose label is missing but whose cross entry is kept
+    for changes in ({"cross": {(1, "0"): "zz"}}, {"label": {(2, "1"): None}, "cross": {(1, "0"): "0"}}):
+        g = _corrupt(graphs["group_case_A2"], **changes)
+        want = reference_validate_kgb(g)
+        assert validate_kgb(g) == want and any(v.startswith("CrossBraid") for v in want), changes
+    # seeded corruptions of the smaller graphs, so that most lists are short
+    small = [g for g in graphs.values() if len(g.nodes) <= 32]
+    rng = random.Random(14)
+    seen = set()
+    for trial in range(1200):
+        g = random_corruption(rng.choice(small), rng)
+        want = reference_validate_kgb(g)
+        assert validate_kgb(g) == want, (trial, want)
+        seen.update(v.split(":")[0] for v in want)
+    assert {"CrossBraid", "CrossTwist", "MissingLabel", "UnknownNode", "SharedCayley"} <= seen
+    assert len(seen) >= 20, seen
 
 
 def test_monoid_idempotent_and_braid():
@@ -824,6 +1002,7 @@ def test_parse_errors():
         (good + "label 0 1 nci2 cross=0 cayley=1\n", "duplicate label for node '0', root 1"),
         (good.replace("cross=0 cayley=1", "across=0 cayley=1"), "bad cross field in 'label 0 1 nci2 across=0 cayley=1'"),
         (good.replace("cross=0 cayley=1", "cross=0 cayly=1"), "bad cayley field in 'label 0 1 nci2 cross=0 cayly=1'"),
+        *[(good.replace("node 1 1 1", f"node 1 {n} 1"), f"bad node length in 'node 1 {n} 1'") for n in ("+1", "01", "1_0", "٣")],
     ):
         with pytest.raises(ParseError) as info:
             parse_kgb(bad)
@@ -832,6 +1011,9 @@ def test_parse_errors():
 
 def test_parsed_graphs_must_satisfy_axioms():
     good = format_kgb(pgl2_split())
+    with pytest.raises(AxiomViolation) as info:
+        parse_kgb(good.replace("node 1 1 1", "node 1 -1 1"))
+    assert "BadLength: node=1" in info.value.violations
     with pytest.raises(AxiomViolation):
         parse_kgb(good.replace("node 1 1 1", "node 1 2 1"))
 

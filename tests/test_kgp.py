@@ -1,10 +1,13 @@
 """Classes of orbit-graph nodes over a Levi set, and their closure order."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from flagorbits import (
+    AxiomViolation,
+    KgbGraph,
     Mismatch,
     build_root_datum,
     builtin_fixtures,
@@ -16,20 +19,29 @@ from flagorbits import (
     enumerate_cosets,
     enumerate_elements,
     find_descent_counterexample,
+    format_word,
     group_case,
     i_equivalence_classes,
     inv,
     kgp_leq,
     kgp_leq_induced,
     levi_conjugate_root_check,
+    levi_subgroup_elements,
+    monoid,
     monoid_descent_check,
+    monoid_word,
     p_maximal_set,
     pgl2_split,
     poset_leq,
     reduced_word,
+    reflection_word,
+    simple_root,
     sl2_split,
     to_orbit_poset,
+    twisted_shadow,
 )
+from flagorbits.root_datum import normalize_levi
+from flagorbits.weyl import _apply
 
 
 def all_levis(rank):
@@ -191,3 +203,72 @@ def test_levi_conjugates_stay_in_nilradical():
         datum = build_root_datum(name)
         for levi in all_levis(datum.rank):
             assert levi_conjugate_root_check(datum, levi) == [], (name, levi)
+
+
+def reference_monoid_descent_check(g, levi):
+    """monoid_descent_check spelling every Levi conjugate again at every
+    dense member: the oracle for the version that spells each once."""
+    levi = normalize_levi(g.datum, levi)
+    datum = g.datum
+    index = {v: c for c in i_equivalence_classes(g, levi) for v in c.members}
+    outside = [a for a in range(1, datum.rank + 1) if a not in levi]
+    members = levi_subgroup_elements(datum, levi)
+    out = []
+    for v in p_maximal_set(g, levi):
+        for alpha in outside:
+            base = index[monoid(g, alpha, v)]
+            alpha_root = simple_root(datum, alpha)
+            for w in members:
+                word = reflection_word(datum, _apply(w, alpha_root))
+                if index[monoid_word(g, word, v)] != base:
+                    out.append(f"MonoidDescent: v={v} alpha={alpha} w={format_word(reduced_word(w))}")
+    return sorted(out)
+
+
+def reference_distinct_ascents_check(g, levi):
+    """distinct_ascents_check making each monoid move twice, as it did."""
+    index = {v: c for c in i_equivalence_classes(g, levi) for v in c.members}
+    outside = [a for a in range(1, g.datum.rank + 1) if a not in normalize_levi(g.datum, levi)]
+    out = []
+    for v in p_maximal_set(g, levi):
+        moved = [(a, monoid(g, a, v)) for a in outside if monoid(g, a, v) != v]
+        for i, (a, ta) in enumerate(moved):
+            for b, tb in moved[i + 1 :]:
+                if index[ta] == index[tb]:
+                    out.append(f"DistinctAscents: v={v} alpha={a} beta={b}")
+    return sorted(out)
+
+
+def _outcome(check, g, levi):
+    try:
+        return check(g, levi)
+    except AxiomViolation as err:
+        return err.violations
+
+
+def test_kgp_checks_match_the_per_node_references():
+    graphs = [group_case(build_root_datum(name)) for name in ("A3", "B3")]
+    cases = [(g, tuple(a + copy for a in levi)) for g in graphs for copy in (0, 3) for levi in all_levis(3)]
+    for name, twist in (("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3))):
+        g = twisted_shadow(build_root_datum(name, twist=twist))
+        cases += [(g, levi) for levi in all_levis(4)]
+    cases.append((builtin_fixtures()["group_case_a1"], ()))
+    # shadows with a few cross entries retargeted: most still lower, and
+    # some break the descent check
+    rng = random.Random(14)
+    base = twisted_shadow(build_root_datum("A3"))
+    keys = sorted(base.cross)
+    for _ in range(30):
+        cross = {**base.cross, **{rng.choice(keys): rng.choice(base.nodes) for _ in range(rng.randint(1, 3))}}
+        g = KgbGraph(base.datum, base.nodes, dict(base.tw), dict(base.length), dict(base.label), cross, dict(base.cayley))
+        cases += [(g, levi) for levi in all_levis(3)]
+    found = set()
+    for g, levi in cases:
+        for check, reference in (
+            (monoid_descent_check, reference_monoid_descent_check),
+            (distinct_ascents_check, reference_distinct_ascents_check),
+        ):
+            want = _outcome(reference, g, levi)
+            assert _outcome(check, g, levi) == want, (check.__name__, levi)
+            found.update(v.split(":")[0] for v in want)
+    assert {"MonoidDescent", "DistinctAscents", "NonUniqueTop"} <= found

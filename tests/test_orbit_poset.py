@@ -427,10 +427,20 @@ def test_parse_errors():
         (good.replace("fiber 1 1 e", "fiber ١ 1 e"), "bad simple index in 'fiber ١ 1 e'"),
         (good.replace("fiber 1 1 e", "fiber +1 1 e"), "bad simple index in 'fiber +1 1 e'"),
         (good.replace("fiber 1 1 e", "fiber 1 1 x"), "fiber mentions unknown node 'x'"),
+        # with no Cartan type named, the largest fiber index is the rank
+        (
+            good.replace("rootsystem A1", "rootsystem foo").replace("fiber 1 1 e", "fiber 1000000 1 e"),
+            "fiber index 1000000 is above the rank cap of 200",
+        ),
+        # a length must read back as written
+        *[(good.replace("node 1 1", f"node 1 {n}"), f"bad node length in 'node 1 {n}'") for n in ("+1", "01", "1_0", "٣")],
     ):
         with pytest.raises(ParseError) as info:
             parse_orbit_graph(bad)
         assert str(info.value) == message, bad
+    capped = parse_orbit_graph(good.replace("rootsystem A1", "rootsystem foo").replace("fiber 1 1 e", "fiber 200 1 e"))
+    assert capped.rank == 200
+    assert parse_orbit_graph(good.replace("node 1 1", "node 1 -1")).length["1"] == -1
 
 
 def test_node_sort_key_orders_numerals_without_int():
