@@ -33,10 +33,15 @@ class OrbitGraph:
     to its position.  Entry k of fiber table row alpha - 1 is the fiber of
     ``nodes[k]`` along alpha as (dense position, member positions), or None.
     A fiber naming an unknown node or a simple index outside 1..rank stays
-    out of the table, in ``_loose``, for validate and the text form.  Lower
-    ideals are int bitsets over positions, built by lower_ideal and kept on
-    the graph: at most n * n / 8 bytes.  ``_graded`` holds when the order is
-    known to be graded by length (from_parabolic: Bruhat order on W^J).
+    out of the table, in ``_loose``, for validate and the text form.
+    ``_first[k]`` is the first step of _lowerings from k, (alpha, position),
+    or None: one tuple per node, built with the table.  Lower ideals are int
+    bitsets over positions, built by lower_ideal and kept on the graph: at
+    most n * n / 8 bytes.  The first ideal also builds ``_pulls``: per root,
+    a gather of n positions for each other fiber member a position can have
+    (one or two on a valid graph), and a bitset per length.
+    ``_graded`` holds when the order is known to be graded by length
+    (from_parabolic: Bruhat order on W^J).
     """
 
     def __init__(
@@ -47,23 +52,32 @@ class OrbitGraph:
         fibers: Iterable[tuple[int, NodeId, Sequence[NodeId]]],
     ):
         nodes = tuple(sorted(lengths, key=node_sort_key))
-        self._fill(rootsystem, nodes, [lengths[x] for x in nodes], [[None] * len(nodes) for _ in range(rank)])
+        index = {node: k for k, node in enumerate(nodes)}
+        table: list[list] = [[None] * len(nodes) for _ in range(rank)]
+        loose = {}
         for alpha, dense, members in fibers:
             group = set(members) | {dense}
-            if 1 <= alpha <= rank and self.index.keys() >= group:
-                ks = tuple(sorted(self.index[x] for x in group))
+            if 1 <= alpha <= rank and index.keys() >= group:
+                ks = tuple(sorted(index[x] for x in group))
                 for k in ks:
-                    self._table[alpha - 1][k] = (self.index[dense], ks)
+                    table[alpha - 1][k] = (index[dense], ks)
             else:
-                self._loose[(alpha, tuple(sorted(group, key=node_sort_key)))] = dense
+                loose[(alpha, tuple(sorted(group, key=node_sort_key)))] = dense
+        self._fill(rootsystem, nodes, [lengths[x] for x in nodes], table, loose=loose)
 
-    def _fill(self, rootsystem: str, nodes: tuple[NodeId, ...], lens: list[int], table: list[list], graded=False):
-        """Set every field from nodes in node order, lengths and table rows."""
+    def _fill(
+        self, rootsystem: str, nodes: tuple[NodeId, ...], lens: list[int], table: list[list], graded=False, loose=None
+    ):
+        """Set every field from nodes in node order, lengths and the final
+        table rows.  Every field is set here, in this order, so that all
+        graphs share one attribute layout."""
         self.rootsystem, self.rank, self.nodes, self._graded = rootsystem, len(table), nodes, graded
         self.index = {node: k for k, node in enumerate(nodes)}
         self.length, self._len, self._table = dict(zip(nodes, lens)), lens, table
-        self._loose: dict[tuple[int, tuple[NodeId, ...]], NodeId] = {}  # (alpha, group) -> dense
+        self._loose: dict[tuple[int, tuple[NodeId, ...]], NodeId] = loose or {}  # (alpha, group) -> dense
+        self._first = [next(_lowerings(self, k), None) for k in range(len(nodes))]
         self._ideals: list[int | None] = [None] * len(nodes)
+        self._pulls: tuple[list[list], dict[int, int]] | None = None  # see _pull_gathers
         return self
 
     def _position(self, node: NodeId) -> int:
@@ -96,7 +110,7 @@ class OrbitGraph:
 def _lowerings(g: OrbitGraph, k: int):
     """The steps down from position k, in order: (alpha, each other member)
     for every fiber along alpha with k as its dense member.  The first is
-    the one reduced_decomposition and lower_ideal take."""
+    kept in ``g._first``; reduced_decomposition and lower_ideal take it."""
     for alpha, row in enumerate(g._table, 1):
         got = row[k]
         if got is not None and got[0] == k:
@@ -174,7 +188,7 @@ def validate(g: OrbitGraph) -> list[str]:
     if all(g.length[node] != 0 for node in g.nodes):
         violations.append("NoClosedNode: no node of length 0")
     for k, n in enumerate(g._len):
-        if n > 0 and next(_lowerings(g, k), None) is None:
+        if n > 0 and g._first[k] is None:
             violations.append(f"Unreachable: node={g.nodes[k]} has no downward fiber")
     return sorted(violations)
 
@@ -200,13 +214,20 @@ def _cycle(g: OrbitGraph, chain: list[int]) -> AxiomViolation:
     return AxiomViolation([f"LoweringCycle: node={g.nodes[k]} lies below itself"])
 
 
+def _require_table(g: OrbitGraph) -> None:
+    """Refuse a graph holding a fiber kept out of the table, with validate's list."""
+    if g._loose:
+        raise AxiomViolation(validate(g))
+
+
 def reduced_decomposition(g: OrbitGraph, v: NodeId) -> ReducedDecomposition:
     """Deterministic decomposition: walk down from v, at each step taking the
     smallest simple index that lowers, then the smallest lower node."""
     k = g._position(v)
+    _require_table(g)
     ks, roots = [k], []
     while g._len[k] > 0:
-        step = next(_lowerings(g, k), None)
+        step = g._first[k]
         if step is None:
             raise Unreachable(f"node {g.nodes[k]} has positive length but no downward fiber")
         if len(ks) > len(g._len):
@@ -236,34 +257,41 @@ def all_reduced_decompositions(g: OrbitGraph, v: NodeId) -> list[ReducedDecompos
             raise Unreachable(f"node {node} has positive length but no downward fiber")
         return out
 
-    return walk(g._position(v))
+    k = g._position(v)
+    _require_table(g)
+    return walk(k)
 
 
 def subexpression_endpoints(g: OrbitGraph, rd: ReducedDecomposition) -> tuple[NodeId, ...]:
     """All endpoints of subexpressions of the given decomposition, which must
     be one in g.  A node already dense in its fiber can only stand still;
     otherwise the whole fiber is reachable in one step (stand still, move to
-    dense, or slide to the other member under the shared dense target)."""
+    dense, or slide to the other member under the shared dense target).
+    The reached set only grows and a node's step along alpha depends on the
+    node alone, so a step along alpha moves only the nodes reached since the
+    last step along alpha."""
     if len(rd.nodes) != len(rd.roots) + 1:
         raise Mismatch("decomposition sequences have inconsistent lengths")
     ks = [g._position(node) for node in rd.nodes]
     if g._len[ks[0]] != 0:
         raise Mismatch(f"decomposition must start at a closed orbit, got {rd.nodes[0]}")
-    current = {ks[0]}
     for i, alpha in enumerate(rd.roots):
         prev, cur = ks[i], ks[i + 1]
         if cur == prev or (g._entry(alpha, prev) or (prev,))[0] != cur:
             raise Mismatch(f"step {i + 1} is not a dense move along {alpha}")
-        row = g._table[alpha - 1]
-        nxt = set()
-        for u in current:
+    _require_table(g)
+    reached, seen, moved = [ks[0]], {ks[0]}, [0] * g.rank  # reached[:moved[alpha - 1]] went along alpha
+    for alpha in rd.roots:
+        row, end = g._table[alpha - 1], len(reached)
+        for u in reached[moved[alpha - 1] : end]:
             got = row[u]
-            if got is None or got[0] == u:
-                nxt.add(u)
-            else:
-                nxt.update(got[1])
-        current = nxt
-    return tuple(g.nodes[k] for k in sorted(current))
+            if got is not None and got[0] != u:
+                for y in got[1]:
+                    if y not in seen:
+                        seen.add(y)
+                        reached.append(y)
+        moved[alpha - 1] = end
+    return tuple(g.nodes[k] for k in sorted(reached))
 
 
 # --- order --------------------------------------------------------------------
@@ -279,16 +307,31 @@ def _members(bits: int) -> list[int]:
     return out
 
 
+def _gather(source: list[int], size: int | None = None):
+    """The map from a bitset over size positions (len(source) by default) to
+    the one whose bit u is its bit source[u] (0 for size): a 0/1 string
+    picked apart at C level."""
+    n = len(source) if size is None else size
+    pick, width = itemgetter(*(n - p for p in reversed(source))), f"0{n + 1}b"
+    return lambda bits: int("".join(pick(format(bits, width))), 2)
+
+
+def _union_gathers(sources: list[list[int]]) -> list:
+    """The gathers whose union sets bit y of a bitset over len(sources)
+    positions from any of the bits sources[y]."""
+    n = len(sources)
+    return [_gather([s[i] if len(s) > i else n for s in sources]) for i in range(max(map(len, sources), default=0))]
+
+
 def _first_lowerings(g: OrbitGraph, k: int, known: list, base) -> list[tuple[int, int, int]]:
     """The first lowering steps (position, alpha, one step down) from k
     down to a position set in known; one with no step down is set to
     base(position).  A chain that comes back, or a graph holding a fiber
     kept out of the table, raises AxiomViolation."""
-    if g._loose:
-        raise AxiomViolation(validate(g))
+    _require_table(g)
     steps, x = [], k
     while known[x] is None:
-        step = next(_lowerings(g, x), None)
+        step = g._first[x]
         if step is None:
             known[x] = base(x)
             break
@@ -299,26 +342,49 @@ def _first_lowerings(g: OrbitGraph, k: int, known: list, base) -> list[tuple[int
     return steps
 
 
+def _pull_gathers(g: OrbitGraph) -> tuple[list[list], dict[int, int]]:
+    """Per root, the gathers whose union sets bit y of a bitset from each
+    set bit u != y whose table entry lists y; and for each length, the
+    bitset of the positions shorter than it.  Built once, kept on g."""
+    n, lens = len(g._len), g._len
+    pulls = []
+    for row in g._table:
+        sources: list[list[int]] = [[] for _ in range(n)]
+        for u, got in enumerate(row):
+            for y in got[1] if got else ():
+                if y != u:
+                    sources[y].append(u)
+        pulls.append(_union_gathers(sources))
+    shorter, below = {}, 0
+    for k in sorted(range(n), key=lens.__getitem__):
+        shorter.setdefault(lens[k], below)
+        below |= 1 << k
+    g._pulls = pulls, shorter
+    return g._pulls
+
+
 def _ideal(g: OrbitGraph, k: int) -> int:
     """The lower ideal of position k (see lower_ideal)."""
     ideals, lens = g._ideals, g._len
-    for x, alpha, j in reversed(_first_lowerings(g, k, ideals, lambda x: 1 << x)):
-        bits, row = 1 << x, g._table[alpha - 1]
-        for u in _members(ideals[j]):
-            for y in row[u][1] if row[u] else (u,):
-                if lens[y] < lens[x]:
-                    bits |= 1 << y
-        ideals[x] = bits
+    steps = _first_lowerings(g, k, ideals, lambda x: 1 << x)
+    if steps:
+        pulls, shorter = g._pulls or _pull_gathers(g)
+        for x, alpha, j in reversed(steps):
+            below = ideals[j]
+            for pull in pulls[alpha - 1]:
+                below |= pull(ideals[j])
+            ideals[x] = below & shorter[lens[x]] | 1 << x
     return ideals[k]
 
 
 def lower_ideal(g: OrbitGraph, v: NodeId) -> int:
     """The nodes u <= v in closure order, as a bitset over ``g.nodes``.
 
-    If v lowers along alpha to x (the first step of _lowerings), its ideal
-    is v and every fiber_alpha-mate, shorter than v, of a member of the
-    ideal of x (Richardson-Springer).  Every ideal is computed once per
-    graph; _first_lowerings says when the walk raises AxiomViolation."""
+    If v lowers along alpha to x (its first step, ``g._first``), its ideal
+    is v and every node shorter than v in the ideal of x or in the fiber
+    along alpha of a member of it (Richardson-Springer): one gather per
+    other fiber member.  Every ideal is computed once per graph;
+    _first_lowerings says when the walk raises AxiomViolation."""
     return _ideal(g, g._position(v))
 
 
@@ -326,14 +392,6 @@ def poset_leq(g: OrbitGraph, u: NodeId, v: NodeId) -> bool:
     """Closure order: whether u lies in the lower ideal of v."""
     k = g._position(u)
     return bool(lower_ideal(g, v) >> k & 1)
-
-
-def _gather(source: list[int]):
-    """The map from a bitset over positions to the one whose bit u is its bit
-    source[u] (0 for len(source)): a 0/1 string picked apart at C level."""
-    n = len(source)
-    pick, width = itemgetter(*(n - p for p in reversed(source))), f"0{n + 1}b"
-    return lambda bits: int("".join(pick(format(bits, width))), 2)
 
 
 def property_z_check(g: OrbitGraph) -> list[str]:
@@ -350,7 +408,7 @@ def property_z_check(g: OrbitGraph) -> list[str]:
         for u1, (u2, group) in moved:
             up[u1], mates[u1] = u2, [x for x in group if x not in (u1, u2)]
         dense, mask = _gather(up), sum(1 << u1 for u1, _ in moved)
-        slides = [_gather([m[i] if len(m) > i else n for m in mates]) for i in range(max(map(len, mates)))]
+        slides = _union_gathers(mates)
         for v1, (v2, _) in moved:
             below_v1, below_v2 = _ideal(g, v1), _ideal(g, v2)
             c1, c2, c3 = below_v1, dense(below_v2), below_v2 & mask
@@ -382,8 +440,8 @@ def cover_pairs(g: OrbitGraph, among: int) -> list[tuple[NodeId, NodeId]]:
 
 
 def hasse(g: OrbitGraph) -> list[tuple[NodeId, NodeId]]:
-    """Cover relations, sorted.  If v lowers along alpha to x (the first step
-    of _lowerings), the nodes one shorter than v in its ideal are its other
+    """Cover relations, sorted.  If v lowers along alpha to x (its first
+    step, ``g._first``), the nodes one shorter than v in its ideal are its other
     alpha-fiber members and dense_alpha(z) for each such z of x that alpha
     moves up (du Cloux); one of another length raises AxiomViolation.  They
     are the covers if the order is graded by length, as from_parabolic's is;

@@ -11,7 +11,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
-from .orbit_poset import from_parabolic, poset_leq, property_z_check
+from .orbit_poset import _gather, _members, from_parabolic, from_weyl, lower_ideal, property_z_check
 from .root_datum import (
     Root,
     RootDatum,
@@ -177,37 +177,48 @@ def coset_bruhat_leq_induced(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
     )
 
 
-def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]:
-    """The cosets by p-length, then by the canonical word of the minimal
-    representative: the minimal ids of the Weyl table, in id order."""
-    levi = normalize_levi(datum, levi)
+def _coset_ids(datum: RootDatum, levi: Levi) -> list[tuple[int, int]]:
+    """The (minimal, maximal) representative table ids of each coset, the
+    minimal ids in id order."""
     table = _table(datum)
-    elements = enumerate_elements(datum)
     # max_rep = w0 * min_rep, w0 the longest element of W_levi; w0 is an
     # involution, so its word may be applied first letter first.
     longest = reduced_word(longest_levi_element(datum, levi))
-    cosets = []
+    ids = []
     for k in _p_minimal(table, levi):
         x = k
         for i in longest:
             x = table.left[i - 1][x]
-        cosets.append(ParabolicCoset(levi, elements[k], elements[x]))
-    return tuple(cosets)
+        ids.append((k, x))
+    return ids
+
+
+def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]:
+    """The cosets by p-length, then by the canonical word of the minimal
+    representative: the minimal ids of the Weyl table, in id order."""
+    levi = normalize_levi(datum, levi)
+    elements = enumerate_elements(datum)
+    return tuple(ParabolicCoset(levi, elements[k], elements[x]) for k, x in _coset_ids(datum, levi))
 
 
 def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
     """Exhaustively certify the lifting property on the quotient's orbit
-    graph and that the order it generates is the induced Bruhat order.
-    Returns human-readable violations."""
+    graph and that the order it generates is the induced Bruhat order:
+    the ideal of each coset, restricted to the maximal representatives,
+    is the ideal of its maximal representative in W.  Returns
+    human-readable violations, one per disagreeing pair."""
     levi = normalize_levi(datum, levi)
-    g = from_parabolic(datum, levi)
+    g, w = from_parabolic(datum, levi), from_weyl(datum)
     violations = property_z_check(g)
-    cosets = enumerate_cosets(datum, levi)
-    words = [format_word(reduced_word(c.min_rep)) for c in cosets]
-    for c1, u in zip(cosets, words):
-        for c2, v in zip(cosets, words):
-            if poset_leq(g, u, v) != coset_bruhat_leq(c1, c2):
-                violations.append(f"re-derived order disagrees at u={u}, v={v}")
+    words = _table(datum).words
+    top = [0] * len(g.nodes)  # the position in w of each quotient node's maximal representative
+    for k, x in _coset_ids(datum, levi):
+        top[g.index[format_word(words[k])]] = w.index[format_word(words[x])]
+    restrict = _gather(top, len(w.nodes))
+    for v in range(len(g.nodes)):
+        differ = lower_ideal(g, g.nodes[v]) ^ restrict(lower_ideal(w, w.nodes[top[v]]))
+        for u in _members(differ):
+            violations.append(f"re-derived order disagrees at u={g.nodes[u]}, v={g.nodes[v]}")
     return sorted(violations)
 
 

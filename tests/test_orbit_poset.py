@@ -1,6 +1,7 @@
 """Orbit graphs: closure order, decompositions, subexpressions, validation."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from flagorbits import (
     Mismatch,
     OrbitGraph,
     ParseError,
+    ReducedDecomposition,
     Unreachable,
     all_reduced_decompositions,
     bruhat_leq,
@@ -473,3 +475,212 @@ def test_node_line_errors_name_the_line():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == message
+
+
+# --- the walks before the first-step row, the pull gathers and the pointer walk ---
+
+
+def reference_first_step(g, k):
+    """The first lowering step from position k, read off the table root by
+    root as the _lowerings generator does: (alpha, position) or None."""
+    for alpha, row in enumerate(g._table, 1):
+        got = row[k]
+        if got is not None and got[0] == k:
+            for j in got[1]:
+                if j != k:
+                    return alpha, j
+    return None
+
+
+def reference_refuse_loose(g):
+    if g._loose:
+        raise AxiomViolation(validate(g))
+
+
+def reference_cycle(g, chain):
+    """The violation naming the first position the chain comes back to."""
+    seen = set()
+    for k in chain:
+        if k in seen:
+            break
+        seen.add(k)
+    return AxiomViolation([f"LoweringCycle: node={g.nodes[k]} lies below itself"])
+
+
+def reference_chain(g, k, known, base):
+    """The first lowering steps from k down to a position set in known."""
+    reference_refuse_loose(g)
+    steps, x = [], k
+    while known[x] is None:
+        step = reference_first_step(g, x)
+        if step is None:
+            known[x] = base(x)
+            break
+        if len(steps) > len(known):
+            raise reference_cycle(g, [s[0] for s in steps])
+        steps.append((x, *step))
+        x = step[1]
+    return steps
+
+
+def reference_ideal(g, k, ideals):
+    """The member loop: every fiber mate, shorter than x, of each member of
+    the ideal one step down; ideals is the caller's own memo."""
+    lens = g._len
+    for x, alpha, j in reversed(reference_chain(g, k, ideals, lambda x: 1 << x)):
+        bits, row = 1 << x, g._table[alpha - 1]
+        for u in range(len(lens)):
+            if ideals[j] >> u & 1:
+                for y in row[u][1] if row[u] else (u,):
+                    if lens[y] < lens[x]:
+                        bits |= 1 << y
+        ideals[x] = bits
+    return ideals[k]
+
+
+def reference_decomposition(g, v):
+    k = g._position(v)
+    reference_refuse_loose(g)
+    ks, roots = [k], []
+    while g._len[k] > 0:
+        step = reference_first_step(g, k)
+        if step is None:
+            raise Unreachable(f"node {g.nodes[k]} has positive length but no downward fiber")
+        if len(ks) > len(g._len):
+            raise reference_cycle(g, ks)
+        roots.append(step[0])
+        k = step[1]
+        ks.append(k)
+    return ReducedDecomposition(tuple(g.nodes[k] for k in reversed(ks)), tuple(reversed(roots)))
+
+
+def reference_endpoints(g, rd):
+    """The set walk: every reached node takes every step."""
+    if len(rd.nodes) != len(rd.roots) + 1:
+        raise Mismatch("decomposition sequences have inconsistent lengths")
+    ks = [g._position(node) for node in rd.nodes]
+    if g._len[ks[0]] != 0:
+        raise Mismatch(f"decomposition must start at a closed orbit, got {rd.nodes[0]}")
+    current = {ks[0]}
+    for i, alpha in enumerate(rd.roots):
+        prev, cur = ks[i], ks[i + 1]
+        if cur == prev or (g._entry(alpha, prev) or (prev,))[0] != cur:
+            raise Mismatch(f"step {i + 1} is not a dense move along {alpha}")
+        row = g._table[alpha - 1]
+        nxt = set()
+        for u in current:
+            got = row[u]
+            if got is None or got[0] == u:
+                nxt.add(u)
+            else:
+                nxt.update(got[1])
+        current = nxt
+    reference_refuse_loose(g)
+    return tuple(g.nodes[k] for k in sorted(current))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except FlagOrbitsError as err:
+        return type(err).__name__, str(err)
+
+
+def corrupted(g, rng):
+    """g with one seeded change to its fibers or lengths: a dense node moved,
+    a member added (overlapping fibers), a fiber added between random nodes
+    (often a cycle or an incoherent pair), a fiber dropped, or a length shifted."""
+    fibers, lengths = [list(f) for f in g.stored_fibers()], dict(g.length)
+    kind = rng.randrange(5)
+    if kind == 0 and fibers:
+        f = rng.choice(fibers)
+        f[1] = rng.choice(f[2])
+    elif kind == 1 and fibers:
+        f = rng.choice(fibers)
+        f[2] = tuple(f[2]) + (rng.choice(g.nodes),)
+    elif kind == 2:
+        members = rng.sample(g.nodes, min(len(g.nodes), rng.choice((2, 2, 3))))
+        fibers.append([rng.randint(1, g.rank), rng.choice(members), tuple(members)])
+    elif kind == 3 and fibers:
+        fibers.pop(rng.randrange(len(fibers)))
+    else:
+        node = rng.choice(g.nodes)
+        lengths[node] += rng.choice((-2, -1, 1, 2))
+    return OrbitGraph(g.rootsystem, g.rank, lengths, [tuple(f) for f in fibers])
+
+
+def oracle_graphs():
+    graphs = [from_weyl(build_root_datum(name)) for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3", "B3")]
+    for name in ("A3", "B3", "D4"):
+        datum = build_root_datum(name)
+        graphs += [from_parabolic(datum, levi) for levi in ((1,), (2,), (1, 3))]
+    graphs += [to_orbit_poset(group_case(build_root_datum(name))) for name in ("A2", "B2", "A3")]
+    graphs += [
+        to_orbit_poset(twisted_shadow(build_root_datum(name, twist=twist)))
+        for name, twist in (("A3", (3, 2, 1)), ("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3)))
+    ]
+    graphs += [to_orbit_poset(g) for g in builtin_fixtures().values()]
+    graphs += [parse_orbit_graph(format_orbit_graph(g)) for g in graphs[:8]]
+    a2 = format_orbit_graph(from_weyl(build_root_datum("A2")))
+    graphs += [
+        parse_orbit_graph(a2 + "fiber 1 2 e\n"),  # incoherent along 1
+        parse_orbit_graph(a2 + "fiber 7 2 e\n"),  # a fiber kept out of the table
+        parse_orbit_graph(  # a lowering cycle
+            "orbitgraph v1\nrootsystem A2\nnodes 3\nnode x 0\nnode v 2\nnode w 3\nfiber 1 v w\nfiber 2 w v\n"
+        ),
+    ]
+    return graphs
+
+
+def assert_walks_match(g):
+    n = len(g.nodes)
+    assert g._first == [reference_first_step(g, k) for k in range(n)], g.rootsystem
+    ideals = [None] * n
+    for v in g.nodes:
+        assert outcome(lower_ideal, g, v) == outcome(reference_ideal, g, g.index[v], ideals), (g.rootsystem, v)
+        rd = outcome(reduced_decomposition, g, v)
+        assert rd == outcome(reference_decomposition, g, v), (g.rootsystem, v)
+        if isinstance(rd, ReducedDecomposition):
+            rds = [rd, rd._replace(roots=rd.roots[::-1]), rd._replace(nodes=rd.nodes[1:])]
+            every = outcome(all_reduced_decompositions, g, v) if n <= 24 else []
+            rds += every if isinstance(every, list) else []
+            for rd in rds:
+                assert outcome(subexpression_endpoints, g, rd) == outcome(reference_endpoints, g, rd), (g.rootsystem, rd)
+
+
+def test_walks_match_the_references():
+    for g in oracle_graphs():
+        assert_walks_match(g)
+
+
+def test_walks_match_the_references_on_corrupted_graphs():
+    rng = random.Random(20111)
+    graphs = oracle_graphs()
+    kinds, cyclic = set(), 0
+    for _ in range(300):
+        g = corrupted(rng.choice(graphs), rng)
+        kinds.update(v.split(":")[0] for v in validate(g))
+        assert_walks_match(g)
+        cyclic += any("LoweringCycle" in str(outcome(lower_ideal, g, v)) for v in g.nodes)
+    assert {"BadLengthGap", "FiberIncoherent", "NoDenseNode", "Unreachable"} <= kinds and cyclic >= 5
+
+
+def test_decompositions_refuse_fibers_outside_the_table():
+    text = "orbitgraph v1\nrootsystem A2\nnodes 3\nnode 0 0\nnode 1 1\nnode 2 2\n"
+    g = parse_orbit_graph(text + "fiber 1 1 0\nfiber 2 2 1\nfiber 7 2 0\n")
+    message = str(AxiomViolation(validate(g)))
+    assert validate(g) == ["BadSimpleIndex: alpha=7 fiber=0/2"]
+    rd = ReducedDecomposition(("0", "1", "2"), (1, 2))
+    for call in (
+        lambda: lower_ideal(g, "2"),
+        lambda: reduced_decomposition(g, "2"),
+        lambda: reduced_decomposition(g, "0"),
+        lambda: all_reduced_decompositions(g, "2"),
+        lambda: subexpression_endpoints(g, rd),
+    ):
+        with pytest.raises(AxiomViolation) as info:
+            call()
+        assert str(info.value) == message
+    tabled = parse_orbit_graph(text + "fiber 1 1 0\nfiber 2 2 1\n")
+    assert reduced_decomposition(tabled, "2") == rd
+    assert subexpression_endpoints(tabled, rd) == ("0", "1", "2")

@@ -6,10 +6,12 @@ import itertools
 import pytest
 
 from flagorbits import (
+    AxiomViolation,
     NotARoot,
     NotDownward,
     NotPositiveRoot,
     NotPReduced,
+    OrbitGraph,
     ParabolicCoset,
     ParabolicMismatch,
     RootPosition,
@@ -42,6 +44,8 @@ from flagorbits import (
     longest_levi_element,
     mul,
     p_length,
+    poset_leq,
+    property_z_check,
     quotient_exchange,
     quotient_property_z_check,
     reduced_word,
@@ -49,6 +53,7 @@ from flagorbits import (
     simple_root,
     step_coset,
 )
+from flagorbits import parabolic
 from flagorbits.orbit_poset import cover_pairs
 from flagorbits.root_datum import normalize_levi
 
@@ -289,6 +294,54 @@ def test_quotient_property_z_empty():
         d = build_root_datum(name)
         for levi in all_levis(d.rank):
             assert quotient_property_z_check(d, levi) == []
+
+
+def reference_quotient_property_z_check(datum, levi, g):
+    """The all-pairs quotient_property_z_check, kept as the reference:
+    poset_leq on the quotient graph g against coset_bruhat_leq for every
+    pair of cosets."""
+    violations = property_z_check(g)
+    cosets = enumerate_cosets(datum, levi)
+    words = [format_word(reduced_word(c.min_rep)) for c in cosets]
+    for c1, u in zip(cosets, words):
+        for c2, v in zip(cosets, words):
+            if poset_leq(g, u, v) != coset_bruhat_leq(c1, c2):
+                violations.append(f"re-derived order disagrees at u={u}, v={v}")
+    return sorted(violations)
+
+
+def _quotient_mutants(g):
+    """g with the dense node of one fiber moved, or the fiber dropped, for
+    four fibers spread over the stored ones."""
+    fibers = g.stored_fibers()
+    for i in range(0, len(fibers), max(1, len(fibers) // 4)):
+        alpha, dense, group = fibers[i]
+        moved = (alpha, next(x for x in group if x != dense), group)
+        yield OrbitGraph(g.rootsystem, g.rank, g.length, fibers[:i] + [moved] + fibers[i + 1 :])
+        yield OrbitGraph(g.rootsystem, g.rank, g.length, fibers[:i] + fibers[i + 1 :])
+
+
+def test_quotient_property_z_matches_the_pairwise_reference(monkeypatch):
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except AxiomViolation as err:  # a moved dense node can close a lowering cycle
+            return str(err)
+
+    disagreeing = 0
+    for name in ("A3", "B3", "C3"):
+        d = build_root_datum(name)
+        for levi in all_levis(d.rank):
+            g = from_parabolic(d, levi)
+            assert quotient_property_z_check(d, levi) == reference_quotient_property_z_check(d, levi, g) == []
+            if name == "B3" and len(levi) == 1:
+                for mutant in _quotient_mutants(g):
+                    expected = outcome(reference_quotient_property_z_check, d, levi, mutant)
+                    monkeypatch.setattr(parabolic, "from_parabolic", lambda datum, levi: mutant)
+                    assert outcome(quotient_property_z_check, d, levi) == expected, (levi, mutant.stored_fibers())
+                    monkeypatch.undo()
+                    disagreeing += any(v.startswith("re-derived") for v in expected)
+    assert disagreeing >= 6
 
 
 def test_quotient_exchange_examples():
