@@ -15,9 +15,9 @@ from types import SimpleNamespace
 
 from .errors import FlagOrbitsError, ParseError
 from .kgb import ascent_consistency_check, builtin_fixtures, load_kgb, minimal_w_uniqueness_check
-from .kgb import save_kgb, to_orbit_poset
+from .kgb import parse_kgb, save_kgb, to_orbit_poset
 from .kgp import class_hasse, i_equivalence_classes
-from .orbit_poset import from_parabolic, hasse_dot, load_orbit_graph, property_z_check
+from .orbit_poset import from_parabolic, hasse_dot, parse_orbit_graph, property_z_check
 from .orbit_poset import validate as validate_poset
 from .parabolic import enumerate_cosets, p_length
 from .root_datum import _decimal, _significant_lines, build_root_datum, parse_root_datum
@@ -84,11 +84,12 @@ def _collect_violations(path: str) -> tuple[str, list[str]]:
         datum = parse_root_datum(text)
         return f"ok: rank {datum.rank}, 0 violations", []
     if header == "orbitgraph v1":
-        g = load_orbit_graph(path)
+        g = parse_orbit_graph(text)
         violations = validate_poset(g) or property_z_check(g)
         return f"ok: {len(g.nodes)} nodes, 0 violations", violations
     if header == "kgbgraph v1":
-        g = load_kgb(path)  # structural axioms enforced here
+        # structural axioms enforced here; a rootsystem file is read beside the graph
+        g = parse_kgb(text, base_dir=os.path.dirname(os.path.abspath(path)))
         poset = to_orbit_poset(g)
         violations = validate_poset(poset) + property_z_check(poset)
         violations += ascent_consistency_check(g) + minimal_w_uniqueness_check(g)

@@ -7,6 +7,10 @@ genuine symmetric pairs are data, validated against the structural axioms;
 generated graphs exist for the diagonal case and for a synthetic harness on
 twisted involutions.
 
+Each label is a rank-one pattern: one row of the ``_RULES`` table gives the
+class of the root, the cross move and the Cayley transform, and validate_kgb
+reads every local axiom off that row.
+
 Monoid words act first letter first, matching upward sequences of moves.
 """
 
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -74,14 +78,27 @@ class RootType(enum.Enum):
     REAL_II = "r2"
 
 
-_ASCENT_TYPES = frozenset(
-    {RootType.COMPLEX_ASCENT, RootType.NONCOMPACT_I, RootType.NONCOMPACT_II}
-)
-_IMAGINARY_TYPES = frozenset(
-    {RootType.COMPACT_IMAGINARY, RootType.NONCOMPACT_I, RootType.NONCOMPACT_II}
-)
-_NONCOMPACT_TYPES = frozenset({RootType.NONCOMPACT_I, RootType.NONCOMPACT_II})
-_REAL_TYPES = frozenset({RootType.REAL_I, RootType.REAL_II})
+# Each label's rank-one pattern, as validate_kgb checks it: the class the
+# twisted involution must give the root; the cross action's length step (None:
+# it fixes the node), the label of the node it moves to and the code for a
+# wrong move; the Cayley target's label (None: no Cayley transform); and the
+# number of Cayley preimages (None: not counted).
+_Rule = namedtuple("_Rule", "cls step partner code cayley preimages")
+_RULES = {
+    RootType.COMPLEX_ASCENT: _Rule("complex", 1, RootType.COMPLEX_DESCENT, "AscentPattern", None, None),
+    RootType.COMPLEX_DESCENT: _Rule("complex", -1, RootType.COMPLEX_ASCENT, "DescentPattern", None, None),
+    RootType.COMPACT_IMAGINARY: _Rule("imaginary", None, None, "CompactMoved", None, None),
+    RootType.NONCOMPACT_I: _Rule("imaginary", 0, RootType.NONCOMPACT_I, "TypeIPattern", RootType.REAL_I, None),
+    RootType.NONCOMPACT_II: _Rule("imaginary", None, None, "TypeIIPattern", RootType.REAL_II, None),
+    RootType.REAL_I: _Rule("real", None, None, "RealMoved", None, 2),
+    RootType.REAL_II: _Rule("real", None, None, "RealMoved", None, 1),
+}
+
+_IMAGINARY_TYPES = frozenset(t for t, r in _RULES.items() if r.cls == "imaginary")
+_NONCOMPACT_TYPES = frozenset(t for t, r in _RULES.items() if r.cayley)
+_REAL_TYPES = frozenset(t for t, r in _RULES.items() if r.cls == "real")
+# the monoid moves the node up the cross action or to the Cayley target
+_ASCENT_TYPES = frozenset(t for t, r in _RULES.items() if r.step == 1 or r.cayley)
 
 
 _GRAPH_FIELDS = ("datum", "nodes", "tw", "length", "label", "cross", "cayley")
@@ -281,64 +298,29 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             partner = labels[j] if row[j] != n else None
             if partner is not None and row[j] != k:
                 out.append(f"CrossNotInvolution: alpha={alpha} node={v}")
-            # class of the label against the twisted involution
+            cls, step, mate, code, real, want = _RULES[lab]
             img = tw[v].images[theta - 1]
-            if lab in _REAL_TYPES:
-                if img != minus_alpha:
-                    out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not real")
-            elif lab in _IMAGINARY_TYPES:
-                if img != alpha_root:
-                    out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not imaginary")
-            else:
-                if img == alpha_root or img == minus_alpha:
-                    out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not complex")
+            if cls != ("imaginary" if img == alpha_root else "real" if img == minus_alpha else "complex"):
+                out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not {cls}")
             # twisted involution transforms uniformly under the cross action
             bad = twisted.pop(k) if k in twisted else _times_s(_s_times(alpha, tw[v]), theta) != tw[cr]
             if bad:
                 out.append(f"CrossTwist: alpha={alpha} node={v}")
             if row[j] == k:
                 twisted[j] = bad
-            # per-label local pattern
-            key = keys[k]
-            has_cayley = key in g.cayley
-            noncompact = lab in _NONCOMPACT_TYPES
-            if noncompact:
-                if not has_cayley:
-                    out.append(f"MissingCayley: alpha={alpha} node={v}")
-            elif has_cayley:
-                out.append(f"SpuriousCayley: alpha={alpha} node={v}")
+            if (cr != v) if step is None else (cr == v or length[cr] != length[v] + step):
+                out.append(f"{code}: alpha={alpha} node={v}")
+            elif mate is not None and partner not in (None, mate):
+                out.append(f"PartnerLabel: alpha={alpha} node={v}")
             if trivial and lab in (RootType.NONCOMPACT_I, RootType.REAL_I):
                 out.append(f"TypeIForbidden: alpha={alpha} node={v} (m_alpha trivial)")
-            if lab is RootType.COMPLEX_ASCENT:
-                if cr == v or length[cr] != length[v] + 1:
-                    out.append(f"AscentPattern: alpha={alpha} node={v}")
-                elif partner is not None and partner is not RootType.COMPLEX_DESCENT:
-                    out.append(f"PartnerLabel: alpha={alpha} node={v}")
-            elif lab is RootType.COMPLEX_DESCENT:
-                if cr == v or length[cr] != length[v] - 1:
-                    out.append(f"DescentPattern: alpha={alpha} node={v}")
-                elif partner is not None and partner is not RootType.COMPLEX_ASCENT:
-                    out.append(f"PartnerLabel: alpha={alpha} node={v}")
-            elif lab is RootType.COMPACT_IMAGINARY:
-                if cr != v:
-                    out.append(f"CompactMoved: alpha={alpha} node={v}")
-            elif lab is RootType.NONCOMPACT_I:
-                if cr == v or length[cr] != length[v]:
-                    out.append(f"TypeIPattern: alpha={alpha} node={v}")
-                elif partner is not None and partner is not RootType.NONCOMPACT_I:
-                    out.append(f"PartnerLabel: alpha={alpha} node={v}")
-            elif lab is RootType.NONCOMPACT_II:
-                if cr != v:
-                    out.append(f"TypeIIPattern: alpha={alpha} node={v}")
-            elif lab in _REAL_TYPES:
-                if cr != v:
-                    out.append(f"RealMoved: alpha={alpha} node={v}")
-                want = 2 if lab is RootType.REAL_I else 1
-                if preimages[key] != want:
-                    out.append(f"InverseCayleyCount: alpha={alpha} node={v} got={preimages[key]} want={want}")
-            if noncompact and has_cayley:
+            key = keys[k]
+            if want is not None and preimages[key] != want:
+                out.append(f"InverseCayleyCount: alpha={alpha} node={v} got={preimages[key]} want={want}")
+            if (key in g.cayley) != (real is not None):
+                out.append(f"{'Missing' if real is not None else 'Spurious'}Cayley: alpha={alpha} node={v}")
+            elif real is not None:
                 t = g.cayley[key]
-                real = RootType.REAL_I if lab is RootType.NONCOMPACT_I else RootType.REAL_II
                 if t not in length:
                     out.append(f"UnknownNode: alpha={alpha} node={v} cayley={t}")
                 else:
@@ -348,9 +330,9 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                         out.append(f"CayleyTarget: alpha={alpha} node={v} expected {real.value}")
                     if _s_times(alpha, tw[v]) != tw[t]:
                         out.append(f"CayleyTwist: alpha={alpha} node={v}")
-                    if real is RootType.REAL_I and partner is not None:
-                        if g.cayley.get((alpha, cr)) != t:
-                            out.append(f"SharedCayley: alpha={alpha} node={v}")
+                    # type I: the cross partner shares the Cayley target
+                    if step is not None and partner is not None and g.cayley.get((alpha, cr)) != t:
+                        out.append(f"SharedCayley: alpha={alpha} node={v}")
 
     # cross actions must satisfy the braid relations pairwise, walked from
     # every node at once; a walk that reached n met a gap, reported above

@@ -504,10 +504,10 @@ def _int_rows(
     reported before a missing one."""
     rows = []
     for line in lines[pos : pos + max(count, 0)]:
-        try:
-            rows.append(tuple(int(v) for v in line.split()))
-        except ValueError:
-            raise ParseError(f"bad {kind} row {line!r}") from None
+        fields = line.split()
+        if any(_decimal(v.removeprefix("-")) is None for v in fields):
+            raise ParseError(f"bad {kind} row {line!r}")
+        rows.append(tuple(map(int, fields)))
     if len(rows) < count:
         raise ParseError(truncated)
     return rows
@@ -528,10 +528,10 @@ def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
         spec: CartanSpec | str = lines[pos].split(None, 1)[1]
         pos += 1
     elif lines[pos].startswith("cartan "):
-        try:
-            rank = int(lines[pos].split()[1])
-        except (IndexError, ValueError):
-            raise ParseError("malformed cartan line") from None
+        fields = lines[pos].split()
+        rank = _decimal(fields[1]) if len(fields) > 1 else None
+        if rank is None:
+            raise ParseError("malformed cartan line")
         rows = _int_rows(lines, pos + 1, rank, "cartan", "truncated cartan matrix")
         pos += 1 + len(rows)
         spec = CartanSpec(tuple(rows), tuple(str(i + 1) for i in range(rank)))
@@ -555,11 +555,8 @@ def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
     if parts[1:] == ["id"]:
         twist = None
     else:
-        try:
-            twist = [int(v) for v in parts[1:]]
-        except ValueError:
-            raise ParseError("bad twist line") from None
-        if not twist:
+        twist = [_decimal(v) for v in parts[1:]]
+        if not twist or None in twist:
             raise ParseError("bad twist line")
 
     datum = build_root_datum(spec, isogeny=isogeny, twist=twist, coroot_rows=coroot_rows)

@@ -35,6 +35,7 @@ from .root_datum import (
     Root,
     RootDatum,
     _check_letter,
+    _decimal,
     all_roots,
     coroot_pairing,
     is_root,
@@ -606,10 +607,9 @@ def parse_word(datum: RootDatum, text: str) -> Word:
     text = text.strip()
     if text in ("", "e"):
         return ()
-    try:
-        word = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError(f"cannot parse word {text!r}") from None
+    word = tuple(_decimal(part.strip()) for part in text.split(","))
+    if None in word:
+        raise ParseError(f"cannot parse word {text!r}")
     for i in word:
         if not 1 <= i <= datum.rank:
             raise ParseError(f"letter {i} out of range 1..{datum.rank}")

@@ -111,6 +111,27 @@ def test_validate_reads_the_header_past_a_comment(capsys, tmp_path):
     assert (code, out, err) == (0, "ok: 6 nodes, 0 violations\n", "")
 
 
+def test_validate_reads_each_file_once(capsys, tmp_path, monkeypatch):
+    # a kgb graph naming its root datum by a path relative to the graph file,
+    # validated from another directory: that file is read too, once
+    (tmp_path / "a1.rootdatum").write_text(format_root_datum(build_root_datum("A1")))
+    body = format_kgb(sl2_split()).split("isogeny simply_connected\ntwist id\n")[1]
+    (tmp_path / "sl2.kgb").write_text("kgbgraph v1\nrootsystem file a1.rootdatum\n" + body)
+    (tmp_path / "a2.orbitgraph").write_text(format_orbit_graph(from_weyl(build_root_datum("A2"))))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.chdir(tmp_path.parent)
+    assert run(capsys, "validate", str(tmp_path / "sl2.kgb")) == (0, "ok: 3 nodes, 0 violations\n", "")
+    assert run(capsys, "validate", str(tmp_path / "a2.orbitgraph")) == (0, "ok: 6 nodes, 0 violations\n", "")
+    assert opened == ["sl2.kgb", "a1.rootdatum", "a2.orbitgraph"]
+
+
 def test_validate_flags_diagonal_fixture(capsys, tmp_path):
     run(capsys, "fixtures", "--write", str(tmp_path))
     code, out, err = run(capsys, "validate", str(tmp_path / "group_case_a1.kgb"))

@@ -551,12 +551,22 @@ def random_corruption(g, rng):
     """g with one to three seeded changes: a cross entry retargeted (to a
     node or to a name that is not one) or deleted, a label deleted with its
     cross entry kept or swapped with another, a Cayley entry added, removed
-    or retargeted, two twisted involutions swapped, or a length shifted."""
+    or retargeted, two twisted involutions swapped, one replaced by an element
+    that is not twisted, or a length shifted."""
+    datum = g.datum
+    # s_a * s_b with a, b adjacent and theta(a) != b is not twisted: theta
+    # sends its one reduced word a,b to theta(a),theta(b), not to b,a
+    untwisted = [
+        weyl.from_word(datum, (a, b))
+        for a in range(1, datum.rank + 1)
+        for b in range(1, datum.rank + 1)
+        if a != b and datum.cartan[a - 1][b - 1] and datum.twist[a - 1] != b
+    ]
     keys = sorted(g.label, key=lambda k: (k[0], node_sort_key(k[1])))
     targets = list(g.nodes) + ["zz", "zz2"]
     changes = {"tw": {}, "length": {}, "label": {}, "cross": {}, "cayley": {}}
     for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(9)
+        kind = rng.randrange(10)
         key = rng.choice(keys)
         if kind == 0:
             changes["cross"][key] = rng.choice(targets)
@@ -576,10 +586,21 @@ def random_corruption(g, rng):
         elif kind == 7:
             u, v = rng.sample(g.nodes, 2)
             changes["tw"][u], changes["tw"][v] = g.tw[v], g.tw[u]
+        elif kind == 8 and untwisted:
+            changes["tw"][rng.choice(g.nodes)] = rng.choice(untwisted)
         else:
             v = rng.choice(g.nodes)
             changes["length"][v] = g.length[v] + rng.choice((-2, -1, 1, 2))
     return _corrupt(g, **changes)
+
+
+# every code validate_kgb emits
+VIOLATION_CODES = {
+    "BadLength", "TwNotTwisted", "MissingLabel", "UnknownNode", "CrossNotInvolution", "LabelClass",
+    "CrossTwist", "AscentPattern", "DescentPattern", "CompactMoved", "TypeIPattern", "TypeIIPattern",
+    "RealMoved", "PartnerLabel", "TypeIForbidden", "InverseCayleyCount", "MissingCayley",
+    "SpuriousCayley", "CayleyLength", "CayleyTarget", "CayleyTwist", "SharedCayley", "CrossBraid",
+}
 
 
 def test_validate_matches_the_name_keyed_reference():
@@ -605,8 +626,7 @@ def test_validate_matches_the_name_keyed_reference():
         want = reference_validate_kgb(g)
         assert validate_kgb(g) == want, (trial, want)
         seen.update(v.split(":")[0] for v in want)
-    assert {"CrossBraid", "CrossTwist", "MissingLabel", "UnknownNode", "SharedCayley"} <= seen
-    assert len(seen) >= 20, seen
+    assert seen == VIOLATION_CODES, VIOLATION_CODES - seen
 
 
 def test_monoid_idempotent_and_braid():
@@ -1003,6 +1023,7 @@ def test_parse_errors():
         (good.replace("cross=0 cayley=1", "across=0 cayley=1"), "bad cross field in 'label 0 1 nci2 across=0 cayley=1'"),
         (good.replace("cross=0 cayley=1", "cross=0 cayly=1"), "bad cayley field in 'label 0 1 nci2 cross=0 cayly=1'"),
         *[(good.replace("node 1 1 1", f"node 1 {n} 1"), f"bad node length in 'node 1 {n} 1'") for n in ("+1", "01", "1_0", "٣")],
+        *[(good.replace("node 1 1 1", f"node 1 1 {w}"), f"cannot parse word {w!r}") for w in ("١", "２", "+1", "1_0")],
     ):
         with pytest.raises(ParseError) as info:
             parse_kgb(bad)
@@ -1026,3 +1047,9 @@ def test_to_orbit_poset_fibers():
     p = to_orbit_poset(pgl2_split())
     assert p.fiber(1, "0") == ("0", "1")
     assert p.dense_node(1, "1") == "1"
+
+
+def test_monoid_elt_refuses_an_element_of_another_datum():
+    with pytest.raises(Mismatch) as err:
+        monoid_elt(sl2_split(), identity(build_root_datum("A2")), "0")
+    assert str(err.value) == "element belongs to a different root datum"

@@ -492,3 +492,16 @@ def test_quotient_order_four_ways(name, levi):
     second = [d.rank + i for i in levi]
     right = [(to_min[inverse[int(u)]], to_min[inverse[int(v)]]) for u, v in class_hasse(g, second)]
     assert sorted(right) == want
+
+
+def test_step_and_induced_order_refusals():
+    a2 = build_root_datum("A2")
+    with pytest.raises(NotPositiveRoot) as err:
+        classify_step(identity(a2), (2, 0), (1,))
+    assert str(err.value) == "(2, 0) is not a root"
+    w = simple_reflection(a2, 2)
+    other = coset_of(identity(build_root_datum("B2")), ())
+    for c1, c2 in ((coset_of(w, (1,)), coset_of(w, (2,))), (coset_of(w, ()), other)):
+        with pytest.raises(ParabolicMismatch) as err:
+            coset_bruhat_leq_induced(c1, c2)
+        assert str(err.value) == "cosets live in different quotients"

@@ -425,6 +425,12 @@ def test_unnamed_parse_errors_name_the_block():
         # a bad row is reported before the rows run out
         ("\n".join(good[:2] + ["2 x"]) + "\n", "bad cartan row '2 x'"),
         ("\n".join(good[:5] + ["z"]) + "\n", "bad lattice row 'z'"),
+        # every numeral is ASCII digits; a minus sign only where it is meaningful
+        *[(edited(1, f"cartan {n}"), "malformed cartan line") for n in ("٢", "２", "+2", "-2", "0_2")],
+        *[(edited(2, row), f"bad cartan row {row!r}") for row in ("2 -٢", "+2 -2", "2 -2_0", "2 --2", "2 -")],
+        (edited(3, "-1 +2"), "bad cartan row '-1 +2'"),
+        (edited(6, "-2 ２"), "bad lattice row '-2 ２'"),
+        *[(edited(7, f"twist {t}"), "bad twist line") for t in ("٢ 1", "+2 1", "1_0 1", "-1 2")],
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
@@ -477,3 +483,37 @@ def test_datum_pickled_in_another_process_hashes_like_a_fresh_one():
     again = pickle.loads(sent.stdout)
     d = build_root_datum("G2")
     assert again == d and hash(again) == hash(d) and {d: 1}[again] == 1
+
+
+def test_construction_and_root_refusals():
+    a2 = build_root_datum("A2")
+    header_only = "rootdatum v1\n"
+    bad_line = "rootdatum v1\nkind A2\nisogeny adjoint\ntwist id\n"
+    for call, error, message in (
+        (lambda: build_root_datum("A2", isogeny="isogenous"), InvalidCartan, "unknown isogeny 'isogenous'"),
+        (
+            lambda: build_root_datum("A2", isogeny="lattice"),
+            InvalidCartan,
+            "lattice isogeny requires explicit coroot rows",
+        ),
+        (
+            lambda: build_root_datum("A2", coroot_rows=((1, 0), (0, 1))),
+            InvalidCartan,
+            "coroot rows are only accepted with the lattice isogeny",
+        ),
+        *[
+            (
+                lambda rows=rows: build_root_datum("A2", isogeny="lattice", coroot_rows=rows),
+                InvalidCartan,
+                "lattice data must give one row of length rank per coroot",
+            )
+            for rows in (((1, 0),), ((1, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 1)))
+        ],
+        (lambda: reflect(a2, 1, (2, 0)), NotARoot, "(2, 0) is not a root"),
+        (lambda: is_positive_root(a2, (1, -1)), NotARoot, "(1, -1) is not a root"),
+        (lambda: parse_root_datum(header_only), ParseError, "missing type or cartan line"),
+        (lambda: parse_root_datum(bad_line), ParseError, "expected type or cartan line, got 'kind A2'"),
+    ):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message

@@ -382,3 +382,23 @@ def test_word_text_round_trip():
         parse_word(d, "3")
     with pytest.raises(ParseError):
         parse_word(d, "0,1")
+    # letters are ASCII digits without a sign; spaces around a letter are fine
+    assert parse_word(d, "1, 2") == (1, 2)
+    for text in ("١,2", "1,２", "+1", "1_0", "-1", "1,,2"):
+        with pytest.raises(ParseError) as err:
+            parse_word(d, text)
+        assert str(err.value) == f"cannot parse word {text!r}"
+
+
+def test_refusals_across_data_and_off_the_roots():
+    a2, b2 = build_root_datum("A2"), build_root_datum("B2")
+    across = "cannot compare elements of different root data"
+    for call, error, message in (
+        (lambda: bruhat_leq(identity(a2), identity(b2)), DatumMismatch, across),
+        (lambda: bruhat_leq_subword(identity(a2), identity(b2)), DatumMismatch, across),
+        (lambda: reflection_word(a2, (2, 0)), NotARoot, "(2, 0) is not a root"),
+        (lambda: reflection_word(a2, (-1, -1)), NotPositiveRoot, "(-1, -1) is not positive"),
+    ):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
