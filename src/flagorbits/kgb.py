@@ -33,7 +33,6 @@ from .errors import (
 )
 from .orbit_poset import NodeId, OrbitGraph, node_sort_key, reduced_decomposition
 from .root_datum import (
-    CartanSpec,
     RootDatum,
     build_root_datum,
     format_root_datum,
@@ -108,11 +107,12 @@ class KgbGraph:
     """A K\\G/B graph: per node its twisted involution and length, and per
     (simple index, node) its root type, cross action and, for noncompact
     roots, Cayley transform.  ``nodes`` is kept sorted.  Two graphs are
-    equal when these fields are; ``origin`` and the memos do not count, and
-    a graph is not hashable.  Immutable: the constructor keeps read-only
-    copies of the five maps, so the memos never go stale."""
+    equal when these fields are; the memos do not count, and a graph is
+    not hashable.  Immutable: the constructor keeps read-only copies of the
+    five maps, so the memos never go stale, and refuses a length that is
+    not an int with AxiomViolation."""
 
-    __slots__ = _GRAPH_FIELDS + ("origin", "_poset", "_classes", "_open")
+    __slots__ = _GRAPH_FIELDS + ("_poset", "_classes", "_open")
 
     def __init__(
         self,
@@ -123,13 +123,15 @@ class KgbGraph:
         label: dict[tuple[int, NodeId], RootType],
         cross: dict[tuple[int, NodeId], NodeId],
         cayley: dict[tuple[int, NodeId], NodeId],
-        origin: str = "data",
     ):
+        bad = sorted(f"BadLength: node={v}" for v, n in length.items() if not isinstance(n, int))
+        if bad:
+            raise AxiomViolation(bad)
         maps = [MappingProxyType(dict(m)) for m in (tw, length, label, cross, cayley)]
         # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
         # fiber table every move reads, the classes per normalized Levi set
         # (kgp.i_equivalence_classes) and the open node.
-        values = (datum, tuple(sorted(nodes, key=node_sort_key)), *maps, origin, None, {}, None)
+        values = (datum, tuple(sorted(nodes, key=node_sort_key)), *maps, None, {}, None)
         for f, v in zip(self.__slots__, values):
             object.__setattr__(self, f, v)
 
@@ -151,8 +153,8 @@ class KgbGraph:
 
     def __repr__(self) -> str:
         datum, nodes, *maps = self._key()
-        fields = "".join(f"{f}={v!r}, " for f, v in zip(_GRAPH_FIELDS, [datum, nodes, *map(dict, maps)]))
-        return f"KgbGraph({fields}origin={self.origin!r})"
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(_GRAPH_FIELDS, [datum, nodes, *map(dict, maps)]))
+        return f"KgbGraph({fields})"
 
     def _require(self, v: NodeId) -> None:
         if v not in self.length:
@@ -261,7 +263,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
     preimages = Counter((alpha, t) for (alpha, _), t in g.cayley.items())
 
     for v in nodes:
-        if not isinstance(length[v], int) or length[v] < 0:
+        if length[v] < 0:
             out.append(f"BadLength: node={v}")
         if apply_twist(tw[v]) != inv(tw[v]):
             out.append(f"TwNotTwisted: node={v}")
@@ -468,11 +470,7 @@ def doubled_datum(datum: RootDatum) -> RootDatum:
         bottom = [zero + list(row) for row in mat]
         return tuple(tuple(row) for row in top + bottom)
 
-    if datum.name:
-        spec = f"{datum.name}x{datum.name}"
-    else:
-        labels = tuple(str(i + 1) for i in range(2 * r))
-        spec = CartanSpec(block(datum.cartan), labels)
+    spec = f"{datum.name}x{datum.name}" if datum.name else block(datum.cartan)
     twist = tuple(range(r + 1, 2 * r + 1)) + tuple(range(1, r + 1))
     rows = block(datum.coroot_images) if datum.isogeny == "lattice" else None
     return build_root_datum(spec, isogeny=datum.isogeny, twist=twist, coroot_rows=rows)
@@ -502,12 +500,13 @@ def group_case(datum: RootDatum) -> KgbGraph:
                 up = table.length[moved] > length[v]
                 label[(alpha, v)] = RootType.COMPLEX_ASCENT if up else RootType.COMPLEX_DESCENT
                 cross[(alpha, v)] = ids[moved]
-    return KgbGraph(dd, tuple(ids), tw, length, label, cross, {}, origin="group_case")
+    return KgbGraph(dd, tuple(ids), tw, length, label, cross, {})
 
 
 def twisted_shadow(datum: RootDatum) -> KgbGraph:
-    """Synthetic test harness, not a symmetric pair: nodes are the twisted
-    involutions, and every imaginary root is treated as noncompact type II."""
+    """Synthetic test harness: nodes are the twisted involutions, and every
+    imaginary root is treated as noncompact type II.  Not a symmetric pair,
+    except on adjoint A1, where it is the PGL2 graph (pgl2_split)."""
     table = _table(datum)
     left, right, weyl_length = table.left, table.right, table.length
     invs = _twisted_ids(datum)
@@ -553,9 +552,7 @@ def twisted_shadow(datum: RootDatum) -> KgbGraph:
     elements = enumerate_elements(datum)
     tw = {ids[k]: elements[k] for k in order}
     length = {ids[k]: depth[k] for k in order}
-    return KgbGraph(
-        datum, tuple(ids.values()), tw, length, label, cross, cay, origin="twisted_shadow"
-    )
+    return KgbGraph(datum, tuple(ids.values()), tw, length, label, cross, cay)
 
 
 # --- hand-built fixtures ----------------------------------------------------------
@@ -579,49 +576,20 @@ def sl2_split() -> KgbGraph:
         },
         {(1, "0"): "1", (1, "1"): "0", (1, "2"): "2"},
         {(1, "0"): "2", (1, "1"): "2"},
-        origin="fixture",
     )
 
 
 def pgl2_split() -> KgbGraph:
     """Rank one, adjoint, split: the torus element of order two is trivial, so
-    the noncompact root is forced to type II (single closed orbit)."""
-    datum = build_root_datum("A1", isogeny="adjoint")
-    e = identity(datum)
-    s = simple_reflection(datum, 1)
-    return KgbGraph(
-        datum,
-        ("0", "1"),
-        {"0": e, "1": s},
-        {"0": 0, "1": 1},
-        {(1, "0"): RootType.NONCOMPACT_II, (1, "1"): RootType.REAL_II},
-        {(1, "0"): "0", (1, "1"): "1"},
-        {(1, "0"): "1"},
-        origin="fixture",
-    )
+    the noncompact root is forced to type II (single closed orbit).  This is
+    twisted_shadow of adjoint A1."""
+    return twisted_shadow(build_root_datum("A1", isogeny="adjoint"))
 
 
 def a1xa1_swap() -> KgbGraph:
-    """Two commuting copies swapped by the twist; both roots complex.  The
-    same graph arises as group_case(A1)."""
-    datum = build_root_datum("A1xA1", twist=(2, 1))
-    e = identity(datum)
-    top = from_word(datum, (1, 2))
-    return KgbGraph(
-        datum,
-        ("0", "1"),
-        {"0": e, "1": top},
-        {"0": 0, "1": 1},
-        {
-            (1, "0"): RootType.COMPLEX_ASCENT,
-            (2, "0"): RootType.COMPLEX_ASCENT,
-            (1, "1"): RootType.COMPLEX_DESCENT,
-            (2, "1"): RootType.COMPLEX_DESCENT,
-        },
-        {(1, "0"): "1", (2, "0"): "1", (1, "1"): "0", (2, "1"): "0"},
-        {},
-        origin="fixture",
-    )
+    """Two commuting copies swapped by the twist; both roots complex.  This
+    is group_case(A1)."""
+    return group_case(build_root_datum("A1"))
 
 
 def builtin_fixtures() -> dict[str, KgbGraph]:

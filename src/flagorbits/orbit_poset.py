@@ -27,7 +27,8 @@ def node_sort_key(node: NodeId) -> tuple:
 
 
 class OrbitGraph:
-    """Immutable after construction; fibers of size one are implicit.
+    """Immutable after construction; fibers of size one are implicit, and a
+    length that is not an int is refused with AxiomViolation.
 
     Everything inside works on positions in ``nodes``; ``index`` maps a node
     to its position.  Entry k of fiber table row alpha - 1 is the fiber of
@@ -52,6 +53,9 @@ class OrbitGraph:
         fibers: Iterable[tuple[int, NodeId, Sequence[NodeId]]],
     ):
         nodes = tuple(sorted(lengths, key=node_sort_key))
+        bad = [f"BadLength: node={x} length={lengths[x]!r}" for x in nodes if not isinstance(lengths[x], int)]
+        if bad:
+            raise AxiomViolation(bad)
         index = {node: k for k, node in enumerate(nodes)}
         table: list[list] = [[None] * len(nodes) for _ in range(rank)]
         loose = {}
@@ -158,7 +162,7 @@ def validate(g: OrbitGraph) -> list[str]:
     orbit graph as far as the fiber data can tell."""
     violations = []
     for node in g.nodes:
-        if not isinstance(g.length[node], int) or g.length[node] < 0:
+        if g.length[node] < 0:
             violations.append(f"BadLength: node={node} length={g.length[node]!r}")
     for alpha, dense, group in g.stored_fibers():
         tag = f"alpha={alpha} fiber={'/'.join(group)}"
@@ -517,7 +521,7 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
                 raise ParseError(f"fiber mentions unknown node {name!r}")
         fibers.append((alpha, fields[2], tuple(fields[2:])))
     try:
-        rank = len(cartan_matrix(rootsystem.split()[0]).entries)
+        rank = len(cartan_matrix(rootsystem.split()[0]))
     except InvalidCartan:
         if top > RANK_CAP:
             raise ParseError(f"fiber index {top} is above the rank cap of {RANK_CAP}") from None

@@ -15,21 +15,13 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidCartan, InvalidTwist, NotARoot, ParseError
 
 Root = tuple[int, ...]
 
-
-class CartanSpec(NamedTuple):
-    """A candidate Cartan matrix with ordered simple-root labels."""
-
-    entries: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-
-
-_DATUM_FIELDS = ("cartan", "labels", "root_images", "coroot_images", "twist", "isogeny", "name")
+_DATUM_FIELDS = ("cartan", "root_images", "coroot_images", "twist", "isogeny", "name")
 
 
 class RootDatum:
@@ -48,15 +40,14 @@ class RootDatum:
     __slots__ = _DATUM_FIELDS + ("_hash", "_layout")
 
     cartan: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
     root_images: tuple[tuple[int, ...], ...]
     coroot_images: tuple[tuple[int, ...], ...]
     twist: tuple[int, ...]
     isogeny: str
     name: str | None
 
-    def __init__(self, cartan, labels, root_images, coroot_images, twist, isogeny, name):
-        self._fill((cartan, labels, root_images, coroot_images, twist, isogeny, name))
+    def __init__(self, cartan, root_images, coroot_images, twist, isogeny, name):
+        self._fill((cartan, root_images, coroot_images, twist, isogeny, name))
 
     def _fill(self, values: tuple) -> None:
         for f, v in zip(_DATUM_FIELDS, values):
@@ -195,9 +186,9 @@ def _simple_cartan(letter: str, n: int) -> list[list[int]]:
 RANK_CAP = 200
 
 
-def cartan_matrix(name: str) -> CartanSpec:
-    """Build the Cartan matrix for a type name such as A2, B3, G2 or A1xA1;
-    a name of total rank above RANK_CAP is refused before any matrix is made."""
+def cartan_matrix(name: str) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix rows of a type name such as A2, B3, G2 or A1xA1; a
+    name of total rank above RANK_CAP is refused before any matrix is made."""
     parts = []
     for part in name.split("x"):
         rank = _decimal(part[1:])
@@ -215,9 +206,7 @@ def cartan_matrix(name: str) -> CartanSpec:
             for j, v in enumerate(row):
                 m[offset + i][offset + j] = v
         offset += len(b)
-    entries = tuple(tuple(row) for row in m)
-    labels = tuple(str(i + 1) for i in range(total))
-    return CartanSpec(entries, labels)
+    return tuple(tuple(row) for row in m)
 
 
 def _solve_root_images(
@@ -242,22 +231,23 @@ def _solve_root_images(
 
 
 def build_root_datum(
-    spec: CartanSpec | str,
+    spec: str | Sequence[Sequence[int]],
     isogeny: str = "simply_connected",
     twist: Sequence[int] | None = None,
     coroot_rows: Sequence[Sequence[int]] | None = None,
 ) -> RootDatum:
     """Construct and fully validate a root datum.
 
-    ``spec`` is a CartanSpec or a built-in type name.  ``isogeny`` is
-    one of simply_connected, adjoint, lattice; the last requires explicit
-    ``coroot_rows`` (simple coroots in a basis of the cocharacter lattice).
+    ``spec`` is a built-in type name or the rows of a Cartan matrix.
+    ``isogeny`` is one of simply_connected, adjoint, lattice; the last
+    requires explicit ``coroot_rows`` (simple coroots in a basis of the
+    cocharacter lattice).
     """
     name = None
     if isinstance(spec, str):
         name = spec
         spec = cartan_matrix(spec)
-    entries = tuple(tuple(int(v) for v in row) for row in spec.entries)
+    entries = tuple(tuple(int(v) for v in row) for row in spec)
     _validate_cartan(entries)
     n = len(entries)
 
@@ -294,7 +284,6 @@ def build_root_datum(
 
     return RootDatum(
         cartan=entries,
-        labels=spec.labels,
         root_images=roots,
         coroot_images=coroots,
         twist=tw,
@@ -426,7 +415,7 @@ FORMAT_HEADER = "rootdatum v1"
 
 
 def format_root_datum(datum: RootDatum) -> str:
-    """Canonical text form; parse(format(d)) == d."""
+    """Canonical text form; parse(format(d)) == d for every datum."""
     lines = [FORMAT_HEADER]
     if datum.name is not None:
         lines.append(f"type {datum.name}")
@@ -525,7 +514,7 @@ def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
     if pos >= len(lines):
         raise ParseError("missing type or cartan line")
     if lines[pos].startswith("type "):
-        spec: CartanSpec | str = lines[pos].split(None, 1)[1]
+        spec: str | list[tuple[int, ...]] = lines[pos].split(None, 1)[1]
         pos += 1
     elif lines[pos].startswith("cartan "):
         fields = lines[pos].split()
@@ -534,7 +523,7 @@ def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
             raise ParseError("malformed cartan line")
         rows = _int_rows(lines, pos + 1, rank, "cartan", "truncated cartan matrix")
         pos += 1 + len(rows)
-        spec = CartanSpec(tuple(rows), tuple(str(i + 1) for i in range(rank)))
+        spec = rows
     else:
         raise ParseError(f"expected type or cartan line, got {lines[pos]!r}")
 
@@ -544,7 +533,7 @@ def parse_root_datum_lines(lines: list[str]) -> tuple[RootDatum, list[str]]:
     pos += 1
     coroot_rows = None
     if isogeny == "lattice":
-        rank = len((cartan_matrix(spec) if isinstance(spec, str) else spec).entries)
+        rank = len(cartan_matrix(spec) if isinstance(spec, str) else spec)
         coroot_rows = _int_rows(lines, pos, rank, "lattice", "truncated lattice rows")
         pos += rank
 

@@ -394,7 +394,6 @@ def _part_datum(datum: RootDatum, part: Sequence[int]) -> RootDatum:
     cartan = tuple(tuple(datum.cartan[i][j] for j in part) for i in part)
     return RootDatum(
         cartan=cartan,
-        labels=tuple(str(i + 1) for i in range(n)),
         root_images=cartan,
         coroot_images=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
         twist=tuple(range(1, n + 1)),

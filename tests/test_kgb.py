@@ -15,6 +15,7 @@ from flagorbits import (
     NotReal,
     ParseError,
     RootType,
+    Unreachable,
     a1xa1_swap,
     apply_twist,
     ascent_consistency_check,
@@ -57,7 +58,7 @@ from flagorbits import (
     validate as validate_poset,
     validate_kgb,
 )
-from flagorbits import CartanSpec, weyl
+from flagorbits import weyl
 from flagorbits.kgb import _IMAGINARY_TYPES, _NONCOMPACT_TYPES, _REAL_TYPES, _braid_order, _open_node
 from flagorbits.orbit_poset import from_weyl, lower_ideal, node_sort_key
 from flagorbits.root_datum import simple_root
@@ -732,7 +733,6 @@ def test_twisted_shadow_shapes():
     flip = twisted_shadow(build_root_datum("A2", twist=(2, 1)))
     assert len(flip.nodes) == 4
     assert sorted(flip.length.values()) == [0, 1, 1, 2]
-    assert flip.origin == "twisted_shadow"
 
 
 def test_minimal_w_uniqueness_split_rank_one():
@@ -788,7 +788,7 @@ def test_minimal_w_layers_match_the_brute_force():
         graphs[f"shadow_{name}_{twist}"] = twisted_shadow(build_root_datum(name, twist=twist))
     # components {1, 3} and {2}, swapped with each other by no twist: the
     # canonical words interleave the letters of the two components
-    interleaved = CartanSpec(((2, 0, -1), (0, 2, 0), (-1, 0, 2)), ("1", "2", "3"))
+    interleaved = ((2, 0, -1), (0, 2, 0), (-1, 0, 2))
     graphs["shadow_interleaved"] = twisted_shadow(build_root_datum(interleaved, twist=(3, 2, 1)))
     for name, g in graphs.items():
         assert minimal_w_uniqueness_check(g) == minimal_w_by_brute_force(g), name
@@ -870,12 +870,12 @@ def test_open_node_is_kept_on_the_graph():
 def test_graph_is_read_only_from_construction():
     sl2 = sl2_split()
     fields = {name: dict(getattr(sl2, name)) for name in ("tw", "length", "label", "cross", "cayley")}
-    g = KgbGraph(sl2.datum, sl2.nodes, **fields, origin="fixture")
+    g = KgbGraph(sl2.datum, sl2.nodes, **fields)
     for name, m in fields.items():
         with pytest.raises(TypeError):
             getattr(g, name)[next(iter(m))] = None
         m.clear()  # the caller's dict; the graph keeps its own copy
-    for name in ("nodes", "cayley", "origin", "_poset"):
+    for name in ("datum", "nodes", "cayley", "_poset"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
         with pytest.raises(AttributeError):
@@ -928,6 +928,23 @@ def test_canonical_sequences_need_unique_open_node():
     assert validate_kgb(g) == []
     with pytest.raises(NoOpenNode):
         canonical_sequences(g, "0")
+
+
+def test_canonical_sequences_refuse_a_node_below_the_top_with_no_ascent():
+    d = build_root_datum("A1")
+    e, s = identity(d), simple_reflection(d, 1)
+    g = KgbGraph(
+        d,
+        ("0", "1", "2"),
+        {"0": e, "1": s, "2": e},
+        {"0": 0, "1": 1, "2": 2},
+        {(1, "0"): RootType.COMPLEX_ASCENT, (1, "1"): RootType.COMPLEX_DESCENT, (1, "2"): RootType.COMPACT_IMAGINARY},
+        {(1, "0"): "1", (1, "1"): "0", (1, "2"): "2"},
+        {},
+    )
+    with pytest.raises(Unreachable) as info:
+        canonical_sequences(g, "1")
+    assert str(info.value) == "node 1 has no ascent but is not the open node"
 
 
 def test_replay_on_a_loaded_graph_without_nodes_has_no_open_node(tmp_path):
@@ -1037,6 +1054,15 @@ def test_parsed_graphs_must_satisfy_axioms():
     assert "BadLength: node=1" in info.value.violations
     with pytest.raises(AxiomViolation):
         parse_kgb(good.replace("node 1 1 1", "node 1 2 1"))
+
+
+def test_graphs_refuse_a_length_that_is_not_an_int():
+    # built, such a graph made validate_kgb, and poset_leq and hasse on its
+    # orbit poset, compare a str with an int
+    for g in (sl2_split(), a1xa1_swap()):
+        with pytest.raises(AxiomViolation) as info:
+            _corrupt(g, length={"0": "0"})
+        assert info.value.violations == ["BadLength: node=0"]
 
 
 def test_to_orbit_poset_fibers():

@@ -116,6 +116,14 @@ def test_validate_error_codes():
         assert any(v.startswith(code) for v in validate(g)), code
 
 
+def test_a_length_that_is_not_an_int_is_refused():
+    # built, such a graph made validate, poset_leq, hasse, property_z_check
+    # and reduced_decomposition compare a str with an int
+    with pytest.raises(AxiomViolation) as info:
+        OrbitGraph("crafted", 1, {"a": 0, "b": "1"}, [(1, "b", ("a", "b"))])
+    assert info.value.violations == ["BadLength: node=b length='1'"]
+
+
 def test_fiber_incoherent_names_the_node_claimed_twice():
     # a lies in a/b and in a/c along 1; the later fiber is the one stored at a
     g = OrbitGraph("crafted", 2, {"a": 0, "b": 1, "c": 1}, [(1, "b", ("a", "b")), (1, "c", ("a", "c"))])

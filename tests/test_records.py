@@ -9,7 +9,6 @@ import pytest
 
 import flagorbits
 from flagorbits import (
-    CartanSpec,
     KgbGraph,
     build_root_datum,
     canonical_sequences,
@@ -22,7 +21,7 @@ from flagorbits import (
 from flagorbits.parabolic import enumerate_cosets
 
 A1 = (
-    "RootDatum(cartan=((2,),), labels=('1',), root_images=((2,),), coroot_images=((1,),), "
+    "RootDatum(cartan=((2,),), root_images=((2,),), coroot_images=((1,),), "
     "twist=(1,), isogeny='simply_connected', name='A1')"
 )
 
@@ -39,9 +38,8 @@ def test_a_cold_import_loads_no_dataclasses_inspect_or_fractions():
 
 def test_reprs():
     d = build_root_datum("A2")
-    assert repr(CartanSpec(((2,),), ("1",))) == "CartanSpec(entries=((2,),), labels=('1',))"
     assert repr(d) == (
-        "RootDatum(cartan=((2, -1), (-1, 2)), labels=('1', '2'), root_images=((2, -1), (-1, 2)), "
+        "RootDatum(cartan=((2, -1), (-1, 2)), root_images=((2, -1), (-1, 2)), "
         "coroot_images=((1, 0), (0, 1)), twist=(1, 2), isogeny='simply_connected', name='A2')"
     )
     assert repr(build_root_datum("A1")) == A1
@@ -57,8 +55,7 @@ def test_reprs():
         "tw={'0': WeylElt(e), '1': WeylElt(e), '2': WeylElt(1)}, length={'0': 0, '1': 0, '2': 1}, "
         "label={(1, '0'): <RootType.NONCOMPACT_I: 'nci1'>, (1, '1'): <RootType.NONCOMPACT_I: 'nci1'>, "
         "(1, '2'): <RootType.REAL_I: 'r1'>}, "
-        "cross={(1, '0'): '1', (1, '1'): '0', (1, '2'): '2'}, cayley={(1, '0'): '2', (1, '1'): '2'}, "
-        "origin='fixture')"
+        "cross={(1, '0'): '1', (1, '1'): '0', (1, '2'): '2'}, cayley={(1, '0'): '2', (1, '1'): '2'})"
     )
 
 
@@ -66,7 +63,7 @@ def test_independent_root_data_compare_and_hash_equal():
     for name in ("A2", "B3", "G2xA1"):
         d, e = build_root_datum(name), build_root_datum(name)
         assert d is not e and d == e and hash(d) == hash(e)
-        assert hash(d) == hash((d.cartan, d.labels, d.root_images, d.coroot_images, d.twist, d.isogeny, d.name))
+        assert hash(d) == hash((d.cartan, d.root_images, d.coroot_images, d.twist, d.isogeny, d.name))
         assert from_word(d, (1, 2)) == from_word(e, (1, 2))
         assert hash(from_word(d, (1, 2))) == hash(from_word(e, (1, 2)))
     assert build_root_datum("A2") != build_root_datum("A2", isogeny="adjoint")
@@ -74,13 +71,13 @@ def test_independent_root_data_compare_and_hash_equal():
     assert build_root_datum("A2") != "A2"
 
 
-def test_graph_equality_ignores_origin_and_memos():
+def test_graph_equality_ignores_memos():
     g = sl2_split()
     fields = [g.datum, g.nodes, g.tw, g.length, g.label, g.cross, g.cayley]
-    h = KgbGraph(*fields, origin="elsewhere")
+    h = KgbGraph(*fields)
     canonical_sequences(g, "0")  # fills the poset and open-node memos
     i_equivalence_classes(g, (1,))
-    assert g == h and g.origin != h.origin
+    assert g == h
     with pytest.raises(TypeError):
         hash(g)
     fields[5] = {**g.cross, (1, "0"): "0"}
@@ -90,7 +87,6 @@ def test_graph_equality_ignores_origin_and_memos():
 def test_frozen_records_refuse_assignment():
     d = build_root_datum("A2")
     records = [
-        CartanSpec(((2,),), ("1",)),
         d,
         enumerate_cosets(d, (1,))[0],
         reduced_decomposition(from_weyl(d), "1"),
@@ -105,5 +101,5 @@ def test_frozen_records_refuse_assignment():
     with pytest.raises(AttributeError):
         del d.name
     with pytest.raises(AttributeError):
-        records[0].labels = ("2",)
+        records[1].levi = (2,)
     assert d.name == "A2"
