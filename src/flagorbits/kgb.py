@@ -9,7 +9,10 @@ twisted involutions.
 
 Each label is a rank-one pattern: one row of the ``_RULES`` table gives the
 class of the root, the cross move and the Cayley transform, and validate_kgb
-reads every local axiom off that row.
+reads every local axiom off that row.  The twist axioms (theta(w) = w^-1,
+the cross action s_a * w * s_theta(a), the Cayley transform s_a * w) are
+compared by component ids in the Weyl tables when the tables exist, and on
+root images otherwise; validate_kgb builds no table.
 
 Monoid words act first letter first, matching upward sequences of moves.
 """
@@ -49,6 +52,7 @@ from .weyl import (
     _element,
     _ids,
     _layout,
+    _root_inv,
     _s_times,
     _table,
     _times_s,
@@ -58,7 +62,6 @@ from .weyl import (
     format_word,
     from_word,
     identity,
-    inv,
     parse_word,
     reduced_word,
     simple_reflection,
@@ -109,8 +112,9 @@ class KgbGraph:
     roots, Cayley transform.  ``nodes`` is kept sorted.  Two graphs are
     equal when these fields are; the memos do not count, and a graph is
     not hashable.  Immutable: the constructor keeps read-only copies of the
-    five maps, so the memos never go stale, and refuses a length that is
-    not an int with AxiomViolation."""
+    five maps, so the memos never go stale.  It refuses with AxiomViolation
+    a length that is not an int and a node whose twisted involution is not
+    a WeylElt of the graph's datum."""
 
     __slots__ = _GRAPH_FIELDS + ("_poset", "_classes", "_open")
 
@@ -124,8 +128,13 @@ class KgbGraph:
         cross: dict[tuple[int, NodeId], NodeId],
         cayley: dict[tuple[int, NodeId], NodeId],
     ):
-        bad = sorted(f"BadLength: node={v}" for v, n in length.items() if not isinstance(n, int))
+        bad = [f"BadLength: node={v}" for v, n in length.items() if not isinstance(n, int)]
+        for v in nodes:
+            w = tw.get(v)
+            if w.__class__ is not WeylElt or w.datum != datum:
+                bad.append(f"BadTw: node={v}")
         if bad:
+            bad.sort()
             raise AxiomViolation(bad)
         maps = [MappingProxyType(dict(m)) for m in (tw, length, label, cross, cayley)]
         # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
@@ -254,6 +263,49 @@ def _braid_order(datum: RootDatum, a: int, b: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[prod]
 
 
+def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
+    """How validate_kgb compares twisted involutions, chosen once per call:
+    the key of each element, move(x, a, b) giving the key of s_a * x * s_b
+    (of s_a * x when b is None), and twisted(x), whether theta(x) = x^-1.
+    Keys are component ids when the datum's tables exist: s_a and s_b are
+    a left and a right row, and theta acts on a component's canonical word
+    letter by letter.  Otherwise they are the elements, moved by the
+    root-image kernels; no table is built."""
+    layout = _layout(datum)
+    tables = layout.tables()
+    hits = tables and [_ids(w) for w in elements]
+    if not tables or None in hits:
+
+        def move(x, a, b=None):
+            y = _s_times(a, x)
+            return y if b is None else _times_s(y, b)
+
+        return elements, move, lambda x: apply_twist(x) == _root_inv(x)
+
+    where = layout.where
+    # theta sends letter a of part c to letter b of part d: image[c][a - 1]
+    image = [[where[datum.twist[i] - 1] for i in part] for part in layout.parts]
+
+    def move(x, a, b=None):
+        y = list(x)
+        c, i = where[a - 1]
+        y[c] = tables[c].left[i - 1][y[c]]
+        if b is not None:
+            c, i = where[b - 1]
+            y[c] = tables[c].right[i - 1][y[c]]
+        return tuple(y)
+
+    def twisted(x):
+        y = [0] * len(x)
+        for c, k in enumerate(x):
+            for a in tables[c].words[k]:
+                d, b = image[c][a - 1]
+                y[d] = tables[d].right[b - 1][y[d]]
+        return y == [t.inverse[k] for t, k in zip(tables, x)]
+
+    return [hit[1] for hit in hits], move, twisted
+
+
 def validate_kgb(g: KgbGraph) -> list[str]:
     """Check the structural axioms; returns sorted human-readable violations.
     The ascent criterion is deliberately not examined here, see
@@ -261,11 +313,13 @@ def validate_kgb(g: KgbGraph) -> list[str]:
     datum, nodes, tw, length = g.datum, g.nodes, g.tw, g.length
     out: list[str] = []
     preimages = Counter((alpha, t) for (alpha, _), t in g.cayley.items())
+    tw_keys, move, is_twisted = _twist_kernels(datum, [tw[v] for v in nodes])
+    key_of = dict(zip(nodes, tw_keys))
 
-    for v in nodes:
+    for v, x in zip(nodes, tw_keys):
         if length[v] < 0:
             out.append(f"BadLength: node={v}")
-        if apply_twist(tw[v]) != inv(tw[v]):
+        if not is_twisted(x):
             out.append(f"TwNotTwisted: node={v}")
 
     # The cross action as rows of positions per root, local to this call:
@@ -305,7 +359,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
             if cls != ("imaginary" if img == alpha_root else "real" if img == minus_alpha else "complex"):
                 out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not {cls}")
             # twisted involution transforms uniformly under the cross action
-            bad = twisted.pop(k) if k in twisted else _times_s(_s_times(alpha, tw[v]), theta) != tw[cr]
+            bad = twisted.pop(k) if k in twisted else move(tw_keys[k], alpha, theta) != tw_keys[j]
             if bad:
                 out.append(f"CrossTwist: alpha={alpha} node={v}")
             if row[j] == k:
@@ -330,7 +384,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                         out.append(f"CayleyLength: alpha={alpha} node={v}")
                     if g.label.get((alpha, t)) is not real:
                         out.append(f"CayleyTarget: alpha={alpha} node={v} expected {real.value}")
-                    if _s_times(alpha, tw[v]) != tw[t]:
+                    if move(tw_keys[k], alpha) != key_of[t]:
                         out.append(f"CayleyTwist: alpha={alpha} node={v}")
                     # type I: the cross partner shares the Cayley target
                     if step is not None and partner is not None and g.cayley.get((alpha, cr)) != t:

@@ -128,6 +128,8 @@ def length(w: WeylElt) -> int:
     if hit is None:
         return len(_descent_walk(w))
     tables, ids = hit
+    if len(ids) == 1:
+        return tables[0].length[ids[0]]
     return sum([table.length[k] for table, k in zip(tables, ids)])
 
 
@@ -144,7 +146,10 @@ def inv(w: WeylElt) -> WeylElt:
     hit = _ids(w)
     if hit is None:
         return _root_inv(w)
-    return _element(w.datum, [table.inverse[k] for table, k in zip(*hit)])
+    tables, ids = hit
+    if len(ids) == 1:
+        return _element(w.datum, (tables[0].inverse[ids[0]],))
+    return _element(w.datum, [table.inverse[k] for table, k in zip(tables, ids)])
 
 
 def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
@@ -404,14 +409,15 @@ def _part_datum(datum: RootDatum, part: Sequence[int]) -> RootDatum:
 
 class _Layout:
     """A datum's connected components: ``parts`` holds each one's 0-based
-    simple indices (the parts in order of their smallest index), ``subs``
-    its datum, and ``where[i - 1]`` the part and local 1-based letter of
+    simple indices (the parts in order of their smallest index), ``spans``
+    its slice where the indices are consecutive (else None), ``subs`` its
+    datum, and ``where[i - 1]`` the part and local 1-based letter of
     simple index i.  ``links[i - 1]`` lists the neighbours j of i with
     a_ji = <alpha_j, coroot_i>, for the kernels.  The component tables are
     remembered here once built, and so are the element list of
     enumerate_elements and, per component id, the runs of _word."""
 
-    __slots__ = ("parts", "subs", "where", "links", "found", "elements", "runs")
+    __slots__ = ("parts", "spans", "subs", "where", "links", "found", "elements", "runs")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -431,6 +437,7 @@ class _Layout:
                         frontier.append(j)
             parts.append(tuple(sorted(part)))
         self.parts = tuple(parts)
+        self.spans = tuple(slice(p[0], p[-1] + 1) if p[-1] - p[0] == len(p) - 1 else None for p in parts)
         self.subs = tuple(_part_datum(datum, part) for part in parts)
         self.where: list[tuple[int, int]] = [(0, 0)] * r
         for c, part in enumerate(self.parts):
@@ -466,7 +473,8 @@ def _layout(datum: RootDatum) -> _Layout:
 
 def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
     """The component tables of w's datum and the id of w in each, or None
-    without tables."""
+    without tables.  A component on consecutive indices is read by one
+    slice per image."""
     layout = _layout(w.datum)
     tables = layout.tables()
     if tables is None:
@@ -475,8 +483,12 @@ def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
         k = tables[0].index.get(w.images)
         return None if k is None else (tables, (k,))
     ids = []
-    for part, table in zip(layout.parts, tables):
-        k = table.index.get(tuple(tuple(w.images[i][j] for j in part) for i in part))
+    for part, span, table in zip(layout.parts, layout.spans, tables):
+        if span is None:
+            key = tuple(tuple(w.images[i][j] for j in part) for i in part)
+        else:
+            key = tuple([img[span] for img in w.images[span]])
+        k = table.index.get(key)
         if k is None:
             return None
         ids.append(k)

@@ -604,12 +604,33 @@ VIOLATION_CODES = {
 }
 
 
-def test_validate_matches_the_name_keyed_reference():
+def reference_graphs():
     graphs = dict(builtin_fixtures())
     for name in ("A1", "A2", "B2", "A3", "B3", "G2"):
         graphs[f"group_case_{name}"] = group_case(build_root_datum(name))
     for name, twist in (("A3", None), ("A4", (4, 3, 2, 1)), ("D4", (1, 2, 4, 3))):
         graphs[f"shadow_{name}"] = twisted_shadow(build_root_datum(name, twist=twist))
+    return graphs
+
+
+def test_validate_matches_the_name_keyed_reference():
+    graphs = reference_graphs()
+    assert all(weyl._layout(g.datum).tables() for g in graphs.values())
+    check_against_the_reference(graphs)
+
+
+def test_validate_matches_the_reference_without_tables(monkeypatch):
+    """The same comparison on graphs parsed afresh with no Weyl table in the
+    process: validate_kgb reads root images and builds no table."""
+    texts = {name: format_kgb(g) for name, g in reference_graphs().items()}
+    monkeypatch.setattr(weyl, "_tables", {})
+    graphs = {name: parse_kgb(text) for name, text in texts.items()}
+    assert not any(weyl._layout(g.datum).tables() for g in graphs.values())
+    check_against_the_reference(graphs)
+    assert weyl._tables == {}
+
+
+def check_against_the_reference(graphs):
     for name, g in graphs.items():
         assert validate_kgb(g) == reference_validate_kgb(g) == [], name
     # a braid walk whose last step lands on a name that is not a node, and
@@ -1063,6 +1084,46 @@ def test_graphs_refuse_a_length_that_is_not_an_int():
         with pytest.raises(AxiomViolation) as info:
             _corrupt(g, length={"0": "0"})
         assert info.value.violations == ["BadLength: node=0"]
+
+
+def test_graphs_refuse_a_twisted_involution_that_is_not_an_element_of_their_datum():
+    # built, the first made validate_kgb report CayleyTwist and LabelClass,
+    # the second raise KeyError and the third AttributeError
+    g = sl2_split()
+    adjoint_e = identity(build_root_datum("A1", isogeny="adjoint"))
+    cases = [
+        ({v: adjoint_e for v in g.nodes}, ["BadTw: node=0", "BadTw: node=1", "BadTw: node=2"]),
+        ({"1": None}, ["BadTw: node=1"]),
+        ({"2": "1"}, ["BadTw: node=2"]),
+    ]
+    for tw, want in cases:
+        with pytest.raises(AxiomViolation) as info:
+            _corrupt(g, tw=tw)
+        assert info.value.violations == want, tw
+    with pytest.raises(AxiomViolation) as info:
+        _corrupt(g, tw={"2": "1"}, length={"0": "0"})
+    assert info.value.violations == ["BadLength: node=0", "BadTw: node=2"]
+    # an equal datum built apart is the graph's own
+    assert validate_kgb(_corrupt(g, tw={"0": identity(build_root_datum("A1"))})) == []
+
+
+def compact_form_text(name):
+    """The one-node graph of the compact form: every root compact imaginary,
+    crossing to itself."""
+    lines = ["kgbgraph v1", "rootsystem inline", "rootdatum v1", f"type {name}", "isogeny simply_connected"]
+    lines += ["twist id", "nodes 1", "node 0 0 e"]
+    lines += [f"label 0 {alpha} ci cross=0" for alpha in range(1, int(name[1:]) + 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_compact_forms_of_large_groups_check_without_tables(name):
+    before = set(weyl._tables)
+    text = compact_form_text(name)
+    g = parse_kgb(text)
+    assert validate_kgb(g) == [] and ascent_consistency_check(g) == []
+    assert format_kgb(g) == text
+    assert set(weyl._tables) == before
 
 
 def test_to_orbit_poset_fibers():
