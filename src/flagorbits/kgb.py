@@ -113,8 +113,9 @@ class KgbGraph:
     equal when these fields are; the memos do not count, and a graph is
     not hashable.  Immutable: the constructor keeps read-only copies of the
     five maps, so the memos never go stale.  It refuses with AxiomViolation
-    a length that is not an int and a node whose twisted involution is not
-    a WeylElt of the graph's datum."""
+    a node listed twice, a length map whose keys are not the nodes, a length
+    that is not an int and a node whose twisted involution is not a WeylElt
+    of the graph's datum."""
 
     __slots__ = _GRAPH_FIELDS + ("_poset", "_classes", "_open")
 
@@ -129,7 +130,11 @@ class KgbGraph:
         cayley: dict[tuple[int, NodeId], NodeId],
     ):
         bad = [f"BadLength: node={v}" for v, n in length.items() if not isinstance(n, int)]
-        for v in nodes:
+        bad += [f"DuplicateNode: node={v}" for v, n in Counter(nodes).items() if n > 1]
+        bad += [f"ExtraLength: node={v}" for v in length.keys() - set(nodes)]
+        for v in dict.fromkeys(nodes):
+            if v not in length:
+                bad.append(f"MissingLength: node={v}")
             w = tw.get(v)
             if w.__class__ is not WeylElt or w.datum != datum:
                 bad.append(f"BadTw: node={v}")

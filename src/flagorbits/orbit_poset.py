@@ -9,6 +9,7 @@ against subexpression enumeration.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -17,6 +18,7 @@ from .root_datum import RANK_CAP, RootDatum, _decimal, _node_lines, _significant
 from .weyl import _p_minimal, _table, format_word
 
 NodeId = str
+_BYTES = str.maketrans("01", "\0\1")  # a 0/1 string to the bytes compress reads
 
 
 def node_sort_key(node: NodeId) -> tuple:
@@ -40,7 +42,10 @@ class OrbitGraph:
     bitsets over positions, built by lower_ideal and kept on the graph: at
     most n * n / 8 bytes.  The first ideal also builds ``_pulls``: per root,
     a gather of n positions for each other fiber member a position can have
-    (one or two on a valid graph), and a bitset per length.
+    (one or two on a valid graph), and a bitset per length.  ``_walks[k]``
+    holds the subexpression endpoints of the decomposition of k along first
+    steps (reduced_decomposition's, on a valid graph), built and kept like
+    the ideals, with ``_steps``: the pulls from non-dense members alone.
     ``_graded`` holds when the order is known to be graded by length
     (from_parabolic: Bruhat order on W^J).
     """
@@ -82,6 +87,8 @@ class OrbitGraph:
         self._first = [next(_lowerings(self, k), None) for k in range(len(nodes))]
         self._ideals: list[int | None] = [None] * len(nodes)
         self._pulls: tuple[list[list], dict[int, int]] | None = None  # see _pull_gathers
+        self._walks: list[int | None] = [None] * len(nodes)
+        self._steps: list[list] | None = None  # see subexpression_endpoints
         return self
 
     def _position(self, node: NodeId) -> int:
@@ -271,9 +278,14 @@ def subexpression_endpoints(g: OrbitGraph, rd: ReducedDecomposition) -> tuple[No
     be one in g.  A node already dense in its fiber can only stand still;
     otherwise the whole fiber is reachable in one step (stand still, move to
     dense, or slide to the other member under the shared dense target).
-    The reached set only grows and a node's step along alpha depends on the
-    node alone, so a step along alpha moves only the nodes reached since the
-    last step along alpha."""
+
+    The endpoints are a bitset over ``g.nodes``: a step along alpha adds to
+    it one gather per other fiber member, so each step costs O(n), as one
+    step of lower_ideal does.  The endpoints of each node's decomposition
+    along first steps (reduced_decomposition's, on a valid graph) are built
+    from those one step down and kept on the graph (at most n * n / 8
+    bytes); a decomposition starts from the node ending its longest prefix
+    that is such a decomposition, and only its remaining letters are stepped."""
     if len(rd.nodes) != len(rd.roots) + 1:
         raise Mismatch("decomposition sequences have inconsistent lengths")
     ks = [g._position(node) for node in rd.nodes]
@@ -284,18 +296,18 @@ def subexpression_endpoints(g: OrbitGraph, rd: ReducedDecomposition) -> tuple[No
         if cur == prev or (g._entry(alpha, prev) or (prev,))[0] != cur:
             raise Mismatch(f"step {i + 1} is not a dense move along {alpha}")
     _require_table(g)
-    reached, seen, moved = [ks[0]], {ks[0]}, [0] * g.rank  # reached[:moved[alpha - 1]] went along alpha
-    for alpha in rd.roots:
-        row, end = g._table[alpha - 1], len(reached)
-        for u in reached[moved[alpha - 1] : end]:
-            got = row[u]
-            if got is not None and got[0] != u:
-                for y in got[1]:
-                    if y not in seen:
-                        seen.add(y)
-                        reached.append(y)
-        moved[alpha - 1] = end
-    return tuple(g.nodes[k] for k in sorted(reached))
+    if g._steps is None:
+        g._steps = [_union_gathers(_sources(row, False)) for row in g._table]
+    walks, steps, bits, p = g._walks, g._steps, 1 << ks[0], 0
+    if g._first[ks[0]] is None:  # ks[:p + 1] goes along first steps
+        while p < len(rd.roots) and g._first[ks[p + 1]] == (rd.roots[p], ks[p]):
+            p += 1
+        for x, alpha, j in reversed(_first_lowerings(g, ks[p], walks, lambda x: 1 << x)):
+            walks[x] = _spread(steps[alpha - 1], walks[j])
+        bits = walks[ks[p]]
+    for alpha in rd.roots[p:]:
+        bits = _spread(steps[alpha - 1], bits)
+    return tuple(compress(g.nodes, format(bits, f"0{len(g.nodes)}b")[::-1].translate(_BYTES).encode()))
 
 
 # --- order --------------------------------------------------------------------
@@ -327,6 +339,14 @@ def _union_gathers(sources: list[list[int]]) -> list:
     return [_gather([s[i] if len(s) > i else n for s in sources]) for i in range(max(map(len, sources), default=0))]
 
 
+def _spread(gathers: list, bits: int) -> int:
+    """bits and the union of the gathers of bits."""
+    out = bits
+    for gather in gathers:
+        out |= gather(bits)
+    return out
+
+
 def _first_lowerings(g: OrbitGraph, k: int, known: list, base) -> list[tuple[int, int, int]]:
     """The first lowering steps (position, alpha, one step down) from k
     down to a position set in known; one with no step down is set to
@@ -346,19 +366,24 @@ def _first_lowerings(g: OrbitGraph, k: int, known: list, base) -> list[tuple[int
     return steps
 
 
+def _sources(row: list, dense: bool) -> list[list[int]]:
+    """Per position y, the positions u != y whose table entry lists y,
+    leaving out those dense in their fiber unless dense is set."""
+    sources: list[list[int]] = [[] for _ in row]
+    for u, got in enumerate(row):
+        if got is not None and (dense or got[0] != u):
+            for y in got[1]:
+                if y != u:
+                    sources[y].append(u)
+    return sources
+
+
 def _pull_gathers(g: OrbitGraph) -> tuple[list[list], dict[int, int]]:
     """Per root, the gathers whose union sets bit y of a bitset from each
     set bit u != y whose table entry lists y; and for each length, the
     bitset of the positions shorter than it.  Built once, kept on g."""
     n, lens = len(g._len), g._len
-    pulls = []
-    for row in g._table:
-        sources: list[list[int]] = [[] for _ in range(n)]
-        for u, got in enumerate(row):
-            for y in got[1] if got else ():
-                if y != u:
-                    sources[y].append(u)
-        pulls.append(_union_gathers(sources))
+    pulls = [_union_gathers(_sources(row, True)) for row in g._table]
     shorter, below = {}, 0
     for k in sorted(range(n), key=lens.__getitem__):
         shorter.setdefault(lens[k], below)
@@ -374,10 +399,7 @@ def _ideal(g: OrbitGraph, k: int) -> int:
     if steps:
         pulls, shorter = g._pulls or _pull_gathers(g)
         for x, alpha, j in reversed(steps):
-            below = ideals[j]
-            for pull in pulls[alpha - 1]:
-                below |= pull(ideals[j])
-            ideals[x] = below & shorter[lens[x]] | 1 << x
+            ideals[x] = _spread(pulls[alpha - 1], ideals[j]) & shorter[lens[x]] | 1 << x
     return ideals[k]
 
 
@@ -415,10 +437,7 @@ def property_z_check(g: OrbitGraph) -> list[str]:
         slides = _union_gathers(mates)
         for v1, (v2, _) in moved:
             below_v1, below_v2 = _ideal(g, v1), _ideal(g, v2)
-            c1, c2, c3 = below_v1, dense(below_v2), below_v2 & mask
-            for slide in slides:
-                c1 |= slide(below_v1)
-            c1 &= mask
+            c1, c2, c3 = _spread(slides, below_v1) & mask, dense(below_v2), below_v2 & mask
             for u1 in _members((c1 ^ c2) | (c2 ^ c3)):
                 violations.append(
                     f"PropertyZ: alpha={alpha} u1={g.nodes[u1]} v1={g.nodes[v1]} "

@@ -1086,6 +1086,32 @@ def test_graphs_refuse_a_length_that_is_not_an_int():
         assert info.value.violations == ["BadLength: node=0"]
 
 
+def test_graphs_refuse_node_lists_that_disagree_with_their_lengths():
+    # built, the first made validate_kgb raise KeyError, the second passed
+    # validate_kgb with a node that to_orbit_poset kept and format_kgb
+    # dropped, and the third reported CrossNotInvolution and was written
+    # with two "node 0" lines that parse_kgb refuses
+    g = sl2_split()
+    with pytest.raises(AxiomViolation) as info:
+        _corrupt(g, length={"1": None})
+    assert info.value.violations == ["MissingLength: node=1"]
+    with pytest.raises(AxiomViolation) as info:
+        _corrupt(g, length={"9": 3, "10": 4})
+    assert info.value.violations == ["ExtraLength: node=10", "ExtraLength: node=9"]
+    fields = {name: dict(getattr(g, name)) for name in ("tw", "length", "label", "cross", "cayley")}
+    with pytest.raises(AxiomViolation) as info:
+        KgbGraph(g.datum, ("0", "0", "1", "2", "2", "2"), **fields)
+    assert info.value.violations == ["DuplicateNode: node=0", "DuplicateNode: node=2"]
+    with pytest.raises(AxiomViolation) as info:
+        KgbGraph(g.datum, ("0", "0", "2"), **{**fields, "length": {"0": "0", "1": 0}})
+    assert info.value.violations == [
+        "BadLength: node=0",
+        "DuplicateNode: node=0",
+        "ExtraLength: node=1",
+        "MissingLength: node=2",
+    ]
+
+
 def test_graphs_refuse_a_twisted_involution_that_is_not_an_element_of_their_datum():
     # built, the first made validate_kgb report CayleyTwist and LabelClass,
     # the second raise KeyError and the third AttributeError

@@ -640,20 +640,65 @@ def oracle_graphs():
     return graphs
 
 
+def fresh_copy(g):
+    """g with the same table and nothing computed on it yet."""
+    return OrbitGraph.__new__(OrbitGraph)._fill(g.rootsystem, g.nodes, list(g._len), g._table, g._graded, g._loose)
+
+
+def first_step_decomposition(g, k):
+    """The decomposition of position k along first lowering steps down to a
+    position with none: reduced_decomposition's, on a valid graph."""
+    ks, roots = [k], []
+    while (step := reference_first_step(g, ks[-1])) is not None:
+        assert len(ks) <= len(g.nodes), "a lowering cycle"
+        roots.append(step[0])
+        ks.append(step[1])
+    return ReducedDecomposition(tuple(g.nodes[k] for k in reversed(ks)), tuple(reversed(roots)))
+
+
+def other_decompositions(g, v, rd):
+    """Decompositions other than reduced_decomposition's, valid or not: the
+    roots reversed, the nodes shifted, a suffix from mid-chain, rd followed
+    by a dense move up from v, and every reduced decomposition on small graphs."""
+    m = len(rd.roots) // 2
+    rds = [rd._replace(roots=rd.roots[::-1]), rd._replace(nodes=rd.nodes[1:])]
+    rds.append(ReducedDecomposition(rd.nodes[m:], rd.roots[m:]))
+    k = g.index[v]
+    for alpha, row in enumerate(g._table, 1):
+        if row[k] is not None and row[k][0] != k:
+            rds.append(ReducedDecomposition(rd.nodes + (g.nodes[row[k][0]],), rd.roots + (alpha,)))
+            break
+    every = outcome(all_reduced_decompositions, g, v) if len(g.nodes) <= 24 else []
+    return rds + (every if isinstance(every, list) else [])
+
+
 def assert_walks_match(g):
+    """The first steps, ideals and decompositions match the references; so
+    do the subexpression endpoints on a fresh copy of g per visiting order
+    (node order, reversed, seeded shuffle), asked for other decompositions before
+    reduced_decomposition's, and every endpoint bitset kept on the copy."""
     n = len(g.nodes)
     assert g._first == [reference_first_step(g, k) for k in range(n)], g.rootsystem
-    ideals = [None] * n
+    ideals, cases = [None] * n, {}
     for v in g.nodes:
         assert outcome(lower_ideal, g, v) == outcome(reference_ideal, g, g.index[v], ideals), (g.rootsystem, v)
         rd = outcome(reduced_decomposition, g, v)
         assert rd == outcome(reference_decomposition, g, v), (g.rootsystem, v)
         if isinstance(rd, ReducedDecomposition):
-            rds = [rd, rd._replace(roots=rd.roots[::-1]), rd._replace(nodes=rd.nodes[1:])]
-            every = outcome(all_reduced_decompositions, g, v) if n <= 24 else []
-            rds += every if isinstance(every, list) else []
-            for rd in rds:
-                assert outcome(subexpression_endpoints, g, rd) == outcome(reference_endpoints, g, rd), (g.rootsystem, rd)
+            rds = other_decompositions(g, v, rd) + [rd]
+            cases[v] = [(rd, outcome(reference_endpoints, g, rd)) for rd in rds]
+    shuffled = list(g.nodes)
+    random.Random(n).shuffle(shuffled)
+    for order in (g.nodes, g.nodes[::-1], shuffled):
+        h = fresh_copy(g)
+        for v in order:
+            for rd, want in cases.get(v, ()):
+                assert outcome(subexpression_endpoints, h, rd) == want, (g.rootsystem, rd)
+        assert len(h._walks) == n, g.rootsystem
+        for k, bits in enumerate(h._walks):
+            if bits is not None:
+                ends = reference_endpoints(h, first_step_decomposition(h, k))
+                assert bits == sum(1 << h.index[u] for u in ends), (g.rootsystem, h.nodes[k])
 
 
 def test_walks_match_the_references():
