@@ -182,18 +182,22 @@ def descent_direction(w: WeylElt, alpha: Root) -> Direction:
 
 def exchange(datum: RootDatum, word: Sequence[int], alpha: int) -> int:
     """Strong exchange at a simple descent: the 1-based position whose removal
-    from the reduced word yields a reduced word for w*s_alpha."""
+    from the reduced word yields a reduced word for w*s_alpha.  Walk gamma =
+    alpha back through the word, gamma <- s_i(gamma) per letter i from the
+    right: the position is the first letter that sends gamma negative (only
+    alpha_i is), and on a reduced word gamma ends at w(alpha), so it goes
+    negative exactly when alpha is a descent (Bjorner-Brenti, GTM 231, ch. 1)."""
     word = tuple(word)
     if not is_reduced(datum, word):
         raise NotReduced(f"{word} is not reduced")
-    w = from_word(datum, word)
-    if descent_direction(w, simple_root(datum, alpha)) is Direction.UP:
-        raise NotADescent(f"simple root {alpha} is not a descent")
-    target = _times_s(w, alpha)
-    for j in range(len(word)):
-        if from_word(datum, word[:j] + word[j + 1 :]) == target:
+    gamma = list(simple_root(datum, alpha))
+    links = _layout(datum).links
+    for j in range(len(word) - 1, -1, -1):
+        k = word[j] - 1
+        gamma[k] -= 2 * gamma[k] + sum([a * gamma[i] for i, a in links[k]])
+        if gamma[k] < 0:
             return j + 1
-    raise AssertionError("exchange position must exist at a descent")  # pragma: no cover
+    raise NotADescent(f"simple root {alpha} is not a descent")
 
 
 def bruhat_leq(u: WeylElt, v: WeylElt) -> bool:
@@ -301,11 +305,12 @@ class WeylTable:
     w * s_i, and ``inverse[k]`` is the id of w^-1.
 
     Built by breadth-first search under left multiplication, one length at a
-    time, on elements held as the indices of their simple-root images in a
-    list of all roots, so that s_i acts by a lookup.  With the simple index
-    in the outer loop, an element is first reached from its smallest left
-    descent i, and its canonical word is i followed by the word of s_i * w;
-    each length's elements are found in canonical-word order.
+    time, on elements held as byte strings of the indices of their simple-root
+    images in the sorted roots (one byte each: below TABLE_CAP there are at
+    most 72 roots, in E6 and B6), so that s_i acts by one bytes.translate.
+    With the simple index in the outer loop, an element is first reached from
+    its smallest left descent i, and its canonical word is i followed by the
+    word of s_i * w; each length's elements are found in canonical-word order.
     """
 
     __slots__ = ("images", "index", "length", "words", "left", "right", "inverse")
@@ -314,8 +319,12 @@ class WeylTable:
         r = datum.rank
         roots = sorted(all_roots(datum))
         position = {beta: k for k, beta in enumerate(roots)}
-        perms = [tuple(position[reflect(datum, i, beta)] for beta in roots) for i in range(1, r + 1)]
-        start = tuple(position[simple_root(datum, j)] for j in range(1, r + 1))
+        # s_i(beta) = beta - <beta, coroot_i> alpha_i as a bytes.translate table
+        perms = []
+        for i, col in enumerate(zip(*datum.cartan)):
+            moved = (b[:i] + (b[i] - sum(map(int.__mul__, b, col)),) + b[i + 1 :] for b in roots)
+            perms.append(bytes(map(position.__getitem__, moved)).ljust(256, b"\0"))
+        start = bytes([position[simple_root(datum, j)] for j in range(1, r + 1)])
         keys = [start]
         seen = {start: 0}
         words: list[Word] = [()]
@@ -327,7 +336,7 @@ class WeylTable:
             for i in range(r):
                 perm, row = perms[i], left[i]
                 for x in level:
-                    y = tuple([perm[b] for b in keys[x]])
+                    y = keys[x].translate(perm)
                     k = seen.get(y)
                     if k is None:
                         k = seen[y] = len(keys)
@@ -349,7 +358,7 @@ class WeylTable:
                 first = left[word[0] - 1]
                 prefix[k] = first[prefix[first[k]]]
             inverse[k] = left[word[-1] - 1][inverse[prefix[k]]]
-        self.images = tuple(tuple([roots[b] for b in key]) for key in keys)
+        self.images = tuple([tuple(map(roots.__getitem__, key)) for key in keys])
         self.index = {images: k for k, images in enumerate(self.images)}
         self.length = tuple(lengths)
         self.words = tuple(words)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -38,7 +39,8 @@ from flagorbits import (
     simple_root,
 )
 from flagorbits import TableTooLarge, group_order, weyl
-from flagorbits.weyl import _table, act_on_root
+from flagorbits.root_datum import all_roots, reflect
+from flagorbits.weyl import WeylTable, _table, act_on_root
 
 GROUP_ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
 
@@ -124,6 +126,100 @@ THREE_WAY = (
     (0, 0, -1, 0, 2, 0),
     (0, 0, 0, 0, 0, 2),
 )
+
+
+def reference_table(datum):
+    """The seven WeylTable fields from a breadth-first search on tuples of
+    root indices, each simple reflection applied to a root by
+    root_datum.reflect: the oracle for WeylTable's byte-string search."""
+    r = datum.rank
+    roots = sorted(all_roots(datum))
+    position = {beta: k for k, beta in enumerate(roots)}
+    perms = [tuple(position[reflect(datum, i, beta)] for beta in roots) for i in range(1, r + 1)]
+    start = tuple(position[simple_root(datum, j)] for j in range(1, r + 1))
+    keys = [start]
+    seen = {start: 0}
+    words = [()]
+    lengths = [0]
+    left = [[] for _ in range(r)]
+    level = [0]
+    while level:
+        nxt = []
+        for i in range(r):
+            perm, row = perms[i], left[i]
+            for x in level:
+                y = tuple([perm[b] for b in keys[x]])
+                k = seen.get(y)
+                if k is None:
+                    k = seen[y] = len(keys)
+                    keys.append(y)
+                    words.append((i + 1,) + words[x])
+                    lengths.append(lengths[x] + 1)
+                    nxt.append(k)
+                row.append(k)
+        level = nxt
+    n = len(keys)
+    prefix = [0] * n
+    inverse = [0] * n
+    for k in range(1, n):
+        word = words[k]
+        if len(word) > 1:
+            first = left[word[0] - 1]
+            prefix[k] = first[prefix[first[k]]]
+        inverse[k] = left[word[-1] - 1][inverse[prefix[k]]]
+    images = tuple(tuple([roots[b] for b in key]) for key in keys)
+    return {
+        "images": images,
+        "index": {imgs: k for k, imgs in enumerate(images)},
+        "length": tuple(lengths),
+        "words": tuple(words),
+        "left": tuple(tuple(row) for row in left),
+        "right": tuple(tuple([inverse[row[inverse[k]]] for k in range(n)]) for row in left),
+        "inverse": tuple(inverse),
+    }
+
+
+def table_fields(table):
+    return {field: getattr(table, field) for field in WeylTable.__slots__}
+
+
+# Each datum whose table is checked, with its Cartan type for the degrees.
+TABLE_SPECS = [(f"A{n}", f"A{n}") for n in range(1, 6)]
+TABLE_SPECS += [(f"B{n}", f"B{n}") for n in range(2, 6)]
+TABLE_SPECS += [(name, name) for name in ("C3", "D4", "D5", "G2", "F4", "A3xA3", "B2xB2")]
+TABLE_SPECS += [(INTERLEAVED, "A2xA1"), (THREE_WAY, "A3xB2xA1")]
+
+
+def test_tables_match_the_reference_search():
+    for spec, _ in TABLE_SPECS:
+        d = build_root_datum(spec)
+        assert table_fields(_table(d)) == reference_table(d), spec
+
+
+def degrees(name):
+    """The degrees of the basic invariants, in closed form per type."""
+    if "x" in name:
+        return [e for part in name.split("x") for e in degrees(part)]
+    letter, n = name[0], int(name[1:])
+    fixed = {"G2": [2, 6], "F4": [2, 6, 8, 12], "E6": [2, 5, 6, 8, 9, 12]}
+    if name in fixed:
+        return fixed[name]
+    if letter == "A":
+        return list(range(2, n + 2))
+    if letter in "BC":
+        return list(range(2, 2 * n + 1, 2))
+    return list(range(2, 2 * n - 1, 2)) + [n]  # D
+
+
+def test_length_distribution_is_the_poincare_polynomial():
+    # sum over W of q^length(w) is the product of [d]_q = 1 + q + ... + q^(d-1)
+    for spec, name in TABLE_SPECS + [("E6", "E6")]:
+        poly = [1]
+        for deg in degrees(name):
+            poly = [sum(poly[max(0, k - deg + 1) : k + 1]) for k in range(len(poly) + deg - 1)]
+        counts = Counter(_table(build_root_datum(spec)).length)
+        assert [counts[k] for k in range(len(poly))] == poly, spec
+        assert sum(counts.values()) == sum(poly), spec
 
 
 def test_component_lookups_match_the_root_image_path():
@@ -278,6 +374,48 @@ def test_exchange_exhaustive_small_types():
                 shorter = word[: j - 1] + word[j:]
                 assert is_reduced(d, shorter)
                 assert from_word(d, shorter) == lower
+
+
+def reference_exchange(d, word, alpha):
+    """Exchange by deleting each letter in turn and comparing products."""
+    if not is_reduced(d, word):
+        raise NotReduced(f"{word} is not reduced")
+    w = from_word(d, word)
+    if descent_direction(w, simple_root(d, alpha)) is Direction.UP:
+        raise NotADescent(f"simple root {alpha} is not a descent")
+    target = mul(w, simple_reflection(d, alpha))
+    return next(j + 1 for j in range(len(word)) if from_word(d, word[:j] + word[j + 1 :]) == target)
+
+
+def test_exchange_matches_deleting_each_letter():
+    # seeded reduced words, each letter an ascent of the word before it; E7
+    # and E8 have no tables, so their words are checked on the root images
+    rng = random.Random(20)
+    for name in ("G2", "B3", "B4", "D4", "A5", "F4", "E6", "E7", "E8"):
+        d = build_root_datum(name)
+        for _ in range(30):
+            w, word = identity(d), ()
+            for _ in range(rng.randint(0, 40)):
+                ups = [i for i, beta in enumerate(w.images, 1) if all(c >= 0 for c in beta)]
+                if not ups:
+                    break
+                i = rng.choice(ups)
+                w, word = weyl._times_s(w, i), word + (i,)
+            alpha = rng.randint(1, d.rank)
+            try:
+                expected = reference_exchange(d, word, alpha)
+            except NotADescent as refused:
+                with pytest.raises(NotADescent) as err:
+                    exchange(d, word, alpha)
+                assert str(err.value) == str(refused)
+                continue
+            assert exchange(d, word, alpha) == expected, (name, word, alpha)
+        for bad in ((1, 1), (d.rank + 1,), (1, 0)):
+            with pytest.raises(NotReduced if bad == (1, 1) else NotARoot):
+                exchange(d, bad, 1)
+        for alpha in (0, d.rank + 1):
+            with pytest.raises(NotARoot):
+                exchange(d, (1,), alpha)
 
 
 def test_exchange_rejects_unreduced_words():
