@@ -21,7 +21,7 @@ from .orbit_poset import from_parabolic, hasse_dot, parse_orbit_graph, property_
 from .orbit_poset import validate as validate_poset
 from .parabolic import enumerate_cosets, p_length
 from .root_datum import _decimal, _significant_lines, build_root_datum, parse_root_datum
-from .weyl import bruhat_leq, enumerate_elements, format_word, from_word, parse_word, reduced_word
+from .weyl import _table, bruhat_leq, format_word, from_word, parse_word, reduced_word
 
 
 def _parse_levi(text: str) -> tuple[int, ...]:
@@ -34,8 +34,7 @@ def _parse_levi(text: str) -> tuple[int, ...]:
 
 def _cmd_enumerate(args) -> int:
     datum = build_root_datum(args.type)
-    for w in enumerate_elements(datum):
-        print(format_word(reduced_word(w)))
+    sys.stdout.write("".join(format_word(word) + "\n" for word in _table(datum).words))
     return 0
 
 

@@ -117,7 +117,7 @@ class KgbGraph:
     that is not an int and a node whose twisted involution is not a WeylElt
     of the graph's datum."""
 
-    __slots__ = _GRAPH_FIELDS + ("_poset", "_classes", "_open")
+    __slots__ = _GRAPH_FIELDS + ("_poset", "_open")
 
     def __init__(
         self,
@@ -143,9 +143,9 @@ class KgbGraph:
             raise AxiomViolation(bad)
         maps = [MappingProxyType(dict(m)) for m in (tw, length, label, cross, cayley)]
         # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
-        # fiber table every move reads, the classes per normalized Levi set
-        # (kgp.i_equivalence_classes) and the open node.
-        values = (datum, tuple(sorted(nodes, key=node_sort_key)), *maps, None, {}, None)
+        # fiber table every move reads and which keeps the classes per Levi
+        # set, and the open node.
+        values = (datum, tuple(sorted(nodes, key=node_sort_key)), *maps, None, None)
         for f, v in zip(self.__slots__, values):
             object.__setattr__(self, f, v)
 
@@ -449,39 +449,28 @@ def minimal_w_uniqueness_check(g: KgbGraph) -> list[str]:
         [(a, row[k][0]) for a, row in enumerate(poset._table, 1) if row[k] and row[k][0] != k]
         for k in range(len(poset.nodes))
     ]
-    # w is the mixed-radix number sum(id_c * stride_c).  A letter of part c
-    # adds shift[id_c] to it: the move of id_c along the letter's right row
-    # in its table times stride_c, or 0 when the move does not lengthen.
+    # w is the tuple of its component ids.  A letter of part c moves entry c
+    # along the letter's right row in that table, when the move lengthens it.
     tables = [None] * len(layout.parts)
     for c in {layout.where[a - 1][0] for row in ascents for a, _ in row}:
         tables[c] = _table(layout.subs[c])
-    sizes = [len(t.length) if t else 1 for t in tables]
-    strides = [1] * len(sizes)
-    for c in range(len(sizes) - 1, 0, -1):
-        strides[c - 1] = strides[c] * sizes[c]
     moves = {}
     for a in {a for row in ascents for a, _ in row}:
         c, local = layout.where[a - 1]
-        t, stride = tables[c], strides[c]
-        shift = [(j - k) * stride if t.length[j] > t.length[k] else 0 for k, j in enumerate(t.right[local - 1])]
-        moves[a] = (stride, sizes[c], shift)
-
-    def spell(w: int) -> tuple[tuple[int, ...], str]:
-        word = _word(datum, tables, [w // stride % size for stride, size in zip(strides, sizes)])
-        return word, format_word(word)
+        moves[a] = (c, tables[c].right[local - 1], tables[c].length)
 
     out = []
     for u in range(len(ascents)):
-        layer = {u: {0}}  # node -> the w reaching it
+        layer = {u: {(0,) * len(tables)}}  # node -> the w reaching it
         while layer:
-            nxt: dict[int, set[int]] = {}
+            nxt: dict[int, set[tuple[int, ...]]] = {}
             for x, ws in layer.items():
                 if len(ws) > 1:
-                    listed = ";".join(text for _, text in sorted(map(spell, ws)))
+                    listed = ";".join(map(format_word, sorted(_word(datum, tables, w) for w in ws)))
                     out.append(f"MinimalWNotUnique: start={poset.nodes[u]} target={poset.nodes[x]} words={listed}")
                 for a, y in ascents[x]:
-                    stride, size, shift = moves[a]
-                    got = [w + d for w in ws if (d := shift[w // stride % size])]
+                    c, row, length = moves[a]
+                    got = [w[:c] + (j,) + w[c + 1 :] for w in ws if length[j := row[w[c]]] > length[w[c]]]
                     if got:
                         nxt.setdefault(y, set()).update(got)
             layer = nxt

@@ -2,73 +2,34 @@
 
 Fixing a subset I of the simple roots, two nodes are identified when a
 chain of fibers along roots of I connects them.  Every class carries a
-unique member of maximal length; those members are exactly the nodes dense
-in their fiber along every root of I, and they inherit the closure order.
+unique member of maximal length, its top (a tie is refused); on a valid
+graph the tops are exactly the nodes dense in their fiber along every root
+of I, the P-maximal set, and they inherit the closure order.  The classes
+are walked on the graph's orbit poset and kept there per Levi set, as for
+any orbit graph.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import AxiomViolation, Mismatch
+from .errors import Mismatch
 from .kgb import KgbGraph, monoid, monoid_word, to_orbit_poset
-from .orbit_poset import NodeId, cover_pairs, node_sort_key, poset_leq
+from .orbit_poset import IEquivClass, NodeId, _levi_classes, cover_pairs, poset_leq
 from .parabolic import levi_subgroup_elements
 from .root_datum import RootPosition, classify_wrt_parabolic, normalize_levi, simple_root
 from .weyl import _apply, format_word, reduced_word, reflection_word
 
 
-def p_maximal_set(g: KgbGraph, levi) -> tuple[NodeId, ...]:
-    """Nodes dense in their fiber along every root of the Levi set."""
-    levi = normalize_levi(g.datum, levi)
-    poset = to_orbit_poset(g)
-    rows = [poset._table[alpha - 1] for alpha in levi]
-    return tuple(v for k, v in enumerate(poset.nodes) if all(not row[k] or row[k][0] == k for row in rows))
-
-
-class IEquivClass(NamedTuple):
-    """A class of nodes over a fixed Levi set, with its dense member.
-
-    members are kept sorted for deterministic reporting."""
-
-    members: tuple[NodeId, ...]
-    top: NodeId
-
-
 def _classes(g: KgbGraph, levi) -> tuple[tuple[IEquivClass, ...], dict[NodeId, IEquivClass]]:
-    """The classes over a Levi set and the class of each node, computed once
-    per graph and normalized Levi set and kept on the graph."""
+    """The classes over a Levi set and the class of each node, kept on the
+    orbit poset per normalized Levi set."""
     levi = normalize_levi(g.datum, levi)
-    got = g._classes.get(levi)
-    if got is not None:
-        return got
-    poset = to_orbit_poset(g)
-    rows = [poset._table[alpha - 1] for alpha in levi]
-    lens = poset._len
-    seen = [False] * len(lens)
-    classes = []
-    for start in range(len(lens)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]  # the component of start, grown while it is walked
-        for k in block:
-            for row in rows:
-                for j in row[k][1] if row[k] else ():
-                    if not seen[j]:
-                        seen[j] = True
-                        block.append(j)
-        members = tuple(poset.nodes[k] for k in sorted(block))
-        top_len = max(lens[k] for k in block)
-        tops = [k for k in block if lens[k] == top_len]
-        if len(tops) != 1:
-            raise AxiomViolation(
-                [f"NonUniqueTop: levi={levi} members={','.join(members)}"]
-            )
-        classes.append(IEquivClass(members, poset.nodes[tops[0]]))
-    ordered = tuple(sorted(classes, key=lambda c: node_sort_key(c.top)))
-    got = g._classes[levi] = (ordered, {v: c for c in ordered for v in c.members})
-    return got
+    return _levi_classes(to_orbit_poset(g), levi)
+
+
+def p_maximal_set(g: KgbGraph, levi) -> tuple[NodeId, ...]:
+    """The class tops: on a valid graph, the nodes dense in their fiber
+    along every root of the Levi set."""
+    return tuple(c.top for c in _classes(g, levi)[0])
 
 
 def i_equivalence_classes(g: KgbGraph, levi) -> tuple[IEquivClass, ...]:
@@ -80,23 +41,23 @@ def class_of(g: KgbGraph, levi, v: NodeId) -> IEquivClass:
     return _classes(g, levi)[1][v]
 
 
-def _check_class(g: KgbGraph, levi, cls: IEquivClass) -> None:
-    if _classes(g, levi)[1].get(cls.top) != cls:
-        raise Mismatch(f"class with top {cls.top!r} does not belong to this graph")
+def _check_classes(g: KgbGraph, levi, *classes: IEquivClass) -> None:
+    index = _classes(g, levi)[1]
+    for cls in classes:
+        if index.get(cls.top) != cls:
+            raise Mismatch(f"class with top {cls.top!r} does not belong to this graph")
 
 
 def kgp_leq(g: KgbGraph, levi, c1: IEquivClass, c2: IEquivClass) -> bool:
     """Order on classes through their dense members."""
-    _check_class(g, levi, c1)
-    _check_class(g, levi, c2)
+    _check_classes(g, levi, c1, c2)
     return poset_leq(to_orbit_poset(g), c1.top, c2.top)
 
 
 def kgp_leq_induced(g: KgbGraph, levi, c1: IEquivClass, c2: IEquivClass) -> bool:
     """Brute-force induced order: some member of c1 lies below some member
     of c2."""
-    _check_class(g, levi, c1)
-    _check_class(g, levi, c2)
+    _check_classes(g, levi, c1, c2)
     poset = to_orbit_poset(g)
     return any(
         poset_leq(poset, u, v) for u in c1.members for v in c2.members

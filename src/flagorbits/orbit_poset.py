@@ -46,6 +46,7 @@ class OrbitGraph:
     holds the subexpression endpoints of the decomposition of k along first
     steps (reduced_decomposition's, on a valid graph), built and kept like
     the ideals, with ``_steps``: the pulls from non-dense members alone.
+    ``_classes`` keeps the classes of _levi_classes per Levi set.
     ``_graded`` holds when the order is known to be graded by length
     (from_parabolic: Bruhat order on W^J).
     """
@@ -89,6 +90,7 @@ class OrbitGraph:
         self._pulls: tuple[list[list], dict[int, int]] | None = None  # see _pull_gathers
         self._walks: list[int | None] = [None] * len(nodes)
         self._steps: list[list] | None = None  # see subexpression_endpoints
+        self._classes: dict[tuple[int, ...], tuple] = {}  # see _levi_classes
         return self
 
     def _position(self, node: NodeId) -> int:
@@ -460,6 +462,50 @@ def cover_pairs(g: OrbitGraph, among: int) -> list[tuple[NodeId, NodeId]]:
         edges.extend((u, k) for u in _members(below & ~under))
     edges.sort()
     return [(g.nodes[u], g.nodes[v]) for u, v in edges]
+
+
+class IEquivClass(NamedTuple):
+    """A class of nodes over a fixed Levi set, with its dense member.
+
+    members are kept sorted for deterministic reporting."""
+
+    members: tuple[NodeId, ...]
+    top: NodeId
+
+
+def _levi_classes(g: OrbitGraph, levi: tuple[int, ...]) -> tuple[tuple[IEquivClass, ...], dict[NodeId, IEquivClass]]:
+    """The classes over a normalized Levi set, sorted by top, and the class
+    of each node: the connected components of the fibers along its roots,
+    each with its unique longest member as top (tied tops raise
+    AxiomViolation).  Computed once per graph and Levi set, kept on g."""
+    got = g._classes.get(levi)
+    if got is not None:
+        return got
+    _require_table(g)
+    rows = [g._table[alpha - 1] for alpha in levi]
+    lens = g._len
+    seen = [False] * len(lens)
+    classes = []
+    for start in range(len(lens)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]  # the component of start, grown while it is walked
+        for k in block:
+            for row in rows:
+                for j in row[k][1] if row[k] else ():
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+        members = tuple(g.nodes[k] for k in sorted(block))
+        top_len = max(lens[k] for k in block)
+        tops = [k for k in block if lens[k] == top_len]
+        if len(tops) != 1:
+            raise AxiomViolation([f"NonUniqueTop: levi={levi} members={','.join(members)}"])
+        classes.append(IEquivClass(members, g.nodes[tops[0]]))
+    ordered = tuple(sorted(classes, key=lambda c: node_sort_key(c.top)))
+    got = g._classes[levi] = (ordered, {v: c for c in ordered for v in c.members})
+    return got
 
 
 def hasse(g: OrbitGraph) -> list[tuple[NodeId, NodeId]]:

@@ -20,6 +20,8 @@ from flagorbits import (
     enumerate_elements,
     find_descent_counterexample,
     format_word,
+    from_parabolic,
+    from_weyl,
     group_case,
     i_equivalence_classes,
     inv,
@@ -33,6 +35,7 @@ from flagorbits import (
     p_maximal_set,
     pgl2_split,
     poset_leq,
+    property_z_check,
     reduced_word,
     reflection_word,
     simple_root,
@@ -40,6 +43,7 @@ from flagorbits import (
     to_orbit_poset,
     twisted_shadow,
 )
+from flagorbits.orbit_poset import _gather, _levi_classes, lower_ideal, validate
 from flagorbits.root_datum import normalize_levi
 from flagorbits.weyl import _apply
 
@@ -246,6 +250,20 @@ def _outcome(check, g, levi):
         return err.violations
 
 
+def retargeted_shadows():
+    """The A3 shadow with a few cross entries retargeted, 30 times: most
+    still lower, and some break the descent check or tie a class top."""
+    rng = random.Random(14)
+    base = twisted_shadow(build_root_datum("A3"))
+    keys = sorted(base.cross)
+    graphs = []
+    for _ in range(30):
+        cross = {**base.cross, **{rng.choice(keys): rng.choice(base.nodes) for _ in range(rng.randint(1, 3))}}
+        g = KgbGraph(base.datum, base.nodes, dict(base.tw), dict(base.length), dict(base.label), cross, dict(base.cayley))
+        graphs.append(g)
+    return graphs
+
+
 def test_kgp_checks_match_the_per_node_references():
     graphs = [group_case(build_root_datum(name)) for name in ("A3", "B3")]
     cases = [(g, tuple(a + copy for a in levi)) for g in graphs for copy in (0, 3) for levi in all_levis(3)]
@@ -253,15 +271,7 @@ def test_kgp_checks_match_the_per_node_references():
         g = twisted_shadow(build_root_datum(name, twist=twist))
         cases += [(g, levi) for levi in all_levis(4)]
     cases.append((builtin_fixtures()["group_case_a1"], ()))
-    # shadows with a few cross entries retargeted: most still lower, and
-    # some break the descent check
-    rng = random.Random(14)
-    base = twisted_shadow(build_root_datum("A3"))
-    keys = sorted(base.cross)
-    for _ in range(30):
-        cross = {**base.cross, **{rng.choice(keys): rng.choice(base.nodes) for _ in range(rng.randint(1, 3))}}
-        g = KgbGraph(base.datum, base.nodes, dict(base.tw), dict(base.length), dict(base.label), cross, dict(base.cayley))
-        cases += [(g, levi) for levi in all_levis(3)]
+    cases += [(g, levi) for g in retargeted_shadows() for levi in all_levis(3)]
     found = set()
     for g, levi in cases:
         for check, reference in (
@@ -272,3 +282,80 @@ def test_kgp_checks_match_the_per_node_references():
             assert _outcome(check, g, levi) == want, (check.__name__, levi)
             found.update(v.split(":")[0] for v in want)
     assert {"MonoidDescent", "DistinctAscents", "NonUniqueTop"} <= found
+
+
+def test_p_maximal_set_refuses_a_tied_top():
+    refused = []
+    for g in retargeted_shadows():
+        for levi in all_levis(3):
+            want = _outcome(i_equivalence_classes, g, levi)
+            got = _outcome(p_maximal_set, g, levi)
+            if isinstance(want, list):
+                assert got == want, levi
+                refused += want
+            else:
+                assert got == tuple(c.top for c in want), levi
+    assert len(refused) == 7
+    assert "NonUniqueTop: levi=(2,) members=1,3" in refused
+
+
+def cut_classes(poset, levi):
+    """The paper's restriction theorem as one check: over a normalized Levi
+    set, the lower ideal of each class top is a union of whole classes.
+    Each node's bit is gathered from its class top's and XORed with the
+    ideal; the result lists (top, nodes where the two differ) per top whose
+    ideal cuts a class."""
+    classes = _levi_classes(poset, levi)[0]
+    top_of = [0] * len(poset.nodes)
+    for c in classes:
+        for v in c.members:
+            top_of[poset.index[v]] = poset.index[c.top]
+    to_top = _gather(top_of)
+    out = []
+    for c in classes:
+        ideal = lower_ideal(poset, c.top)
+        cut = to_top(ideal) ^ ideal
+        if cut:
+            out.append((c.top, tuple(v for k, v in enumerate(poset.nodes) if cut >> k & 1)))
+    return out
+
+
+def test_class_tops_restrict_the_order():
+    """Where no top's ideal cuts a class, the order of the tops is the
+    induced order; on a graph that validate and property Z pass, the two
+    agree exactly."""
+    graphs = list(builtin_fixtures().values())
+    graphs += [group_case(build_root_datum(name)) for name in ("A3", "B3")]
+    graphs += retargeted_shadows()
+    seen = set()
+    for g in graphs:
+        poset = to_orbit_poset(g)
+        clean = validate(poset) == [] and property_z_check(poset) == []
+        for levi in all_levis(g.datum.rank):
+            try:
+                cut = cut_classes(poset, normalize_levi(g.datum, levi))
+            except AxiomViolation:
+                continue
+            classes = i_equivalence_classes(g, levi)
+            try:
+                agree = all(
+                    kgp_leq(g, levi, c1, c2) == kgp_leq_induced(g, levi, c1, c2) for c1 in classes for c2 in classes
+                )
+            except AxiomViolation:
+                agree = None
+            if not cut or clean:
+                assert agree is (not cut), (g.datum.name, levi, cut)
+            seen.add((bool(cut), agree, clean))
+    assert {(False, True, True), (True, False, False)} <= seen
+
+
+def test_weyl_graph_classes_are_the_cosets():
+    """On from_weyl the fibers are right multiplications, so the classes
+    over a Levi set are the cosets x W_L, one per node of the quotient, and
+    no top's ideal cuts one."""
+    for name in ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "D4", "F4"):
+        d = build_root_datum(name)
+        g = from_weyl(d)
+        for levi in all_levis(d.rank):
+            assert cut_classes(g, levi) == [], (name, levi)
+            assert len(_levi_classes(g, levi)[0]) == len(from_parabolic(d, levi).nodes), (name, levi)

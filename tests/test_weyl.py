@@ -39,6 +39,7 @@ from flagorbits import (
     simple_root,
 )
 from flagorbits import TableTooLarge, group_order, weyl
+from flagorbits.kgb import doubled_datum
 from flagorbits.root_datum import all_roots, reflect
 from flagorbits.weyl import WeylTable, _table, act_on_root
 
@@ -246,6 +247,14 @@ def test_interleaved_components_merge_their_words():
     d = build_root_datum(INTERLEAVED)
     words = [format_word(reduced_word(w)) for w in enumerate_elements(d)]
     assert words == ["e", "1", "2", "3", "1,2", "1,3", "2,3", "3,1", "1,2,3", "1,3,1", "2,3,1", "1,2,3,1"]
+
+
+def test_table_words_are_the_canonical_words():
+    # the whole-datum table's words, which enumerate prints, against the
+    # merge of the component words that reduced_word spells
+    for d in (build_root_datum("A1xA2"), build_root_datum("B2xG2"), doubled_datum(build_root_datum("A2")),
+              build_root_datum(INTERLEAVED)):
+        assert list(_table(d).words) == [reduced_word(w) for w in enumerate_elements(d)]
 
 
 def test_kernels_are_products_with_simple_reflections():
