@@ -21,7 +21,7 @@ from .orbit_poset import from_parabolic, hasse_dot, parse_orbit_graph, property_
 from .orbit_poset import validate as validate_poset
 from .parabolic import enumerate_cosets, p_length
 from .root_datum import _decimal, _significant_lines, build_root_datum, parse_root_datum
-from .weyl import _table, bruhat_leq, format_word, from_word, parse_word, reduced_word
+from .weyl import TABLE_CAP, _table, bruhat_leq, format_word, from_word, group_order, parse_word, reduced_word
 
 
 def _parse_levi(text: str) -> tuple[int, ...]:
@@ -55,7 +55,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_cosets(args) -> int:
-    for coset in enumerate_cosets(build_root_datum(args.type), _parse_levi(args.levi)):
+    datum = build_root_datum(args.type)
+    if group_order(datum) <= TABLE_CAP:
+        _table(datum)  # then each representative is spelled by a lookup, not a root walk
+    for coset in enumerate_cosets(datum, _parse_levi(args.levi)):
         minw = format_word(reduced_word(coset.min_rep))
         maxw = format_word(reduced_word(coset.max_rep))
         print(f"min={minw} max={maxw} plen={p_length(coset)}")

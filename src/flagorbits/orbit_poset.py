@@ -13,9 +13,9 @@ from itertools import compress
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import AxiomViolation, InvalidCartan, Mismatch, ParseError, Unreachable
+from .errors import AxiomViolation, InvalidCartan, Mismatch, ParseError, TableTooLarge, Unreachable
 from .root_datum import RANK_CAP, RootDatum, _decimal, _node_lines, _significant_lines, cartan_matrix, normalize_levi
-from .weyl import _p_minimal, _table, format_word
+from .weyl import TABLE_CAP, _part_datum, group_order
 
 NodeId = str
 _BYTES = str.maketrans("01", "\0\1")  # a 0/1 string to the bytes compress reads
@@ -139,28 +139,47 @@ def from_weyl(datum: RootDatum) -> OrbitGraph:
     return from_parabolic(datum, ())
 
 
+def _coset_walk(datum: RootDatum, levi: tuple[int, ...]) -> tuple[list[NodeId], list[int], list[tuple]]:
+    """The cosets W_levi * w as the W-orbit of the weight 1 off the Levi set
+    and 0 on it (Bjorner-Brenti, GTM 231, ch. 2).  In fundamental-weight
+    coordinates the move along alpha is mu - mu_alpha * (row alpha of the
+    Cartan matrix), up exactly when mu_alpha > 0.  Walked in discovery order,
+    letters increasing, a new point's word is its parent's plus the letter:
+    the canonical word of its minimal representative.  Returns the words in
+    (length, word) order, their lengths and the up moves (alpha - 1, lower, upper)."""
+    count = group_order(datum) // group_order(_part_datum(datum, [i - 1 for i in levi]))
+    if count > TABLE_CAP:
+        size = "|W_L\\W|" if levi else "|W|"
+        raise TableTooLarge(f"{size} = {count} is above the table cap of {TABLE_CAP} elements")
+    start = tuple(int(i not in levi) for i in range(1, datum.rank + 1))
+    points, index, names, lens, ups = [start], {start: 0}, ["e"], [0], []
+    for k, mu in enumerate(points):  # the list grows while it is walked
+        for a, c in enumerate(mu):
+            if c > 0:
+                nu = tuple([x - c * y for x, y in zip(mu, datum.cartan[a])])
+                j = index.setdefault(nu, len(points))
+                if j == len(points):
+                    points.append(nu)
+                    names.append(f"{names[k]},{a + 1}" if k else str(a + 1))
+                    lens.append(lens[k] + 1)
+                ups.append((a, k, j))
+    return names, lens, ups
+
+
 def from_parabolic(datum: RootDatum, levi) -> OrbitGraph:
-    """The orbit graph of P\\G/B, read off the Weyl table.  Its nodes are the
-    minimal coset representatives, named by their canonical words; along
-    alpha a node is joined to its right neighbour under s_alpha when that is
-    a minimal representative too, and longer."""
+    """The orbit graph of P\\G/B: a node per coset of _coset_walk, named by its
+    word, and per up move along alpha a fiber with the upper node dense."""
     levi = normalize_levi(datum, levi)
-    table = _table(datum)
-    length = table.length
-    name = {k: format_word(table.words[k]) for k in _p_minimal(table, levi)}
-    ids = sorted(name, key=lambda k: node_sort_key(name[k]))
-    position = {k: p for p, k in enumerate(ids)}
-    rows = []
-    for right in table.right:
-        row: list = [None] * len(ids)
-        for p, k in enumerate(ids):
-            q = position.get(right[k])
-            if q is not None and length[right[k]] > length[k]:
-                row[p] = row[q] = (q, (p, q) if p < q else (q, p))
-        rows.append(row)
+    names, lens, ups = _coset_walk(datum, levi)
+    order = sorted(range(len(names)), key=lambda k: node_sort_key(names[k]))
+    position = sorted(range(len(order)), key=order.__getitem__)
+    table: list[list] = [[None] * len(order) for _ in range(datum.rank)]
+    for a, k, j in ups:
+        p, q = position[k], position[j]
+        table[a][p] = table[a][q] = (q, (p, q) if p < q else (q, p))
     label = (datum.name or "custom") + (" levi " + ",".join(map(str, levi)) if levi else "")
-    nodes = tuple(name[k] for k in ids)
-    return OrbitGraph.__new__(OrbitGraph)._fill(label, nodes, [length[k] for k in ids], rows, graded=True)
+    nodes = tuple(names[k] for k in order)
+    return OrbitGraph.__new__(OrbitGraph)._fill(label, nodes, [lens[k] for k in order], table, graded=True)
 
 
 # --- validation --------------------------------------------------------------

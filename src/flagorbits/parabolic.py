@@ -8,10 +8,11 @@ an exchange map, and the Bruhat order induced from the full group.
 from __future__ import annotations
 
 import enum
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
-from .orbit_poset import _gather, _members, from_parabolic, from_weyl, lower_ideal, property_z_check
+from .orbit_poset import _coset_walk, _gather, _members, from_parabolic, from_weyl, lower_ideal, property_z_check
 from .root_datum import (
     Root,
     RootDatum,
@@ -26,22 +27,20 @@ from .weyl import (
     WeylElt,
     Word,
     _apply,
-    _p_minimal,
     _part_datum,
     _table,
     _times_s,
     bruhat_leq,
     bruhat_leq_subword,
     descent_direction,
-    enumerate_elements,
     exchange,
-    format_word,
     from_word,
     identity,
     inv,
     is_reduced,
     length,
     mul,
+    parse_word,
     reduced_word,
     simple_reflection,
 )
@@ -177,28 +176,15 @@ def coset_bruhat_leq_induced(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
     )
 
 
-def _coset_ids(datum: RootDatum, levi: Levi) -> list[tuple[int, int]]:
-    """The (minimal, maximal) representative table ids of each coset, the
-    minimal ids in id order."""
-    table = _table(datum)
-    # max_rep = w0 * min_rep, w0 the longest element of W_levi; w0 is an
-    # involution, so its word may be applied first letter first.
-    longest = reduced_word(longest_levi_element(datum, levi))
-    ids = []
-    for k in _p_minimal(table, levi):
-        x = k
-        for i in longest:
-            x = table.left[i - 1][x]
-        ids.append((k, x))
-    return ids
-
-
 def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]:
     """The cosets by p-length, then by the canonical word of the minimal
-    representative: the minimal ids of the Weyl table, in id order."""
+    representative: the names of from_parabolic's walk, in its order.  The
+    maximal representative is w0 * min_rep, w0 the longest element of
+    W_levi, and their reduced words concatenate."""
     levi = normalize_levi(datum, levi)
-    elements = enumerate_elements(datum)
-    return tuple(ParabolicCoset(levi, elements[k], elements[x]) for k, x in _coset_ids(datum, levi))
+    words = [parse_word(datum, name) for name in _coset_walk(datum, levi)[0]]
+    longest = reduced_word(longest_levi_element(datum, levi))
+    return tuple(ParabolicCoset(levi, from_word(datum, word), from_word(datum, longest + word)) for word in words)
 
 
 def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
@@ -210,10 +196,9 @@ def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
     levi = normalize_levi(datum, levi)
     g, w = from_parabolic(datum, levi), from_weyl(datum)
     violations = property_z_check(g)
-    words = _table(datum).words
-    top = [0] * len(g.nodes)  # the position in w of each quotient node's maximal representative
-    for k, x in _coset_ids(datum, levi):
-        top[g.index[format_word(words[k])]] = w.index[format_word(words[x])]
+    # each maximal representative w0 * min_rep in w: up from e along its reduced word
+    longest = reduced_word(longest_levi_element(datum, levi))
+    top = [w.index[reduce(lambda x, i: w.dense_node(i, x), longest + parse_word(datum, v), "e")] for v in g.nodes]
     restrict = _gather(top, len(w.nodes))
     for v in range(len(g.nodes)):
         differ = lower_ideal(g, g.nodes[v]) ^ restrict(lower_ideal(w, w.nodes[top[v]]))

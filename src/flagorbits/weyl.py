@@ -578,14 +578,6 @@ def enumerate_elements(datum: RootDatum) -> tuple[WeylElt, ...]:
     return layout.elements
 
 
-def _p_minimal(table: WeylTable, levi: Sequence[int]) -> list[int]:
-    """The ids, in id order, with no left descent among the simple indices in
-    levi: the minimal representatives of the cosets W_levi * w."""
-    rows = [table.left[i - 1] for i in levi]
-    length = table.length
-    return [k for k in range(len(length)) if all(length[row[k]] > length[k] for row in rows)]
-
-
 def reflection_word(datum: RootDatum, beta: Root) -> Word:
     """A palindromic reduced word for the reflection in a positive root,
     found by descending the root to a simple one."""

@@ -13,7 +13,10 @@ from flagorbits import (
     format_kgb,
     format_orbit_graph,
     format_root_datum,
+    format_word,
     from_weyl,
+    longest_levi_element,
+    reduced_word,
     sl2_split,
 )
 from flagorbits.cli import COMMANDS, main, parse_args
@@ -59,6 +62,23 @@ def test_cosets(capsys):
     code, out, err = run(capsys, "cosets", "--type", "A2", "--levi", "1")
     assert code == 0
     assert out == "min=e max=1 plen=0\nmin=2 max=1,2 plen=1\nmin=2,1 max=1,2,1 plen=2\n"
+
+
+def test_quotients_of_e7_and_e8_answer(capsys):
+    # W(E7) and W(E8) are above the table cap; their quotients by E6 and E7
+    # are not, and the cap applies to the cosets
+    code, out, err = run(capsys, "cosets", "--type", "E7", "--levi", "1,2,3,4,5,6")
+    lines = out.splitlines()
+    assert (code, len(lines), err) == (0, 56, "")
+    longest = format_word(reduced_word(longest_levi_element(build_root_datum("E6"), range(1, 7))))
+    assert len(longest.split(",")) == 36
+    assert lines[0] == f"min=e max={longest} plen=0"
+    code, out, err = run(capsys, "hasse", "--type", "E8", "--levi", "1,2,3,4,5,6,7")
+    assert (code, out.count(" [label="), err) == (0, 240, "")
+    # |W(E8)| / 2 cosets: refused before the walk
+    code, out, err = run(capsys, "hasse", "--type", "E8", "--levi", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: |W_L\\W| = 348364800 is above the table cap of 51840 elements\n"
 
 
 def test_classes_and_kgp_order(capsys, tmp_path):

@@ -774,6 +774,25 @@ def test_minimal_w_uniqueness_fails_on_diagonal_cases():
     assert violations[0] == "MinimalWNotUnique: start=0 target=1 words=1;3"
 
 
+def test_minimal_w_walk_appends_only_lengthening_letters():
+    # A Cayley move retargeted so that the monoid action breaks the braid
+    # relations: some ascent of a node is then a right descent of a w
+    # reaching it, and the walk must not take it (an element that a letter
+    # shortens is not minimal for the node it reaches).  Taking it would add
+    # the word e at target 4 and the word 1 at target 6.
+    g = _corrupt(twisted_shadow(build_root_datum("A3", twist=(3, 2, 1))), cayley={(2, "0"): "1"})
+    assert minimal_w_uniqueness_check(g) == [
+        "MinimalWNotUnique: start=0 target=1 words=1;2;3",
+        "MinimalWNotUnique: start=0 target=4 words=1,2;3,2",
+        "MinimalWNotUnique: start=0 target=6 words=1,2,1;3,2,1",
+        "MinimalWNotUnique: start=0 target=8 words=1,2,3;2,3,2",
+        "MinimalWNotUnique: start=0 target=9 words=1,2,1,3;2,3,2,1",
+        "MinimalWNotUnique: start=2 target=9 words=1,2,3;1,3,2;3,2,1",
+        "MinimalWNotUnique: start=3 target=9 words=2,3;3,2",
+        "MinimalWNotUnique: start=5 target=9 words=1,2;2,1",
+    ]
+
+
 def minimal_w_by_brute_force(g):
     """Oracle: act by every element of the whole group, through its canonical
     word, and keep the shortest elements reaching each target."""

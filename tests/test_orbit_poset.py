@@ -42,7 +42,11 @@ from flagorbits import (
     twisted_shadow,
     validate,
 )
+from flagorbits.kgb import doubled_datum
 from flagorbits.orbit_poset import cover_pairs, lower_ideal, node_sort_key, parse_orbit_graph
+from flagorbits.root_datum import normalize_levi
+from flagorbits.weyl import _table
+from test_weyl import INTERLEAVED, THREE_WAY
 
 
 def all_levis(rank):
@@ -74,6 +78,58 @@ def test_from_weyl_matches_weyl_order():
         for u in elements:
             for v in elements:
                 assert poset_leq(g, ident[u], ident[v]) == bruhat_leq(u, v)
+
+
+def reference_from_parabolic(datum, levi):
+    """The orbit graph of P\\G/B read off the Weyl table, kept as the oracle
+    of from_parabolic's weight-orbit walk: the nodes are the table ids with
+    no left descent in the Levi set, named by their canonical words, and
+    along alpha a node is joined to its right neighbour under s_alpha when
+    that is a node too, and longer."""
+    levi = normalize_levi(datum, levi)
+    table = _table(datum)
+    length = table.length
+    lefts = [table.left[i - 1] for i in levi]
+    minimal = [k for k in range(len(length)) if all(length[row[k]] > length[k] for row in lefts)]
+    name = {k: format_word(table.words[k]) for k in minimal}
+    ids = sorted(name, key=lambda k: node_sort_key(name[k]))
+    position = {k: p for p, k in enumerate(ids)}
+    rows = []
+    for right in table.right:
+        row = [None] * len(ids)
+        for p, k in enumerate(ids):
+            q = position.get(right[k])
+            if q is not None and length[right[k]] > length[k]:
+                row[p] = row[q] = (q, (p, q) if p < q else (q, p))
+        rows.append(row)
+    label = (datum.name or "custom") + (" levi " + ",".join(map(str, levi)) if levi else "")
+    nodes = tuple(name[k] for k in ids)
+    return OrbitGraph.__new__(OrbitGraph)._fill(label, nodes, [length[k] for k in ids], rows, graded=True)
+
+
+def graph_fields(g):
+    return g.nodes, g._len, g._table, g.rootsystem, g._graded, g.length
+
+
+# Every Levi set of each of these is checked against the table route; E6's
+# 64 are left to CI.
+ORACLE_DATA = [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+ORACLE_DATA += ["C3", "C4", "D4", "D5", "G2", "F4", "A1xA2", "B2xG2", "A3xA3", INTERLEAVED, THREE_WAY]
+
+
+def oracle_data():
+    data = [build_root_datum(spec) for spec in ORACLE_DATA]
+    data += [build_root_datum("B3", isogeny="adjoint"), build_root_datum("D4", twist=(1, 2, 4, 3))]
+    return data + [doubled_datum(build_root_datum("A2"))]
+
+
+def test_from_parabolic_matches_the_table_route():
+    pairs = 0
+    for datum in oracle_data():
+        for levi in all_levis(datum.rank):
+            assert graph_fields(from_parabolic(datum, levi)) == graph_fields(reference_from_parabolic(datum, levi))
+            pairs += 1
+    assert pairs == 414
 
 
 def test_builtin_graphs_validate():

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -56,6 +57,8 @@ from flagorbits import (
 from flagorbits import parabolic
 from flagorbits.orbit_poset import cover_pairs
 from flagorbits.root_datum import normalize_levi
+from flagorbits.weyl import _layout, _part_datum
+from test_weyl import degrees, poincare
 
 
 def all_levis(rank):
@@ -184,6 +187,28 @@ def test_per_element_coset_functions_build_no_table():
     assert set(weyl._tables) == before
 
 
+def test_quotients_read_no_table(monkeypatch):
+    # from_parabolic, enumerate_cosets and quotient_property_z_check walk
+    # weight orbits and root images: with every table out of reach they
+    # give the answers of the table-backed run.
+    from flagorbits import weyl
+
+    want = {levi: enumerate_cosets(build_root_datum("B3"), levi) for levi in all_levis(3)}
+
+    def refuse(datum):
+        raise AssertionError("a Weyl table was built")
+
+    monkeypatch.setattr(weyl, "_tables", {})
+    monkeypatch.setattr(weyl, "WeylTable", refuse)
+    d = build_root_datum("B3")  # a fresh datum has found no table yet
+    for levi in all_levis(3):
+        assert enumerate_cosets(d, levi) == want[levi], levi
+        assert quotient_property_z_check(d, levi) == [], levi
+    cosets = enumerate_cosets(build_root_datum("E7"), (1, 2, 3, 4, 5, 6))
+    assert len(cosets) == 56 and cosets[0].min_rep == identity(cosets[0].datum)
+    assert weyl._tables == {}
+
+
 def test_is_p_reduced_examples():
     d = build_root_datum("A2")
     assert is_p_reduced(d, (), (1,))
@@ -258,6 +283,78 @@ def test_quotient_matches_the_per_element_route(name, levi):
     g = from_parabolic(d, levi)
     assert g.length == {ident[c]: p_length(c) for c in want}
     assert {(alpha, dense, frozenset(group)) for alpha, dense, group in g.stored_fibers()} == fibers
+
+
+def dynkin_type(cartan, part):
+    """The Cartan type of a connected sub-diagram on the 1-based indices in
+    part, read off its shape: B_n and C_n share their degrees, so B serves
+    for either, and F4 is the one double bond between two inner nodes."""
+    bonds = {cartan[i - 1][j - 1] * cartan[j - 1][i - 1]: (i, j) for i in part for j in part if i < j}
+    near = {i: [j for j in part if j != i and cartan[i - 1][j - 1]] for i in part}
+    if 3 in bonds:
+        return "G2"
+    if 2 in bonds:
+        i, j = bonds[2]
+        return "F4" if len(near[i]) == len(near[j]) == 2 else f"B{len(part)}"
+    branch = [i for i in part if len(near[i]) == 3]
+    if not branch:
+        return f"A{len(part)}"
+    arms = []
+    for j in near[branch[0]]:
+        seen = {branch[0], j}
+        while any(x not in seen for x in near[j]):
+            j = next(x for x in near[j] if x not in seen)
+            seen.add(j)
+        arms.append(len(seen) - 1)
+    return f"D{len(part)}" if sorted(arms)[1] == 1 else f"E{len(part)}"
+
+
+def levi_degrees(datum, levi):
+    """The degrees of W_levi: those of each connected component's type."""
+    sub = _part_datum(datum, [i - 1 for i in levi])
+    return [d for part in _layout(sub).parts for d in degrees(dynkin_type(sub.cartan, [i + 1 for i in part]))]
+
+
+def poincare_ratio(datum, name, levi):
+    """The coefficients of prod [d_i]_q / prod [d_i^L]_q, by long division:
+    the length distribution of W_L\\W (d_i the degrees of W, d_i^L of W_L)."""
+    num, den = poincare(degrees(name)), poincare(levi_degrees(datum, levi))
+    out = []
+    for k in range(len(num) - len(den) + 1):
+        out.append(num[k] - sum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1)))
+    return out
+
+
+def length_distribution(g):
+    counts = Counter(g._len)
+    return [counts[k] for k in range(max(g._len) + 1)]
+
+
+def test_dynkin_types_of_levi_sets():
+    e8, f4 = build_root_datum("E8"), build_root_datum("F4")
+    assert dynkin_type(e8.cartan, range(1, 8)) == "E7"
+    assert dynkin_type(e8.cartan, range(2, 9)) == "D7"
+    assert dynkin_type(e8.cartan, (1, 3, 4, 5)) == "A4"
+    assert dynkin_type(f4.cartan, (1, 2, 3, 4)) == "F4"
+    assert dynkin_type(f4.cartan, (2, 3, 4)) == "B3"
+    # components {1, 3}, {2}, {5, 6} and {8}, in order of their smallest index
+    assert levi_degrees(e8, (1, 2, 3, 5, 6, 8)) == [2, 3, 2, 2, 3, 2]
+
+
+POINCARE_TYPES = [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+POINCARE_TYPES += ["C3", "C4", "D4", "D5", "G2", "F4"]
+# Quotients of groups above the table cap, where the ratio is the only
+# independent check: W_L is E6, D5, E7 and D7 (E8 {1,3,4,...,8}, with 17 280
+# cosets, is left to CI).
+LARGE_QUOTIENTS = [("E7", (1, 2, 3, 4, 5, 6)), ("E7", (1, 2, 3, 4, 5)), ("E8", (1, 2, 3, 4, 5, 6, 7))]
+LARGE_QUOTIENTS += [("E8", (2, 3, 4, 5, 6, 7, 8))]
+
+
+def test_quotient_length_distribution_is_the_poincare_ratio():
+    cases = [(name, levi) for name in POINCARE_TYPES for levi in all_levis(int(name[1:]))] + LARGE_QUOTIENTS
+    for name, levi in cases:
+        d = build_root_datum(name)
+        assert length_distribution(from_parabolic(d, levi)) == poincare_ratio(d, name, levi), (name, levi)
 
 
 def test_coset_order_examples():

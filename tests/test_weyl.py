@@ -202,7 +202,13 @@ def degrees(name):
     if "x" in name:
         return [e for part in name.split("x") for e in degrees(part)]
     letter, n = name[0], int(name[1:])
-    fixed = {"G2": [2, 6], "F4": [2, 6, 8, 12], "E6": [2, 5, 6, 8, 9, 12]}
+    fixed = {
+        "G2": [2, 6],
+        "F4": [2, 6, 8, 12],
+        "E6": [2, 5, 6, 8, 9, 12],
+        "E7": [2, 6, 8, 10, 12, 14, 18],
+        "E8": [2, 8, 12, 14, 18, 20, 24, 30],
+    }
     if name in fixed:
         return fixed[name]
     if letter == "A":
@@ -212,12 +218,18 @@ def degrees(name):
     return list(range(2, 2 * n - 1, 2)) + [n]  # D
 
 
+def poincare(degs):
+    """The coefficients of the product of [d]_q = 1 + q + ... + q^(d-1)."""
+    poly = [1]
+    for deg in degs:
+        poly = [sum(poly[max(0, k - deg + 1) : k + 1]) for k in range(len(poly) + deg - 1)]
+    return poly
+
+
 def test_length_distribution_is_the_poincare_polynomial():
-    # sum over W of q^length(w) is the product of [d]_q = 1 + q + ... + q^(d-1)
+    # sum over W of q^length(w) is the product of [d]_q
     for spec, name in TABLE_SPECS + [("E6", "E6")]:
-        poly = [1]
-        for deg in degrees(name):
-            poly = [sum(poly[max(0, k - deg + 1) : k + 1]) for k in range(len(poly) + deg - 1)]
+        poly = poincare(degrees(name))
         counts = Counter(_table(build_root_datum(spec)).length)
         assert [counts[k] for k in range(len(poly))] == poly, spec
         assert sum(counts.values()) == sum(poly), spec
