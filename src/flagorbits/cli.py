@@ -57,7 +57,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_cosets(args) -> int:
     datum = build_root_datum(args.type)
     if group_order(datum) <= TABLE_CAP:
-        _table(datum)  # then each representative is spelled by a lookup, not a root walk
+        _table(datum)  # then each representative is spelled by a lookup, not a weight walk
     for coset in enumerate_cosets(datum, _parse_levi(args.levi)):
         minw = format_word(reduced_word(coset.min_rep))
         maxw = format_word(reduced_word(coset.max_rep))

@@ -52,7 +52,6 @@ from .weyl import (
     _element,
     _ids,
     _layout,
-    _root_inv,
     _s_times,
     _table,
     _times_s,
@@ -62,6 +61,7 @@ from .weyl import (
     format_word,
     from_word,
     identity,
+    inv,
     parse_word,
     reduced_word,
     simple_reflection,
@@ -285,7 +285,7 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
             y = _s_times(a, x)
             return y if b is None else _times_s(y, b)
 
-        return elements, move, lambda x: apply_twist(x) == _root_inv(x)
+        return elements, move, lambda x: apply_twist(x) == inv(x)
 
     where = layout.where
     # theta sends letter a of part c to letter b of part d: image[c][a - 1]

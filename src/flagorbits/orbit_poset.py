@@ -590,8 +590,7 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
         raise ParseError("expected a rootsystem line")
     rootsystem = lines[1][len("rootsystem ") :].strip()
     lengths = {name: n for name, n, _ in _node_lines(lines[2:], 3)}
-    fibers = []
-    top = 0
+    fibers, claimed, top = [], {}, 0
     for line in lines[3 + len(lengths) :]:
         fields = line.split()
         if fields[0] != "fiber" or len(fields) < 4:
@@ -600,9 +599,12 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
         if not alpha:
             raise ParseError(f"bad simple index in {line!r}")
         top = max(top, alpha)
+        fiber = (fields[2], frozenset(fields[2:]))
         for name in fields[2:]:
             if name not in lengths:
                 raise ParseError(f"fiber mentions unknown node {name!r}")
+            if claimed.setdefault((alpha, name), fiber) != fiber:
+                raise ParseError(f"node {name!r} lies in two fibers along {alpha}")
         fibers.append((alpha, fields[2], tuple(fields[2:])))
     try:
         rank = len(cartan_matrix(rootsystem.split()[0]))

@@ -10,8 +10,8 @@ Cartan matrix, shared by every datum with such a component (the two copies
 in group_case's doubled datum read the table of the one group), and an
 element is looked up as one table id per component.  Whole-group operations
 build the tables, up to TABLE_CAP elements; per-element calls only read
-tables that exist, and otherwise work on the root images with
-simple-reflection kernels, so that E7 and E8 still answer queries.
+tables that exist, and otherwise spell by one walk on the weight w(2 rho)
+and multiply by simple-reflection kernels, so E7 and E8 still answer.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .root_datum import (
     RootDatum,
     _check_letter,
     _decimal,
+    _eliminate,
     all_roots,
     coroot_pairing,
     is_root,
@@ -123,10 +124,10 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
 
 def length(w: WeylElt) -> int:
     """Number of positive roots sent negative: without a table, the number
-    of letters of the descent walk."""
+    of letters of the weight walk."""
     hit = _ids(w)
     if hit is None:
-        return len(_descent_walk(w))
+        return len(_rho_walk(w))
     tables, ids = hit
     if len(ids) == 1:
         return tables[0].length[ids[0]]
@@ -138,14 +139,14 @@ def reduced_word(w: WeylElt) -> Word:
     the smallest simple reflection that shortens on the left."""
     hit = _ids(w)
     if hit is None:
-        return _descent_walk(_root_inv(w))
+        return _rho_walk(w)
     return _word(w.datum, *hit)
 
 
 def inv(w: WeylElt) -> WeylElt:
     hit = _ids(w)
     if hit is None:
-        return _root_inv(w)
+        return _root_from_word(w.datum, reversed(_rho_walk(w)))
     tables, ids = hit
     if len(ids) == 1:
         return _element(w.datum, (tables[0].inverse[ids[0]],))
@@ -264,18 +265,20 @@ def _s_times(i: int, w: WeylElt) -> WeylElt:
     return WeylElt(w.datum, tuple(out))
 
 
-def _descent_walk(w: WeylElt) -> Word:
-    """Strip the smallest right descent until the identity is reached: the
-    letters j1..jl with w * s_j1 * ... * s_jl = e.  Since the right descents
-    of w are the left descents of its inverse, these are the greedy
-    left-descent word of the inverse."""
+def _rho_walk(w: WeylElt) -> Word:
+    """The canonical word: the left descents of w are the i with
+    <w(2 rho), coroot_i> < 0 (Bjorner-Brenti, GTM 231, ch. 4), so strip the
+    smallest from mu = w(2 rho) in fundamental-weight coordinates by
+    mu <- mu - mu_i * (row i of the Cartan matrix) until mu is dominant."""
+    cartan = w.datum.cartan
+    beta = _apply(w, _layout(w.datum).two_rho)
+    mu = [sum(map(int.__mul__, beta, col)) for col in zip(*cartan)]
     word: list[int] = []
-    x = w
     while True:
-        for i, beta in enumerate(x.images, 1):
-            if any(c < 0 for c in beta):
-                word.append(i)
-                x = _times_s(x, i)
+        for i, c in enumerate(mu):
+            if c < 0:
+                word.append(i + 1)
+                mu = [x - c * y for x, y in zip(mu, cartan[i])]
                 break
         else:
             return tuple(word)
@@ -287,10 +290,6 @@ def _root_from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
         _check_letter(datum, i)
         w = _times_s(w, i)
     return w
-
-
-def _root_inv(w: WeylElt) -> WeylElt:
-    return _root_from_word(w.datum, _descent_walk(w))
 
 
 # --- tables and component lookups ------------------------------------------------
@@ -420,13 +419,14 @@ class _Layout:
     """A datum's connected components: ``parts`` holds each one's 0-based
     simple indices (the parts in order of their smallest index), ``spans``
     its slice where the indices are consecutive (else None), ``subs`` its
-    datum, and ``where[i - 1]`` the part and local 1-based letter of
-    simple index i.  ``links[i - 1]`` lists the neighbours j of i with
-    a_ji = <alpha_j, coroot_i>, for the kernels.  The component tables are
-    remembered here once built, and so are the element list of
-    enumerate_elements and, per component id, the runs of _word."""
+    datum, and ``where[i - 1]`` the part and local 1-based letter of simple
+    index i.  ``links[i - 1]`` lists the neighbours j of i with a_ji =
+    <alpha_j, coroot_i>, for the kernels; ``two_rho`` is the sum of the
+    positive roots, for the weight walk.  The component tables are remembered
+    here once built, and so are the element list of enumerate_elements and,
+    per component id, the runs of _word."""
 
-    __slots__ = ("parts", "spans", "subs", "where", "links", "found", "elements", "runs")
+    __slots__ = ("parts", "spans", "subs", "where", "links", "two_rho", "found", "elements", "runs")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -455,6 +455,9 @@ class _Layout:
         self.links = [
             [(j, row[i]) for j, row in enumerate(datum.cartan) if row[i] and j != i] for i in range(r)
         ]
+        m = [[*col, 2] for col in zip(*datum.cartan)]
+        _eliminate(m)  # to d * I: 2 rho solves <2 rho, coroot_i> = 2, no root list needed
+        self.two_rho = tuple([row[-1] // row[k] for k, row in enumerate(m)])
         self.found: list[WeylTable] | None = None
         self.elements: tuple[WeylElt, ...] | None = None
         self.runs: list[dict[int, list[Word]]] = [{} for _ in parts]

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, driven through main() for speed."""
 
 import argparse
+import hashlib
 import os
 import random
 import subprocess
@@ -79,6 +80,13 @@ def test_quotients_of_e7_and_e8_answer(capsys):
     code, out, err = run(capsys, "hasse", "--type", "E8", "--levi", "1")
     assert (code, out) == (1, "")
     assert err == "error: |W_L\\W| = 348364800 is above the table cap of 51840 elements\n"
+
+
+def test_e7_quotient_representatives_are_pinned(capsys):
+    # W(E7) has no table, so every representative is spelled by the weight walk
+    code, out, err = run(capsys, "cosets", "--type", "E7", "--levi", "1,2,3,4,5")
+    assert (code, out.count("\n"), err) == (0, 1512, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "c67fd393ded413559920783a8550aa73349b1cd05f5a836adda73fe9c761828f"
 
 
 def test_classes_and_kgp_order(capsys, tmp_path):

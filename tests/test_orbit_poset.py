@@ -267,8 +267,8 @@ def test_property_z_matches_the_pairwise_reference():
     mutants = [mutate_dense_flip(g) for g in clean if any(len(f[2]) == 2 for f in g.stored_fibers())]
     mutants += [dense_moved_to(split, 1, x) for x in ("0", "1")]
     # along root 1 the added fiber 2/e overlaps e/1 and 2/2,1
-    text = format_orbit_graph(from_weyl(build_root_datum("A2")))
-    incoherent = parse_orbit_graph(text + "fiber 1 2 e\n")
+    a2 = from_weyl(build_root_datum("A2"))
+    incoherent = OrbitGraph(a2.rootsystem, a2.rank, a2.length, a2.stored_fibers() + [(1, "2", ("2", "e"))])
     assert validate(incoherent) == [
         "FiberIncoherent: alpha=1 fiber=1/e node=e",
         "FiberIncoherent: alpha=1 fiber=2/2,1 node=2",
@@ -476,6 +476,7 @@ def test_parsed_rank_comes_from_the_type_name():
 
 def test_parse_errors():
     good = format_orbit_graph(from_weyl(build_root_datum("A1")))
+    a2 = format_orbit_graph(from_weyl(build_root_datum("A2")))
     header = "expected header 'orbitgraph v1'"
     for bad, message in (
         ("", header),
@@ -493,6 +494,9 @@ def test_parse_errors():
         (good.replace("fiber 1 1 e", "fiber ١ 1 e"), "bad simple index in 'fiber ١ 1 e'"),
         (good.replace("fiber 1 1 e", "fiber +1 1 e"), "bad simple index in 'fiber +1 1 e'"),
         (good.replace("fiber 1 1 e", "fiber 1 1 x"), "fiber mentions unknown node 'x'"),
+        # the table keeps one fiber per node and root, so a second one would be lost
+        (good + "fiber 1 e 1\n", "node 'e' lies in two fibers along 1"),
+        (a2 + "fiber 1 2 e\n", "node '2' lies in two fibers along 1"),
         # with no Cartan type named, the largest fiber index is the rank
         (
             good.replace("rootsystem A1", "rootsystem foo").replace("fiber 1 1 e", "fiber 1000000 1 e"),
@@ -504,6 +508,7 @@ def test_parse_errors():
         with pytest.raises(ParseError) as info:
             parse_orbit_graph(bad)
         assert str(info.value) == message, bad
+    assert format_orbit_graph(parse_orbit_graph(good + "fiber 1 1 e\n")) == good
     capped = parse_orbit_graph(good.replace("rootsystem A1", "rootsystem foo").replace("fiber 1 1 e", "fiber 200 1 e"))
     assert capped.rank == 200
     assert parse_orbit_graph(good.replace("node 1 1", "node 1 -1")).length["1"] == -1
@@ -685,10 +690,10 @@ def oracle_graphs():
     ]
     graphs += [to_orbit_poset(g) for g in builtin_fixtures().values()]
     graphs += [parse_orbit_graph(format_orbit_graph(g)) for g in graphs[:8]]
-    a2 = format_orbit_graph(from_weyl(build_root_datum("A2")))
+    a2 = from_weyl(build_root_datum("A2"))
     graphs += [
-        parse_orbit_graph(a2 + "fiber 1 2 e\n"),  # incoherent along 1
-        parse_orbit_graph(a2 + "fiber 7 2 e\n"),  # a fiber kept out of the table
+        OrbitGraph(a2.rootsystem, a2.rank, a2.length, a2.stored_fibers() + [(1, "2", ("2", "e"))]),  # incoherent along 1
+        parse_orbit_graph(format_orbit_graph(a2) + "fiber 7 2 e\n"),  # a fiber kept out of the table
         parse_orbit_graph(  # a lowering cycle
             "orbitgraph v1\nrootsystem A2\nnodes 3\nnode x 0\nnode v 2\nnode w 3\nfiber 1 v w\nfiber 2 w v\n"
         ),

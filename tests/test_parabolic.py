@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -55,7 +56,7 @@ from flagorbits import (
     step_coset,
 )
 from flagorbits import parabolic
-from flagorbits.orbit_poset import cover_pairs
+from flagorbits.orbit_poset import cover_pairs, lower_ideal
 from flagorbits.root_datum import normalize_levi
 from flagorbits.weyl import _layout, _part_datum
 from test_weyl import degrees, poincare
@@ -355,6 +356,60 @@ def test_quotient_length_distribution_is_the_poincare_ratio():
     for name, levi in cases:
         d = build_root_datum(name)
         assert length_distribution(from_parabolic(d, levi)) == poincare_ratio(d, name, levi), (name, levi)
+
+
+def interval(g, u, v):
+    """The positions of [u, v] in closure order, shortest first."""
+    ku = g.index[u]
+    below_v = lower_ideal(g, v)
+    ks = [k for k in range(len(g.nodes)) if below_v >> k & 1 and lower_ideal(g, g.nodes[k]) >> ku & 1]
+    return sorted(ks, key=g._len.__getitem__)
+
+
+def mobius(g, u, v):
+    """mu(u, v) by the recursion mu(u, u) = 1, mu(u, z) = -sum of mu(u, y)
+    over u <= y < z, each y read off the lower ideal of z."""
+    mu = {}
+    for z in interval(g, u, v):
+        below = lower_ideal(g, g.nodes[z])
+        mu[z] = -sum(m for y, m in mu.items() if below >> y & 1) if mu else 1
+    return mu[g.index[v]]
+
+
+def sample_intervals(g, rng, count):
+    """count seeded pairs u <= v: v uniform, u uniform in the ideal of v."""
+    out = []
+    for _ in range(count):
+        v = rng.choice(g.nodes)
+        below = lower_ideal(g, v)
+        u = rng.choice([x for k, x in enumerate(g.nodes) if below >> k & 1])
+        out.append((u, v))
+    return out
+
+
+def test_bruhat_intervals_are_eulerian():
+    # Verma: mu(u, v) = (-1)^(l(v) - l(u)) on every Bruhat interval of W
+    rng = random.Random(4)
+    for name in ("B4", "F4"):
+        g = from_weyl(build_root_datum(name))
+        for u, v in sample_intervals(g, rng, 30):
+            assert mobius(g, u, v) == (-1) ** (g.length[v] - g.length[u]), (name, u, v)
+
+
+def test_quotient_mobius_function_is_deodhars():
+    # Deodhar (Invent. Math. 39, 1977): on W^J, mu(u, v) = (-1)^(l(v) - l(u))
+    # when the whole W-interval [u, v] lies in W^J, and 0 otherwise
+    rng = random.Random(77)
+    for name in ("B4", "F4"):
+        d = build_root_datum(name)
+        w = from_weyl(d)
+        for levi in itertools.islice(all_levis(d.rank), 2**d.rank - 1):
+            g = from_parabolic(d, levi)
+            assert all(w.length[x] == g.length[x] for x in g.nodes), (name, levi)
+            for u, v in sample_intervals(g, rng, 4):
+                inside = all(w.nodes[k] in g.index for k in interval(w, u, v))
+                want = (-1) ** (g.length[v] - g.length[u]) if inside else 0
+                assert mobius(g, u, v) == want, (name, levi, u, v)
 
 
 def test_coset_order_examples():

@@ -242,10 +242,10 @@ def test_component_lookups_match_the_root_image_path():
         d = build_root_datum(spec)
         for w in enumerate_elements(d):
             word = reduced_word(w)
-            assert word == weyl._descent_walk(weyl._root_inv(w)), spec
+            assert word == weyl._rho_walk(w), spec
             inversions = sum(any(c < 0 for c in weyl._apply(w, beta)) for beta in positive_roots(d))
             assert length(w) == inversions == len(word)
-            assert inv(w) == weyl._root_inv(w)
+            assert inv(w) == weyl._root_from_word(d, word[::-1])
             assert from_word(d, word) == weyl._root_from_word(d, word) == w
             doubled = word + word[::-1]
             assert from_word(d, doubled) == weyl._root_from_word(d, doubled) == identity(d)
@@ -294,21 +294,62 @@ def test_per_element_queries_build_no_table():
     assert d.cartan not in weyl._tables and weyl._layout(d).tables() is None
 
 
-def test_descent_walk_length_counts_inversions():
-    # Without a table, length is the number of letters of the descent walk;
+def test_rho_walk_length_counts_inversions():
+    # Without a table, length is the number of letters of the weight walk;
     # the inversion count over all positive roots is the oracle.
     rng = random.Random(3)
     for name in ("E6", "E7", "E8"):
         d = build_root_datum(name)
         pos = positive_roots(d)
+        assert weyl._layout(d).two_rho == tuple(map(sum, zip(*pos))), name
         w0 = longest_levi_element(d, range(1, d.rank + 1))
         samples = [w0, identity(d)]
         samples += [from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(1, 60))]) for _ in range(40)]
         for w in samples:
             inversions = sum(any(c < 0 for c in weyl._apply(w, beta)) for beta in pos)
-            assert len(weyl._descent_walk(w)) == inversions, name
+            assert len(weyl._rho_walk(w)) == inversions, name
             assert length(w) == inversions, name
         assert length(w0) == len(pos)
+
+
+def reference_descent_walk(w):
+    """Strip the smallest right descent until the identity is reached: the
+    letters j1..jl with w * s_j1 * ... * s_jl = e.  Since the right descents
+    of w are the left descents of its inverse, these are the greedy
+    left-descent word of the inverse."""
+    word = []
+    x = w
+    while True:
+        for i, beta in enumerate(x.images, 1):
+            if any(c < 0 for c in beta):
+                word.append(i)
+                x = weyl._times_s(x, i)
+                break
+        else:
+            return tuple(word)
+
+
+def test_tableless_queries_match_the_right_descent_walk(monkeypatch):
+    # The right-descent walk spells w^-1, and walking the product of its
+    # letters spells w: the oracle for the weight walk with every table hidden.
+    rng = random.Random(23)
+    cases = []
+    for name in ("E6", "E7", "E8"):
+        d = build_root_datum(name)
+        samples = [identity(d), longest_levi_element(d, range(1, d.rank + 1))]
+        samples += [from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(1, 80))]) for _ in range(25)]
+        cases.append((d, samples))
+    for spec in (INTERLEAVED, THREE_WAY, "A3xA3"):
+        d = build_root_datum(spec)
+        cases.append((d, enumerate_elements(d)))
+    monkeypatch.setattr(weyl._Layout, "tables", lambda self: None)
+    for d, samples in cases:
+        for w in samples:
+            inverse_word = reference_descent_walk(w)
+            inverse = weyl._root_from_word(d, inverse_word)
+            assert reduced_word(w) == reference_descent_walk(inverse), d.name
+            assert length(w) == len(inverse_word), d.name
+            assert inv(w) == inverse, d.name
 
 
 def test_identity_and_simple_reflections():
