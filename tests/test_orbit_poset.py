@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from inspect import getclosurevars
 
 import pytest
 
@@ -43,7 +44,7 @@ from flagorbits import (
     validate,
 )
 from flagorbits.kgb import doubled_datum
-from flagorbits.orbit_poset import cover_pairs, lower_ideal, node_sort_key, parse_orbit_graph
+from flagorbits.orbit_poset import _gather, _kernel, cover_pairs, lower_ideal, node_sort_key, parse_orbit_graph
 from flagorbits.root_datum import normalize_levi
 from flagorbits.weyl import _table
 from test_weyl import INTERLEAVED, THREE_WAY
@@ -798,3 +799,31 @@ def test_decompositions_refuse_fibers_outside_the_table():
     tabled = parse_orbit_graph(text + "fiber 1 1 0\nfiber 2 2 1\n")
     assert reduced_decomposition(tabled, "2") == rd
     assert subexpression_endpoints(tabled, rd) == ("0", "1", "2")
+
+
+def reference_kernel(pairs, bits):
+    """Bit by bit: bit y is set where bit u is, for some pair (y, u)."""
+    return sum({1 << y for y, u in pairs if bits >> u & 1})
+
+
+def test_kernels_match_the_per_bit_reference():
+    """Seeded maps through both sides of the cost estimate: few offsets,
+    a random permutation of 2 000 positions (string picks), a source
+    wider than the output with the zero sentinel, and two-source unions
+    whose pairs share offsets, with few or many offsets."""
+    rng = random.Random(24)
+    few = [y + d if 0 <= y + d < 300 else 300 for y, d in enumerate(rng.choices((-3, -1, 2, 5), k=300))]
+    perm = rng.sample(range(2000), 2000)
+    wide = [rng.choice((y, y + 300, y + 380, 500, 500)) for y in range(120)]
+    cases = []
+    for source, size, picked in ((few, None, False), (perm, None, True), (wide, 500, False)):
+        n = len(source) if size is None else size
+        cases.append(([(y, u) for y, u in enumerate(source) if u != n], n, picked, _gather(source, size)))
+    near = [(y, y + d) for y in range(200) for d in (-7, 3) if 0 <= y + d < 200]
+    far = [(y, u) for y in range(2000) for u in rng.sample(range(2000), 2) if u != y]
+    for pairs, n, picked in ((near, 200, False), (far, 2000, True)):
+        cases.append((pairs, n, picked, _kernel(pairs, n, n)))
+    for pairs, n, picked, kernel in cases:
+        assert bool(getclosurevars(kernel).nonlocals["picks"]) == picked, (len(pairs), n)
+        for bits in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            assert kernel(bits) == reference_kernel(pairs, bits), (len(pairs), n)
