@@ -418,12 +418,11 @@ def _pull_kernels(g: OrbitGraph) -> tuple[list, dict[int, int]]:
     """Per root, _row_kernel(row, True); and for each length, the bitset of
     the positions shorter than it.  Built once, kept on g."""
     n, lens = len(g._len), g._len
-    pulls = [_row_kernel(row, True) for row in g._table]
-    shorter, below = {}, 0
+    shorter, below = {}, bytearray(b"0") * n  # one 0/1 string: or-ing bits one by one is quadratic
     for k in sorted(range(n), key=lens.__getitem__):
-        shorter.setdefault(lens[k], below)
-        below |= 1 << k
-    g._pulls = pulls, shorter
+        shorter[lens[k]] = shorter[lens[k]] if lens[k] in shorter else int(below, 2)
+        below[~k] = 49  # "1" at bit k
+    g._pulls = [_row_kernel(row, True) for row in g._table], shorter
     return g._pulls
 
 
@@ -462,10 +461,11 @@ def property_z_check(g: OrbitGraph) -> list[str]:
     position's own table entry; nonempty output names the failing pairs."""
     violations, n = [], len(g.nodes)
     for alpha, row in enumerate(g._table, 1):
-        moved = [(k, got) for k, got in enumerate(row) if got is not None and got[0] != k]
-        if not moved:
+        flags = bytes([48 + (got is not None and got[0] != k) for k, got in enumerate(row)])  # "1" where moved up
+        if 49 not in flags:
             continue
-        dense, mask = _kernel(((u1, got[0]) for u1, got in moved), n, n), sum(1 << u1 for u1, _ in moved)
+        moved = [(k, row[k]) for k in range(n) if flags[k] == 49]
+        dense, mask = _kernel(((u1, got[0]) for u1, got in moved), n, n), int(flags[::-1], 2)
         slides = _kernel(((u1, x) for u1, (u2, group) in moved for x in group if x not in (u1, u2)), n, n)
         for v1, (v2, _) in moved:
             below_v1, below_v2 = _ideal(g, v1), _ideal(g, v2)

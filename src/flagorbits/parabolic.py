@@ -13,31 +13,21 @@ from typing import NamedTuple
 
 from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
 from .orbit_poset import _coset_walk, _gather, _members, from_parabolic, from_weyl, lower_ideal, property_z_check
-from .root_datum import (
-    Root,
-    RootDatum,
-    RootPosition,
-    classify_wrt_parabolic,
-    is_root,
-    normalize_levi,
-    simple_root,
-)
+from .root_datum import Root, RootDatum, RootPosition, classify_wrt_parabolic, is_root, normalize_levi
 from .weyl import (
-    Direction,
     WeylElt,
     Word,
     _apply,
+    _climbs,
     _part_datum,
+    _s_times,
     _table,
-    _times_s,
+    _weight,
     bruhat_leq,
     bruhat_leq_subword,
-    descent_direction,
     exchange,
     from_word,
     identity,
-    inv,
-    is_reduced,
     length,
     mul,
     parse_word,
@@ -79,44 +69,41 @@ def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
     return tuple(from_word(datum, [levi[a - 1] for a in word]) for word in words)
 
 
-def _extreme(w: WeylElt, levi: Levi, shorten: bool) -> WeylElt:
-    """Multiply w on the right by letters of levi while one shortens it (or,
-    with shorten false, lengthens it): w * s_i is shorter than w exactly
-    when w sends alpha_i to a negative root.  The result is the minimal (or
-    maximal) element of the right coset w * W_levi."""
+def _extreme(w: WeylElt, mu: list[int], levi: Levi, shorten: bool) -> WeylElt:
+    """Multiply w on the left by letters of levi while one shortens it (or,
+    with shorten false, lengthens it), with mu = _weight(w) moved along:
+    s_i * w is shorter than w exactly when mu_i < 0.  The result is the
+    minimal (or maximal) element of the coset W_levi * w."""
+    cartan = w.datum.cartan
     while True:
-        i = next((i for i in levi if any(c < 0 for c in w.images[i - 1]) == shorten), None)
+        i = next((i for i in levi if (mu[i - 1] < 0) == shorten), None)
         if i is None:
             return w
-        w = _times_s(w, i)
+        c = mu[i - 1]
+        w, mu = _s_times(i, w), [x - c * y for x, y in zip(mu, cartan[i - 1])]
 
 
 def longest_levi_element(datum: RootDatum, levi: Levi) -> WeylElt:
     """The longest element of W_levi, grown on the root images without a
-    table: the maximal element of the coset e * W_levi."""
-    return _extreme(identity(datum), normalize_levi(datum, levi), False)
+    table: the maximal element of the coset W_levi * e, whose weight is 2 rho."""
+    return _extreme(identity(datum), [2] * datum.rank, normalize_levi(datum, levi), False)
 
 
 def is_p_minimal(w: WeylElt, levi: Levi) -> bool:
-    """Minimal in its coset: the inverse sends the chosen simple roots into
-    the positive roots, so no reflection from the subgroup shortens on the left."""
-    levi = normalize_levi(w.datum, levi)
-    winv = inv(w)
-    return all(all(c >= 0 for c in winv.images[i - 1]) for i in levi)
+    """Minimal in its coset W_levi * w: no letter of levi is a left descent."""
+    levi, mu = normalize_levi(w.datum, levi), _weight(w)
+    return all(mu[i - 1] > 0 for i in levi)
 
 
 def is_p_maximal(w: WeylElt, levi: Levi) -> bool:
-    levi = normalize_levi(w.datum, levi)
-    winv = inv(w)
-    return all(all(c <= 0 for c in winv.images[i - 1]) for i in levi)
+    levi, mu = normalize_levi(w.datum, levi), _weight(w)
+    return all(mu[i - 1] < 0 for i in levi)
 
 
 def coset_of(w: WeylElt, levi: Levi) -> ParabolicCoset:
-    """The coset W_levi * w, whose representatives are the inverses of
-    those of w^-1 * W_levi."""
-    levi = normalize_levi(w.datum, levi)
-    winv = inv(w)
-    return ParabolicCoset(levi, inv(_extreme(winv, levi, True)), inv(_extreme(winv, levi, False)))
+    """The coset W_levi * w, both representatives from the weight of w."""
+    levi, mu = normalize_levi(w.datum, levi), _weight(w)
+    return ParabolicCoset(levi, _extreme(w, mu, levi, True), _extreme(w, mu, levi, False))
 
 
 def coset_elements(coset: ParabolicCoset) -> tuple[WeylElt, ...]:
@@ -133,10 +120,12 @@ def p_length(coset: ParabolicCoset) -> int:
 
 
 def is_p_reduced(datum: RootDatum, word: Word, levi: Levi) -> bool:
-    """A reduced word of a minimal coset representative.  Equivalently,
-    every prefix sends the next simple root into the nilradical."""
+    """A reduced word of a minimal coset representative: every letter climbs
+    from the Levi weight, 0 on levi and 1 off it, so every prefix sends the
+    next simple root into the nilradical.  W's reduced words are the case
+    of the empty Levi set."""
     levi = normalize_levi(datum, levi)
-    return is_reduced(datum, word) and is_p_minimal(from_word(datum, word), levi)
+    return _climbs(datum, word, [int(i not in levi) for i in range(1, datum.rank + 1)])
 
 
 def classify_step(w: WeylElt, alpha: Root, levi: Levi) -> StepType:
@@ -210,15 +199,15 @@ def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
 def quotient_exchange(datum: RootDatum, word: Word, alpha: int, levi: Levi) -> int:
     """Exchange in the quotient: the 1-based letter whose removal leaves a
     reduced-relative-to-the-quotient word for the lowered coset.  This is
-    W's own exchange: a descent s of a minimal representative w lowers its
-    coset (w sends alpha to a negative root, which is not a Levi root, as
-    w^-1 keeps the positive Levi roots positive), and w * s is again a
-    minimal representative, since these are closed under prefixes."""
+    W's own exchange: a descent s of a minimal representative w, that is a
+    letter after which the word no longer climbs from rho, lowers its coset
+    (w sends alpha to a negative root, which is not a Levi root, as w^-1
+    keeps the positive Levi roots positive), and w * s is again a minimal
+    representative, since these are closed under prefixes."""
     levi = normalize_levi(datum, levi)
     word = tuple(word)
     if not is_p_reduced(datum, word, levi):
         raise NotPReduced(f"{word} is not reduced relative to the quotient")
-    w = from_word(datum, word)
-    if descent_direction(w, simple_root(datum, alpha)) is Direction.UP:
+    if _climbs(datum, word + (alpha,), [1] * datum.rank):
         raise NotDownward(f"simple root {alpha} does not lower the coset of {word}")
     return exchange(datum, word, alpha)

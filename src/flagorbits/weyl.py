@@ -154,15 +154,24 @@ def inv(w: WeylElt) -> WeylElt:
 
 
 def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
-    """Prefix criterion: each prefix must keep the next simple root positive."""
+    """The climb from rho: w * s_a is longer than w when <rho, w(coroot_a)> > 0."""
+    return _climbs(datum, word, [1] * datum.rank)
+
+
+def _climbs(datum: RootDatum, word: Iterable[int], mu: Sequence[int]) -> bool:
+    """Whether each letter a finds mu_a > 0 before the move mu <- mu - mu_a *
+    (row a of the Cartan matrix), mu in fundamental-weight coordinates
+    (Bjorner-Brenti, GTM 231, ch. 2): from rho, W's reduced words; from 1 off
+    a Levi set and 0 on it, the minimal coset representatives' ones."""
     word = tuple(word)
     for i in word:
         _check_letter(datum, i)
-    w = identity(datum)
-    for i in word:
-        if any(c < 0 for c in w.images[i - 1]):
+    cartan = datum.cartan
+    for a in word:
+        c = mu[a - 1]
+        if c <= 0:
             return False
-        w = _times_s(w, i)
+        mu = [x - c * y for x, y in zip(mu, cartan[a - 1])]
     return True
 
 
@@ -265,14 +274,20 @@ def _s_times(i: int, w: WeylElt) -> WeylElt:
     return WeylElt(w.datum, tuple(out))
 
 
-def _rho_walk(w: WeylElt) -> Word:
-    """The canonical word: the left descents of w are the i with
-    <w(2 rho), coroot_i> < 0 (Bjorner-Brenti, GTM 231, ch. 4), so strip the
-    smallest from mu = w(2 rho) in fundamental-weight coordinates by
-    mu <- mu - mu_i * (row i of the Cartan matrix) until mu is dominant."""
-    cartan = w.datum.cartan
+def _weight(w: WeylElt) -> list[int]:
+    """w(2 rho) in fundamental-weight coordinates, <w(2 rho), coroot_i>:
+    the left descents of w are the i where it is negative (Bjorner-Brenti,
+    GTM 231, ch. 4), and s_i * w has it minus its i-th entry times row i of
+    the Cartan matrix."""
     beta = _apply(w, _layout(w.datum).two_rho)
-    mu = [sum(map(int.__mul__, beta, col)) for col in zip(*cartan)]
+    return [sum(map(int.__mul__, beta, col)) for col in zip(*w.datum.cartan)]
+
+
+def _rho_walk(w: WeylElt) -> Word:
+    """The canonical word: strip the smallest left descent from mu = w(2 rho)
+    (see _weight) until mu is dominant."""
+    cartan = w.datum.cartan
+    mu = _weight(w)
     word: list[int] = []
     while True:
         for i, c in enumerate(mu):

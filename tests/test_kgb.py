@@ -19,6 +19,7 @@ from flagorbits import (
     a1xa1_swap,
     apply_twist,
     ascent_consistency_check,
+    bruhat_leq,
     build_root_datum,
     builtin_fixtures,
     canonical_sequences,
@@ -29,6 +30,7 @@ from flagorbits import (
     format_kgb,
     format_word,
     group_case,
+    hasse,
     i_equivalence_classes,
     identity,
     inv,
@@ -64,6 +66,7 @@ from flagorbits.orbit_poset import from_weyl, lower_ideal, node_sort_key
 from flagorbits.root_datum import simple_root
 from flagorbits.weyl import _s_times, _table, _times_s
 from flagorbits.weyl import length as weyl_length
+from test_parabolic import mobius, sample_intervals
 
 
 def all_graphs():
@@ -1185,3 +1188,36 @@ def test_monoid_elt_refuses_an_element_of_another_datum():
     with pytest.raises(Mismatch) as err:
         monoid_elt(sl2_split(), identity(build_root_datum("A2")), "0")
     assert str(err.value) == "element belongs to a different root datum"
+
+
+# Shadows for the order checks: identity twists and the diagram flips of A3,
+# A4 and D4 (the last swapping the two short arms).
+ORDER_SHADOWS = [("A3", None), ("A3", (3, 2, 1)), ("A4", (4, 3, 2, 1)), ("B3", None), ("D4", (1, 2, 4, 3)), ("F4", None)]
+
+
+def test_twisted_involutions_are_eulerian():
+    # Hultman (Adv. Math. 195, 2005): the twisted involutions of W under the
+    # Bruhat order form an Eulerian poset, mu(u, v) = (-1)^(l(v) - l(u)) on
+    # every interval [u, v], l the rank; the shadows' closure order is that
+    # poset, and the group case of B3 is W(B3) under the Bruhat order (Verma)
+    rng = random.Random(25)
+    graphs = [twisted_shadow(build_root_datum(name, twist=twist)) for name, twist in ORDER_SHADOWS]
+    for g in graphs + [group_case(build_root_datum("B3"))]:
+        poset = to_orbit_poset(g)
+        for u, v in sample_intervals(poset, rng, 30):
+            assert mobius(poset, u, v) == (-1) ** (poset.length[v] - poset.length[u]), (g.datum.name, u, v)
+
+
+def test_tw_is_order_preserving():
+    # Richardson-Springer (Geom. Dedicata 35, 1990): the map from the orbits
+    # to the twisted involutions of W, v -> tw(v), is order preserving from
+    # the closure order into the Bruhat order of W; so on each cover u < v
+    graphs = list(builtin_fixtures().values())
+    graphs += [twisted_shadow(build_root_datum(name, twist=twist)) for name, twist in ORDER_SHADOWS]
+    graphs += [group_case(build_root_datum(name)) for name in ("A3", "B3")]
+    covers = 0
+    for g in graphs:
+        for u, v in hasse(to_orbit_poset(g)):
+            assert bruhat_leq(g.tw[u], g.tw[v]), (g.datum.name, u, v)
+            covers += 1
+    assert covers > 900

@@ -55,11 +55,11 @@ from flagorbits import (
     simple_root,
     step_coset,
 )
-from flagorbits import parabolic
+from flagorbits import parabolic, weyl
 from flagorbits.orbit_poset import cover_pairs, lower_ideal
 from flagorbits.root_datum import normalize_levi
 from flagorbits.weyl import _layout, _part_datum
-from test_weyl import degrees, poincare
+from test_weyl import INTERLEAVED, THREE_WAY, degrees, poincare, refuse_tables, seeded_words
 
 
 def all_levis(rank):
@@ -168,10 +168,8 @@ def test_levi_subgroups_match_the_search():
 
 def test_per_element_coset_functions_build_no_table():
     # The Levi subgroup D7 of E8 has 322 560 elements, above the table cap:
-    # coset_of and step_coset still answer on the root images, while the
-    # whole coset is a walk of W_L and is refused.
-    from flagorbits import weyl
-
+    # coset_of and step_coset still answer on root images and weights, while
+    # the whole coset is a walk of W_L and is refused.
     d = build_root_datum("E8")
     levi = (2, 3, 4, 5, 6, 7, 8)
     before = set(weyl._tables)
@@ -192,15 +190,8 @@ def test_quotients_read_no_table(monkeypatch):
     # from_parabolic, enumerate_cosets and quotient_property_z_check walk
     # weight orbits and root images: with every table out of reach they
     # give the answers of the table-backed run.
-    from flagorbits import weyl
-
     want = {levi: enumerate_cosets(build_root_datum("B3"), levi) for levi in all_levis(3)}
-
-    def refuse(datum):
-        raise AssertionError("a Weyl table was built")
-
-    monkeypatch.setattr(weyl, "_tables", {})
-    monkeypatch.setattr(weyl, "WeylTable", refuse)
+    refuse_tables(monkeypatch)
     d = build_root_datum("B3")  # a fresh datum has found no table yet
     for levi in all_levis(3):
         assert enumerate_cosets(d, levi) == want[levi], levi
@@ -526,16 +517,31 @@ def test_quotient_exchange_on_longest_b2_coset():
 
 
 def test_letters_out_of_range_raise_not_a_root():
-    # as is_reduced and exchange do; the prefix loop indexed the images first
+    # as is_reduced and exchange do: every letter is checked before the climb,
+    # and the Levi set before the letters
     d = build_root_datum("A2")
-    for word in ((3,), (0,), (2, 3)):
-        with pytest.raises(NotARoot):
-            is_p_reduced(d, word, (1,))
-    with pytest.raises(NotARoot):
-        quotient_exchange(d, (2, 3), 2, (1,))
+    w = simple_reflection(d, 1)
+    letter, index = "simple index {} out of range 1..2", "Levi index {} out of range 1..2"
+    for call, message in (
+        (lambda: is_p_reduced(d, (3,), (1,)), letter.format(3)),
+        (lambda: is_p_reduced(d, (0,), (1,)), letter.format(0)),
+        (lambda: is_p_reduced(d, (1, 1, 3), (1,)), letter.format(3)),
+        (lambda: is_p_reduced(d, (3,), (4,)), index.format(4)),
+        (lambda: quotient_exchange(d, (2, 3), 2, (1,)), letter.format(3)),
+        (lambda: quotient_exchange(d, (2,), 3, (1,)), letter.format(3)),
+        (lambda: quotient_exchange(d, (2,), 0, ()), letter.format(0)),
+        (lambda: quotient_exchange(d, (2,), 1, (0,)), index.format(0)),
+        (lambda: is_p_minimal(w, (3,)), index.format(3)),
+        (lambda: is_p_maximal(w, (1, 0)), index.format(0)),
+        (lambda: coset_of(w, (2, 5)), index.format(5)),
+        (lambda: longest_levi_element(d, (-1,)), index.format(-1)),
+    ):
+        with pytest.raises(NotARoot) as err:
+            call()
+        assert str(err.value) == message
 
 
-# --- the per-prefix routines that the W kernels replaced, kept as oracles ----
+# --- the routines that the W kernels and weight climbs replaced, as oracles ---
 
 
 def is_p_reduced_by_prefixes(d, word, levi):
@@ -566,6 +572,34 @@ def quotient_exchange_by_search(d, word, alpha, levi):
     raise AssertionError("no exchange position")
 
 
+def right_extreme(w, levi, shorten):
+    """Oracle: multiply w on the right by letters of levi while one shortens
+    it (or, with shorten false, lengthens it), w * s_i being shorter exactly
+    when w sends alpha_i to a negative root: the minimal (or maximal)
+    element of w * W_levi."""
+    while True:
+        i = next((i for i in levi if any(c < 0 for c in w.images[i - 1]) == shorten), None)
+        if i is None:
+            return w
+        w = weyl._times_s(w, i)
+
+
+def coset_of_by_inverses(w, levi):
+    """Oracle: the representatives of W_levi * w are the inverses of those
+    of w^-1 * W_levi."""
+    levi = normalize_levi(w.datum, levi)
+    winv = inv(w)
+    return ParabolicCoset(levi, inv(right_extreme(winv, levi, True)), inv(right_extreme(winv, levi, False)))
+
+
+def is_p_extreme_by_inverse(w, levi, sign):
+    """Oracle for is_p_minimal (sign 1) and is_p_maximal (sign -1): w^-1
+    sends every simple root of levi to a positive (negative) root, so no
+    letter of levi shortens (lengthens) w on the left."""
+    winv = inv(w)
+    return all(all(sign * c >= 0 for c in winv.images[i - 1]) for i in normalize_levi(w.datum, levi))
+
+
 def coset_of_by_left_descents(w, levi):
     """Oracle: strip left Levi descents by multiplying and comparing lengths."""
     levi = normalize_levi(w.datum, levi)
@@ -588,20 +622,61 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def check_quotient_routines(d, levi, words, alphas):
+    """Each per-element quotient routine against its oracles, on the words
+    and their elements, and quotient_exchange at the letters alphas(word)."""
+    assert longest_levi_element(d, levi) == right_extreme(identity(d), levi, False)
+    for word in words:
+        w = from_word(d, word)
+        assert is_p_reduced(d, word, levi) == is_p_reduced_by_prefixes(d, word, levi), (word, levi)
+        assert is_p_minimal(w, levi) == is_p_extreme_by_inverse(w, levi, 1), (word, levi)
+        assert is_p_maximal(w, levi) == is_p_extreme_by_inverse(w, levi, -1), (word, levi)
+        assert coset_of(w, levi) == coset_of_by_left_descents(w, levi) == coset_of_by_inverses(w, levi), (word, levi)
+        for alpha in alphas(word):
+            assert outcome(quotient_exchange, d, word, alpha, levi) == outcome(
+                quotient_exchange_by_search, d, word, alpha, levi
+            ), (word, alpha, levi)
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "A1xA2"])
 def test_quotient_routines_match_the_per_prefix_oracles(name):
     d = build_root_datum(name)
     letters = range(1, d.rank + 1)
     words = [word for k in range(6) for word in itertools.product(letters, repeat=k)]
-    elements = {word: from_word(d, word) for word in words}
     for levi in all_levis(d.rank):
-        for word, w in elements.items():
-            assert is_p_reduced(d, word, levi) == is_p_reduced_by_prefixes(d, word, levi)
-            assert coset_of(w, levi) == coset_of_by_left_descents(w, levi)
-            for alpha in letters:
-                assert outcome(quotient_exchange, d, word, alpha, levi) == outcome(
-                    quotient_exchange_by_search, d, word, alpha, levi
-                ), (word, alpha, levi)
+        check_quotient_routines(d, levi, words, lambda word: letters)
+
+
+# Groups checked without tables and their Levi sets: W_L is A1, A2 x A2 and
+# D4 in E6; trivial, D4 x A1 and A6 in E7; A1, D6 and E7 in E8; and in
+# THREE_WAY, whose components interleave, trivial, A2, B2 x A1 and B2 x A1^3.
+NO_TABLE_CASES = [
+    ("E6", [(1,), (1, 3, 5, 6), (2, 3, 4, 5)]),
+    ("E7", [(), (2, 3, 4, 5, 7), (1, 3, 4, 5, 6, 7)]),
+    ("E8", [(1,), (2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7)]),
+    (INTERLEAVED, list(all_levis(3))),
+    (THREE_WAY, [(), (1, 3), (2, 4, 6), (1, 2, 4, 5, 6)]),
+]
+
+
+@pytest.mark.parametrize("spec,levis", NO_TABLE_CASES, ids=["E6", "E7", "E8", "INTERLEAVED", "THREE_WAY"])
+def test_quotient_routines_match_the_oracles_without_tables(monkeypatch, spec, levis):
+    # seeded words, uniform and P-reduced, with every Weyl table refused;
+    # quotient_exchange at two seeded letters and at each right descent
+    rng = random.Random(25)
+    d = build_root_datum(spec)
+    refuse_tables(monkeypatch)
+    for levi in levis:
+        words = seeded_words(d, rng, 20, levi)
+        assert sum(is_p_reduced(d, word, levi) for word in words) >= 10, levi
+
+        def alphas(word):
+            w = from_word(d, word)
+            descents = [i for i, beta in enumerate(w.images, 1) if any(c < 0 for c in beta)]
+            return sorted({rng.randint(1, d.rank), rng.randint(1, d.rank), *descents})
+
+        check_quotient_routines(d, levi, words, alphas)
+    assert weyl._tables == {}
 
 
 HEADLINE_CASES = [

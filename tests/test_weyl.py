@@ -1,5 +1,6 @@
 """Weyl group elements, reduced words, exchange, and the two Bruhat routes."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -14,11 +15,13 @@ from flagorbits import (
     NotPositiveRoot,
     NotReduced,
     ParseError,
+    RootPosition,
     WeylElt,
     apply_twist,
     bruhat_leq,
     bruhat_leq_subword,
     build_root_datum,
+    classify_wrt_parabolic,
     descent_direction,
     enumerate_elements,
     exchange,
@@ -407,6 +410,65 @@ def test_is_reduced_prefix_criterion():
     assert not is_reduced(d, (1, 2, 2, 1))
 
 
+def is_reduced_by_prefixes(d, word):
+    """The root-image prefix loop, kept as the oracle for is_reduced's climb
+    from rho: each prefix w keeps the next simple root positive."""
+    w = identity(d)
+    for i in word:
+        if any(c < 0 for c in w.images[i - 1]):
+            return False
+        w = weyl._times_s(w, i)
+    return True
+
+
+def refuse_tables(monkeypatch):
+    """Hide every Weyl table and refuse to build one: a fresh datum then
+    answers on root images and weights alone."""
+
+    def refuse(datum):
+        raise AssertionError("a Weyl table was built")
+
+    monkeypatch.setattr(weyl, "_tables", {})
+    monkeypatch.setattr(weyl, "WeylTable", refuse)
+
+
+def seeded_words(d, rng, count, levi=()):
+    """count seeded words of up to 3 * rank letters, alternately uniform
+    (mostly not reduced) and grown by letters whose simple root the word so
+    far sends into the nilradical of levi (P-reduced; reduced for levi ())."""
+    out = []
+    for k in range(count):
+        w, word = identity(d), ()
+        for _ in range(rng.randint(0, 3 * d.rank)):
+            if k % 2:
+                word += (rng.randint(1, d.rank),)
+                continue
+            ups = [i for i, beta in enumerate(w.images, 1) if classify_wrt_parabolic(d, beta, levi) is RootPosition.NILRADICAL]
+            if not ups:
+                break
+            i = rng.choice(ups)
+            w, word = weyl._times_s(w, i), word + (i,)
+        out.append(word)
+    return out
+
+
+def test_is_reduced_matches_the_prefix_loop(monkeypatch):
+    # every word of length < 6 of four small types, then seeded words of
+    # larger groups with every table refused
+    cases = []
+    for spec in ("A3", "B3", "G2", "A1xA2"):
+        d = build_root_datum(spec)
+        cases += [(d, word) for k in range(6) for word in itertools.product(range(1, d.rank + 1), repeat=k)]
+    refuse_tables(monkeypatch)
+    rng = random.Random(25)
+    for spec in ("E6", "E7", "E8", INTERLEAVED, THREE_WAY):
+        d = build_root_datum(spec)
+        cases += [(d, word) for word in seeded_words(d, rng, 60)]
+    assert 300 < sum(is_reduced(d, word) for d, word in cases) < len(cases) - 300
+    for d, word in cases:
+        assert is_reduced(d, word) == is_reduced_by_prefixes(d, word), (d.name, word)
+
+
 def test_descent_direction():
     d = build_root_datum("A2")
     s1 = simple_reflection(d, 1)
@@ -489,8 +551,9 @@ def test_exchange_rejects_unreduced_words():
 def test_letters_out_of_range_are_not_roots():
     d = build_root_datum("A2")
     for word in ((3,), (0,), (-1,), (1, 1, 3)):
-        with pytest.raises(NotARoot):
+        with pytest.raises(NotARoot) as err:
             is_reduced(d, word)
+        assert str(err.value) == f"simple index {word[-1]} out of range 1..2"
     with pytest.raises(NotARoot):
         exchange(d, (1, 3), 1)
 
