@@ -19,9 +19,9 @@ from .kgb import parse_kgb, save_kgb, to_orbit_poset
 from .kgp import class_hasse, i_equivalence_classes
 from .orbit_poset import from_parabolic, hasse_dot, parse_orbit_graph, property_z_check
 from .orbit_poset import validate as validate_poset
-from .parabolic import enumerate_cosets
+from .parabolic import _coset_words
 from .root_datum import _decimal, _significant_lines, build_root_datum, parse_root_datum
-from .weyl import TABLE_CAP, _table, bruhat_leq, format_word, from_word, group_order, parse_word, reduced_word
+from .weyl import _table, bruhat_leq, format_word, from_word, parse_word, reduced_word
 
 
 def _parse_levi(text: str) -> tuple[int, ...]:
@@ -56,11 +56,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_cosets(args) -> int:
     datum = build_root_datum(args.type)
-    if group_order(datum) <= TABLE_CAP:
-        _table(datum)  # then each representative is spelled by a lookup, not a weight walk
-    for coset in enumerate_cosets(datum, _parse_levi(args.levi)):
-        minw = reduced_word(coset.min_rep)
-        print(f"min={format_word(minw)} max={format_word(reduced_word(coset.max_rep))} plen={len(minw)}")
+    for minw, maxw in _coset_words(datum, _parse_levi(args.levi)):
+        print(f"min={format_word(minw)} max={format_word(maxw)} plen={len(minw)}")
     return 0
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import AxiomViolation, InvalidCartan, Mismatch, ParseError, TableTooLarge, Unreachable
 from .root_datum import RANK_CAP, RootDatum, _decimal, _node_lines, _significant_lines, cartan_matrix, normalize_levi
-from .weyl import TABLE_CAP, _part_datum, group_order
+from .weyl import TABLE_CAP, _layout, _move, _part_datum, group_order
 
 NodeId = str
 _BYTES = str.maketrans("01", "\0\1")  # a 0/1 string to the bytes compress reads
@@ -143,21 +143,24 @@ def from_weyl(datum: RootDatum) -> OrbitGraph:
 def _coset_walk(datum: RootDatum, levi: tuple[int, ...]) -> tuple[list[NodeId], list[int], list[tuple]]:
     """The cosets W_levi * w as the W-orbit of the weight 1 off the Levi set
     and 0 on it (Bjorner-Brenti, GTM 231, ch. 2).  In fundamental-weight
-    coordinates the move along alpha is mu - mu_alpha * (row alpha of the
-    Cartan matrix), up exactly when mu_alpha > 0.  Walked in discovery order,
-    letters increasing, a new point's word is its parent's plus the letter:
-    the canonical word of its minimal representative.  Returns the words in
-    (length, word) order, their lengths and the up moves (alpha - 1, lower, upper)."""
+    coordinates the move along alpha is weyl._move by mu_alpha, up exactly
+    when mu_alpha > 0.  Walked in discovery order, letters increasing, a new
+    point's word is its parent's plus the letter: the canonical word of its
+    minimal representative.  Returns the words as names in (length, word)
+    order, their lengths and the up moves (alpha - 1, lower, upper)."""
     count = group_order(datum) // group_order(_part_datum(datum, [i - 1 for i in levi]))
     if count > TABLE_CAP:
         size = "|W_L\\W|" if levi else "|W|"
         raise TableTooLarge(f"{size} = {count} is above the table cap of {TABLE_CAP} elements")
     start = tuple(int(i not in levi) for i in range(1, datum.rank + 1))
     points, index, names, lens, ups = [start], {start: 0}, ["e"], [0], []
+    rows = _layout(datum).rows
     for k, mu in enumerate(points):  # the list grows while it is walked
         for a, c in enumerate(mu):
             if c > 0:
-                nu = tuple([x - c * y for x, y in zip(mu, datum.cartan[a])])
+                nu = list(mu)
+                _move(rows[a], nu, c)
+                nu = tuple(nu)
                 j = index.setdefault(nu, len(points))
                 if j == len(points):
                     points.append(nu)

@@ -8,8 +8,7 @@ an exchange map, and the Bruhat order induced from the full group.
 from __future__ import annotations
 
 import enum
-from functools import reduce
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NotDownward, NotPositiveRoot, NotPReduced, ParabolicMismatch
 from .orbit_poset import _coset_walk, _gather, _members, from_parabolic, from_weyl, lower_ideal, property_z_check
@@ -19,18 +18,21 @@ from .weyl import (
     Word,
     _apply,
     _climbs,
+    _layout,
+    _move,
     _part_datum,
     _s_times,
+    _spell,
     _table,
     _weight,
     bruhat_leq,
     bruhat_leq_subword,
     exchange,
+    format_word,
     from_word,
     identity,
     length,
     mul,
-    parse_word,
     reduced_word,
     simple_reflection,
 )
@@ -71,16 +73,16 @@ def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
 
 def _extreme(w: WeylElt, mu: list[int], levi: Levi, shorten: bool) -> WeylElt:
     """Multiply w on the left by letters of levi while one shortens it (or,
-    with shorten false, lengthens it), with mu = _weight(w) moved along:
-    s_i * w is shorter than w exactly when mu_i < 0.  The result is the
-    minimal (or maximal) element of the coset W_levi * w."""
-    cartan = w.datum.cartan
+    with shorten false, lengthens it), with a copy of mu = _weight(w) moved
+    along: s_i * w is shorter than w exactly when mu_i < 0.  The result is
+    the minimal (or maximal) element of the coset W_levi * w."""
+    rows, mu = _layout(w.datum).rows, list(mu)
     while True:
         i = next((i for i in levi if (mu[i - 1] < 0) == shorten), None)
         if i is None:
             return w
-        c = mu[i - 1]
-        w, mu = _s_times(i, w), [x - c * y for x, y in zip(mu, cartan[i - 1])]
+        w = _s_times(i, w)
+        _move(rows[i - 1], mu, mu[i - 1])
 
 
 def longest_levi_element(datum: RootDatum, levi: Levi) -> WeylElt:
@@ -165,15 +167,26 @@ def coset_bruhat_leq_induced(c1: ParabolicCoset, c2: ParabolicCoset) -> bool:
     )
 
 
+def _coset_words(datum: RootDatum, levi: Levi) -> Iterator[tuple[Word, Word]]:
+    """Per coset of _coset_walk, in its order, the canonical words of the minimal
+    representative x, the walk's name, and of the maximal one w0 * x, w0 the longest
+    element of W_levi: the _spell of (w0 * x)(2 rho), that is (2, ..., 2) moved along
+    the letters of x, last first, then along those of w0, last first."""
+    levi = normalize_levi(datum, levi)
+    longest, rows = reduced_word(longest_levi_element(datum, levi))[::-1], _layout(datum).rows
+    for name in _coset_walk(datum, levi)[0]:
+        word = tuple(map(int, name.split(","))) if name != "e" else ()
+        mu = [2] * datum.rank
+        for a in word[::-1] + longest:
+            _move(rows[a - 1], mu, mu[a - 1])
+        yield word, _spell(datum, mu)
+
+
 def enumerate_cosets(datum: RootDatum, levi: Levi) -> tuple[ParabolicCoset, ...]:
     """The cosets by p-length, then by the canonical word of the minimal
-    representative: the names of from_parabolic's walk, in its order.  The
-    maximal representative is w0 * min_rep, w0 the longest element of
-    W_levi, and their reduced words concatenate."""
+    representative, as _coset_words gives their words."""
     levi = normalize_levi(datum, levi)
-    words = [parse_word(datum, name) for name in _coset_walk(datum, levi)[0]]
-    longest = reduced_word(longest_levi_element(datum, levi))
-    return tuple(ParabolicCoset(levi, from_word(datum, word), from_word(datum, longest + word)) for word in words)
+    return tuple(ParabolicCoset(levi, from_word(datum, x), from_word(datum, y)) for x, y in _coset_words(datum, levi))
 
 
 def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
@@ -185,9 +198,9 @@ def quotient_property_z_check(datum: RootDatum, levi: Levi) -> list[str]:
     levi = normalize_levi(datum, levi)
     g, w = from_parabolic(datum, levi), from_weyl(datum)
     violations = property_z_check(g)
-    # each maximal representative w0 * min_rep in w: up from e along its reduced word
-    longest = reduced_word(longest_levi_element(datum, levi))
-    top = [w.index[reduce(lambda x, i: w.dense_node(i, x), longest + parse_word(datum, v), "e")] for v in g.nodes]
+    # each maximal representative in w, named by its canonical word
+    tops = {format_word(x): w.index[format_word(y)] for x, y in _coset_words(datum, levi)}
+    top = [tops[v] for v in g.nodes]
     restrict = _gather(top, len(w.nodes))
     for v in range(len(g.nodes)):
         differ = lower_ideal(g, g.nodes[v]) ^ restrict(lower_ideal(w, w.nodes[top[v]]))

@@ -127,7 +127,7 @@ def length(w: WeylElt) -> int:
     of letters of the weight walk."""
     hit = _ids(w)
     if hit is None:
-        return len(_rho_walk(w))
+        return len(_spell(w.datum, _weight(w)))
     tables, ids = hit
     if len(ids) == 1:
         return tables[0].length[ids[0]]
@@ -139,14 +139,14 @@ def reduced_word(w: WeylElt) -> Word:
     the smallest simple reflection that shortens on the left."""
     hit = _ids(w)
     if hit is None:
-        return _rho_walk(w)
+        return _spell(w.datum, _weight(w))
     return _word(w.datum, *hit)
 
 
 def inv(w: WeylElt) -> WeylElt:
     hit = _ids(w)
     if hit is None:
-        return _root_from_word(w.datum, reversed(_rho_walk(w)))
+        return _root_from_word(w.datum, reversed(_spell(w.datum, _weight(w))))
     tables, ids = hit
     if len(ids) == 1:
         return _element(w.datum, (tables[0].inverse[ids[0]],))
@@ -158,20 +158,28 @@ def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
     return _climbs(datum, word, [1] * datum.rank)
 
 
+def _move(row: Sequence[tuple[int, int]], mu: list[int], c: int) -> None:
+    """The one weight update, mu <- mu - c * (row a of the Cartan matrix) in place,
+    row = _Layout.rows[a - 1]: with c = mu_a, s_a acts on the weight mu in
+    fundamental-weight coordinates (Bjorner-Brenti, GTM 231, ch. 2 and 4)."""
+    for j, y in row:
+        mu[j] -= c * y
+
+
 def _climbs(datum: RootDatum, word: Iterable[int], mu: Sequence[int]) -> bool:
-    """Whether each letter a finds mu_a > 0 before the move mu <- mu - mu_a *
-    (row a of the Cartan matrix), mu in fundamental-weight coordinates
-    (Bjorner-Brenti, GTM 231, ch. 2): from rho, W's reduced words; from 1 off
-    a Levi set and 0 on it, the minimal coset representatives' ones."""
+    """Whether each letter a finds mu_a > 0 before mu moves by s_a, mu in
+    fundamental-weight coordinates (Bjorner-Brenti, GTM 231, ch. 2): from
+    rho, W's reduced words; from 1 off a Levi set and 0 on it, the minimal
+    coset representatives' ones."""
     word = tuple(word)
     for i in word:
         _check_letter(datum, i)
-    cartan = datum.cartan
+    rows, mu = _layout(datum).rows, list(mu)
     for a in word:
         c = mu[a - 1]
         if c <= 0:
             return False
-        mu = [x - c * y for x, y in zip(mu, cartan[a - 1])]
+        _move(rows[a - 1], mu, c)
     return True
 
 
@@ -277,26 +285,23 @@ def _s_times(i: int, w: WeylElt) -> WeylElt:
 def _weight(w: WeylElt) -> list[int]:
     """w(2 rho) in fundamental-weight coordinates, <w(2 rho), coroot_i>:
     the left descents of w are the i where it is negative (Bjorner-Brenti,
-    GTM 231, ch. 4), and s_i * w has it minus its i-th entry times row i of
-    the Cartan matrix."""
+    GTM 231, ch. 4), and s_i * w has it moved by s_i (see _move)."""
     beta = _apply(w, _layout(w.datum).two_rho)
     return [sum(map(int.__mul__, beta, col)) for col in zip(*w.datum.cartan)]
 
 
-def _rho_walk(w: WeylElt) -> Word:
-    """The canonical word: strip the smallest left descent from mu = w(2 rho)
-    (see _weight) until mu is dominant."""
-    cartan = w.datum.cartan
-    mu = _weight(w)
-    word: list[int] = []
-    while True:
-        for i, c in enumerate(mu):
-            if c < 0:
-                word.append(i + 1)
-                mu = [x - c * y for x, y in zip(mu, cartan[i])]
-                break
+def _spell(datum: RootDatum, mu: list[int]) -> Word:
+    """The canonical word of the w with w(2 rho) = mu (see _weight), without w:
+    strip the smallest left descent from mu, in place, until mu is dominant."""
+    rows, word, i = _layout(datum).rows, [], 0
+    while i < len(mu):
+        if mu[i] < 0:
+            word.append(i + 1)
+            _move(rows[i], mu, mu[i])
+            i = 0
         else:
-            return tuple(word)
+            i += 1
+    return tuple(word)
 
 
 def _root_from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
@@ -436,12 +441,13 @@ class _Layout:
     its slice where the indices are consecutive (else None), ``subs`` its
     datum, and ``where[i - 1]`` the part and local 1-based letter of simple
     index i.  ``links[i - 1]`` lists the neighbours j of i with a_ji =
-    <alpha_j, coroot_i>, for the kernels; ``two_rho`` is the sum of the
-    positive roots, for the weight walk.  The component tables are remembered
-    here once built, and so are the element list of enumerate_elements and,
-    per component id, the runs of _word."""
+    <alpha_j, coroot_i> (column i of the Cartan matrix), for the root kernels,
+    and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move; ``two_rho``
+    is the sum of the positive roots, for _weight.  The component tables are
+    remembered here once built, and so are the element list of
+    enumerate_elements and, per component id, the runs of _word."""
 
-    __slots__ = ("parts", "spans", "subs", "where", "links", "two_rho", "found", "elements", "runs")
+    __slots__ = ("parts", "spans", "subs", "where", "links", "rows", "two_rho", "found", "elements", "runs")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -470,6 +476,7 @@ class _Layout:
         self.links = [
             [(j, row[i]) for j, row in enumerate(datum.cartan) if row[i] and j != i] for i in range(r)
         ]
+        self.rows = [[(j, y) for j, y in enumerate(row) if y] for row in datum.cartan]
         m = [[*col, 2] for col in zip(*datum.cartan)]
         _eliminate(m)  # to d * I: 2 rho solves <2 rho, coroot_i> = 2, no root list needed
         self.two_rho = tuple([row[-1] // row[k] for k, row in enumerate(m)])

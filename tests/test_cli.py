@@ -21,6 +21,7 @@ from flagorbits import (
     sl2_split,
 )
 from flagorbits.cli import COMMANDS, main, parse_args
+from test_weyl import refuse_tables
 
 
 def run(capsys, *argv):
@@ -63,6 +64,14 @@ def test_cosets(capsys):
     code, out, err = run(capsys, "cosets", "--type", "A2", "--levi", "1")
     assert code == 0
     assert out == "min=e max=1 plen=0\nmin=2 max=1,2 plen=1\nmin=2,1 max=1,2,1 plen=2\n"
+
+
+def test_cosets_builds_no_table(capsys, monkeypatch):
+    # both representatives of every coset are spelled from weights alone
+    refuse_tables(monkeypatch)
+    code, out, err = run(capsys, "cosets", "--type", "E6", "--levi", "1,3,5,6")
+    assert (code, err, out.count("\n")) == (0, "", 1440)
+    assert hashlib.sha256(out.encode()).hexdigest() == "568878ff1b48cbb7e8fdd816fcb0a098f1a43cd5043efbacb26f7e9ff76b8084"
 
 
 def test_quotients_of_e7_and_e8_answer(capsys):

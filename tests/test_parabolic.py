@@ -56,9 +56,9 @@ from flagorbits import (
     step_coset,
 )
 from flagorbits import parabolic, weyl
-from flagorbits.orbit_poset import cover_pairs, lower_ideal
+from flagorbits.orbit_poset import _coset_walk, cover_pairs, lower_ideal
 from flagorbits.root_datum import normalize_levi
-from flagorbits.weyl import _layout, _part_datum
+from flagorbits.weyl import _layout, _part_datum, _table, parse_word
 from test_weyl import INTERLEAVED, THREE_WAY, degrees, poincare, refuse_tables, seeded_words
 
 
@@ -199,6 +199,21 @@ def test_quotients_read_no_table(monkeypatch):
     cosets = enumerate_cosets(build_root_datum("E7"), (1, 2, 3, 4, 5, 6))
     assert len(cosets) == 56 and cosets[0].min_rep == identity(cosets[0].datum)
     assert weyl._tables == {}
+
+
+def test_coset_words_match_the_table_route():
+    # The oracle is the route the cosets command took before it spelled on
+    # weights: the walk's names parsed back, both representatives built on
+    # root images from words (w0's reduced word before the coset's) and
+    # spelled by lookups in the Weyl table.
+    for spec in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "A1xA2", INTERLEAVED, THREE_WAY):
+        d = build_root_datum(spec)
+        _table(d)
+        for levi in all_levis(d.rank):
+            longest = reduced_word(longest_levi_element(d, levi))
+            words = [parse_word(d, name) for name in _coset_walk(d, levi)[0]]
+            want = [(reduced_word(from_word(d, w)), reduced_word(from_word(d, longest + w))) for w in words]
+            assert list(parabolic._coset_words(d, levi)) == want, (spec, levi)
 
 
 def test_is_p_reduced_examples():
@@ -368,11 +383,13 @@ def mobius(g, u, v):
 
 
 def sample_intervals(g, rng, count):
-    """count seeded pairs u <= v: v uniform, u uniform in the ideal of v."""
+    """count seeded pairs u < v: v uniform among the nodes of positive length,
+    u uniform in the ideal of v without v, so no interval is a single point."""
+    tall = [x for x in g.nodes if g.length[x] > 0]
     out = []
     for _ in range(count):
-        v = rng.choice(g.nodes)
-        below = lower_ideal(g, v)
+        v = rng.choice(tall)
+        below = lower_ideal(g, v) & ~(1 << g.index[v])
         u = rng.choice([x for k, x in enumerate(g.nodes) if below >> k & 1])
         out.append((u, v))
     return out

@@ -245,7 +245,7 @@ def test_component_lookups_match_the_root_image_path():
         d = build_root_datum(spec)
         for w in enumerate_elements(d):
             word = reduced_word(w)
-            assert word == weyl._rho_walk(w), spec
+            assert word == weyl._spell(d, weyl._weight(w)), spec
             inversions = sum(any(c < 0 for c in weyl._apply(w, beta)) for beta in positive_roots(d))
             assert length(w) == inversions == len(word)
             assert inv(w) == weyl._root_from_word(d, word[::-1])
@@ -310,7 +310,7 @@ def test_rho_walk_length_counts_inversions():
         samples += [from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(1, 60))]) for _ in range(40)]
         for w in samples:
             inversions = sum(any(c < 0 for c in weyl._apply(w, beta)) for beta in pos)
-            assert len(weyl._rho_walk(w)) == inversions, name
+            assert len(weyl._spell(d, weyl._weight(w))) == inversions, name
             assert length(w) == inversions, name
         assert length(w0) == len(pos)
 
@@ -401,6 +401,23 @@ def test_every_canonical_word_is_reduced():
             assert len(word) == length(w)
             assert is_reduced(d, word)
             assert from_word(d, word) == w
+
+
+def test_move_is_the_dense_row_update():
+    # _move subtracts c times row a of the Cartan matrix, not column a: on
+    # B2, C3, G2 and F4 the two differ, and a walk that moved by columns
+    # need not end, so this is checked on its own, letter by letter
+    rng = random.Random(26)
+    for name in ("B2", "C3", "G2", "F4"):
+        d = build_root_datum(name)
+        assert d.cartan != tuple(zip(*d.cartan)), name
+        rows = weyl._layout(d).rows
+        for _ in range(4):
+            mu = [rng.randint(-5, 5) for _ in range(d.rank)]
+            for a in range(1, d.rank + 1):
+                c, got = mu[a - 1], list(mu)
+                weyl._move(rows[a - 1], got, c)
+                assert got == [x - c * y for x, y in zip(mu, d.cartan[a - 1])], (name, a, mu)
 
 
 def test_is_reduced_prefix_criterion():
