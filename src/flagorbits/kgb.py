@@ -273,9 +273,9 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
     the key of each element, move(x, a, b) giving the key of s_a * x * s_b
     (of s_a * x when b is None), and twisted(x), whether theta(x) = x^-1.
     Keys are component ids when the datum's tables exist: s_a and s_b are
-    a left and a right row, and theta acts on a component's canonical word
-    letter by letter.  Otherwise they are the elements, moved by the
-    root-image kernels; no table is built."""
+    a left and a right row, and theta moves the id of a component whose
+    letters it keeps (so its table), else acts on its canonical word letter
+    by letter.  Otherwise they are the elements, moved by the root-image kernels; no table is built."""
     layout = _layout(datum)
     tables = layout.tables()
     hits = tables and [_ids(w) for w in elements]
@@ -288,8 +288,9 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
         return elements, move, lambda x: apply_twist(x) == inv(x)
 
     where = layout.where
-    # theta sends letter a of part c to letter b of part d: image[c][a - 1]
+    # theta sends letter a of part c to letter b of part d: image[c][a - 1]; onto[c] = d where b = a throughout
     image = [[where[datum.twist[i] - 1] for i in part] for part in layout.parts]
+    onto = [p[0][0] if p == [(p[0][0], a) for a in range(1, len(p) + 1)] else None for p in image]
 
     def move(x, a, b=None):
         y = list(x)
@@ -303,6 +304,9 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
     def twisted(x):
         y = [0] * len(x)
         for c, k in enumerate(x):
+            if onto[c] is not None:
+                y[onto[c]] = k
+                continue
             for a in tables[c].words[k]:
                 d, b = image[c][a - 1]
                 y[d] = tables[d].right[b - 1][y[d]]

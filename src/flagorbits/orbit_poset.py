@@ -33,24 +33,24 @@ class OrbitGraph:
     """Immutable after construction; fibers of size one are implicit, and a
     length that is not an int is refused with AxiomViolation.
 
-    Everything inside works on positions in ``nodes``; ``index`` maps a node
-    to its position.  Entry k of fiber table row alpha - 1 is the fiber of
-    ``nodes[k]`` along alpha as (dense position, member positions), or None.
-    A fiber naming an unknown node or a simple index outside 1..rank stays
-    out of the table, in ``_loose``, for validate and the text form.
-    ``_first[k]`` is the first step of _lowerings from k, (alpha, position),
-    or None: one tuple per node, built with the table.  Lower ideals are int
-    bitsets over positions, built by lower_ideal and kept on the graph: at
-    most n * n / 8 bytes.  The first ideal also builds ``_pulls``: per root,
-    one _kernel setting each position's bit from the other members of its
-    fiber, and a bitset per length.  ``_walks[k]`` holds the subexpression
-    endpoints of the decomposition of k along first steps
-    (reduced_decomposition's, on a valid graph), built and kept like the
-    ideals, with ``_steps``: per root, the kernel of non-dense members alone.
-    ``_classes`` keeps the classes of _levi_classes per Levi set.
-    ``_graded`` holds when the order is known to be graded by length
-    (from_parabolic: Bruhat order on W^J).
-    """
+    Everything inside works on positions in ``nodes``, and so do validate,
+    format_orbit_graph and parse_orbit_graph, which read and fill the fiber
+    table: names appear only in output and in error messages.  ``index`` maps
+    a node to its position.  Entry k of fiber table row alpha - 1 is the fiber
+    of ``nodes[k]`` along alpha as (dense position, member positions), or
+    None.  A fiber naming an unknown node or a simple index outside 1..rank
+    stays out of the table, in ``_loose``, for validate and the text form.
+    ``_first[k]`` is the first step of _lowerings from k, (alpha, position), or
+    None: one tuple per node, built with the table.  Lower ideals are int
+    bitsets over positions, built by lower_ideal and kept on the graph: at most
+    n * n / 8 bytes.  The first ideal also builds ``_pulls``: per root, one
+    _kernel setting each position's bit from the other members of its fiber,
+    and a bitset per length.  ``_walks[k]`` holds the subexpression endpoints
+    of the decomposition of k along first steps (reduced_decomposition's, on
+    a valid graph), built and kept like the ideals, with ``_steps``: per root,
+    the kernel of non-dense members alone.  ``_classes`` keeps the classes of
+    _levi_classes per Levi set.  ``_graded`` holds when the order is known to
+    be graded by length (from_parabolic: Bruhat order on W^J)."""
 
     def __init__(
         self,
@@ -67,13 +67,13 @@ class OrbitGraph:
         table: list[list] = [[None] * len(nodes) for _ in range(rank)]
         loose = {}
         for alpha, dense, members in fibers:
-            group = set(members) | {dense}
-            if 1 <= alpha <= rank and index.keys() >= group:
-                ks = tuple(sorted(index[x] for x in group))
-                for k in ks:
-                    table[alpha - 1][k] = (index[dense], ks)
+            ks = {index.get(dense), *map(index.get, members)}
+            if 1 <= alpha <= rank and None not in ks:
+                entry = (index[dense], tuple(sorted(ks)))
+                for k in entry[1]:
+                    table[alpha - 1][k] = entry
             else:
-                loose[(alpha, tuple(sorted(group, key=node_sort_key)))] = dense
+                loose[(alpha, tuple(sorted({dense, *members}, key=node_sort_key)))] = dense
         self._fill(rootsystem, nodes, [lengths[x] for x in nodes], table, loose=loose)
 
     def _fill(
@@ -191,42 +191,33 @@ def from_parabolic(datum: RootDatum, levi) -> OrbitGraph:
 
 def validate(g: OrbitGraph) -> list[str]:
     """Check every structural axiom; empty list means the graph is a genuine
-    orbit graph as far as the fiber data can tell."""
-    violations = []
-    for node in g.nodes:
-        if g.length[node] < 0:
-            violations.append(f"BadLength: node={node} length={g.length[node]!r}")
-    for alpha, dense, group in g.stored_fibers():
-        tag = f"alpha={alpha} fiber={'/'.join(group)}"
-        if not 1 <= alpha <= g.rank:
-            violations.append(f"BadSimpleIndex: {tag}")
-            continue
-        unknown = [x for x in group if x not in g.length]
-        if unknown:
-            violations.append(f"UnknownNode: {tag} nodes={','.join(unknown)}")
-            continue
-        if len(group) > 3:
-            violations.append(f"FiberTooLarge: {tag} size={len(group)}")
-        ks = tuple(g.index[x] for x in group)
-        for x, k in zip(group, ks):
-            if g._table[alpha - 1][k][1] != ks:
-                violations.append(f"FiberIncoherent: {tag} node={x}")
-        top = max(g.length[x] for x in group)
-        at_top = [x for x in group if g.length[x] == top]
-        if len(at_top) != 1:
-            violations.append(f"NoDenseNode: {tag} maximal={','.join(at_top)}")
-        elif at_top[0] != dense:
-            violations.append(f"NoDenseNode: {tag} stored dense {dense} is not the longest")
-        elif len(group) > 1:
-            for x in group:
-                if x != dense and g.length[x] != top - 1:
-                    violations.append(f"BadLengthGap: {tag} node={x}")
-    if all(g.length[node] != 0 for node in g.nodes):
+    orbit graph as far as the fiber data can tell.  Fibers are checked on
+    positions; names are spelled only for a fiber that fails."""
+    lens, nodes = g._len, g.nodes
+    violations = [f"BadLength: node={x} length={n!r}" for x, n in zip(nodes, lens) if n < 0]
+    for alpha, group in g._loose:
+        tag, unknown = f"alpha={alpha} fiber={'/'.join(group)}", ",".join(x for x in group if x not in g.index)
+        violations.append(f"UnknownNode: {tag} nodes={unknown}" if 1 <= alpha <= g.rank else f"BadSimpleIndex: {tag}")
+    for alpha, row in enumerate(g._table, 1):
+        for d, ks in dict.fromkeys(filter(None, row)):
+            if len(ks) <= 3 and all(row[k][1] == ks and lens[d] - lens[k] == (k != d) for k in ks):
+                continue
+            tag = f"alpha={alpha} fiber={'/'.join(nodes[k] for k in ks)}"
+            if len(ks) > 3:
+                violations.append(f"FiberTooLarge: {tag} size={len(ks)}")
+            violations += [f"FiberIncoherent: {tag} node={nodes[k]}" for k in ks if row[k][1] != ks]
+            top = max(lens[k] for k in ks)
+            at_top = [k for k in ks if lens[k] == top]
+            if len(at_top) != 1:
+                violations.append(f"NoDenseNode: {tag} maximal={','.join(nodes[k] for k in at_top)}")
+            elif at_top[0] != d:
+                violations.append(f"NoDenseNode: {tag} stored dense {nodes[d]} is not the longest")
+            else:
+                violations += [f"BadLengthGap: {tag} node={nodes[k]}" for k in ks if k != d and lens[k] != top - 1]
+    if 0 not in lens:
         violations.append("NoClosedNode: no node of length 0")
-    for k, n in enumerate(g._len):
-        if n > 0 and g._first[k] is None:
-            violations.append(f"Unreachable: node={g.nodes[k]} has no downward fiber")
-    return sorted(violations)
+    unreachable = [x for x, n, step in zip(nodes, lens, g._first) if n > 0 and step is None]
+    return sorted(violations + [f"Unreachable: node={x} has no downward fiber" for x in unreachable])
 
 
 # --- reduced decompositions and subexpressions -------------------------------
@@ -581,13 +572,14 @@ FORMAT_HEADER = "orbitgraph v1"
 
 
 def format_orbit_graph(g: OrbitGraph) -> str:
-    lines = [FORMAT_HEADER, f"rootsystem {g.rootsystem}", f"nodes {len(g.nodes)}"]
-    for node in g.nodes:
-        lines.append(f"node {node} {g.length[node]}")
-    for alpha, dense, group in g.stored_fibers():
-        if len(group) > 1:
-            rest = [x for x in group if x != dense]
-            lines.append(f"fiber {alpha} {dense} {' '.join(rest)}")
+    nodes, lines = g.nodes, [FORMAT_HEADER, f"rootsystem {g.rootsystem}", f"nodes {len(g.nodes)}"]
+    lines += [f"node {x} {n}" for x, n in zip(nodes, g._len)]
+    if g._loose or any(x[:1] == "0" != x for x in nodes):  # names that may sort alike, as 1 and 01 do
+        fibers = ((a, dense, [x for x in group if x != dense]) for a, dense, group in g.stored_fibers())
+    else:  # node order is name order, so stored_fibers' order is by dense position, the row order kept on ties
+        rows = (sorted(dict.fromkeys(filter(None, row)), key=itemgetter(0)) for row in g._table)
+        fibers = ((a, nodes[d], [nodes[k] for k in ks if k != d]) for a, row in enumerate(rows, 1) for d, ks in row)
+    lines += [f"fiber {alpha} {dense} {' '.join(rest)}" for alpha, dense, rest in fibers if rest]
     return "\n".join(lines) + "\n"
 
 
@@ -604,7 +596,8 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
         raise ParseError("expected a rootsystem line")
     rootsystem = lines[1][len("rootsystem ") :].strip()
     lengths = {name: n for name, n, _ in _node_lines(lines[2:], 3)}
-    fibers, claimed, top = [], {}, 0
+    nodes = tuple(sorted(lengths, key=node_sort_key))
+    index, rows, top = {node: k for k, node in enumerate(nodes)}, defaultdict(dict), 0  # alpha -> {position: fiber}
     for line in lines[3 + len(lengths) :]:
         fields = line.split()
         if fields[0] != "fiber" or len(fields) < 4:
@@ -612,21 +605,22 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
         alpha = _decimal(fields[1])
         if not alpha:
             raise ParseError(f"bad simple index in {line!r}")
-        top = max(top, alpha)
-        fiber = (fields[2], frozenset(fields[2:]))
-        for name in fields[2:]:
-            if name not in lengths:
+        top, row, ks = max(top, alpha), rows[alpha], [*map(index.get, fields[2:])]
+        fiber = None if None in ks else (ks[0], tuple(sorted(set(ks))))
+        for name, k in zip(fields[2:], ks):
+            if k is None:
                 raise ParseError(f"fiber mentions unknown node {name!r}")
-            if claimed.setdefault((alpha, name), fiber) != fiber:
+            if row.setdefault(k, fiber) != fiber:
                 raise ParseError(f"node {name!r} lies in two fibers along {alpha}")
-        fibers.append((alpha, fields[2], tuple(fields[2:])))
     try:
         rank = len(cartan_matrix(rootsystem.split()[0]))
     except InvalidCartan:
         if top > RANK_CAP:
             raise ParseError(f"fiber index {top} is above the rank cap of {RANK_CAP}") from None
         rank = top
-    return OrbitGraph(rootsystem, rank, lengths, fibers)
+    table = [[*map(rows[alpha].get, range(len(nodes)))] for alpha in range(1, rank + 1)]
+    loose = {(a, tuple([nodes[k] for k in ks])): nodes[d] for a in rows if a > rank for d, ks in rows[a].values()}
+    return OrbitGraph.__new__(OrbitGraph)._fill(rootsystem, nodes, [lengths[x] for x in nodes], table, loose=loose)
 
 
 def load_orbit_graph(path) -> OrbitGraph:

@@ -112,7 +112,9 @@ def _eliminate(m: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _validate_cartan(entries: tuple[tuple[int, ...], ...]) -> None:
+@lru_cache(maxsize=None)
+def _validate_cartan(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """2 rho in simple roots, once entries pass as a finite-type Cartan matrix; kept per matrix."""
     n = len(entries)
     if n == 0:
         raise InvalidCartan("empty matrix")
@@ -134,10 +136,12 @@ def _validate_cartan(entries: tuple[tuple[int, ...], ...]) -> None:
     # Finite type: every principal minor is positive.  The matrix has no
     # positive entry off the diagonal, so positive leading minors imply it
     # (such a matrix is then a nonsingular M-matrix; Fiedler and Ptak, 1962).
-    # They are the pivots of one elimination until one is zero, which would
-    # need a row swap.
-    if min(_eliminate([list(row) for row in entries])) <= 0:
+    # They are those of C^T too, the pivots of one elimination of [C^T | 2] until one is zero, which would
+    # need a row swap; the last column ends as d * 2 rho, as <2 rho, coroot_i> = 2.
+    m = [[*col, 2] for col in zip(*entries)]
+    if min(_eliminate(m)) <= 0:
         raise InvalidCartan("a principal minor is not positive; matrix is not of finite type")
+    return tuple([row[-1] // row[k] for k, row in enumerate(m)])
 
 
 def _chain(n: int) -> list[list[int]]:

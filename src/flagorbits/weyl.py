@@ -36,7 +36,7 @@ from .root_datum import (
     RootDatum,
     _check_letter,
     _decimal,
-    _eliminate,
+    _validate_cartan,
     all_roots,
     coroot_pairing,
     is_root,
@@ -443,9 +443,9 @@ class _Layout:
     index i.  ``links[i - 1]`` lists the neighbours j of i with a_ji =
     <alpha_j, coroot_i> (column i of the Cartan matrix), for the root kernels,
     and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move; ``two_rho``
-    is the sum of the positive roots, for _weight.  The component tables are
-    remembered here once built, and so are the element list of
-    enumerate_elements and, per component id, the runs of _word."""
+    is the sum of the positive roots (from _validate_cartan), for _weight.
+    The component tables are remembered here once built, and so are the
+    element list of enumerate_elements and, per component id, _word's runs."""
 
     __slots__ = ("parts", "spans", "subs", "where", "links", "rows", "two_rho", "found", "elements", "runs")
 
@@ -477,9 +477,7 @@ class _Layout:
             [(j, row[i]) for j, row in enumerate(datum.cartan) if row[i] and j != i] for i in range(r)
         ]
         self.rows = [[(j, y) for j, y in enumerate(row) if y] for row in datum.cartan]
-        m = [[*col, 2] for col in zip(*datum.cartan)]
-        _eliminate(m)  # to d * I: 2 rho solves <2 rho, coroot_i> = 2, no root list needed
-        self.two_rho = tuple([row[-1] // row[k] for k, row in enumerate(m)])
+        self.two_rho = _validate_cartan(datum.cartan) if r else ()  # a rank-0 part datum has no matrix to check
         self.found: list[WeylTable] | None = None
         self.elements: tuple[WeylElt, ...] | None = None
         self.runs: list[dict[int, list[Word]]] = [{} for _ in parts]

@@ -5,6 +5,8 @@ lines, or replaces one token.  Whatever the damage, `validate` (and, on a
 K\\G/B graph, `hasse --kgb`, `classes` and `kgp-order`) ends in exit 0 or 1
 with at most one line on stderr, never in a traceback; and a mutant that
 parses reaches a fixed point of format after one format/parse round trip.
+An orbit-graph mutant parses as the name-keyed reference parser reads it,
+and its fibers, violations and text match the name-keyed references.
 """
 
 import random
@@ -24,6 +26,7 @@ from flagorbits import (
 )
 from flagorbits.cli import main
 from flagorbits.orbit_poset import parse_orbit_graph
+from test_orbit_poset import assert_parse_matches, assert_text_layer_matches
 from test_weyl import INTERLEAVED
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -98,8 +101,13 @@ def test_mutants_end_in_one_error_line_or_round_trip(capsys, tmp_path):
             if kind == "kgb" and rng.random() < 0.25:
                 argv = rng.choice((["hasse", "--kgb"], ["classes", "--levi", "1"], ["kgp-order", "--levi", "1"]))
                 run_cli(capsys, argv + [str(path)], mutant)
+            if kind == "orbitgraph":
+                assert_parse_matches(mutant)
             try:
-                once = format_(parse(mutant))
+                got = parse(mutant)
+                once = format_(got)
             except (FlagOrbitsError, OSError):
                 continue
+            if kind == "orbitgraph":
+                assert_text_layer_matches(got)
             assert format_(parse(once)) == once, mutant

@@ -44,8 +44,17 @@ from flagorbits import (
     validate,
 )
 from flagorbits.kgb import doubled_datum
-from flagorbits.orbit_poset import _gather, _kernel, cover_pairs, lower_ideal, node_sort_key, parse_orbit_graph
-from flagorbits.root_datum import normalize_levi
+from flagorbits.errors import InvalidCartan
+from flagorbits.orbit_poset import (
+    FORMAT_HEADER,
+    _gather,
+    _kernel,
+    cover_pairs,
+    lower_ideal,
+    node_sort_key,
+    parse_orbit_graph,
+)
+from flagorbits.root_datum import RANK_CAP, _decimal, _node_lines, _significant_lines, cartan_matrix, normalize_levi
 from flagorbits.weyl import _table
 from test_weyl import INTERLEAVED, THREE_WAY
 
@@ -150,25 +159,26 @@ def test_dense_node_is_idempotent():
             assert g.dense_node(alpha, up) == up
 
 
+# one crafted graph per failure mode: (code, lengths, fibers)
+VALIDATE_CASES = [
+    ("BadLength", {"a": -1}, []),
+    ("BadSimpleIndex", {"a": 0, "b": 1}, [(7, "b", ("a", "b"))]),
+    ("UnknownNode", {"a": 0, "b": 1}, [(1, "b", ("zz", "b"))]),
+    (
+        "FiberTooLarge",
+        {"a": 0, "b": 0, "c": 0, "d": 1},
+        [(1, "d", ("a", "b", "c", "d"))],
+    ),
+    ("NoDenseNode", {"a": 0, "b": 0, "top": 1}, [(1, "b", ("a", "b")), (1, "top", ("b", "top"))]),
+    ("BadLengthGap", {"a": 0, "b": 3}, [(1, "b", ("a", "b"))]),
+    ("NoClosedNode", {"a": 1, "b": 2}, [(1, "b", ("a", "b"))]),
+    ("Unreachable", {"a": 0, "b": 1}, []),
+    ("FiberIncoherent", {"a": 0, "b": 1, "c": 1}, [(1, "b", ("a", "b")), (1, "c", ("a", "c"))]),
+]
+
+
 def test_validate_error_codes():
-    # one crafted graph per failure mode
-    good = {"a": 0, "b": 1}
-    cases = [
-        ("BadLength", {"a": -1}, []),
-        ("BadSimpleIndex", good, [(7, "b", ("a", "b"))]),
-        ("UnknownNode", good, [(1, "b", ("zz", "b"))]),
-        (
-            "FiberTooLarge",
-            {"a": 0, "b": 0, "c": 0, "d": 1},
-            [(1, "d", ("a", "b", "c", "d"))],
-        ),
-        ("NoDenseNode", {"a": 0, "b": 0, "top": 1}, [(1, "b", ("a", "b")), (1, "top", ("b", "top"))]),
-        ("BadLengthGap", {"a": 0, "b": 3}, [(1, "b", ("a", "b"))]),
-        ("NoClosedNode", {"a": 1, "b": 2}, [(1, "b", ("a", "b"))]),
-        ("Unreachable", {"a": 0, "b": 1}, []),
-        ("FiberIncoherent", {"a": 0, "b": 1, "c": 1}, [(1, "b", ("a", "b")), (1, "c", ("a", "c"))]),
-    ]
-    for code, lengths, fibers in cases:
+    for code, lengths, fibers in VALIDATE_CASES:
         g = OrbitGraph("crafted", 2, lengths, fibers)
         assert any(v.startswith(code) for v in validate(g)), code
 
@@ -442,6 +452,168 @@ def test_hasse_dot_annotations():
     assert '"e" -> "1";' in dot
 
 
+# --- the text layer on positions against name-keyed references ---------------
+
+
+def reference_stored_fibers(g):
+    """Each explicit fiber once, sorted by simple index then dense node name,
+    with the fibers out of the table merged in by name."""
+    out = [(alpha, dense, group) for (alpha, group), dense in g._loose.items()]
+    for alpha, row in enumerate(g._table, 1):
+        for dense, group in filter(None, dict.fromkeys(row)):
+            out.append((alpha, g.nodes[dense], tuple(g.nodes[k] for k in group)))
+    return sorted(out, key=lambda t: (t[0], node_sort_key(t[1])))
+
+
+def reference_validate(g):
+    """validate read fiber by fiber off reference_stored_fibers, by name."""
+    violations = []
+    for node in g.nodes:
+        if g.length[node] < 0:
+            violations.append(f"BadLength: node={node} length={g.length[node]!r}")
+    for alpha, dense, group in reference_stored_fibers(g):
+        tag = f"alpha={alpha} fiber={'/'.join(group)}"
+        if not 1 <= alpha <= g.rank:
+            violations.append(f"BadSimpleIndex: {tag}")
+            continue
+        unknown = [x for x in group if x not in g.length]
+        if unknown:
+            violations.append(f"UnknownNode: {tag} nodes={','.join(unknown)}")
+            continue
+        if len(group) > 3:
+            violations.append(f"FiberTooLarge: {tag} size={len(group)}")
+        ks = tuple(g.index[x] for x in group)
+        for x, k in zip(group, ks):
+            if g._table[alpha - 1][k][1] != ks:
+                violations.append(f"FiberIncoherent: {tag} node={x}")
+        top = max(g.length[x] for x in group)
+        at_top = [x for x in group if g.length[x] == top]
+        if len(at_top) != 1:
+            violations.append(f"NoDenseNode: {tag} maximal={','.join(at_top)}")
+        elif at_top[0] != dense:
+            violations.append(f"NoDenseNode: {tag} stored dense {dense} is not the longest")
+        elif len(group) > 1:
+            for x in group:
+                if x != dense and g.length[x] != top - 1:
+                    violations.append(f"BadLengthGap: {tag} node={x}")
+    if all(g.length[node] != 0 for node in g.nodes):
+        violations.append("NoClosedNode: no node of length 0")
+    for k, n in enumerate(g._len):
+        if n > 0 and g._first[k] is None:
+            violations.append(f"Unreachable: node={g.nodes[k]} has no downward fiber")
+    return sorted(violations)
+
+
+def reference_format(g):
+    """The text form, node lines by name and fiber lines from reference_stored_fibers."""
+    lines = [FORMAT_HEADER, f"rootsystem {g.rootsystem}", f"nodes {len(g.nodes)}"]
+    lines += [f"node {node} {g.length[node]}" for node in g.nodes]
+    for alpha, dense, group in reference_stored_fibers(g):
+        if len(group) > 1:
+            lines.append(f"fiber {alpha} {dense} {' '.join(x for x in group if x != dense)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse(text):
+    """parse_orbit_graph by name: a claim per (alpha, node) on the fiber's dense
+    name and member set, then the graph through the constructor."""
+    lines = _significant_lines(text)
+    if not lines or lines[0] != FORMAT_HEADER:
+        raise ParseError(f"expected header {FORMAT_HEADER!r}")
+    if len(lines) < 3 or not lines[1].startswith("rootsystem "):
+        raise ParseError("expected a rootsystem line")
+    rootsystem = lines[1][len("rootsystem ") :].strip()
+    lengths = {name: n for name, n, _ in _node_lines(lines[2:], 3)}
+    fibers, claimed, top = [], {}, 0
+    for line in lines[3 + len(lengths) :]:
+        fields = line.split()
+        if fields[0] != "fiber" or len(fields) < 4:
+            raise ParseError(f"bad fiber line: {line!r}")
+        alpha = _decimal(fields[1])
+        if not alpha:
+            raise ParseError(f"bad simple index in {line!r}")
+        top = max(top, alpha)
+        fiber = (fields[2], frozenset(fields[2:]))
+        for name in fields[2:]:
+            if name not in lengths:
+                raise ParseError(f"fiber mentions unknown node {name!r}")
+            if claimed.setdefault((alpha, name), fiber) != fiber:
+                raise ParseError(f"node {name!r} lies in two fibers along {alpha}")
+        fibers.append((alpha, fields[2], tuple(fields[2:])))
+    try:
+        rank = len(cartan_matrix(rootsystem.split()[0]))
+    except InvalidCartan:
+        if top > RANK_CAP:
+            raise ParseError(f"fiber index {top} is above the rank cap of {RANK_CAP}") from None
+        rank = top
+    return OrbitGraph(rootsystem, rank, lengths, fibers)
+
+
+def assert_text_layer_matches(g):
+    """stored_fibers, validate and format_orbit_graph agree with the name-keyed references."""
+    assert g.stored_fibers() == reference_stored_fibers(g), g.rootsystem
+    assert validate(g) == reference_validate(g), g.rootsystem
+    assert format_orbit_graph(g) == reference_format(g), g.rootsystem
+
+
+def parsed_fields(text):
+    """What parse_orbit_graph makes of text, or the error it raises."""
+    g = outcome(parse_orbit_graph, text)
+    if not isinstance(g, OrbitGraph):
+        return g
+    loose = {(alpha, frozenset(group)): dense for (alpha, group), dense in g._loose.items()}
+    return graph_fields(g), g.rank, loose
+
+
+def assert_parse_matches(text):
+    """parse_orbit_graph on positions gives the graph or the error of reference_parse."""
+    g = outcome(reference_parse, text)
+    if isinstance(g, OrbitGraph):
+        loose = {(alpha, frozenset(group)): dense for (alpha, group), dense in g._loose.items()}
+        assert parsed_fields(text) == (graph_fields(g), g.rank, loose), text
+    else:
+        assert parsed_fields(text) == g, text
+
+
+# Names that sort alike: 01 meets its row first but comes after 1 in node order.
+TIED = "orbitgraph v1\nrootsystem A1\nnodes 4\nnode 0 0\nnode 00 0\nnode 1 1\nnode 01 1\nfiber 1 01 0\nfiber 1 1 00\n"
+
+
+def text_layer_graphs():
+    """Crafted graphs of every violation, fibers out of the table alone and
+    among table fibers, fibers sharing a member or a dense node, names that
+    sort alike, dense-flip mutants and the oracle graphs."""
+    graphs = [OrbitGraph("crafted", 2, lengths, fibers) for _, lengths, fibers in VALIDATE_CASES]
+    graphs += [g for g, _, _ in _fibers_outside_the_table()]
+    a2 = from_weyl(build_root_datum("A2"))
+    lengths = {"a": 0, "b": 1, "c": 1, "d": 2}
+    graphs += [
+        # a lies in a/b and in a/c; then b is dense in a/b and in b/c, the later fiber kept at b
+        OrbitGraph("crafted", 2, lengths, [(1, "b", ("a", "b")), (1, "c", ("a", "c")), (2, "b", ("a", "b"))]),
+        OrbitGraph("crafted", 2, lengths, [(1, "b", ("a", "b")), (1, "b", ("b", "c")), (1, "d", ("c", "d"))]),
+        OrbitGraph(a2.rootsystem, a2.rank, a2.length, a2.stored_fibers() + [(1, "2", ("2", "e"))]),
+        OrbitGraph(a2.rootsystem, a2.rank, a2.length, a2.stored_fibers() + [(1, "2", ("zz", "2")), (9, "e", ("e",))]),
+        parse_orbit_graph(format_orbit_graph(a2) + "fiber 7 2 e\nfiber 5 1,2 2\n"),
+        parse_orbit_graph(TIED),
+        parse_orbit_graph(TIED.replace("A1", "A1 with a loose fiber") + "fiber 1000 0 00\n"),
+        OrbitGraph("crafted", 3, {"0": 0, "00": 0, "1": 1, "01": 1}, [(1, "01", ("0", "01")), (1, "1", ("00", "1"))]),
+    ]
+    clean = [from_weyl(build_root_datum(name)) for name in ("A2", "B2", "G2", "A3", "B3")]
+    clean += oracle_graphs()
+    graphs += clean + [mutate_dense_flip(g) for g in clean if any(len(f[2]) == 2 for f in g.stored_fibers())]
+    return graphs
+
+
+def test_text_layer_matches_the_name_keyed_references():
+    graphs = text_layer_graphs()
+    for g in graphs:
+        assert_text_layer_matches(g)
+        assert_parse_matches(format_orbit_graph(g))
+    # the order a row meets fibers with dense names that sort alike is kept
+    assert [f[1] for f in parse_orbit_graph(TIED).stored_fibers()] == ["01", "1"]
+    assert {code for code, _, _ in VALIDATE_CASES} <= {v.split(":")[0] for g in graphs for v in validate(g)}
+
+
 def test_round_trip_byte_identical(tmp_path):
     for name in ("A2", "B2"):
         d = build_root_datum(name)
@@ -498,6 +670,12 @@ def test_parse_errors():
         # the table keeps one fiber per node and root, so a second one would be lost
         (good + "fiber 1 e 1\n", "node 'e' lies in two fibers along 1"),
         (a2 + "fiber 1 2 e\n", "node '2' lies in two fibers along 1"),
+        # names are checked in line order, each for being known, then for being claimed by an earlier line
+        (good + "fiber 1 e x\n", "node 'e' lies in two fibers along 1"),
+        (good + "fiber 1 x e\n", "fiber mentions unknown node 'x'"),
+        (good + "fiber 1 1 e x\n", "node '1' lies in two fibers along 1"),
+        (good + "fiber 2 1 x e\n", "fiber mentions unknown node 'x'"),
+        (good + "fiber 9 1 e\nfiber 9 e 1\n", "node 'e' lies in two fibers along 9"),
         # with no Cartan type named, the largest fiber index is the rank
         (
             good.replace("rootsystem A1", "rootsystem foo").replace("fiber 1 1 e", "fiber 1000000 1 e"),
@@ -509,7 +687,8 @@ def test_parse_errors():
         with pytest.raises(ParseError) as info:
             parse_orbit_graph(bad)
         assert str(info.value) == message, bad
-    assert format_orbit_graph(parse_orbit_graph(good + "fiber 1 1 e\n")) == good
+    for repeated in ("fiber 1 1 e\n", "fiber 1 1 e 1\n", "fiber 1 1 e\nfiber 1 1 e\n"):
+        assert format_orbit_graph(parse_orbit_graph(good + repeated)) == good
     capped = parse_orbit_graph(good.replace("rootsystem A1", "rootsystem foo").replace("fiber 1 1 e", "fiber 200 1 e"))
     assert capped.rank == 200
     assert parse_orbit_graph(good.replace("node 1 1", "node 1 -1")).length["1"] == -1
