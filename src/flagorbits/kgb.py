@@ -7,10 +7,15 @@ genuine symmetric pairs are data, validated against the structural axioms;
 generated graphs exist for the diagonal case and for a synthetic harness on
 twisted involutions.
 
-Each label is a rank-one pattern: one row of the ``_RULES`` table gives the
+The graph keeps its nodes in node order and, per simple root, three rows
+indexed by position: the label as a small int (its rule's index in
+``_RULES``), the cross target and the Cayley target (the layout of the Atlas
+software, Adams-du Cloux, J. Inst. Math. Jussieu 8, 2009).  The builders,
+parse_kgb and the dict constructor fill the rows; validate_kgb, format_kgb,
+ascent_consistency_check and to_orbit_poset read them.  Each rule gives the
 class of the root, the cross move and the Cayley transform, and validate_kgb
-reads every local axiom off that row.  The twist axioms (theta(w) = w^-1,
-the cross action s_a * w * s_theta(a), the Cayley transform s_a * w) are
+reads every local axiom off it.  The twist axioms (theta(w) = w^-1, the
+cross action s_a * w * s_theta(a), the Cayley transform s_a * w) are
 compared by component ids in the Weyl tables when the tables exist, and on
 root images otherwise; validate_kgb builds no table.
 
@@ -25,47 +30,12 @@ from collections import Counter, namedtuple
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import (
-    AxiomViolation,
-    Mismatch,
-    NoOpenNode,
-    NotNoncompact,
-    NotReal,
-    ParseError,
-    Unreachable,
-)
+from .errors import AxiomViolation, Mismatch, NoOpenNode, NotNoncompact, NotReal, ParseError, Unreachable
 from .orbit_poset import NodeId, OrbitGraph, node_sort_key, reduced_decomposition
-from .root_datum import (
-    RootDatum,
-    build_root_datum,
-    format_root_datum,
-    is_m_alpha_trivial,
-    parse_root_datum,
-    parse_root_datum_lines,
-    simple_root,
-    _decimal,
-    _node_lines,
-    _significant_lines,
-)
-from .weyl import (
-    WeylElt,
-    _element,
-    _ids,
-    _layout,
-    _s_times,
-    _table,
-    _times_s,
-    _word,
-    apply_twist,
-    enumerate_elements,
-    format_word,
-    from_word,
-    identity,
-    inv,
-    parse_word,
-    reduced_word,
-    simple_reflection,
-)
+from .root_datum import RootDatum, build_root_datum, format_root_datum, is_m_alpha_trivial, parse_root_datum
+from .root_datum import parse_root_datum_lines, simple_root, _decimal, _node_lines, _significant_lines
+from .weyl import WeylElt, _ids, _layout, _s_times, _table, _times_s, _word, apply_twist, enumerate_elements
+from .weyl import format_word, from_word, identity, inv, parse_word, reduced_word, simple_reflection
 
 
 class RootType(enum.Enum):
@@ -80,55 +50,66 @@ class RootType(enum.Enum):
     REAL_II = "r2"
 
 
+# A label is stored as its code, its index in _TYPES and in _RULES.
+_TYPES = tuple(RootType)
+_CODE = {t: c for c, t in enumerate(_TYPES)}
+_UP, _DOWN, _CI, _NCI1, _NCI2, _R1, _R2 = range(len(_TYPES))
+
 # Each label's rank-one pattern, as validate_kgb checks it: the class the
 # twisted involution must give the root; the cross action's length step (None:
 # it fixes the node), the label of the node it moves to and the code for a
 # wrong move; the Cayley target's label (None: no Cayley transform); and the
 # number of Cayley preimages (None: not counted).
 _Rule = namedtuple("_Rule", "cls step partner code cayley preimages")
-_RULES = {
-    RootType.COMPLEX_ASCENT: _Rule("complex", 1, RootType.COMPLEX_DESCENT, "AscentPattern", None, None),
-    RootType.COMPLEX_DESCENT: _Rule("complex", -1, RootType.COMPLEX_ASCENT, "DescentPattern", None, None),
-    RootType.COMPACT_IMAGINARY: _Rule("imaginary", None, None, "CompactMoved", None, None),
-    RootType.NONCOMPACT_I: _Rule("imaginary", 0, RootType.NONCOMPACT_I, "TypeIPattern", RootType.REAL_I, None),
-    RootType.NONCOMPACT_II: _Rule("imaginary", None, None, "TypeIIPattern", RootType.REAL_II, None),
-    RootType.REAL_I: _Rule("real", None, None, "RealMoved", None, 2),
-    RootType.REAL_II: _Rule("real", None, None, "RealMoved", None, 1),
-}
+_RULES = (
+    _Rule("complex", 1, _DOWN, "AscentPattern", None, None),
+    _Rule("complex", -1, _UP, "DescentPattern", None, None),
+    _Rule("imaginary", None, None, "CompactMoved", None, None),
+    _Rule("imaginary", 0, _NCI1, "TypeIPattern", _R1, None),
+    _Rule("imaginary", None, None, "TypeIIPattern", _R2, None),
+    _Rule("real", None, None, "RealMoved", None, 2),
+    _Rule("real", None, None, "RealMoved", None, 1),
+)
 
-_IMAGINARY_TYPES = frozenset(t for t, r in _RULES.items() if r.cls == "imaginary")
-_NONCOMPACT_TYPES = frozenset(t for t, r in _RULES.items() if r.cayley)
-_REAL_TYPES = frozenset(t for t, r in _RULES.items() if r.cls == "real")
+_NONCOMPACT = frozenset(c for c, r in enumerate(_RULES) if r.cayley is not None)
 # the monoid moves the node up the cross action or to the Cayley target
-_ASCENT_TYPES = frozenset(t for t, r in _RULES.items() if r.step == 1 or r.cayley)
-
+_ASCENT = frozenset(c for c, r in enumerate(_RULES) if r.step == 1 or r.cayley is not None)
+_IMAGINARY_TYPES = frozenset(t for t, r in zip(_TYPES, _RULES) if r.cls == "imaginary")
+_NONCOMPACT_TYPES = frozenset(_TYPES[c] for c in _NONCOMPACT)
+_REAL_TYPES = frozenset(t for t, r in zip(_TYPES, _RULES) if r.cls == "real")
 
 _GRAPH_FIELDS = ("datum", "nodes", "tw", "length", "label", "cross", "cayley")
+_MOVES = _GRAPH_FIELDS[4:]
 
 
 class KgbGraph:
     """A K\\G/B graph: per node its twisted involution and length, and per
     (simple index, node) its root type, cross action and, for noncompact
-    roots, Cayley transform.  ``nodes`` is kept sorted.  Two graphs are
-    equal when these fields are; the memos do not count, and a graph is
-    not hashable.  Immutable: the constructor keeps read-only copies of the
-    five maps, so the memos never go stale.  It refuses with AxiomViolation
-    a node listed twice, a length map whose keys are not the nodes, a length
-    that is not an int and a node whose twisted involution is not a WeylElt
-    of the graph's datum."""
+    roots, Cayley transform.
 
-    __slots__ = _GRAPH_FIELDS + ("_poset", "_open")
+    Held by position in ``nodes``, which is kept in node order: ``_len`` and
+    ``_tw`` per node, and per simple index alpha, row alpha - 1 of
+    ``_label`` (label codes), ``_cross`` and ``_cayley`` (target positions),
+    None where there is no entry.  A target that is not a node sits at
+    position n + i for ``_far[i]``.  Entries that the rows cannot hold stay
+    in ``_loose``, per field: keys naming an unknown node or an index
+    outside 1..rank, a twisted involution of an unknown node, a label that
+    is not a RootType and a cross target None.
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        nodes: tuple[NodeId, ...],
-        tw: dict[NodeId, WeylElt],
-        length: dict[NodeId, int],
-        label: dict[tuple[int, NodeId], RootType],
-        cross: dict[tuple[int, NodeId], NodeId],
-        cayley: dict[tuple[int, NodeId], NodeId],
-    ):
+    ``tw``, ``length``, ``label``, ``cross`` and ``cayley`` are read-only
+    mappings keyed as the constructor's dicts, built on first access and
+    kept, in (alpha, node) order; no hot path reads them.  Two graphs are
+    equal when these fields are; the memos do not count, and a graph is not
+    hashable.  Immutable, so the memos never go stale.  The constructor
+    lowers its dicts to rows; it refuses with AxiomViolation a node listed
+    twice, a length map whose keys are not the nodes, a length that is not
+    an int and a node whose twisted involution is not a WeylElt of the
+    graph's datum."""
+
+    __slots__ = ("datum", "nodes", "_index", "_len", "_tw", "_label", "_cross", "_cayley", "_far", "_loose")
+    __slots__ += ("_views", "_poset", "_open")
+
+    def __init__(self, datum: RootDatum, nodes, tw: dict, length: dict, label: dict, cross: dict, cayley: dict):
         bad = [f"BadLength: node={v}" for v, n in length.items() if not isinstance(n, int)]
         bad += [f"DuplicateNode: node={v}" for v, n in Counter(nodes).items() if n > 1]
         bad += [f"ExtraLength: node={v}" for v in length.keys() - set(nodes)]
@@ -141,13 +122,33 @@ class KgbGraph:
         if bad:
             bad.sort()
             raise AxiomViolation(bad)
-        maps = [MappingProxyType(dict(m)) for m in (tw, length, label, cross, cayley)]
-        # Memos, filled on first use: the orbit poset (to_orbit_poset), whose
-        # fiber table every move reads and which keeps the classes per Levi
-        # set, and the open node.
-        values = (datum, tuple(sorted(nodes, key=node_sort_key)), *maps, None, None)
+        nodes = tuple(sorted(nodes, key=node_sort_key))
+        index, n, rank = {v: k for k, v in enumerate(nodes)}, len(nodes), datum.rank
+        far: dict = {}  # a target that is not a node -> its position
+        loose = {"tw": {v: w for v, w in tw.items() if v not in index}}
+        rows = []
+        for field, entries in zip(_MOVES, (label, cross, cayley)):
+            got, loose[field] = [[None] * n for _ in range(rank)], {}
+            for (alpha, v), t in entries.items():
+                k = index.get(v)
+                odd = t not in _CODE if field == "label" else field == "cross" and t is None
+                if k is None or alpha not in range(1, rank + 1) or odd:
+                    loose[field][(alpha, v)] = t
+                else:
+                    got[alpha - 1][k] = _CODE[t] if field == "label" else index[t] if t in index else far.setdefault(t, n + len(far))
+            rows.append(got)
+        self._fill(datum, nodes, [length[v] for v in nodes], [tw[v] for v in nodes], *rows, far, loose)
+
+    def _fill(self, datum, nodes, lens, tws, labels, cross, cayley, far=(), loose=None):
+        """Set every field, in slot order, from nodes in node order, the rows
+        and far, the targets that are not nodes in position order.  The
+        memos, filled on first use, are the views, the orbit poset (see
+        to_orbit_poset) and the open node."""
+        index = {v: k for k, v in enumerate(nodes)}
+        values = (datum, nodes, index, lens, tws, labels, cross, cayley, tuple(far), loose or {}, {}, None, None)
         for f, v in zip(self.__slots__, values):
             object.__setattr__(self, f, v)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -155,8 +156,24 @@ class KgbGraph:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _view(self, field: str) -> MappingProxyType:
+        """The read-only mapping of one field, keyed as the constructor's
+        dict: the rows' entries in (alpha, node) order, then the loose ones."""
+        got = self._views.get(field)
+        if got is None:
+            if field in ("tw", "length"):
+                out = dict(zip(self.nodes, self._tw if field == "tw" else self._len))
+            else:
+                names = _TYPES if field == "label" else (*self.nodes, *self._far)
+                rows = getattr(self, f"_{field}")
+                out = {(a, v): names[j] for a, row in enumerate(rows, 1) for v, j in zip(self.nodes, row) if j is not None}
+            got = self._views[field] = MappingProxyType({**out, **self._loose.get(field, {})})
+        return got
+
+    tw, length, label, cross, cayley = (property(lambda self, f=f: self._view(f)) for f in _GRAPH_FIELDS[2:])
+
     def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in _GRAPH_FIELDS])
+        return (self.datum, self.nodes, *(self._view(f) for f in _GRAPH_FIELDS[2:]))
 
     def __eq__(self, other):
         if other.__class__ is not KgbGraph:
@@ -171,7 +188,7 @@ class KgbGraph:
         return f"KgbGraph({fields})"
 
     def _require(self, v: NodeId) -> None:
-        if v not in self.length:
+        if v not in self._index:
             raise Mismatch(f"unknown node {v!r}")
 
     def _require_at(self, alpha: int, v: NodeId) -> None:
@@ -270,36 +287,40 @@ def _braid_order(datum: RootDatum, a: int, b: int) -> int:
 
 def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
     """How validate_kgb compares twisted involutions, chosen once per call:
-    the key of each element, move(x, a, b) giving the key of s_a * x * s_b
-    (of s_a * x when b is None), and twisted(x), whether theta(x) = x^-1.
-    Keys are component ids when the datum's tables exist: s_a and s_b are
-    a left and a right row, and theta moves the id of a component whose
-    letters it keeps (so its table), else acts on its canonical word letter
-    by letter.  Otherwise they are the elements, moved by the root-image kernels; no table is built."""
+    the key of each element, moved(a, b) giving the keys of s_a * x * s_b
+    for every element x in order (of s_a * x when b is None), and
+    twisted(x), whether theta(x) = x^-1.  Keys are component ids when the
+    datum's tables exist: s_a and s_b map a column of ids through a left
+    and a right row, and theta moves the id of a component whose letters it
+    keeps (so its table), else acts on its canonical word letter by letter.
+    Otherwise they are the elements, moved by the root-image kernels; no
+    table is built."""
     layout = _layout(datum)
     tables = layout.tables()
     hits = tables and [_ids(w) for w in elements]
     if not tables or None in hits:
 
-        def move(x, a, b=None):
-            y = _s_times(a, x)
-            return y if b is None else _times_s(y, b)
+        def moved(a, b=None):
+            ys = [_s_times(a, x) for x in elements]
+            return ys if b is None else [_times_s(y, b) for y in ys]
 
-        return elements, move, lambda x: apply_twist(x) == inv(x)
+        return elements, moved, lambda x: apply_twist(x) == inv(x)
 
     where = layout.where
     # theta sends letter a of part c to letter b of part d: image[c][a - 1]; onto[c] = d where b = a throughout
     image = [[where[datum.twist[i] - 1] for i in part] for part in layout.parts]
     onto = [p[0][0] if p == [(p[0][0], a) for a in range(1, len(p) + 1)] else None for p in image]
+    keys = [hit[1] for hit in hits]
+    columns = list(zip(*keys)) or [()] * len(tables)  # columns[c][k]: the id of part c of element k
 
-    def move(x, a, b=None):
-        y = list(x)
+    def moved(a, b=None):
+        ids = list(columns)
         c, i = where[a - 1]
-        y[c] = tables[c].left[i - 1][y[c]]
+        ids[c] = list(map(tables[c].left[i - 1].__getitem__, ids[c]))
         if b is not None:
             c, i = where[b - 1]
-            y[c] = tables[c].right[i - 1][y[c]]
-        return tuple(y)
+            ids[c] = list(map(tables[c].right[i - 1].__getitem__, ids[c]))
+        return list(zip(*ids))
 
     def twisted(x):
         y = [0] * len(x)
@@ -312,102 +333,95 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
                 y[d] = tables[d].right[b - 1][y[d]]
         return y == [t.inverse[k] for t, k in zip(tables, x)]
 
-    return [hit[1] for hit in hits], move, twisted
+    return keys, moved, twisted
 
 
 def validate_kgb(g: KgbGraph) -> list[str]:
     """Check the structural axioms; returns sorted human-readable violations.
     The ascent criterion is deliberately not examined here, see
-    ascent_consistency_check."""
-    datum, nodes, tw, length = g.datum, g.nodes, g.tw, g.length
+    ascent_consistency_check.  Reads the rows: a missing entry is None, and
+    a target past the n nodes is not a node."""
+    datum, nodes, lens, n = g.datum, g.nodes, g._len, len(g.nodes)
+    names = (*nodes, *g._far)
     out: list[str] = []
-    preimages = Counter((alpha, t) for (alpha, _), t in g.cayley.items())
-    tw_keys, move, is_twisted = _twist_kernels(datum, [tw[v] for v in nodes])
-    key_of = dict(zip(nodes, tw_keys))
+    tw_keys, moved, is_twisted = _twist_kernels(datum, g._tw)
 
-    for v, x in zip(nodes, tw_keys):
-        if length[v] < 0:
+    for v, x, length in zip(nodes, tw_keys, lens):
+        if length < 0:
             out.append(f"BadLength: node={v}")
         if not is_twisted(x):
             out.append(f"TwNotTwisted: node={v}")
 
-    # The cross action as rows of positions per root, local to this call:
-    # k is nodes[k], n a missing entry, and past n a target that is not a
-    # node; the last two lead to n, where a braid walk stops.
-    n = len(nodes)
-    pos = {v: k for k, v in enumerate((*nodes, None))}
-    rows = []
-    for alpha in range(1, datum.rank + 1):
+    # Cayley entries keyed by a node or root outside the rows still count
+    # as preimages of their targets.
+    outside = Counter((alpha, g._index.get(t)) for (alpha, _), t in g._loose.get("cayley", {}).items())
+    for alpha, labels, targets, cays in zip(range(1, datum.rank + 1), g._label, g._cross, g._cayley):
         theta = datum.twist[alpha - 1]
         alpha_root = simple_root(datum, alpha)
         minus_alpha = tuple(-c for c in alpha_root)
         trivial = is_m_alpha_trivial(datum, alpha)
-        keys = [(alpha, v) for v in nodes]
-        labels = list(map(g.label.get, keys))
-        targets = list(map(g.cross.get, keys))
-        row = [pos.setdefault(t, len(pos)) for t in targets]
-        rows.append(row)
-        # s_alpha * x * s_theta(alpha) is an involution on x, so the CrossTwist
-        # verdict at v holds at cr too when cr crosses back to v.
-        twisted = {}
-        for k, v in enumerate(nodes):
-            lab, cr, j = labels[k], targets[k], row[k]
-            if lab is None or j == n:
+        preimages = Counter(cays)
+        images = [w.images[theta - 1] for w in g._tw]
+        classes = ["imaginary" if img == alpha_root else "real" if img == minus_alpha else "complex" for img in images]
+        # the keys of s_alpha * x * s_theta(alpha), and of s_alpha * x once a Cayley target needs them
+        crossed, raised = moved(alpha, theta), None
+        for k, (v, lab, j) in enumerate(zip(nodes, labels, targets)):
+            if lab is None or j is None:
                 out.append(f"MissingLabel: alpha={alpha} node={v}")
                 continue
-            if j > n:
-                out.append(f"UnknownNode: alpha={alpha} node={v} cross={cr}")
+            if j >= n:
+                out.append(f"UnknownNode: alpha={alpha} node={v} cross={names[j]}")
                 continue
-            # None when cr has no label here: that is reported as MissingLabel
-            # at cr, and the checks against the partner are skipped.
-            partner = labels[j] if row[j] != n else None
-            if partner is not None and row[j] != k:
+            # None when j has no label or no cross entry here: that is
+            # reported as MissingLabel at j, and the checks against the
+            # partner are skipped.
+            partner = labels[j] if targets[j] is not None else None
+            if partner is not None and targets[j] != k:
                 out.append(f"CrossNotInvolution: alpha={alpha} node={v}")
             cls, step, mate, code, real, want = _RULES[lab]
-            img = tw[v].images[theta - 1]
-            if cls != ("imaginary" if img == alpha_root else "real" if img == minus_alpha else "complex"):
-                out.append(f"LabelClass: alpha={alpha} node={v} label={lab.value} not {cls}")
+            if cls != classes[k]:
+                out.append(f"LabelClass: alpha={alpha} node={v} label={_TYPES[lab].value} not {cls}")
             # twisted involution transforms uniformly under the cross action
-            bad = twisted.pop(k) if k in twisted else move(tw_keys[k], alpha, theta) != tw_keys[j]
-            if bad:
+            if crossed[k] != tw_keys[j]:
                 out.append(f"CrossTwist: alpha={alpha} node={v}")
-            if row[j] == k:
-                twisted[j] = bad
-            if (cr != v) if step is None else (cr == v or length[cr] != length[v] + step):
+            if (j != k) if step is None else (j == k or lens[j] != lens[k] + step):
                 out.append(f"{code}: alpha={alpha} node={v}")
             elif mate is not None and partner not in (None, mate):
                 out.append(f"PartnerLabel: alpha={alpha} node={v}")
-            if trivial and lab in (RootType.NONCOMPACT_I, RootType.REAL_I):
+            if trivial and lab in (_NCI1, _R1):
                 out.append(f"TypeIForbidden: alpha={alpha} node={v} (m_alpha trivial)")
-            key = keys[k]
-            if want is not None and preimages[key] != want:
-                out.append(f"InverseCayleyCount: alpha={alpha} node={v} got={preimages[key]} want={want}")
-            if (key in g.cayley) != (real is not None):
+            if want is not None and (got := preimages[k] + outside[(alpha, k)]) != want:
+                out.append(f"InverseCayleyCount: alpha={alpha} node={v} got={got} want={want}")
+            t = cays[k]
+            if (t is not None) != (real is not None):
                 out.append(f"{'Missing' if real is not None else 'Spurious'}Cayley: alpha={alpha} node={v}")
+            elif real is not None and t >= n:
+                out.append(f"UnknownNode: alpha={alpha} node={v} cayley={names[t]}")
             elif real is not None:
-                t = g.cayley[key]
-                if t not in length:
-                    out.append(f"UnknownNode: alpha={alpha} node={v} cayley={t}")
-                else:
-                    if length[t] != length[v] + 1:
-                        out.append(f"CayleyLength: alpha={alpha} node={v}")
-                    if g.label.get((alpha, t)) is not real:
-                        out.append(f"CayleyTarget: alpha={alpha} node={v} expected {real.value}")
-                    if move(tw_keys[k], alpha) != key_of[t]:
-                        out.append(f"CayleyTwist: alpha={alpha} node={v}")
-                    # type I: the cross partner shares the Cayley target
-                    if step is not None and partner is not None and g.cayley.get((alpha, cr)) != t:
-                        out.append(f"SharedCayley: alpha={alpha} node={v}")
+                if lens[t] != lens[k] + 1:
+                    out.append(f"CayleyLength: alpha={alpha} node={v}")
+                if labels[t] != real:
+                    out.append(f"CayleyTarget: alpha={alpha} node={v} expected {_TYPES[real].value}")
+                raised = raised or moved(alpha)
+                if raised[k] != tw_keys[t]:
+                    out.append(f"CayleyTwist: alpha={alpha} node={v}")
+                # type I: the cross partner shares the Cayley target
+                if step is not None and partner is not None and cays[j] != t:
+                    out.append(f"SharedCayley: alpha={alpha} node={v}")
 
     # cross actions must satisfy the braid relations pairwise, walked from
-    # every node at once; a walk that reached n met a gap, reported above
-    rows = [row + [n] * (len(pos) - n) for row in rows]
+    # every node at once.  A gap (a missing entry, or the step after a
+    # target that is not a node) leads to position gap, where a walk stops;
+    # it was reported above.
+    gap = n + len(g._far)
+    rows = [[gap if j is None else j for j in row] + [gap] * (len(g._far) + 1) for row in g._cross]
     for a in range(1, datum.rank + 1):
         for b in range(a + 1, datum.rank + 1):
             x, y, ra, rb = range(n), range(n), rows[a - 1], rows[b - 1]
             for _ in range(_braid_order(datum, a, b)):
-                x, y, ra, rb = [ra[k] for k in x], [rb[k] for k in y], rb, ra
-            out.extend(f"CrossBraid: alpha={a} beta={b} node={v}" for v, p, q in zip(nodes, x, y) if p != q and n not in (p, q))
+                x, y, ra, rb = list(map(ra.__getitem__, x)), list(map(rb.__getitem__, y)), rb, ra
+            if x != y:
+                out.extend(f"CrossBraid: alpha={a} beta={b} node={v}" for v, p, q in zip(nodes, x, y) if p != q and gap not in (p, q))
 
     return sorted(out)
 
@@ -418,14 +432,12 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     is not compact imaginary."""
     to_orbit_poset(g)  # refuses a graph with a move missing
     out = []
-    for alpha in range(1, g.datum.rank + 1):
-        theta = g.datum.twist[alpha - 1]
-        for v in g.nodes:
-            lab = g.label[(alpha, v)]
-            img = g.tw[v].images[theta - 1]
-            predicted = all(c >= 0 for c in img) and lab is not RootType.COMPACT_IMAGINARY
-            if (lab in _ASCENT_TYPES) != predicted:
-                out.append(f"AscentCriterion: alpha={alpha} node={v} label={lab.value}")
+    for alpha, labels in enumerate(g._label, 1):
+        theta = g.datum.twist[alpha - 1] - 1
+        for v, lab, w in zip(g.nodes, labels, g._tw):
+            predicted = min(w.images[theta]) >= 0 and lab != _CI
+            if (lab in _ASCENT) != predicted:
+                out.append(f"AscentCriterion: alpha={alpha} node={v} label={_TYPES[lab].value}")
     return sorted(out)
 
 
@@ -494,17 +506,19 @@ def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
     label is noncompact, all of them nodes: what the moves read."""
     if g._poset is not None:
         return g._poset
-    fibers = []
-    for alpha in range(1, g.datum.rank + 1):
-        for v in g.nodes:
-            lab = g.label.get((alpha, v))
-            cr = g.cross.get((alpha, v))
-            t = g.cayley.get((alpha, v)) if lab in _NONCOMPACT_TYPES else cr
-            if lab is None or cr not in g.length or t not in g.length:
+    n, table = len(g.nodes), []
+    for labels, targets, cays in zip(g._label, g._cross, g._cayley):
+        row: list = [None] * n
+        for k, (lab, j, c) in enumerate(zip(labels, targets, cays)):
+            t = c if lab in _NONCOMPACT else j
+            if lab is None or j is None or t is None or j >= n or t >= n:
                 raise AxiomViolation(validate_kgb(g))
-            if lab in _ASCENT_TYPES:
-                fibers.append((alpha, t, (v, cr, t)))
-    poset = OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
+            if lab in _ASCENT:
+                entry = (t, tuple(sorted({k, j, t})))
+                for m in entry[1]:
+                    row[m] = entry
+        table.append(row)
+    poset = OrbitGraph.__new__(OrbitGraph)._fill(g.datum.name or "custom", g.nodes, g._len, table)
     object.__setattr__(g, "_poset", poset)
     return poset
 
@@ -532,27 +546,17 @@ def group_case(datum: RootDatum) -> KgbGraph:
     """The diagonal symmetric pair: nodes are group elements, every label is
     complex, and the two copies of each simple root act by the two sides."""
     dd = doubled_datum(datum)
-    elements = enumerate_elements(datum)
     table = _table(datum)
-    # The components of dd are those of datum, then their copies; node k's
+    lens, zero = list(table.length), (0,) * datum.rank
+    # The simple roots of dd are those of datum, then their copies; node k's
     # twisted involution acts as k on the first copy and k^-1 on the second.
-    comp_ids = [_ids(w)[1] for w in elements]
-    ids = [str(k) for k in range(len(elements))]
-    r = datum.rank
-    tw = {}
-    length = {}
-    label = {}
-    cross = {}
-    for k in range(len(elements)):
-        v = ids[k]
-        tw[v] = _element(dd, comp_ids[k] + comp_ids[table.inverse[k]])
-        length[v] = table.length[k]
-        for i in range(1, r + 1):
-            for alpha, moved in ((i, table.left[i - 1][k]), (r + i, table.right[i - 1][k])):
-                up = table.length[moved] > length[v]
-                label[(alpha, v)] = RootType.COMPLEX_ASCENT if up else RootType.COMPLEX_DESCENT
-                cross[(alpha, v)] = ids[moved]
-    return KgbGraph(dd, tuple(ids), tw, length, label, cross, {})
+    first = [tuple([img + zero for img in images]) for images in table.images]
+    second = [tuple([zero + img for img in images]) for images in table.images]
+    tws = [WeylElt(dd, first[k] + second[j]) for k, j in enumerate(table.inverse)]
+    moves = table.left + table.right
+    labels = [[_DOWN if lens[m] < n else _UP for m, n in zip(row, lens)] for row in moves]
+    nodes = tuple(map(str, range(len(lens))))
+    return KgbGraph.__new__(KgbGraph)._fill(dd, nodes, lens, tws, labels, moves, [(None,) * len(lens)] * len(moves))
 
 
 def twisted_shadow(datum: RootDatum) -> KgbGraph:
@@ -574,11 +578,11 @@ def twisted_shadow(datum: RootDatum) -> KgbGraph:
             if left[a - 1][k] != ws:
                 other = left[a - 1][ws]
                 longer = weyl_length[other] > weyl_length[k]
-                row.append((RootType.COMPLEX_ASCENT if longer else RootType.COMPLEX_DESCENT, other))
+                row.append((_UP if longer else _DOWN, other))
             elif weyl_length[ws] > weyl_length[k]:
-                row.append((RootType.NONCOMPACT_II, ws))
+                row.append((_NCI2, ws))
             else:
-                row.append((RootType.REAL_II, k))
+                row.append((_R2, k))
     # Lengths along upward moves from the identity, in one pass in id order:
     # an upward move lengthens the Weyl element, so it leads to a larger id.
     depth = {0: 0}
@@ -586,25 +590,18 @@ def twisted_shadow(datum: RootDatum) -> KgbGraph:
         if k not in depth:
             raise Unreachable("some twisted involution is unreachable from the identity")
         for lab, up in moves[k]:
-            if lab in _ASCENT_TYPES and depth.setdefault(up, depth[k] + 1) != depth[k] + 1:
+            if lab in _ASCENT and depth.setdefault(up, depth[k] + 1) != depth[k] + 1:
                 raise Unreachable("inconsistent lengths among twisted involutions")
 
     order = sorted(invs, key=lambda k: (depth[k], table.words[k]))
-    ids = {k: str(i) for i, k in enumerate(order)}
-    label = {}
-    cross = {}
-    cay = {}
-    for k in order:
-        v = ids[k]
-        for alpha, (lab, t) in enumerate(moves[k], 1):
-            label[(alpha, v)] = lab
-            cross[(alpha, v)] = v if lab is RootType.NONCOMPACT_II else ids[t]
-            if lab is RootType.NONCOMPACT_II:
-                cay[(alpha, v)] = ids[t]
+    position = {k: i for i, k in enumerate(order)}
+    rows = [[moves[k][a] for k in order] for a in range(datum.rank)]
+    labels = [[lab for lab, _ in row] for row in rows]
+    cross = [[i if lab == _NCI2 else position[t] for i, (lab, t) in enumerate(row)] for row in rows]
+    cay = [[position[t] if lab == _NCI2 else None for lab, t in row] for row in rows]
     elements = enumerate_elements(datum)
-    tw = {ids[k]: elements[k] for k in order}
-    length = {ids[k]: depth[k] for k in order}
-    return KgbGraph(datum, tuple(ids.values()), tw, length, label, cross, cay)
+    nodes, tws = tuple(map(str, range(len(order)))), [elements[k] for k in order]
+    return KgbGraph.__new__(KgbGraph)._fill(datum, nodes, [depth[k] for k in order], tws, labels, cross, cay)
 
 
 # --- hand-built fixtures ----------------------------------------------------------
@@ -614,18 +611,10 @@ def sl2_split() -> KgbGraph:
     """Rank one, simply connected, split: two closed orbits joined by the cross
     action, both Cayley-ascending to the open orbit (type I pattern)."""
     datum = build_root_datum("A1")
-    e = identity(datum)
-    s = simple_reflection(datum, 1)
+    e, s = identity(datum), simple_reflection(datum, 1)
     return KgbGraph(
-        datum,
-        ("0", "1", "2"),
-        {"0": e, "1": e, "2": s},
-        {"0": 0, "1": 0, "2": 1},
-        {
-            (1, "0"): RootType.NONCOMPACT_I,
-            (1, "1"): RootType.NONCOMPACT_I,
-            (1, "2"): RootType.REAL_I,
-        },
+        datum, ("0", "1", "2"), {"0": e, "1": e, "2": s}, {"0": 0, "1": 0, "2": 1},
+        {(1, "0"): RootType.NONCOMPACT_I, (1, "1"): RootType.NONCOMPACT_I, (1, "2"): RootType.REAL_I},
         {(1, "0"): "1", (1, "1"): "0", (1, "2"): "2"},
         {(1, "0"): "2", (1, "1"): "2"},
     )
@@ -673,8 +662,8 @@ class CanonicalSequences(NamedTuple):
 def _open_node(g: KgbGraph) -> NodeId:
     """The unique node of maximal length, found once and kept on g."""
     if g._open is None:
-        top = max(g.length.values(), default=None)
-        at_top = [v for v in g.nodes if g.length[v] == top]
+        top = max(g._len, default=None)
+        at_top = [v for v, n in zip(g.nodes, g._len) if n == top]
         if len(at_top) != 1:
             raise NoOpenNode(f"expected a unique maximal-length node, found {len(at_top)}")
         object.__setattr__(g, "_open", at_top[0])
@@ -723,22 +712,23 @@ def replay_downward(g: KgbGraph, down) -> NodeId:
 
 FORMAT_HEADER = "kgbgraph v1"
 
-_TYPE_BY_CODE = {t.value: t for t in RootType}
+_CODE_BY_TEXT = {t.value: c for c, t in enumerate(_TYPES)}
 
 
 def format_kgb(g: KgbGraph) -> str:
+    """The text form, written from the rows; a missing label or cross entry
+    raises KeyError with its (alpha, node) key."""
     lines = [FORMAT_HEADER, "rootsystem inline"]
     lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
     lines.append(f"nodes {len(g.nodes)}")
-    for v in g.nodes:
-        lines.append(f"node {v} {g.length[v]} {format_word(reduced_word(g.tw[v]))}")
-    for v in g.nodes:
-        for alpha in range(1, g.datum.rank + 1):
-            lab = g.label[(alpha, v)]
-            parts = [f"label {v} {alpha} {lab.value} cross={g.cross[(alpha, v)]}"]
-            if (alpha, v) in g.cayley:
-                parts.append(f"cayley={g.cayley[(alpha, v)]}")
-            lines.append(" ".join(parts))
+    lines += [f"node {v} {n} {format_word(reduced_word(w))}" for v, n, w in zip(g.nodes, g._len, g._tw)]
+    names, text = (*g.nodes, *g._far), [t.value for t in _TYPES]
+    for v, labels, targets, cays in zip(g.nodes, zip(*g._label), zip(*g._cross), zip(*g._cayley)):
+        for alpha, lab, j, t in zip(range(1, g.datum.rank + 1), labels, targets, cays):
+            if lab is None or j is None:
+                raise KeyError((alpha, v))
+            line = f"label {v} {alpha} {text[lab]} cross={names[j]}"
+            lines.append(line if t is None else f"{line} cayley={names[t]}")
     return "\n".join(lines) + "\n"
 
 
@@ -766,39 +756,42 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
     else:
         raise ParseError(f"bad rootsystem line: {lines[1]!r}")
 
-    tw = {}
-    length = {}
-    for name, n, fields in _node_lines(rest, 4):
-        length[name] = n
-        tw[name] = from_word(datum, parse_word(datum, fields[3]))
-    label = {}
-    cross = {}
-    cay = {}
-    for line in rest[1 + len(length) :]:
+    read = [(name, n, from_word(datum, parse_word(datum, fields[3]))) for name, n, fields in _node_lines(rest, 4)]
+    read.sort(key=lambda line: node_sort_key(line[0]))
+    nodes = tuple(name for name, _, _ in read)
+    index, n, rank = {v: k for k, v in enumerate(nodes)}, len(nodes), datum.rank
+    labels, cross, cay = ([[None] * n for _ in range(rank)] for _ in _MOVES)
+    far: dict[str, int] = {}  # a target that is not a node -> its position
+    alphas = {str(a): a for a in range(1, rank + 1)}
+    for line in rest[1 + n :]:
         fields = line.split()
         if fields[0] != "label" or len(fields) not in (5, 6):
             raise ParseError(f"bad label line: {line!r}")
-        name = fields[1]
-        if name not in length:
-            raise ParseError(f"label for unknown node {name!r}")
-        alpha = _decimal(fields[2])
+        k = index.get(fields[1])
+        if k is None:
+            raise ParseError(f"label for unknown node {fields[1]!r}")
+        alpha = alphas.get(fields[2]) or _decimal(fields[2])
         if alpha is None:
             raise ParseError(f"bad simple index in {line!r}")
-        if not 1 <= alpha <= datum.rank:
+        if not 1 <= alpha <= rank:
             raise ParseError(f"simple index out of range in {line!r}")
-        if fields[3] not in _TYPE_BY_CODE:
+        code = _CODE_BY_TEXT.get(fields[3])
+        if code is None:
             raise ParseError(f"unknown label code in {line!r}")
-        if (alpha, name) in label:
-            raise ParseError(f"duplicate label for node {name!r}, root {alpha}")
-        label[(alpha, name)] = _TYPE_BY_CODE[fields[3]]
+        row = labels[alpha - 1]
+        if row[k] is not None:
+            raise ParseError(f"duplicate label for node {fields[1]!r}, root {alpha}")
+        row[k] = code
         if not fields[4].startswith("cross="):
             raise ParseError(f"bad cross field in {line!r}")
-        cross[(alpha, name)] = fields[4][len("cross=") :]
+        t = fields[4][6:]
+        cross[alpha - 1][k] = index[t] if t in index else far.setdefault(t, n + len(far))
         if len(fields) == 6:
             if not fields[5].startswith("cayley="):
                 raise ParseError(f"bad cayley field in {line!r}")
-            cay[(alpha, name)] = fields[5][len("cayley=") :]
-    g = KgbGraph(datum, tuple(length), tw, length, label, cross, cay)
+            t = fields[5][7:]
+            cay[alpha - 1][k] = index[t] if t in index else far.setdefault(t, n + len(far))
+    g = KgbGraph.__new__(KgbGraph)._fill(datum, nodes, [n for _, n, _ in read], [w for _, _, w in read], labels, cross, cay, far)
     violations = validate_kgb(g)
     if violations:
         raise AxiomViolation(violations)

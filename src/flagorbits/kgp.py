@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import Mismatch
 from .kgb import KgbGraph, monoid, monoid_word, to_orbit_poset
-from .orbit_poset import IEquivClass, NodeId, _levi_classes, cover_pairs, poset_leq
+from .orbit_poset import IEquivClass, NodeId, OrbitGraph, _levi_classes, cover_pairs, poset_leq
 from .parabolic import levi_subgroup_elements
 from .root_datum import RootPosition, classify_wrt_parabolic, normalize_levi, simple_root
 from .weyl import _apply, format_word, reduced_word, reflection_word
@@ -21,9 +21,12 @@ from .weyl import _apply, format_word, reduced_word, reflection_word
 
 def _classes(g: KgbGraph, levi) -> tuple[tuple[IEquivClass, ...], dict[NodeId, IEquivClass]]:
     """The classes over a Levi set and the class of each node, kept on the
-    orbit poset per normalized Levi set."""
-    levi = normalize_levi(g.datum, levi)
-    return _levi_classes(to_orbit_poset(g), levi)
+    orbit poset per normalized Levi set (a tuple kept there is one)."""
+    got = g._poset and levi.__class__ is tuple and g._poset._classes.get(levi)
+    if not got:
+        levi = normalize_levi(g.datum, levi)
+        got = _levi_classes(to_orbit_poset(g), levi)
+    return got
 
 
 def p_maximal_set(g: KgbGraph, levi) -> tuple[NodeId, ...]:
@@ -41,24 +44,25 @@ def class_of(g: KgbGraph, levi, v: NodeId) -> IEquivClass:
     return _classes(g, levi)[1][v]
 
 
-def _check_classes(g: KgbGraph, levi, *classes: IEquivClass) -> None:
+def _check_classes(g: KgbGraph, levi, *classes: IEquivClass) -> OrbitGraph:
+    """The orbit poset of g, once the classes are found among its classes
+    over the Levi set."""
     index = _classes(g, levi)[1]
     for cls in classes:
         if index.get(cls.top) != cls:
             raise Mismatch(f"class with top {cls.top!r} does not belong to this graph")
+    return g._poset
 
 
 def kgp_leq(g: KgbGraph, levi, c1: IEquivClass, c2: IEquivClass) -> bool:
     """Order on classes through their dense members."""
-    _check_classes(g, levi, c1, c2)
-    return poset_leq(to_orbit_poset(g), c1.top, c2.top)
+    return poset_leq(_check_classes(g, levi, c1, c2), c1.top, c2.top)
 
 
 def kgp_leq_induced(g: KgbGraph, levi, c1: IEquivClass, c2: IEquivClass) -> bool:
     """Brute-force induced order: some member of c1 lies below some member
     of c2."""
-    _check_classes(g, levi, c1, c2)
-    poset = to_orbit_poset(g)
+    poset = _check_classes(g, levi, c1, c2)
     return any(
         poset_leq(poset, u, v) for u in c1.members for v in c2.members
     )

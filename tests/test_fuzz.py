@@ -5,8 +5,9 @@ lines, or replaces one token.  Whatever the damage, `validate` (and, on a
 K\\G/B graph, `hasse --kgb`, `classes` and `kgp-order`) ends in exit 0 or 1
 with at most one line on stderr, never in a traceback; and a mutant that
 parses reaches a fixed point of format after one format/parse round trip.
-An orbit-graph mutant parses as the name-keyed reference parser reads it,
-and its fibers, violations and text match the name-keyed references.
+An orbit-graph or K\\G/B mutant parses as the name-keyed reference parser
+reads it, and its fibers (orbit graphs), violations and text match the
+name-keyed references.
 """
 
 import random
@@ -23,9 +24,12 @@ from flagorbits import (
     parse_kgb,
     parse_root_datum,
     twisted_shadow,
+    validate_kgb,
 )
+from clans import clan_graph
 from flagorbits.cli import main
 from flagorbits.orbit_poset import parse_orbit_graph
+from test_kgb import kgb_outcome, reference_format_kgb, reference_parse_kgb, reference_validate_kgb
 from test_orbit_poset import assert_parse_matches, assert_text_layer_matches
 from test_weyl import INTERLEAVED
 
@@ -48,6 +52,7 @@ def sources():
     out.append(("rootdatum", format_root_datum(build_root_datum("A3", twist=(3, 2, 1)))))
     out.append(("rootdatum", format_root_datum(build_root_datum(INTERLEAVED))))
     out.append(("rootdatum", format_root_datum(build_root_datum("A1", isogeny="lattice", coroot_rows=((2,),)))))
+    out.append(("kgb", format_kgb(clan_graph(2, 1))))  # type I Cayley moves at rank two, last so earlier mutants stay
     return out
 
 
@@ -103,6 +108,8 @@ def test_mutants_end_in_one_error_line_or_round_trip(capsys, tmp_path):
                 run_cli(capsys, argv + [str(path)], mutant)
             if kind == "orbitgraph":
                 assert_parse_matches(mutant)
+            if kind == "kgb":
+                assert kgb_outcome(parse_kgb, mutant) == kgb_outcome(reference_parse_kgb, mutant), mutant
             try:
                 got = parse(mutant)
                 once = format_(got)
@@ -110,4 +117,6 @@ def test_mutants_end_in_one_error_line_or_round_trip(capsys, tmp_path):
                 continue
             if kind == "orbitgraph":
                 assert_text_layer_matches(got)
+            if kind == "kgb":
+                assert once == reference_format_kgb(got) and validate_kgb(got) == reference_validate_kgb(got), mutant
             assert format_(parse(once)) == once, mutant

@@ -1,5 +1,6 @@
 """Symmetric-subgroup orbit graphs: fixtures, axioms, moves, serialization."""
 
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from flagorbits import (
     AxiomViolation,
+    FlagOrbitsError,
     KgbGraph,
     Mismatch,
     NoOpenNode,
@@ -60,12 +62,15 @@ from flagorbits import (
     validate as validate_poset,
     validate_kgb,
 )
+from clans import clan_graph
 from flagorbits import weyl
-from flagorbits.kgb import _IMAGINARY_TYPES, _NONCOMPACT_TYPES, _REAL_TYPES, _braid_order, _open_node
-from flagorbits.orbit_poset import from_weyl, lower_ideal, node_sort_key
-from flagorbits.root_datum import simple_root
+from flagorbits.kgb import FORMAT_HEADER, _IMAGINARY_TYPES, _NONCOMPACT_TYPES, _REAL_TYPES, _braid_order, _open_node
+from flagorbits.orbit_poset import OrbitGraph, from_weyl, lower_ideal, node_sort_key
+from flagorbits.root_datum import _decimal, _node_lines, _significant_lines, format_root_datum, parse_root_datum
+from flagorbits.root_datum import parse_root_datum_lines, simple_root
 from flagorbits.weyl import _s_times, _table, _times_s
 from flagorbits.weyl import length as weyl_length
+from test_orbit_poset import graph_fields
 from test_parabolic import mobius, sample_intervals
 
 
@@ -247,7 +252,9 @@ def _corrupt(g, **changes):
     fields = {name: dict(getattr(g, name)) for name in ("tw", "length", "label", "cross", "cayley")}
     for name, updates in changes.items():
         fields[name] = {k: v for k, v in {**fields[name], **updates}.items() if v is not None}
-    return KgbGraph(g.datum, g.nodes, **fields)
+    h = KgbGraph(g.datum, g.nodes, **fields)
+    assert all(getattr(h, name) == m for name, m in fields.items())  # the views are the maps
+    return h
 
 
 def test_validate_checks_cayley_targets_type_i():
@@ -549,6 +556,181 @@ def reference_validate_kgb(g):
                         out.append(f"CrossBraid: alpha={a} beta={b} node={v}")
 
     return sorted(out)
+
+
+def reference_parse_kgb(text, base_dir=None):
+    """parse_kgb as it filled the name-keyed maps and built the graph through
+    the dict constructor: the oracle for the row-based version."""
+    codes = {t.value: t for t in RootType}
+    lines = _significant_lines(text)
+    if not lines or lines[0] != FORMAT_HEADER:
+        raise ParseError(f"expected header {FORMAT_HEADER!r}")
+    if len(lines) < 2 or not lines[1].startswith("rootsystem"):
+        raise ParseError("expected a rootsystem line")
+    fields = lines[1].split()
+    if fields == ["rootsystem", "inline"]:
+        datum, rest = parse_root_datum_lines(lines[2:])
+    elif len(fields) == 3 and fields[1] == "file":
+        ref = fields[2]
+        path = ref if os.path.isabs(ref) or base_dir is None else os.path.join(base_dir, ref)
+        with open(path, "r", encoding="utf-8") as fh:
+            datum = parse_root_datum(fh.read())
+        rest = lines[2:]
+    else:
+        raise ParseError(f"bad rootsystem line: {lines[1]!r}")
+    tw = {}
+    length = {}
+    for name, n, fields in _node_lines(rest, 4):
+        length[name] = n
+        tw[name] = weyl.from_word(datum, weyl.parse_word(datum, fields[3]))
+    label = {}
+    cross = {}
+    cay = {}
+    for line in rest[1 + len(length) :]:
+        fields = line.split()
+        if fields[0] != "label" or len(fields) not in (5, 6):
+            raise ParseError(f"bad label line: {line!r}")
+        name = fields[1]
+        if name not in length:
+            raise ParseError(f"label for unknown node {name!r}")
+        alpha = _decimal(fields[2])
+        if alpha is None:
+            raise ParseError(f"bad simple index in {line!r}")
+        if not 1 <= alpha <= datum.rank:
+            raise ParseError(f"simple index out of range in {line!r}")
+        if fields[3] not in codes:
+            raise ParseError(f"unknown label code in {line!r}")
+        if (alpha, name) in label:
+            raise ParseError(f"duplicate label for node {name!r}, root {alpha}")
+        label[(alpha, name)] = codes[fields[3]]
+        if not fields[4].startswith("cross="):
+            raise ParseError(f"bad cross field in {line!r}")
+        cross[(alpha, name)] = fields[4][len("cross=") :]
+        if len(fields) == 6:
+            if not fields[5].startswith("cayley="):
+                raise ParseError(f"bad cayley field in {line!r}")
+            cay[(alpha, name)] = fields[5][len("cayley=") :]
+    g = KgbGraph(datum, tuple(length), tw, length, label, cross, cay)
+    violations = reference_validate_kgb(g)
+    if violations:
+        raise AxiomViolation(violations)
+    return g
+
+
+def reference_format_kgb(g):
+    """format_kgb as it read the name-keyed maps, one (node, root) at a time."""
+    lines = [FORMAT_HEADER, "rootsystem inline"]
+    lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
+    lines.append(f"nodes {len(g.nodes)}")
+    for v in g.nodes:
+        lines.append(f"node {v} {g.length[v]} {format_word(reduced_word(g.tw[v]))}")
+    for v in g.nodes:
+        for alpha in range(1, g.datum.rank + 1):
+            lab = g.label[(alpha, v)]
+            parts = [f"label {v} {alpha} {lab.value} cross={g.cross[(alpha, v)]}"]
+            if (alpha, v) in g.cayley:
+                parts.append(f"cayley={g.cayley[(alpha, v)]}")
+            lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+ASCENT_TYPES = frozenset({RootType.COMPLEX_ASCENT, RootType.NONCOMPACT_I, RootType.NONCOMPACT_II})
+
+
+def reference_to_orbit_poset(g):
+    """to_orbit_poset as it read the name-keyed maps into the orbit graph's
+    name-keyed fiber constructor, built afresh on every call."""
+    fibers = []
+    for alpha in range(1, g.datum.rank + 1):
+        for v in g.nodes:
+            lab = g.label.get((alpha, v))
+            cr = g.cross.get((alpha, v))
+            t = g.cayley.get((alpha, v)) if lab in _NONCOMPACT_TYPES else cr
+            if lab is None or cr not in g.length or t not in g.length:
+                raise AxiomViolation(reference_validate_kgb(g))
+            if lab in ASCENT_TYPES:
+                fibers.append((alpha, t, (v, cr, t)))
+    return OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
+
+
+def kgb_outcome(f, *args):
+    """f(*args), or the error it raised: AxiomViolation with its list, any
+    other with its message."""
+    try:
+        return f(*args)
+    except AxiomViolation as err:
+        return "AxiomViolation", err.violations
+    except (FlagOrbitsError, KeyError, OSError) as err:
+        return type(err).__name__, str(err)
+
+
+def assert_rows_match_the_references(g):
+    """validate_kgb, format_kgb, to_orbit_poset and parse_kgb on rows give
+    what the name-keyed references give, errors included."""
+    assert validate_kgb(g) == reference_validate_kgb(g), g.datum.name
+    text = kgb_outcome(format_kgb, g)
+    assert text == kgb_outcome(reference_format_kgb, g), g.datum.name
+    got, want = kgb_outcome(to_orbit_poset, g), kgb_outcome(reference_to_orbit_poset, g)
+    if isinstance(want, OrbitGraph):
+        assert (graph_fields(got), got._loose, got.rank) == (graph_fields(want), want._loose, want.rank)
+        assert got.nodes is g.nodes  # one node order
+    else:
+        assert got == want, g.datum.name
+    if isinstance(text, str):
+        assert kgb_outcome(parse_kgb, text) == kgb_outcome(reference_parse_kgb, text), g.datum.name
+
+
+def row_reference_graphs():
+    graphs = oracle_graphs()
+    for name in ("A1", "A2", "B2", "A3", "B3", "G2", "A4"):
+        graphs[f"group_case_{name}"] = group_case(build_root_datum(name))
+    for name, twist in ORDER_SHADOWS[:-1]:
+        graphs[f"shadow_{name}_{twist}"] = twisted_shadow(build_root_datum(name, twist=twist))
+    for p, q in ((2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 0)):
+        graphs[f"U({p},{q})"] = clan_graph(p, q)
+    return graphs
+
+
+def test_rows_match_the_name_keyed_references():
+    graphs = row_reference_graphs()
+    for g in graphs.values():
+        assert_rows_match_the_references(g)
+    e = identity(build_root_datum("A2"))
+    # entries the rows cannot hold: targets and keys naming unknown nodes,
+    # a root outside 1..rank, a Cayley key of an unknown node that still
+    # counts as a preimage, a twisted involution of an unknown node
+    a2 = graphs["group_case_A2"]
+    u21 = graphs["U(2,1)"]
+    odd = [
+        _corrupt(a2, cross={(1, "0"): "zz", (2, "3"): "zz", (3, "1"): "yy"}),
+        _corrupt(a2, label={(1, "zz"): RootType.REAL_I, (9, "0"): RootType.REAL_I}, cross={(9, "1"): "0"}),
+        _corrupt(a2, label={(0, "1"): RootType.REAL_I}, cross={(0, "2"): "zz"}, cayley={(0, "0"): "1", (-1, "1"): "2"}),
+        _corrupt(a2, cayley={(1, "zz"): "1", (5, "0"): "2", (1, "0"): "zz"}),
+        _corrupt(sl2_split(), cayley={(1, "zz"): "2", (1, "1"): None}),
+        _corrupt(sl2_split(), cayley={(1, "9"): "2"}, tw={"zz": identity(build_root_datum("A1"))}),
+        _corrupt(pgl2_split(), cayley={(1, "0"): "zz", (1, "1"): "zz"}, cross={(1, "1"): "yy"}),
+        _corrupt(u21, cayley={(1, "0"): "zz", (2, "x"): "5"}, label={(2, "5"): None}),
+        _corrupt(u21, cross={(1, "1"): None, (2, "q"): "1"}),
+        _corrupt(a2, tw={"zz": e}),
+    ]
+    for g in odd:
+        assert_rows_match_the_references(g)
+    # seeded corruptions, the type I graphs of U(p, q) among them
+    small = [g for g in graphs.values() if 2 <= len(g.nodes) <= 32] + [graphs["U(3,2)"]]
+    rng = random.Random(28)
+    for _ in range(400):
+        assert_rows_match_the_references(random_corruption(rng.choice(small), rng))
+
+
+def test_the_views_keep_what_the_rows_cannot_hold():
+    g = group_case(build_root_datum("A2"))
+    fields = {name: dict(getattr(g, name)) for name in ("tw", "length", "label", "cross", "cayley")}
+    fields["label"][(1, "0")] = "C+"  # a label that is not a RootType
+    fields["cross"][(2, "1")] = None
+    h = KgbGraph(g.datum, g.nodes, **fields)
+    assert {name: dict(getattr(h, name)) for name in fields} == fields
+    # both read as missing labels
+    assert validate_kgb(h) == ["MissingLabel: alpha=1 node=0", "MissingLabel: alpha=2 node=1"]
 
 
 def random_corruption(g, rng):
