@@ -74,12 +74,6 @@ _RULES = (
 _NONCOMPACT = frozenset(c for c, r in enumerate(_RULES) if r.cayley is not None)
 # the monoid moves the node up the cross action or to the Cayley target
 _ASCENT = frozenset(c for c, r in enumerate(_RULES) if r.step == 1 or r.cayley is not None)
-_IMAGINARY_TYPES = frozenset(t for t, r in zip(_TYPES, _RULES) if r.cls == "imaginary")
-_NONCOMPACT_TYPES = frozenset(_TYPES[c] for c in _NONCOMPACT)
-_REAL_TYPES = frozenset(t for t, r in zip(_TYPES, _RULES) if r.cls == "real")
-
-_GRAPH_FIELDS = ("datum", "nodes", "tw", "length", "label", "cross", "cayley")
-_MOVES = _GRAPH_FIELDS[4:]
 
 
 class KgbGraph:
@@ -91,61 +85,58 @@ class KgbGraph:
     ``_tw`` per node, and per simple index alpha, row alpha - 1 of
     ``_label`` (label codes), ``_cross`` and ``_cayley`` (target positions),
     None where there is no entry.  A target that is not a node sits at
-    position n + i for ``_far[i]``.  Entries that the rows cannot hold stay
-    in ``_loose``, per field: keys naming an unknown node or an index
-    outside 1..rank, a twisted involution of an unknown node, a label that
-    is not a RootType and a cross target None.
+    position n + i for ``_far[i]``.  ``tw`` and ``length`` are read-only
+    mappings by node, built once with the rows.
 
-    ``tw``, ``length``, ``label``, ``cross`` and ``cayley`` are read-only
-    mappings keyed as the constructor's dicts, built on first access and
-    kept, in (alpha, node) order; no hot path reads them.  Two graphs are
-    equal when these fields are; the memos do not count, and a graph is not
-    hashable.  Immutable, so the memos never go stale.  The constructor
-    lowers its dicts to rows; it refuses with AxiomViolation a node listed
-    twice, a length map whose keys are not the nodes, a length that is not
-    an int and a node whose twisted involution is not a WeylElt of the
-    graph's datum."""
+    The constructor lowers its dicts, keyed by node and by (alpha, node), to
+    the rows, and refuses with AxiomViolation, one sorted line per entry,
+    what they cannot hold: a node listed twice, a length or twisted
+    involution of a node that is not listed, a missing length or one that
+    is not an int, a twisted involution that is not a WeylElt of the graph's
+    datum, and a label, cross or Cayley entry keyed by an unknown node or
+    an index outside 1..rank, a label that is not a RootType or a target
+    None.  Two graphs are equal when their rows are, targets named; the
+    memos do not count, and a graph is not hashable.  Immutable, so the
+    memos never go stale."""
 
-    __slots__ = ("datum", "nodes", "_index", "_len", "_tw", "_label", "_cross", "_cayley", "_far", "_loose")
-    __slots__ += ("_views", "_poset", "_open")
+    __slots__ = ("datum", "nodes", "tw", "length", "_index", "_len", "_tw", "_label", "_cross", "_cayley", "_far")
+    __slots__ += ("_poset", "_open")
 
     def __init__(self, datum: RootDatum, nodes, tw: dict, length: dict, label: dict, cross: dict, cayley: dict):
+        listed = dict.fromkeys(nodes)
         bad = [f"BadLength: node={v}" for v, n in length.items() if not isinstance(n, int)]
         bad += [f"DuplicateNode: node={v}" for v, n in Counter(nodes).items() if n > 1]
-        bad += [f"ExtraLength: node={v}" for v in length.keys() - set(nodes)]
-        for v in dict.fromkeys(nodes):
+        bad += [f"Extra{f}: node={v}" for f, given in (("Length", length), ("Tw", tw)) for v in given.keys() - listed.keys()]
+        for v in listed:
             if v not in length:
                 bad.append(f"MissingLength: node={v}")
             w = tw.get(v)
             if w.__class__ is not WeylElt or w.datum != datum:
                 bad.append(f"BadTw: node={v}")
-        if bad:
-            bad.sort()
-            raise AxiomViolation(bad)
-        nodes = tuple(sorted(nodes, key=node_sort_key))
+        nodes = tuple(sorted(listed, key=node_sort_key))
         index, n, rank = {v: k for k, v in enumerate(nodes)}, len(nodes), datum.rank
         far: dict = {}  # a target that is not a node -> its position
-        loose = {"tw": {v: w for v, w in tw.items() if v not in index}}
         rows = []
-        for field, entries in zip(_MOVES, (label, cross, cayley)):
-            got, loose[field] = [[None] * n for _ in range(rank)], {}
+        for field, entries in (("Label", label), ("Cross", cross), ("Cayley", cayley)):
+            rows.append([[None] * n for _ in range(rank)])
             for (alpha, v), t in entries.items():
-                k = index.get(v)
-                odd = t not in _CODE if field == "label" else field == "cross" and t is None
-                if k is None or alpha not in range(1, rank + 1) or odd:
-                    loose[field][(alpha, v)] = t
+                k = index.get(v) if alpha.__class__ is int and 0 < alpha <= rank else None
+                if k is None or (t not in _CODE if field == "Label" else t is None):
+                    bad.append(f"Bad{field}: alpha={alpha} node={v}")
                 else:
-                    got[alpha - 1][k] = _CODE[t] if field == "label" else index[t] if t in index else far.setdefault(t, n + len(far))
-            rows.append(got)
-        self._fill(datum, nodes, [length[v] for v in nodes], [tw[v] for v in nodes], *rows, far, loose)
+                    rows[-1][alpha - 1][k] = _CODE[t] if field == "Label" else index[t] if t in index else far.setdefault(t, n + len(far))
+        if bad:
+            raise AxiomViolation(sorted(bad))
+        self._fill(datum, nodes, [length[v] for v in nodes], [tw[v] for v in nodes], *rows, far)
 
-    def _fill(self, datum, nodes, lens, tws, labels, cross, cayley, far=(), loose=None):
+    def _fill(self, datum, nodes, lens, tws, labels, cross, cayley, far=()):
         """Set every field, in slot order, from nodes in node order, the rows
         and far, the targets that are not nodes in position order.  The
-        memos, filled on first use, are the views, the orbit poset (see
-        to_orbit_poset) and the open node."""
+        memos, filled on first use, are the orbit poset (see to_orbit_poset)
+        and the open node."""
+        maps = (MappingProxyType(dict(zip(nodes, got))) for got in (tws, lens))
         index = {v: k for k, v in enumerate(nodes)}
-        values = (datum, nodes, index, lens, tws, labels, cross, cayley, tuple(far), loose or {}, {}, None, None)
+        values = (datum, nodes, *maps, index, lens, tws, labels, cross, cayley, tuple(far), None, None)
         for f, v in zip(self.__slots__, values):
             object.__setattr__(self, f, v)
         return self
@@ -156,45 +147,40 @@ class KgbGraph:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _view(self, field: str) -> MappingProxyType:
-        """The read-only mapping of one field, keyed as the constructor's
-        dict: the rows' entries in (alpha, node) order, then the loose ones."""
-        got = self._views.get(field)
-        if got is None:
-            if field in ("tw", "length"):
-                out = dict(zip(self.nodes, self._tw if field == "tw" else self._len))
-            else:
-                names = _TYPES if field == "label" else (*self.nodes, *self._far)
-                rows = getattr(self, f"_{field}")
-                out = {(a, v): names[j] for a, row in enumerate(rows, 1) for v, j in zip(self.nodes, row) if j is not None}
-            got = self._views[field] = MappingProxyType({**out, **self._loose.get(field, {})})
-        return got
+    def _fields(self) -> dict:
+        """The constructor's arguments by name, spelled from the rows: tw and
+        length by node, and label, cross and cayley by (alpha, node), in
+        (alpha, node) order."""
+        names = (*self.nodes, *self._far)
 
-    tw, length, label, cross, cayley = (property(lambda self, f=f: self._view(f)) for f in _GRAPH_FIELDS[2:])
+        def keyed(rows, names):
+            return {(a, v): names[j] for a, row in enumerate(rows, 1) for v, j in zip(self.nodes, row) if j is not None}
 
-    def _key(self) -> tuple:
-        return (self.datum, self.nodes, *(self._view(f) for f in _GRAPH_FIELDS[2:]))
+        return {"datum": self.datum, "nodes": self.nodes, "tw": dict(self.tw), "length": dict(self.length),
+                "label": keyed(self._label, _TYPES), "cross": keyed(self._cross, names), "cayley": keyed(self._cayley, names)}
 
     def __eq__(self, other):
         if other.__class__ is not KgbGraph:
             return NotImplemented
-        return self._key() == other._key()
+        return self._fields() == other._fields()
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        datum, nodes, *maps = self._key()
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(_GRAPH_FIELDS, [datum, nodes, *map(dict, maps)]))
-        return f"KgbGraph({fields})"
+        return f"KgbGraph({', '.join(f'{f}={v!r}' for f, v in self._fields().items())})"
 
     def _require(self, v: NodeId) -> None:
         if v not in self._index:
             raise Mismatch(f"unknown node {v!r}")
 
-    def _require_at(self, alpha: int, v: NodeId) -> None:
+    def _require_at(self, alpha: int, v: NodeId) -> int:
+        """The position of v, once v is a node, alpha a simple index and
+        every move lowers (to_orbit_poset refuses a graph with one missing)."""
         self._require(v)
-        if not 1 <= alpha <= self.datum.rank:
+        if alpha.__class__ is not int or not 1 <= alpha <= self.datum.rank:
             raise Mismatch(f"simple index {alpha} out of range 1..{self.datum.rank}")
+        to_orbit_poset(self)
+        return self._index[v]
 
 
 # --- twisted involutions -----------------------------------------------------
@@ -222,20 +208,20 @@ def twisted_involutions(datum: RootDatum) -> tuple[WeylElt, ...]:
 
 
 def root_type(g: KgbGraph, alpha: int, v: NodeId) -> RootType:
-    g._require_at(alpha, v)
-    return g.label[(alpha, v)]
+    k = g._require_at(alpha, v)
+    return _TYPES[g._label[alpha - 1][k]]
 
 
 def cross_action(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
-    g._require_at(alpha, v)
-    return g.cross[(alpha, v)]
+    k = g._require_at(alpha, v)
+    return g.nodes[g._cross[alpha - 1][k]]
 
 
 def cayley(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
-    g._require_at(alpha, v)
-    if g.label[(alpha, v)] not in _NONCOMPACT_TYPES:
+    k = g._require_at(alpha, v)
+    if g._label[alpha - 1][k] not in _NONCOMPACT:
         raise NotNoncompact(f"root {alpha} is not noncompact imaginary at node {v}")
-    return g.cayley[(alpha, v)]
+    return g.nodes[g._cayley[alpha - 1][k]]
 
 
 def _below(poset: OrbitGraph, alpha: int, k: int) -> list[int]:
@@ -246,11 +232,10 @@ def _below(poset: OrbitGraph, alpha: int, k: int) -> list[int]:
 
 
 def inverse_cayley(g: KgbGraph, alpha: int, v: NodeId) -> tuple[NodeId, ...]:
-    g._require_at(alpha, v)
-    if g.label[(alpha, v)] not in _REAL_TYPES:
+    k = g._require_at(alpha, v)
+    if _RULES[g._label[alpha - 1][k]].cls != "real":
         raise NotReal(f"root {alpha} is not real at node {v}")
-    poset = to_orbit_poset(g)
-    return tuple(poset.nodes[j] for j in _below(poset, alpha, poset.index[v]))
+    return tuple(g.nodes[j] for j in _below(g._poset, alpha, k))
 
 
 def monoid(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
@@ -352,9 +337,6 @@ def validate_kgb(g: KgbGraph) -> list[str]:
         if not is_twisted(x):
             out.append(f"TwNotTwisted: node={v}")
 
-    # Cayley entries keyed by a node or root outside the rows still count
-    # as preimages of their targets.
-    outside = Counter((alpha, g._index.get(t)) for (alpha, _), t in g._loose.get("cayley", {}).items())
     for alpha, labels, targets, cays in zip(range(1, datum.rank + 1), g._label, g._cross, g._cayley):
         theta = datum.twist[alpha - 1]
         alpha_root = simple_root(datum, alpha)
@@ -390,7 +372,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                 out.append(f"PartnerLabel: alpha={alpha} node={v}")
             if trivial and lab in (_NCI1, _R1):
                 out.append(f"TypeIForbidden: alpha={alpha} node={v} (m_alpha trivial)")
-            if want is not None and (got := preimages[k] + outside[(alpha, k)]) != want:
+            if want is not None and (got := preimages[k]) != want:
                 out.append(f"InverseCayleyCount: alpha={alpha} node={v} got={got} want={want}")
             t = cays[k]
             if (t is not None) != (real is not None):
@@ -717,7 +699,7 @@ _CODE_BY_TEXT = {t.value: c for c, t in enumerate(_TYPES)}
 
 def format_kgb(g: KgbGraph) -> str:
     """The text form, written from the rows; a missing label or cross entry
-    raises KeyError with its (alpha, node) key."""
+    raises AxiomViolation with validate_kgb's list."""
     lines = [FORMAT_HEADER, "rootsystem inline"]
     lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
     lines.append(f"nodes {len(g.nodes)}")
@@ -726,7 +708,7 @@ def format_kgb(g: KgbGraph) -> str:
     for v, labels, targets, cays in zip(g.nodes, zip(*g._label), zip(*g._cross), zip(*g._cayley)):
         for alpha, lab, j, t in zip(range(1, g.datum.rank + 1), labels, targets, cays):
             if lab is None or j is None:
-                raise KeyError((alpha, v))
+                raise AxiomViolation(validate_kgb(g))
             line = f"label {v} {alpha} {text[lab]} cross={names[j]}"
             lines.append(line if t is None else f"{line} cayley={names[t]}")
     return "\n".join(lines) + "\n"
@@ -760,7 +742,7 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
     read.sort(key=lambda line: node_sort_key(line[0]))
     nodes = tuple(name for name, _, _ in read)
     index, n, rank = {v: k for k, v in enumerate(nodes)}, len(nodes), datum.rank
-    labels, cross, cay = ([[None] * n for _ in range(rank)] for _ in _MOVES)
+    labels, cross, cay = ([[None] * n for _ in range(rank)] for _ in range(3))
     far: dict[str, int] = {}  # a target that is not a node -> its position
     alphas = {str(a): a for a in range(1, rank + 1)}
     for line in rest[1 + n :]:

@@ -257,7 +257,7 @@ def test_criterion_07_orbit_graph_fixtures():
     assert is_m_alpha_trivial(g.datum, 1)
     assert all(
         lab not in (RootType.NONCOMPACT_I, RootType.REAL_I)
-        for lab in g.label.values()
+        for lab in g._fields()["label"].values()
     )
 
     for name, g in fixtures.items():
@@ -292,7 +292,8 @@ def test_criterion_07_orbit_graph_fixtures():
         assert (len(violations), violations[0]) == (count, first), name
     print(
         "note: minimal-word uniqueness asserted empty on the split fixtures "
-        "and frozen non-empty on the diagonal group cases, where it cannot hold"
+        "and frozen non-empty on the diagonal group cases, where it cannot hold; "
+        "it fails on the genuine pair U(2,1) too (tests/test_clans.py)"
     )
 
 
@@ -348,7 +349,8 @@ def test_criterion_09_partial_flag_classes():
         assert () in bad
     print(
         "note: distinct-ascent separation asserted empty on the split fixtures "
-        "and frozen non-empty on the diagonal group cases, where it cannot hold"
+        "and frozen non-empty on the diagonal group cases, where it cannot hold; "
+        "it fails on the genuine pair U(2,2) too (tests/test_clans.py)"
     )
 
     # class poset against the parabolic coset poset, block by block

@@ -1,5 +1,6 @@
 """U(p, q) from (p, q)-clans: the closed forms, the axioms and the text form."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -9,6 +10,9 @@ from flagorbits import (
     ascent_consistency_check,
     distinct_ascents_check,
     format_kgb,
+    i_equivalence_classes,
+    kgp_leq,
+    kgp_leq_induced,
     minimal_w_uniqueness_check,
     parse_kgb,
     property_z_check,
@@ -17,8 +21,8 @@ from flagorbits import (
     validate_kgb,
 )
 
-# every (p, q) with 2 <= p + q <= 5; p = 0 or q = 0 is the compact form
-SIGNATURES = [(p, n - p) for n in range(2, 6) for p in range(n + 1)]
+# every (p, q) with 2 <= p + q <= 6; p = 0 or q = 0 is the compact form
+SIGNATURES = [(p, n - p) for n in range(2, 7) for p in range(n + 1)]
 
 
 @pytest.mark.parametrize("p,q", SIGNATURES)
@@ -34,6 +38,21 @@ def test_clan_graphs_meet_the_closed_forms_and_the_axioms(p, q):
     text = format_kgb(g)
     again = parse_kgb(text)
     assert again == g and format_kgb(again) == text
+
+
+def test_kgp_order_is_the_induced_order_on_u33():
+    # every Levi set of U(3, 3): the order through the class tops is the
+    # order induced by all member pairs
+    g = clan_graph(3, 3)
+    pairs = 0
+    for k in range(6):
+        for levi in combinations(range(1, 6), k):
+            classes = i_equivalence_classes(g, levi)
+            for c1 in classes:
+                for c2 in classes:
+                    assert kgp_leq(g, levi, c1, c2) == kgp_leq_induced(g, levi, c1, c2), (levi, c1.top, c2.top)
+            pairs += len(classes) ** 2
+    assert pairs == 131448
 
 
 def test_u11_is_sl2_split():

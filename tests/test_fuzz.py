@@ -7,7 +7,8 @@ with at most one line on stderr, never in a traceback; and a mutant that
 parses reaches a fixed point of format after one format/parse round trip.
 An orbit-graph or K\\G/B mutant parses as the name-keyed reference parser
 reads it, and its fibers (orbit graphs), violations and text match the
-name-keyed references.
+name-keyed references.  A last pass renames only the target of one cross=
+or cayley= field of a K\\G/B text to a name that is not a node.
 """
 
 import random
@@ -120,3 +121,21 @@ def test_mutants_end_in_one_error_line_or_round_trip(capsys, tmp_path):
             if kind == "kgb":
                 assert once == reference_format_kgb(got) and validate_kgb(got) == reference_validate_kgb(got), mutant
             assert format_(parse(once)) == once, mutant
+    # only the target of one cross= or cayley= field renamed to a name that
+    # is not a node, which the mutants above mostly stop short of: parsed as
+    # the reference parses it, UnknownNode names it
+    for kind, text in sources():
+        if kind != "kgb":
+            continue
+        lines = text.splitlines()
+        fields = [(i, j) for i, line in enumerate(lines) for j, f in enumerate(line.split()) if f.startswith(("cross=", "cayley="))]
+        for _ in range(40):
+            i, j = rng.choice(fields)
+            tokens = lines[i].split()
+            tokens[j] = tokens[j].split("=")[0] + "=" + rng.choice(("x", "", "99", "01", "e"))
+            mutant = "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1 :]) + "\n"
+            path.write_text(mutant)
+            run_cli(capsys, ["validate", str(path)], mutant)
+            got = kgb_outcome(parse_kgb, mutant)
+            assert got == kgb_outcome(reference_parse_kgb, mutant), mutant
+            assert any(v.startswith("UnknownNode: ") and v.endswith(tokens[j]) for v in got[1]), (got, mutant)

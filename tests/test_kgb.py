@@ -64,7 +64,7 @@ from flagorbits import (
 )
 from clans import clan_graph
 from flagorbits import weyl
-from flagorbits.kgb import FORMAT_HEADER, _IMAGINARY_TYPES, _NONCOMPACT_TYPES, _REAL_TYPES, _braid_order, _open_node
+from flagorbits.kgb import FORMAT_HEADER, _braid_order, _open_node
 from flagorbits.orbit_poset import OrbitGraph, from_weyl, lower_ideal, node_sort_key
 from flagorbits.root_datum import _decimal, _node_lines, _significant_lines, format_root_datum, parse_root_datum
 from flagorbits.root_datum import parse_root_datum_lines, simple_root
@@ -72,6 +72,11 @@ from flagorbits.weyl import _s_times, _table, _times_s
 from flagorbits.weyl import length as weyl_length
 from test_orbit_poset import graph_fields
 from test_parabolic import mobius, sample_intervals
+
+
+REAL_TYPES = frozenset({RootType.REAL_I, RootType.REAL_II})
+NONCOMPACT_TYPES = frozenset({RootType.NONCOMPACT_I, RootType.NONCOMPACT_II})
+IMAGINARY_TYPES = NONCOMPACT_TYPES | {RootType.COMPACT_IMAGINARY}
 
 
 def all_graphs():
@@ -105,7 +110,7 @@ def test_pgl2_split_shape():
     assert inverse_cayley(g, 1, "1") == ("0",)
     # the order-two torus element is trivial, so no type I labels anywhere
     assert all(
-        lab not in (RootType.NONCOMPACT_I, RootType.REAL_I) for lab in g.label.values()
+        root_type(g, 1, v) not in (RootType.NONCOMPACT_I, RootType.REAL_I) for v in g.nodes
     )
 
 
@@ -119,26 +124,29 @@ def test_move_domain_errors():
         root_type(g, 1, "zz")
     with pytest.raises(Mismatch):
         root_type(g, 2, "0")
+    # an index is an int: the rows are lists
+    with pytest.raises(Mismatch, match="simple index 1.0 out of range"):
+        cross_action(g, 1.0, "0")
 
 
 def monoid_by_label(g, alpha, v):
     """Oracle: the monoid move read off the label."""
-    lab = g.label[(alpha, v)]
+    lab = root_type(g, alpha, v)
     if lab is RootType.COMPLEX_ASCENT:
-        return g.cross[(alpha, v)]
+        return cross_action(g, alpha, v)
     if lab in (RootType.NONCOMPACT_I, RootType.NONCOMPACT_II):
-        return g.cayley[(alpha, v)]
+        return cayley(g, alpha, v)
     return v
 
 
 def descents_by_label(g, alpha, v):
     """Oracle: the nodes one step below v along alpha, in node order: the
     cross partner of a complex descent, the Cayley preimages of a real root."""
-    lab = g.label[(alpha, v)]
+    lab = root_type(g, alpha, v)
     if lab is RootType.COMPLEX_DESCENT:
-        return (g.cross[(alpha, v)],)
-    if lab in (RootType.REAL_I, RootType.REAL_II):
-        return tuple(x for x in g.nodes if g.cayley.get((alpha, x)) == v)
+        return (cross_action(g, alpha, v),)
+    if lab in REAL_TYPES:
+        return tuple(x for x in g.nodes if root_type(g, alpha, x) in NONCOMPACT_TYPES and cayley(g, alpha, x) == v)
     return ()
 
 
@@ -151,7 +159,7 @@ def down_by_label(g, v):
         climb.append((alpha, v, monoid_by_label(g, alpha, v)))
         v = climb[-1][2]
     return tuple(
-        (alpha, descents_by_label(g, alpha, upper).index(lower) if g.label[(alpha, upper)] is RootType.REAL_I else None)
+        (alpha, descents_by_label(g, alpha, upper).index(lower) if root_type(g, alpha, upper) is RootType.REAL_I else None)
         for alpha, lower, upper in reversed(climb)
     )
 
@@ -183,7 +191,7 @@ def test_moves_match_the_label_dispatch():
                     assert tuple(x for x in poset.fiber(alpha, v) if x != v) == below, (name, alpha, v)
                 else:
                     assert below == (), (name, alpha, v)
-                if g.label[(alpha, v)] in (RootType.REAL_I, RootType.REAL_II):
+                if root_type(g, alpha, v) in REAL_TYPES:
                     assert inverse_cayley(g, alpha, v) == below, (name, alpha, v)
         for v in g.nodes:
             cs = canonical_sequences(g, v)
@@ -204,6 +212,10 @@ def test_missing_moves_are_axiom_violations():
         lambda g: canonical_sequences(g, "0"),
         lambda g: i_equivalence_classes(g, (1,)),
         lambda g: p_maximal_set(g, (1,)),
+        lambda g: root_type(g, 1, "0"),
+        lambda g: cross_action(g, 1, "0"),
+        lambda g: cayley(g, 1, "0"),
+        lambda g: inverse_cayley(g, 1, "0"),
     )
     for g in (sl2, a2, unknown, no_cayley):
         want = validate_kgb(g)
@@ -214,6 +226,13 @@ def test_missing_moves_are_axiom_violations():
             assert err.value.violations == want
     assert validate_kgb(sl2) == ["MissingLabel: alpha=1 node=1"]
     assert validate_kgb(a2) == ["MissingLabel: alpha=3 node=4"]
+    # the text form names every label and cross target, so it refuses a
+    # missing one; a target that is not a node is written by its name
+    for g in (sl2, a2, _corrupt(sl2_split(), cross={(1, "2"): None})):
+        with pytest.raises(AxiomViolation) as err:
+            format_kgb(g)
+        assert err.value.violations == validate_kgb(g)
+    assert format_kgb(unknown).endswith("label 1 1 r2 cross=7\n")
 
 
 def test_every_graph_satisfies_all_axioms():
@@ -230,16 +249,7 @@ def test_a1xa1_swap_is_the_diagonal_case():
 
 
 def test_validate_catches_label_flip():
-    g = sl2_split()
-    broken = KgbGraph(
-        g.datum,
-        g.nodes,
-        dict(g.tw),
-        dict(g.length),
-        {**g.label, (1, "2"): RootType.REAL_II},
-        dict(g.cross),
-        dict(g.cayley),
-    )
+    broken = _corrupt(sl2_split(), label={(1, "2"): RootType.REAL_II})
     violations = validate_kgb(broken)
     assert any(v.startswith("InverseCayleyCount") for v in violations)
     with pytest.raises(AxiomViolation):
@@ -247,13 +257,14 @@ def test_validate_catches_label_flip():
 
 
 def _corrupt(g, **changes):
-    """A copy of g with some entries of its tw/length/label/cross/cayley maps
-    replaced, or deleted where the new value is None."""
-    fields = {name: dict(getattr(g, name)) for name in ("tw", "length", "label", "cross", "cayley")}
+    """A copy of g, built through the dict constructor, with some entries of
+    its tw/length/label/cross/cayley maps replaced, or deleted where the new
+    value is None."""
+    fields = g._fields()
     for name, updates in changes.items():
         fields[name] = {k: v for k, v in {**fields[name], **updates}.items() if v is not None}
-    h = KgbGraph(g.datum, g.nodes, **fields)
-    assert all(getattr(h, name) == m for name, m in fields.items())  # the views are the maps
+    h = KgbGraph(**fields)
+    assert h._fields() == fields  # the rows spell the maps
     return h
 
 
@@ -449,8 +460,9 @@ def reference_validate_kgb(g):
     """validate_kgb as it read every move through the name-keyed maps, one
     (root, node) at a time: the oracle for the row-based version."""
     datum = g.datum
+    label, cross, cay = map(g._fields().get, ("label", "cross", "cayley"))
     out = []
-    preimages = Counter((alpha, t) for (alpha, _), t in g.cayley.items())
+    preimages = Counter((alpha, t) for (alpha, _), t in cay.items())
 
     for v in g.nodes:
         if not isinstance(g.length[v], int) or g.length[v] < 0:
@@ -466,22 +478,22 @@ def reference_validate_kgb(g):
         for v in g.nodes:
             key = (alpha, v)
             tag = f"alpha={alpha} node={v}"
-            if key not in g.label or key not in g.cross:
+            if key not in label or key not in cross:
                 out.append(f"MissingLabel: {tag}")
                 continue
-            lab = g.label[key]
-            cr = g.cross[key]
+            lab = label[key]
+            cr = cross[key]
             if cr not in g.length:
                 out.append(f"UnknownNode: {tag} cross={cr}")
                 continue
-            partner = g.label.get((alpha, cr)) if (alpha, cr) in g.cross else None
-            if partner is not None and g.cross[(alpha, cr)] != v:
+            partner = label.get((alpha, cr)) if (alpha, cr) in cross else None
+            if partner is not None and cross[(alpha, cr)] != v:
                 out.append(f"CrossNotInvolution: {tag}")
             img = g.tw[v].images[theta - 1]
-            if lab in _REAL_TYPES:
+            if lab in REAL_TYPES:
                 if img != minus_alpha:
                     out.append(f"LabelClass: {tag} label={lab.value} not real")
-            elif lab in _IMAGINARY_TYPES:
+            elif lab in IMAGINARY_TYPES:
                 if img != alpha_root:
                     out.append(f"LabelClass: {tag} label={lab.value} not imaginary")
             else:
@@ -489,8 +501,8 @@ def reference_validate_kgb(g):
                     out.append(f"LabelClass: {tag} label={lab.value} not complex")
             if _times_s(_s_times(alpha, g.tw[v]), theta) != g.tw[cr]:
                 out.append(f"CrossTwist: {tag}")
-            has_cayley = key in g.cayley
-            noncompact = lab in _NONCOMPACT_TYPES
+            has_cayley = key in cay
+            noncompact = lab in NONCOMPACT_TYPES
             if noncompact:
                 if not has_cayley:
                     out.append(f"MissingCayley: {tag}")
@@ -519,26 +531,26 @@ def reference_validate_kgb(g):
             elif lab is RootType.NONCOMPACT_II:
                 if cr != v:
                     out.append(f"TypeIIPattern: {tag}")
-            elif lab in _REAL_TYPES:
+            elif lab in REAL_TYPES:
                 if cr != v:
                     out.append(f"RealMoved: {tag}")
                 want = 2 if lab is RootType.REAL_I else 1
                 if preimages[key] != want:
                     out.append(f"InverseCayleyCount: {tag} got={preimages[key]} want={want}")
             if noncompact and has_cayley:
-                t = g.cayley[key]
+                t = cay[key]
                 real = RootType.REAL_I if lab is RootType.NONCOMPACT_I else RootType.REAL_II
                 if t not in g.length:
                     out.append(f"UnknownNode: {tag} cayley={t}")
                 else:
                     if g.length[t] != g.length[v] + 1:
                         out.append(f"CayleyLength: {tag}")
-                    if g.label.get((alpha, t)) is not real:
+                    if label.get((alpha, t)) is not real:
                         out.append(f"CayleyTarget: {tag} expected {real.value}")
                     if _s_times(alpha, g.tw[v]) != g.tw[t]:
                         out.append(f"CayleyTwist: {tag}")
                     if real is RootType.REAL_I and partner is not None:
-                        if g.cayley.get((alpha, cr)) != t:
+                        if cay.get((alpha, cr)) != t:
                             out.append(f"SharedCayley: {tag}")
 
     for a in range(1, datum.rank + 1):
@@ -547,8 +559,8 @@ def reference_validate_kgb(g):
             for v in g.nodes:
                 x = y = v
                 for step in range(order):
-                    x = g.cross.get((a if step % 2 == 0 else b, x))
-                    y = g.cross.get((b if step % 2 == 0 else a, y))
+                    x = cross.get((a if step % 2 == 0 else b, x))
+                    y = cross.get((b if step % 2 == 0 else a, y))
                     if x is None or y is None:
                         break
                 else:
@@ -619,6 +631,7 @@ def reference_parse_kgb(text, base_dir=None):
 
 def reference_format_kgb(g):
     """format_kgb as it read the name-keyed maps, one (node, root) at a time."""
+    label, cross, cay = map(g._fields().get, ("label", "cross", "cayley"))
     lines = [FORMAT_HEADER, "rootsystem inline"]
     lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
     lines.append(f"nodes {len(g.nodes)}")
@@ -626,10 +639,12 @@ def reference_format_kgb(g):
         lines.append(f"node {v} {g.length[v]} {format_word(reduced_word(g.tw[v]))}")
     for v in g.nodes:
         for alpha in range(1, g.datum.rank + 1):
-            lab = g.label[(alpha, v)]
-            parts = [f"label {v} {alpha} {lab.value} cross={g.cross[(alpha, v)]}"]
-            if (alpha, v) in g.cayley:
-                parts.append(f"cayley={g.cayley[(alpha, v)]}")
+            if (alpha, v) not in label or (alpha, v) not in cross:
+                raise AxiomViolation(reference_validate_kgb(g))
+            lab = label[(alpha, v)]
+            parts = [f"label {v} {alpha} {lab.value} cross={cross[(alpha, v)]}"]
+            if (alpha, v) in cay:
+                parts.append(f"cayley={cay[(alpha, v)]}")
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -640,12 +655,13 @@ ASCENT_TYPES = frozenset({RootType.COMPLEX_ASCENT, RootType.NONCOMPACT_I, RootTy
 def reference_to_orbit_poset(g):
     """to_orbit_poset as it read the name-keyed maps into the orbit graph's
     name-keyed fiber constructor, built afresh on every call."""
+    label, cross, cay = map(g._fields().get, ("label", "cross", "cayley"))
     fibers = []
     for alpha in range(1, g.datum.rank + 1):
         for v in g.nodes:
-            lab = g.label.get((alpha, v))
-            cr = g.cross.get((alpha, v))
-            t = g.cayley.get((alpha, v)) if lab in _NONCOMPACT_TYPES else cr
+            lab = label.get((alpha, v))
+            cr = cross.get((alpha, v))
+            t = cay.get((alpha, v)) if lab in NONCOMPACT_TYPES else cr
             if lab is None or cr not in g.length or t not in g.length:
                 raise AxiomViolation(reference_validate_kgb(g))
             if lab in ASCENT_TYPES:
@@ -660,7 +676,7 @@ def kgb_outcome(f, *args):
         return f(*args)
     except AxiomViolation as err:
         return "AxiomViolation", err.violations
-    except (FlagOrbitsError, KeyError, OSError) as err:
+    except (FlagOrbitsError, OSError) as err:
         return type(err).__name__, str(err)
 
 
@@ -695,26 +711,10 @@ def test_rows_match_the_name_keyed_references():
     graphs = row_reference_graphs()
     for g in graphs.values():
         assert_rows_match_the_references(g)
-    e = identity(build_root_datum("A2"))
-    # entries the rows cannot hold: targets and keys naming unknown nodes,
-    # a root outside 1..rank, a Cayley key of an unknown node that still
-    # counts as a preimage, a twisted involution of an unknown node
+    # targets that are not nodes keep their positions past the nodes
     a2 = graphs["group_case_A2"]
-    u21 = graphs["U(2,1)"]
-    odd = [
-        _corrupt(a2, cross={(1, "0"): "zz", (2, "3"): "zz", (3, "1"): "yy"}),
-        _corrupt(a2, label={(1, "zz"): RootType.REAL_I, (9, "0"): RootType.REAL_I}, cross={(9, "1"): "0"}),
-        _corrupt(a2, label={(0, "1"): RootType.REAL_I}, cross={(0, "2"): "zz"}, cayley={(0, "0"): "1", (-1, "1"): "2"}),
-        _corrupt(a2, cayley={(1, "zz"): "1", (5, "0"): "2", (1, "0"): "zz"}),
-        _corrupt(sl2_split(), cayley={(1, "zz"): "2", (1, "1"): None}),
-        _corrupt(sl2_split(), cayley={(1, "9"): "2"}, tw={"zz": identity(build_root_datum("A1"))}),
-        _corrupt(pgl2_split(), cayley={(1, "0"): "zz", (1, "1"): "zz"}, cross={(1, "1"): "yy"}),
-        _corrupt(u21, cayley={(1, "0"): "zz", (2, "x"): "5"}, label={(2, "5"): None}),
-        _corrupt(u21, cross={(1, "1"): None, (2, "q"): "1"}),
-        _corrupt(a2, tw={"zz": e}),
-    ]
-    for g in odd:
-        assert_rows_match_the_references(g)
+    assert_rows_match_the_references(_corrupt(a2, cross={(1, "0"): "zz", (2, "3"): "zz", (3, "1"): "yy"}))
+    assert_rows_match_the_references(_corrupt(pgl2_split(), cayley={(1, "0"): "zz", (1, "1"): "zz"}, cross={(1, "1"): "yy"}))
     # seeded corruptions, the type I graphs of U(p, q) among them
     small = [g for g in graphs.values() if 2 <= len(g.nodes) <= 32] + [graphs["U(3,2)"]]
     rng = random.Random(28)
@@ -722,15 +722,49 @@ def test_rows_match_the_name_keyed_references():
         assert_rows_match_the_references(random_corruption(rng.choice(small), rng))
 
 
-def test_the_views_keep_what_the_rows_cannot_hold():
-    g = group_case(build_root_datum("A2"))
-    fields = {name: dict(getattr(g, name)) for name in ("tw", "length", "label", "cross", "cayley")}
-    fields["label"][(1, "0")] = "C+"  # a label that is not a RootType
+def test_the_constructor_refuses_what_the_rows_cannot_hold():
+    # keys naming unknown nodes or a root outside 1..rank, and a twisted
+    # involution of an unknown node: one sorted line each, as for lengths
+    a2 = group_case(build_root_datum("A2"))
+    u21 = clan_graph(2, 1)
+    e = identity(build_root_datum("A1"))
+    cases = [
+        (
+            a2,
+            {"label": {(1, "zz"): RootType.REAL_I, (9, "0"): RootType.REAL_I}, "cross": {(9, "1"): "0"}},
+            ["BadCross: alpha=9 node=1", "BadLabel: alpha=1 node=zz", "BadLabel: alpha=9 node=0"],
+        ),
+        (
+            a2,
+            {"label": {(0, "1"): RootType.REAL_I}, "cross": {(0, "2"): "zz"}, "cayley": {(0, "0"): "1", (-1, "1"): "2"}},
+            ["BadCayley: alpha=-1 node=1", "BadCayley: alpha=0 node=0", "BadCross: alpha=0 node=2", "BadLabel: alpha=0 node=1"],
+        ),
+        (a2, {"cayley": {(1, "zz"): "1", (5, "0"): "2", (1, "0"): "zz"}}, ["BadCayley: alpha=1 node=zz", "BadCayley: alpha=5 node=0"]),
+        (sl2_split(), {"cayley": {(1, "zz"): "2", (1, "1"): None}}, ["BadCayley: alpha=1 node=zz"]),
+        (sl2_split(), {"cayley": {(1, "9"): "2"}, "tw": {"zz": e}}, ["BadCayley: alpha=1 node=9", "ExtraTw: node=zz"]),
+        (u21, {"cayley": {(1, "0"): "zz", (2, "x"): "5"}, "label": {(2, "5"): None}}, ["BadCayley: alpha=2 node=x"]),
+        (u21, {"cross": {(1, "1"): None, (2, "q"): "1"}}, ["BadCross: alpha=2 node=q"]),
+        (a2, {"tw": {"zz": identity(a2.datum)}}, ["ExtraTw: node=zz"]),
+    ]
+    for g, changes, want in cases:
+        with pytest.raises(AxiomViolation) as info:
+            _corrupt(g, **changes)
+        assert info.value.violations == want, changes
+    # a label that is not a RootType, targets None and an index that is not an int
+    fields = a2._fields()
+    fields["label"][(1, "0")] = "C+"
     fields["cross"][(2, "1")] = None
-    h = KgbGraph(g.datum, g.nodes, **fields)
-    assert {name: dict(getattr(h, name)) for name in fields} == fields
-    # both read as missing labels
-    assert validate_kgb(h) == ["MissingLabel: alpha=1 node=0", "MissingLabel: alpha=2 node=1"]
+    fields["cayley"][(3, "2")] = None
+    fields["cross"][(2.0, "4")] = fields["cross"].pop((2, "4"))
+    with pytest.raises(AxiomViolation) as info:
+        KgbGraph(**fields)
+    assert info.value.violations == [
+        "BadCayley: alpha=3 node=2",
+        "BadCross: alpha=2 node=1",
+        "BadCross: alpha=2.0 node=4",
+        "BadLabel: alpha=1 node=0",
+    ]
+    assert not any(hasattr(a2, name) for name in ("label", "cross", "cayley", "_loose"))
 
 
 def random_corruption(g, rng):
@@ -748,7 +782,8 @@ def random_corruption(g, rng):
         for b in range(1, datum.rank + 1)
         if a != b and datum.cartan[a - 1][b - 1] and datum.twist[a - 1] != b
     ]
-    keys = sorted(g.label, key=lambda k: (k[0], node_sort_key(k[1])))
+    label, cay = map(g._fields().get, ("label", "cayley"))
+    keys = sorted(label, key=lambda k: (k[0], node_sort_key(k[1])))
     targets = list(g.nodes) + ["zz", "zz2"]
     changes = {"tw": {}, "length": {}, "label": {}, "cross": {}, "cayley": {}}
     for _ in range(rng.randint(1, 3)):
@@ -762,13 +797,13 @@ def random_corruption(g, rng):
             changes["label"][key] = None
         elif kind == 3:
             other = rng.choice(keys)
-            changes["label"][key], changes["label"][other] = g.label[other], g.label[key]
+            changes["label"][key], changes["label"][other] = label[other], label[key]
         elif kind == 4:
             changes["label"][key] = rng.choice(list(RootType))
         elif kind == 5:
             changes["cayley"][key] = rng.choice(targets)
-        elif kind == 6 and g.cayley:
-            changes["cayley"][rng.choice(sorted(g.cayley, key=keys.index))] = None
+        elif kind == 6 and cay:
+            changes["cayley"][rng.choice(sorted(cay, key=keys.index))] = None
         elif kind == 7:
             u, v = rng.sample(g.nodes, 2)
             changes["tw"][u], changes["tw"][v] = g.tw[v], g.tw[u]
@@ -935,7 +970,7 @@ def test_group_case_poset_is_the_weyl_poset():
 
 def test_twisted_shadow_shapes():
     g = twisted_shadow(build_root_datum("A1"))
-    assert [g.label[(1, v)] for v in g.nodes] == [RootType.NONCOMPACT_II, RootType.REAL_II]
+    assert [root_type(g, 1, v) for v in g.nodes] == [RootType.NONCOMPACT_II, RootType.REAL_II]
     flip = twisted_shadow(build_root_datum("A2", twist=(2, 1)))
     assert len(flip.nodes) == 4
     assert sorted(flip.length.values()) == [0, 1, 1, 2]
@@ -1035,17 +1070,19 @@ def test_group_case_reads_the_table_of_the_one_group():
 
 def renamed(g, perm):
     """A copy of g with every node v called perm[v]."""
-    def keyed(moves):
-        return {(alpha, perm[v]): perm[t] for (alpha, v), t in moves.items()}
+    fields = g._fields()
+
+    def keyed(moves, name=perm.get):
+        return {(alpha, perm[v]): name(t) for (alpha, v), t in moves.items()}
 
     return KgbGraph(
         g.datum,
         tuple(perm[v] for v in g.nodes),
         {perm[v]: w for v, w in g.tw.items()},
         {perm[v]: n for v, n in g.length.items()},
-        {(alpha, perm[v]): lab for (alpha, v), lab in g.label.items()},
-        keyed(g.cross),
-        keyed(g.cayley),
+        keyed(fields["label"], lambda lab: lab),
+        keyed(fields["cross"]),
+        keyed(fields["cayley"]),
     )
 
 
@@ -1066,7 +1103,7 @@ def test_answers_map_across_a_renaming():
             assert set(p_maximal_set(h, levi)) == set(map(perm.get, p_maximal_set(g, levi))), (name, levi)
             want = {(perm[u], perm[v]) for u, v in class_hasse(g, levi)}
             assert set(class_hasse(h, levi)) == want, (name, levi)
-        for (alpha, v), lab in g.label.items():
+        for (alpha, v), lab in g._fields()["label"].items():
             if lab in (RootType.REAL_I, RootType.REAL_II):
                 got = inverse_cayley(h, alpha, perm[v])
                 assert set(got) == set(map(perm.get, inverse_cayley(g, alpha, v))), (name, alpha, v)
@@ -1093,14 +1130,14 @@ def test_open_node_is_kept_on_the_graph():
 
 
 def test_graph_is_read_only_from_construction():
-    sl2 = sl2_split()
-    fields = {name: dict(getattr(sl2, name)) for name in ("tw", "length", "label", "cross", "cayley")}
-    g = KgbGraph(sl2.datum, sl2.nodes, **fields)
-    for name, m in fields.items():
+    fields = sl2_split()._fields()
+    g = KgbGraph(**fields)
+    for name in ("tw", "length"):
         with pytest.raises(TypeError):
-            getattr(g, name)[next(iter(m))] = None
-        m.clear()  # the caller's dict; the graph keeps its own copy
-    for name in ("datum", "nodes", "cayley", "_poset"):
+            getattr(g, name)["0"] = None
+    for name in ("tw", "length", "label", "cross", "cayley"):
+        fields[name].clear()  # the caller's dict; the graph keeps its own rows
+    for name in ("datum", "nodes", "tw", "_cayley", "_poset"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
         with pytest.raises(AttributeError):
@@ -1302,16 +1339,21 @@ def test_graphs_refuse_node_lists_that_disagree_with_their_lengths():
     with pytest.raises(AxiomViolation) as info:
         _corrupt(g, length={"9": 3, "10": 4})
     assert info.value.violations == ["ExtraLength: node=10", "ExtraLength: node=9"]
-    fields = {name: dict(getattr(g, name)) for name in ("tw", "length", "label", "cross", "cayley")}
+    fields = {name: m for name, m in g._fields().items() if name not in ("datum", "nodes")}
     with pytest.raises(AxiomViolation) as info:
         KgbGraph(g.datum, ("0", "0", "1", "2", "2", "2"), **fields)
     assert info.value.violations == ["DuplicateNode: node=0", "DuplicateNode: node=2"]
     with pytest.raises(AxiomViolation) as info:
         KgbGraph(g.datum, ("0", "0", "2"), **{**fields, "length": {"0": "0", "1": 0}})
+    # node 1 is not listed, so its twisted involution and moves are refused too
     assert info.value.violations == [
+        "BadCayley: alpha=1 node=1",
+        "BadCross: alpha=1 node=1",
+        "BadLabel: alpha=1 node=1",
         "BadLength: node=0",
         "DuplicateNode: node=0",
         "ExtraLength: node=1",
+        "ExtraTw: node=1",
         "MissingLength: node=2",
     ]
 

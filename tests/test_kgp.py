@@ -254,13 +254,12 @@ def retargeted_shadows():
     """The A3 shadow with a few cross entries retargeted, 30 times: most
     still lower, and some break the descent check or tie a class top."""
     rng = random.Random(14)
-    base = twisted_shadow(build_root_datum("A3"))
-    keys = sorted(base.cross)
+    base = twisted_shadow(build_root_datum("A3"))._fields()
+    keys = sorted(base["cross"])
     graphs = []
     for _ in range(30):
-        cross = {**base.cross, **{rng.choice(keys): rng.choice(base.nodes) for _ in range(rng.randint(1, 3))}}
-        g = KgbGraph(base.datum, base.nodes, dict(base.tw), dict(base.length), dict(base.label), cross, dict(base.cayley))
-        graphs.append(g)
+        cross = {**base["cross"], **{rng.choice(keys): rng.choice(base["nodes"]) for _ in range(rng.randint(1, 3))}}
+        graphs.append(KgbGraph(**{**base, "cross": cross}))
     return graphs
 
 
