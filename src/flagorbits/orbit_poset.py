@@ -3,7 +3,8 @@
 Nodes are orbit identifiers (plain strings).  For each simple root the nodes
 fall into fibers of size 1, 2, or 3 with a unique dense member; closure order
 is recovered from this data alone, by downward lifting, and cross-checked
-against subexpression enumeration.
+against subexpression enumeration.  A graph is its fiber table: the
+constructor and the parser refuse a fiber the table cannot hold.
 """
 
 from __future__ import annotations
@@ -30,24 +31,25 @@ def node_sort_key(node: NodeId) -> tuple:
 
 
 class OrbitGraph:
-    """Immutable after construction; fibers of size one are implicit, and a
-    length that is not an int is refused with AxiomViolation.
+    """Immutable after construction; fibers of size one are implicit.  The
+    constructor refuses with AxiomViolation, one sorted line each, a length
+    that is not an int (BadLength), a fiber along an index that is not an
+    int in 1..rank (BadSimpleIndex) and one naming an unknown node
+    (UnknownNode), so the fiber table is the whole graph.
 
     Everything inside works on positions in ``nodes``, and so do validate,
     format_orbit_graph and parse_orbit_graph, which read and fill the fiber
-    table: names appear only in output and in error messages.  ``index`` maps
-    a node to its position.  Entry k of fiber table row alpha - 1 is the fiber
-    of ``nodes[k]`` along alpha as (dense position, member positions), or
-    None.  A fiber naming an unknown node or a simple index outside 1..rank
-    stays out of the table, in ``_loose``, for validate and the text form.
+    table: names appear only in output and in error messages.  ``index`` maps a
+    node to its position.  Entry k of fiber table row alpha - 1 is the fiber of
+    ``nodes[k]`` along alpha as (dense position, member positions), or None.
     ``_first[k]`` is the first step of _lowerings from k, (alpha, position), or
     None: one tuple per node, built with the table.  Lower ideals are int
     bitsets over positions, built by lower_ideal and kept on the graph: at most
     n * n / 8 bytes.  The first ideal also builds ``_pulls``: per root, one
     _kernel setting each position's bit from the other members of its fiber,
     and a bitset per length.  ``_walks[k]`` holds the subexpression endpoints
-    of the decomposition of k along first steps (reduced_decomposition's, on
-    a valid graph), built and kept like the ideals, with ``_steps``: per root,
+    of the decomposition of k along first steps (reduced_decomposition's, on a
+    valid graph), built and kept like the ideals, with ``_steps``: per root,
     the kernel of non-dense members alone.  ``_classes`` keeps the classes of
     _levi_classes per Levi set.  ``_graded`` holds when the order is known to
     be graded by length (from_parabolic: Bruhat order on W^J)."""
@@ -60,32 +62,32 @@ class OrbitGraph:
         fibers: Iterable[tuple[int, NodeId, Sequence[NodeId]]],
     ):
         nodes = tuple(sorted(lengths, key=node_sort_key))
-        bad = [f"BadLength: node={x} length={lengths[x]!r}" for x in nodes if not isinstance(lengths[x], int)]
-        if bad:
-            raise AxiomViolation(bad)
+        bad = {f"BadLength: node={x} length={lengths[x]!r}" for x in nodes if not isinstance(lengths[x], int)}
         index = {node: k for k, node in enumerate(nodes)}
         table: list[list] = [[None] * len(nodes) for _ in range(rank)]
-        loose = {}
         for alpha, dense, members in fibers:
             ks = {index.get(dense), *map(index.get, members)}
-            if 1 <= alpha <= rank and None not in ks:
+            inside = alpha.__class__ is int and 1 <= alpha <= rank
+            if inside and None not in ks:
                 entry = (index[dense], tuple(sorted(ks)))
                 for k in entry[1]:
                     table[alpha - 1][k] = entry
-            else:
-                loose[(alpha, tuple(sorted({dense, *members}, key=node_sort_key)))] = dense
-        self._fill(rootsystem, nodes, [lengths[x] for x in nodes], table, loose=loose)
+            else:  # names are spelled only for a refused fiber, those that sort alike in node order
+                group = sorted({dense, *members}, key=lambda x: (node_sort_key(x), index.get(x, len(nodes)), x))
+                tag = f"alpha={alpha} fiber={'/'.join(group)}"
+                unknown = ",".join(x for x in group if x not in index)
+                bad.add(f"UnknownNode: {tag} nodes={unknown}" if inside else f"BadSimpleIndex: {tag}")
+        if bad:
+            raise AxiomViolation(sorted(bad))
+        self._fill(rootsystem, nodes, [lengths[x] for x in nodes], table)
 
-    def _fill(
-        self, rootsystem: str, nodes: tuple[NodeId, ...], lens: list[int], table: list[list], graded=False, loose=None
-    ):
+    def _fill(self, rootsystem: str, nodes: tuple[NodeId, ...], lens: list[int], table: list[list], graded=False):
         """Set every field from nodes in node order, lengths and the final
         table rows.  Every field is set here, in this order, so that all
         graphs share one attribute layout."""
         self.rootsystem, self.rank, self.nodes, self._graded = rootsystem, len(table), nodes, graded
         self.index = {node: k for k, node in enumerate(nodes)}
         self.length, self._len, self._table = dict(zip(nodes, lens)), lens, table
-        self._loose: dict[tuple[int, tuple[NodeId, ...]], NodeId] = loose or {}  # (alpha, group) -> dense
         self._first = [next(_lowerings(self, k), None) for k in range(len(nodes))]
         self._ideals: list[int | None] = [None] * len(nodes)
         self._pulls: tuple[list, dict[int, int]] | None = None  # see _pull_kernels
@@ -100,7 +102,7 @@ class OrbitGraph:
         return self.index[node]
 
     def _entry(self, alpha: int, k: int) -> tuple[int, tuple[int, ...]] | None:
-        if not 1 <= alpha <= self.rank:
+        if alpha.__class__ is not int or not 1 <= alpha <= self.rank:
             raise Mismatch(f"simple index {alpha} out of range 1..{self.rank}")
         return self._table[alpha - 1][k]
 
@@ -114,7 +116,7 @@ class OrbitGraph:
 
     def stored_fibers(self) -> list[tuple[int, NodeId, tuple[NodeId, ...]]]:
         """Each explicit fiber once, sorted by simple index then dense node."""
-        out = [(alpha, dense, group) for (alpha, group), dense in self._loose.items()]
+        out = []
         for alpha, row in enumerate(self._table, 1):
             for dense, group in filter(None, dict.fromkeys(row)):
                 out.append((alpha, self.nodes[dense], tuple(self.nodes[k] for k in group)))
@@ -195,9 +197,6 @@ def validate(g: OrbitGraph) -> list[str]:
     positions; names are spelled only for a fiber that fails."""
     lens, nodes = g._len, g.nodes
     violations = [f"BadLength: node={x} length={n!r}" for x, n in zip(nodes, lens) if n < 0]
-    for alpha, group in g._loose:
-        tag, unknown = f"alpha={alpha} fiber={'/'.join(group)}", ",".join(x for x in group if x not in g.index)
-        violations.append(f"UnknownNode: {tag} nodes={unknown}" if 1 <= alpha <= g.rank else f"BadSimpleIndex: {tag}")
     for alpha, row in enumerate(g._table, 1):
         for d, ks in dict.fromkeys(filter(None, row)):
             if len(ks) <= 3 and all(row[k][1] == ks and lens[d] - lens[k] == (k != d) for k in ks):
@@ -241,17 +240,10 @@ def _cycle(g: OrbitGraph, chain: list[int]) -> AxiomViolation:
     return AxiomViolation([f"LoweringCycle: node={g.nodes[k]} lies below itself"])
 
 
-def _require_table(g: OrbitGraph) -> None:
-    """Refuse a graph holding a fiber kept out of the table, with validate's list."""
-    if g._loose:
-        raise AxiomViolation(validate(g))
-
-
 def reduced_decomposition(g: OrbitGraph, v: NodeId) -> ReducedDecomposition:
     """Deterministic decomposition: walk down from v, at each step taking the
     smallest simple index that lowers, then the smallest lower node."""
     k = g._position(v)
-    _require_table(g)
     ks, roots = [k], []
     while g._len[k] > 0:
         step = g._first[k]
@@ -285,7 +277,6 @@ def all_reduced_decompositions(g: OrbitGraph, v: NodeId) -> list[ReducedDecompos
         return out
 
     k = g._position(v)
-    _require_table(g)
     return walk(k)
 
 
@@ -311,7 +302,6 @@ def subexpression_endpoints(g: OrbitGraph, rd: ReducedDecomposition) -> tuple[No
         prev, cur = ks[i], ks[i + 1]
         if cur == prev or (g._entry(alpha, prev) or (prev,))[0] != cur:
             raise Mismatch(f"step {i + 1} is not a dense move along {alpha}")
-    _require_table(g)
     if g._steps is None:
         g._steps = [_row_kernel(row, False) for row in g._table]
     walks, steps, bits, p = g._walks, g._steps, 1 << ks[0], 0
@@ -385,9 +375,7 @@ def _gather(source: list[int], size: int | None = None):
 def _first_lowerings(g: OrbitGraph, k: int, known: list, base) -> list[tuple[int, int, int]]:
     """The first lowering steps (position, alpha, one step down) from k
     down to a position set in known; one with no step down is set to
-    base(position).  A chain that comes back, or a graph holding a fiber
-    kept out of the table, raises AxiomViolation."""
-    _require_table(g)
+    base(position).  A chain that comes back raises AxiomViolation."""
     steps, x = [], k
     while known[x] is None:
         step = g._first[x]
@@ -505,7 +493,6 @@ def _levi_classes(g: OrbitGraph, levi: tuple[int, ...]) -> tuple[tuple[IEquivCla
     got = g._classes.get(levi)
     if got is not None:
         return got
-    _require_table(g)
     rows = [g._table[alpha - 1] for alpha in levi]
     lens = g._len
     seen = [False] * len(lens)
@@ -574,7 +561,7 @@ FORMAT_HEADER = "orbitgraph v1"
 def format_orbit_graph(g: OrbitGraph) -> str:
     nodes, lines = g.nodes, [FORMAT_HEADER, f"rootsystem {g.rootsystem}", f"nodes {len(g.nodes)}"]
     lines += [f"node {x} {n}" for x, n in zip(nodes, g._len)]
-    if g._loose or any(x[:1] == "0" != x for x in nodes):  # names that may sort alike, as 1 and 01 do
+    if any(x[:1] == "0" != x for x in nodes):  # names that may sort alike, as 1 and 01 do
         fibers = ((a, dense, [x for x in group if x != dense]) for a, dense, group in g.stored_fibers())
     else:  # node order is name order, so stored_fibers' order is by dense position, the row order kept on ties
         rows = (sorted(dict.fromkeys(filter(None, row)), key=itemgetter(0)) for row in g._table)
@@ -618,9 +605,11 @@ def parse_orbit_graph(text: str) -> OrbitGraph:
         if top > RANK_CAP:
             raise ParseError(f"fiber index {top} is above the rank cap of {RANK_CAP}") from None
         rank = top
+    if top > rank:  # only a named type's rank can be below the largest index
+        bad = [f"alpha={a} fiber={'/'.join(nodes[k] for k in ks)}" for a in rows if a > rank for _, ks in rows[a].values()]
+        raise AxiomViolation(sorted({f"BadSimpleIndex: {tag}" for tag in bad}))
     table = [[*map(rows[alpha].get, range(len(nodes)))] for alpha in range(1, rank + 1)]
-    loose = {(a, tuple([nodes[k] for k in ks])): nodes[d] for a in rows if a > rank for d, ks in rows[a].values()}
-    return OrbitGraph.__new__(OrbitGraph)._fill(rootsystem, nodes, [lengths[x] for x in nodes], table, loose=loose)
+    return OrbitGraph.__new__(OrbitGraph)._fill(rootsystem, nodes, [lengths[x] for x in nodes], table)
 
 
 def load_orbit_graph(path) -> OrbitGraph:

@@ -7,8 +7,10 @@ with at most one line on stderr, never in a traceback; and a mutant that
 parses reaches a fixed point of format after one format/parse round trip.
 An orbit-graph or K\\G/B mutant parses as the name-keyed reference parser
 reads it, and its fibers (orbit graphs), violations and text match the
-name-keyed references.  A last pass renames only the target of one cross=
-or cayley= field of a K\\G/B text to a name that is not a node.
+name-keyed references.  A later pass renames only the target of one cross=
+or cayley= field of a K\\G/B text to a name that is not a node, and a last
+one raises only the index of one fiber line of an orbit graph of a named
+Cartan type above the type's rank.
 """
 
 import random
@@ -29,7 +31,9 @@ from flagorbits import (
 )
 from clans import clan_graph
 from flagorbits.cli import main
+from flagorbits.errors import InvalidCartan
 from flagorbits.orbit_poset import parse_orbit_graph
+from flagorbits.root_datum import cartan_matrix
 from test_kgb import kgb_outcome, reference_format_kgb, reference_parse_kgb, reference_validate_kgb
 from test_orbit_poset import assert_parse_matches, assert_text_layer_matches
 from test_weyl import INTERLEAVED
@@ -139,3 +143,24 @@ def test_mutants_end_in_one_error_line_or_round_trip(capsys, tmp_path):
             got = kgb_outcome(parse_kgb, mutant)
             assert got == kgb_outcome(reference_parse_kgb, mutant), mutant
             assert any(v.startswith("UnknownNode: ") and v.endswith(tokens[j]) for v in got[1]), (got, mutant)
+    # only the index of one fiber line of a named type raised above its rank:
+    # refused at parse with one BadSimpleIndex line, as the reference refuses it
+    for kind, text in sources():
+        lines = text.splitlines()
+        try:
+            rank = len(cartan_matrix(lines[1].split()[1])) if kind == "orbitgraph" else None
+        except InvalidCartan:
+            rank = None
+        if rank is None:
+            continue
+        fibers = [i for i, line in enumerate(lines) if line.startswith("fiber ")]
+        for _ in range(20):
+            i = rng.choice(fibers)
+            tokens = lines[i].split()
+            tokens[1] = str(rng.randint(rank + 1, rank + 3))
+            mutant = "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1 :]) + "\n"
+            path.write_text(mutant)
+            assert main(["validate", str(path)]) == 1, mutant
+            err = capsys.readouterr().err
+            assert err.startswith("error: BadSimpleIndex: ") and err.count("\n") == 1 and "(+" not in err, (err, mutant)
+            assert_parse_matches(mutant)

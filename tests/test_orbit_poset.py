@@ -30,6 +30,8 @@ from flagorbits import (
     hasse_dot,
     length,
     load_orbit_graph,
+    monoid,
+    monoid_word,
     parse_kgb,
     pgl2_split,
     poset_leq,
@@ -162,8 +164,6 @@ def test_dense_node_is_idempotent():
 # one crafted graph per failure mode: (code, lengths, fibers)
 VALIDATE_CASES = [
     ("BadLength", {"a": -1}, []),
-    ("BadSimpleIndex", {"a": 0, "b": 1}, [(7, "b", ("a", "b"))]),
-    ("UnknownNode", {"a": 0, "b": 1}, [(1, "b", ("zz", "b"))]),
     (
         "FiberTooLarge",
         {"a": 0, "b": 0, "c": 0, "d": 1},
@@ -198,31 +198,67 @@ def test_fiber_incoherent_names_the_node_claimed_twice():
 
 
 def _fibers_outside_the_table():
-    """A graph for each kind of fiber kept out of the fiber table, with its
-    violations and its fiber line; b is unreachable in both."""
+    """(rank, lengths, fibers, refusal lines) for fibers the fiber table
+    cannot hold: an index outside 1..rank or not an int, an unknown node,
+    names that sort alike, both at once and beside a length that is not an
+    int, and repeated."""
     good = {"a": 0, "b": 1}
-    unreachable = "Unreachable: node=b has no downward fiber"
     return [
-        (OrbitGraph("crafted", 2, good, [(7, "b", ("a", "b"))]),
-         ["BadSimpleIndex: alpha=7 fiber=a/b", unreachable], "fiber 7 b a"),
-        (OrbitGraph("crafted", 2, good, [(1, "b", ("zz", "b"))]),
-         ["UnknownNode: alpha=1 fiber=b/zz nodes=zz", unreachable], "fiber 1 b zz"),
+        (2, good, [(7, "b", ("a", "b"))], ["BadSimpleIndex: alpha=7 fiber=a/b"]),
+        (2, good, [(0, "b", ("a", "b"))], ["BadSimpleIndex: alpha=0 fiber=a/b"]),
+        (1, good, [(1.0, "b", ("a", "b"))], ["BadSimpleIndex: alpha=1.0 fiber=a/b"]),
+        (1, good, [(True, "b", ("a", "b"))], ["BadSimpleIndex: alpha=True fiber=a/b"]),
+        (1, good, [("1", "b", ("a", "b"))], ["BadSimpleIndex: alpha=1 fiber=a/b"]),
+        (2, good, [(1, "b", ("zz", "b"))], ["UnknownNode: alpha=1 fiber=b/zz nodes=zz"]),
+        (2, good, [(1, "b", ("a", "b")), (2, "yy", ("zz", "b", "a"))], ["UnknownNode: alpha=2 fiber=a/b/yy/zz nodes=yy,zz"]),
+        # names that sort alike, in node order whatever the order of the set
+        (2, {"00": 0, "0": 1}, [(7, "0", ("00", "0"))], ["BadSimpleIndex: alpha=7 fiber=00/0"]),
+        (2, {"00": 0, "0": 1}, [(1, "0", ("000", "00"))], ["UnknownNode: alpha=1 fiber=00/0/000 nodes=000"]),
+        (
+            2,
+            {"a": 0, "b": "1"},
+            [(1, "b", ("zz", "b")), (9, "zz", ("b",)), (9, "b", ("zz",)), (1, "b", ("a", "b"))],
+            ["BadLength: node=b length='1'", "BadSimpleIndex: alpha=9 fiber=b/zz", "UnknownNode: alpha=1 fiber=b/zz nodes=zz"],
+        ),
     ]
 
 
 def test_fibers_outside_the_table_are_reported_alike():
-    for g, violations, line in _fibers_outside_the_table():
-        assert validate(g) == violations
-        assert format_orbit_graph(g).splitlines()[-1] == line
-        assert g.fiber(1, "b") == ("b",) and g.dense_node(1, "b") == "b"
+    # the constructor refuses them with reference_refusals' lines; the parser
+    # refuses an index above a named type's rank with the same lines, and an
+    # unknown node with a ParseError
+    for rank, lengths, fibers, violations in _fibers_outside_the_table():
+        with pytest.raises(AxiomViolation) as info:
+            OrbitGraph("crafted", rank, lengths, fibers)
+        assert info.value.violations == violations == reference_refusals(rank, lengths, fibers)
+    head = "orbitgraph v1\nrootsystem A2\nnodes 2\nnode a 0\nnode b 1\n"
+    for lines, violations in (
+        ("fiber 7 b a\n", ["BadSimpleIndex: alpha=7 fiber=a/b"]),
+        ("fiber 1 b a\nfiber 3 b a\nfiber 3 b a b\nfiber 4 b a\n", ["BadSimpleIndex: alpha=3 fiber=a/b", "BadSimpleIndex: alpha=4 fiber=a/b"]),
+    ):
+        with pytest.raises(AxiomViolation) as info:
+            parse_orbit_graph(head + lines)
+        assert info.value.violations == violations
+    with pytest.raises(ParseError, match="fiber mentions unknown node 'zz'"):
+        parse_orbit_graph(head + "fiber 1 b zz\n")
 
 
 def test_order_is_refused_on_fibers_outside_the_table():
-    for g, violations, _ in _fibers_outside_the_table():
-        with pytest.raises(FlagOrbitsError, match=violations[0].split(":")[0]):
-            poset_leq(g, "a", "b")
-        with pytest.raises(FlagOrbitsError, match=violations[0].split(":")[0]):
-            hasse(g)
+    # only the table is asked: an index outside 1..rank, or not an int, is a
+    # Mismatch wherever a query names one
+    g = from_weyl(build_root_datum("A2"))
+    rd = reduced_decomposition(g, "1,2")
+    for alpha in (0, 3, 1.0, True, "1", None):
+        for call in (
+            lambda: g.fiber(alpha, "e"),
+            lambda: g.dense_node(alpha, "e"),
+            lambda: subexpression_endpoints(g, rd._replace(roots=(alpha, rd.roots[1]))),
+            lambda: monoid(sl2_split(), alpha, "0"),
+            lambda: monoid_word(sl2_split(), (1, alpha), "0"),
+        ):
+            with pytest.raises(Mismatch, match=r"simple index .* out of range 1\.\.[12]$"):
+                call()
+    assert subexpression_endpoints(g, rd) == ("1", "2", "1,2", "e")
 
 
 def test_validate_flags_wrong_dense():
@@ -456,9 +492,8 @@ def test_hasse_dot_annotations():
 
 
 def reference_stored_fibers(g):
-    """Each explicit fiber once, sorted by simple index then dense node name,
-    with the fibers out of the table merged in by name."""
-    out = [(alpha, dense, group) for (alpha, group), dense in g._loose.items()]
+    """Each explicit fiber once, sorted by simple index then dense node name."""
+    out = []
     for alpha, row in enumerate(g._table, 1):
         for dense, group in filter(None, dict.fromkeys(row)):
             out.append((alpha, g.nodes[dense], tuple(g.nodes[k] for k in group)))
@@ -473,13 +508,6 @@ def reference_validate(g):
             violations.append(f"BadLength: node={node} length={g.length[node]!r}")
     for alpha, dense, group in reference_stored_fibers(g):
         tag = f"alpha={alpha} fiber={'/'.join(group)}"
-        if not 1 <= alpha <= g.rank:
-            violations.append(f"BadSimpleIndex: {tag}")
-            continue
-        unknown = [x for x in group if x not in g.length]
-        if unknown:
-            violations.append(f"UnknownNode: {tag} nodes={','.join(unknown)}")
-            continue
         if len(group) > 3:
             violations.append(f"FiberTooLarge: {tag} size={len(group)}")
         ks = tuple(g.index[x] for x in group)
@@ -504,6 +532,24 @@ def reference_validate(g):
     return sorted(violations)
 
 
+def reference_refusals(rank, lengths, fibers):
+    """The lines the constructor refuses lengths and fibers with, by name:
+    a length that is not an int, and a fiber along an index that is not an
+    int in 1..rank or naming an unknown node, each line once, its members
+    in node order."""
+    bad = {f"BadLength: node={x} length={n!r}" for x, n in lengths.items() if not isinstance(n, int)}
+    order = sorted(lengths, key=node_sort_key)  # names that sort alike keep this order, unknown names last
+    for alpha, dense, members in fibers:
+        group = sorted({dense, *members}, key=lambda x: (node_sort_key(x), order.index(x) if x in lengths else len(order), x))
+        tag = f"alpha={alpha} fiber={'/'.join(group)}"
+        unknown = [x for x in group if x not in lengths]
+        if type(alpha) is not int or not 1 <= alpha <= rank:
+            bad.add(f"BadSimpleIndex: {tag}")
+        elif unknown:
+            bad.add(f"UnknownNode: {tag} nodes={','.join(unknown)}")
+    return sorted(bad)
+
+
 def reference_format(g):
     """The text form, node lines by name and fiber lines from reference_stored_fibers."""
     lines = [FORMAT_HEADER, f"rootsystem {g.rootsystem}", f"nodes {len(g.nodes)}"]
@@ -516,7 +562,8 @@ def reference_format(g):
 
 def reference_parse(text):
     """parse_orbit_graph by name: a claim per (alpha, node) on the fiber's dense
-    name and member set, then the graph through the constructor."""
+    name and member set, then reference_refusals' lines for a fiber index
+    above the rank, or the graph through the constructor."""
     lines = _significant_lines(text)
     if not lines or lines[0] != FORMAT_HEADER:
         raise ParseError(f"expected header {FORMAT_HEADER!r}")
@@ -546,6 +593,9 @@ def reference_parse(text):
         if top > RANK_CAP:
             raise ParseError(f"fiber index {top} is above the rank cap of {RANK_CAP}") from None
         rank = top
+    refused = reference_refusals(rank, lengths, fibers)
+    if refused:
+        raise AxiomViolation(refused)
     return OrbitGraph(rootsystem, rank, lengths, fibers)
 
 
@@ -556,23 +606,21 @@ def assert_text_layer_matches(g):
     assert format_orbit_graph(g) == reference_format(g), g.rootsystem
 
 
-def parsed_fields(text):
-    """What parse_orbit_graph makes of text, or the error it raises."""
-    g = outcome(parse_orbit_graph, text)
-    if not isinstance(g, OrbitGraph):
-        return g
-    loose = {(alpha, frozenset(group)): dense for (alpha, group), dense in g._loose.items()}
-    return graph_fields(g), g.rank, loose
+def parsed_fields(parse, text):
+    """The fields and rank of what parse makes of text, or the error it
+    raises: AxiomViolation with its whole list."""
+    try:
+        g = parse(text)
+    except AxiomViolation as err:
+        return "AxiomViolation", err.violations
+    except FlagOrbitsError as err:
+        return type(err).__name__, str(err)
+    return graph_fields(g), g.rank
 
 
 def assert_parse_matches(text):
     """parse_orbit_graph on positions gives the graph or the error of reference_parse."""
-    g = outcome(reference_parse, text)
-    if isinstance(g, OrbitGraph):
-        loose = {(alpha, frozenset(group)): dense for (alpha, group), dense in g._loose.items()}
-        assert parsed_fields(text) == (graph_fields(g), g.rank, loose), text
-    else:
-        assert parsed_fields(text) == g, text
+    assert parsed_fields(parse_orbit_graph, text) == parsed_fields(reference_parse, text), text
 
 
 # Names that sort alike: 01 meets its row first but comes after 1 in node order.
@@ -580,11 +628,9 @@ TIED = "orbitgraph v1\nrootsystem A1\nnodes 4\nnode 0 0\nnode 00 0\nnode 1 1\nno
 
 
 def text_layer_graphs():
-    """Crafted graphs of every violation, fibers out of the table alone and
-    among table fibers, fibers sharing a member or a dense node, names that
-    sort alike, dense-flip mutants and the oracle graphs."""
+    """Crafted graphs of every violation, fibers sharing a member or a dense
+    node, names that sort alike, dense-flip mutants and the oracle graphs."""
     graphs = [OrbitGraph("crafted", 2, lengths, fibers) for _, lengths, fibers in VALIDATE_CASES]
-    graphs += [g for g, _, _ in _fibers_outside_the_table()]
     a2 = from_weyl(build_root_datum("A2"))
     lengths = {"a": 0, "b": 1, "c": 1, "d": 2}
     graphs += [
@@ -592,10 +638,7 @@ def text_layer_graphs():
         OrbitGraph("crafted", 2, lengths, [(1, "b", ("a", "b")), (1, "c", ("a", "c")), (2, "b", ("a", "b"))]),
         OrbitGraph("crafted", 2, lengths, [(1, "b", ("a", "b")), (1, "b", ("b", "c")), (1, "d", ("c", "d"))]),
         OrbitGraph(a2.rootsystem, a2.rank, a2.length, a2.stored_fibers() + [(1, "2", ("2", "e"))]),
-        OrbitGraph(a2.rootsystem, a2.rank, a2.length, a2.stored_fibers() + [(1, "2", ("zz", "2")), (9, "e", ("e",))]),
-        parse_orbit_graph(format_orbit_graph(a2) + "fiber 7 2 e\nfiber 5 1,2 2\n"),
         parse_orbit_graph(TIED),
-        parse_orbit_graph(TIED.replace("A1", "A1 with a loose fiber") + "fiber 1000 0 00\n"),
         OrbitGraph("crafted", 3, {"0": 0, "00": 0, "1": 1, "01": 1}, [(1, "01", ("0", "01")), (1, "1", ("00", "1"))]),
     ]
     clean = [from_weyl(build_root_datum(name)) for name in ("A2", "B2", "G2", "A3", "B3")]
@@ -612,6 +655,15 @@ def test_text_layer_matches_the_name_keyed_references():
     # the order a row meets fibers with dense names that sort alike is kept
     assert [f[1] for f in parse_orbit_graph(TIED).stored_fibers()] == ["01", "1"]
     assert {code for code, _, _ in VALIDATE_CASES} <= {v.split(":")[0] for g in graphs for v in validate(g)}
+    # fiber indices above a named type's rank, among table fibers and with
+    # names that sort alike: refused as the reference refuses them
+    a2 = format_orbit_graph(from_weyl(build_root_datum("A2")))
+    for text, violations in (
+        (a2 + "fiber 7 2 e\nfiber 5 1,2 2\n", ["BadSimpleIndex: alpha=5 fiber=2/1,2", "BadSimpleIndex: alpha=7 fiber=2/e"]),
+        (TIED.replace("A1", "A1 with a named type") + "fiber 1000 0 00\n", ["BadSimpleIndex: alpha=1000 fiber=0/00"]),
+    ):
+        assert parsed_fields(parse_orbit_graph, text) == ("AxiomViolation", violations)
+        assert_parse_matches(text)
 
 
 def test_round_trip_byte_identical(tmp_path):
@@ -638,10 +690,9 @@ def test_round_trip_keeps_the_rank():
 
 def test_parsed_rank_comes_from_the_type_name():
     text = "orbitgraph v1\nrootsystem {}\nnodes 2\nnode 0 0\nnode 1 1\nfiber 9 1 0\n"
-    assert validate(parse_orbit_graph(text.format("A1"))) == [
-        "BadSimpleIndex: alpha=9 fiber=0/1",
-        "Unreachable: node=1 has no downward fiber",
-    ]
+    with pytest.raises(AxiomViolation) as info:
+        parse_orbit_graph(text.format("A1"))
+    assert info.value.violations == ["BadSimpleIndex: alpha=9 fiber=0/1"]
     for rootsystem in ("custom", "A1x", "A²", "E9 levi 1"):
         g = parse_orbit_graph(text.format(rootsystem))
         assert g.rank == 9 and validate(g) == [], rootsystem
@@ -741,11 +792,6 @@ def reference_first_step(g, k):
     return None
 
 
-def reference_refuse_loose(g):
-    if g._loose:
-        raise AxiomViolation(validate(g))
-
-
 def reference_cycle(g, chain):
     """The violation naming the first position the chain comes back to."""
     seen = set()
@@ -758,7 +804,6 @@ def reference_cycle(g, chain):
 
 def reference_chain(g, k, known, base):
     """The first lowering steps from k down to a position set in known."""
-    reference_refuse_loose(g)
     steps, x = [], k
     while known[x] is None:
         step = reference_first_step(g, x)
@@ -789,7 +834,6 @@ def reference_ideal(g, k, ideals):
 
 def reference_decomposition(g, v):
     k = g._position(v)
-    reference_refuse_loose(g)
     ks, roots = [k], []
     while g._len[k] > 0:
         step = reference_first_step(g, k)
@@ -824,7 +868,6 @@ def reference_endpoints(g, rd):
             else:
                 nxt.update(got[1])
         current = nxt
-    reference_refuse_loose(g)
     return tuple(g.nodes[k] for k in sorted(current))
 
 
@@ -873,7 +916,6 @@ def oracle_graphs():
     a2 = from_weyl(build_root_datum("A2"))
     graphs += [
         OrbitGraph(a2.rootsystem, a2.rank, a2.length, a2.stored_fibers() + [(1, "2", ("2", "e"))]),  # incoherent along 1
-        parse_orbit_graph(format_orbit_graph(a2) + "fiber 7 2 e\n"),  # a fiber kept out of the table
         parse_orbit_graph(  # a lowering cycle
             "orbitgraph v1\nrootsystem A2\nnodes 3\nnode x 0\nnode v 2\nnode w 3\nfiber 1 v w\nfiber 2 w v\n"
         ),
@@ -883,7 +925,7 @@ def oracle_graphs():
 
 def fresh_copy(g):
     """g with the same table and nothing computed on it yet."""
-    return OrbitGraph.__new__(OrbitGraph)._fill(g.rootsystem, g.nodes, list(g._len), g._table, g._graded, g._loose)
+    return OrbitGraph.__new__(OrbitGraph)._fill(g.rootsystem, g.nodes, list(g._len), g._table, g._graded)
 
 
 def first_step_decomposition(g, k):
@@ -960,24 +1002,20 @@ def test_walks_match_the_references_on_corrupted_graphs():
 
 
 def test_decompositions_refuse_fibers_outside_the_table():
+    # a fiber along 7 on A2 never reaches a graph; on the graph without it,
+    # a decomposition along an index outside 1..2 is a Mismatch
     text = "orbitgraph v1\nrootsystem A2\nnodes 3\nnode 0 0\nnode 1 1\nnode 2 2\n"
-    g = parse_orbit_graph(text + "fiber 1 1 0\nfiber 2 2 1\nfiber 7 2 0\n")
-    message = str(AxiomViolation(validate(g)))
-    assert validate(g) == ["BadSimpleIndex: alpha=7 fiber=0/2"]
-    rd = ReducedDecomposition(("0", "1", "2"), (1, 2))
-    for call in (
-        lambda: lower_ideal(g, "2"),
-        lambda: reduced_decomposition(g, "2"),
-        lambda: reduced_decomposition(g, "0"),
-        lambda: all_reduced_decompositions(g, "2"),
-        lambda: subexpression_endpoints(g, rd),
-    ):
-        with pytest.raises(AxiomViolation) as info:
-            call()
-        assert str(info.value) == message
+    with pytest.raises(AxiomViolation) as info:
+        parse_orbit_graph(text + "fiber 1 1 0\nfiber 2 2 1\nfiber 7 2 0\n")
+    assert info.value.violations == ["BadSimpleIndex: alpha=7 fiber=0/2"]
     tabled = parse_orbit_graph(text + "fiber 1 1 0\nfiber 2 2 1\n")
-    assert reduced_decomposition(tabled, "2") == rd
+    rd = ReducedDecomposition(("0", "1", "2"), (1, 2))
+    assert reduced_decomposition(tabled, "2") == rd and all_reduced_decompositions(tabled, "2") == [rd]
     assert subexpression_endpoints(tabled, rd) == ("0", "1", "2")
+    for roots, alpha in (((1, 7), "7"), ((7, 2), "7"), ((1, 2.0), "2.0")):
+        with pytest.raises(Mismatch) as info:
+            subexpression_endpoints(tabled, rd._replace(roots=roots))
+        assert str(info.value) == f"simple index {alpha} out of range 1..2"
 
 
 def reference_kernel(pairs, bits):
