@@ -122,7 +122,7 @@ class KgbGraph:
             for (alpha, v), t in entries.items():
                 k = index.get(v) if alpha.__class__ is int and 0 < alpha <= rank else None
                 if k is None or (t not in _CODE if field == "Label" else t is None):
-                    bad.append(f"Bad{field}: alpha={alpha} node={v}")
+                    bad.append(f"Bad{field}: alpha={alpha!r} node={v}")
                 else:
                     rows[-1][alpha - 1][k] = _CODE[t] if field == "Label" else index[t] if t in index else far.setdefault(t, n + len(far))
         if bad:
@@ -178,7 +178,7 @@ class KgbGraph:
         every move lowers (to_orbit_poset refuses a graph with one missing)."""
         self._require(v)
         if alpha.__class__ is not int or not 1 <= alpha <= self.datum.rank:
-            raise Mismatch(f"simple index {alpha} out of range 1..{self.datum.rank}")
+            raise Mismatch(f"simple index {alpha!r} out of range 1..{self.datum.rank}")
         to_orbit_poset(self)
         return self._index[v]
 
@@ -531,10 +531,12 @@ def group_case(datum: RootDatum) -> KgbGraph:
     table = _table(datum)
     lens, zero = list(table.length), (0,) * datum.rank
     # The simple roots of dd are those of datum, then their copies; node k's
-    # twisted involution acts as k on the first copy and k^-1 on the second.
+    # twisted involution acts as k on the first copy and k^-1 on the second,
+    # which are its component ids when datum is irreducible.
     first = [tuple([img + zero for img in images]) for images in table.images]
     second = [tuple([zero + img for img in images]) for images in table.images]
-    tws = [WeylElt(dd, first[k] + second[j]) for k, j in enumerate(table.inverse)]
+    one = len(_layout(datum).parts) == 1
+    tws = [WeylElt(dd, first[k] + second[j], (k, j) if one else None) for k, j in enumerate(table.inverse)]
     moves = table.left + table.right
     labels = [[_DOWN if lens[m] < n else _UP for m, n in zip(row, lens)] for row in moves]
     nodes = tuple(map(str, range(len(lens))))

@@ -74,7 +74,7 @@ class OrbitGraph:
                     table[alpha - 1][k] = entry
             else:  # names are spelled only for a refused fiber, those that sort alike in node order
                 group = sorted({dense, *members}, key=lambda x: (node_sort_key(x), index.get(x, len(nodes)), x))
-                tag = f"alpha={alpha} fiber={'/'.join(group)}"
+                tag = f"alpha={alpha!r} fiber={'/'.join(group)}"
                 unknown = ",".join(x for x in group if x not in index)
                 bad.add(f"UnknownNode: {tag} nodes={unknown}" if inside else f"BadSimpleIndex: {tag}")
         if bad:
@@ -103,7 +103,7 @@ class OrbitGraph:
 
     def _entry(self, alpha: int, k: int) -> tuple[int, tuple[int, ...]] | None:
         if alpha.__class__ is not int or not 1 <= alpha <= self.rank:
-            raise Mismatch(f"simple index {alpha} out of range 1..{self.rank}")
+            raise Mismatch(f"simple index {alpha!r} out of range 1..{self.rank}")
         return self._table[alpha - 1][k]
 
     def fiber(self, alpha: int, node: NodeId) -> tuple[NodeId, ...]:

@@ -8,10 +8,13 @@ The group of a datum is the product of the groups of the connected
 components of its Dynkin diagram.  There is one WeylTable per irreducible
 Cartan matrix, shared by every datum with such a component (the two copies
 in group_case's doubled datum read the table of the one group), and an
-element is looked up as one table id per component.  Whole-group operations
-build the tables, up to TABLE_CAP elements; per-element calls only read
-tables that exist, and otherwise spell by one walk on the weight w(2 rho)
-and multiply by simple-reflection kernels, so E7 and E8 still answer.
+element is one table id per component.  An element made from the tables
+carries its ids; one made by a root-image kernel has them looked up once
+by hashing its images.  Lengths, words, inverses and the Bruhat order are
+then reads of the table rows.  Whole-group operations build the tables, up
+to TABLE_CAP elements; per-element calls only read tables that exist, and
+otherwise spell and compare by walks on the weight w(2 rho) and multiply by
+simple-reflection kernels, so E7 and E8 still answer.
 """
 
 from __future__ import annotations
@@ -55,13 +58,17 @@ TABLE_CAP = 51_840
 
 class WeylElt:
     """A Weyl group element, canonically the tuple of simple-root images.
-    Treat it as immutable: it is hashed by value."""
+    ``ids`` is its id in each component table of the datum (see _ids), or
+    None until they are known: it is a memo, so equality and hashing read
+    the datum and the images only.  Treat it as immutable: it is hashed by
+    value."""
 
-    __slots__ = ("datum", "images")
+    __slots__ = ("datum", "images", "ids")
 
-    def __init__(self, datum: RootDatum, images: tuple[Root, ...]):
+    def __init__(self, datum: RootDatum, images: tuple[Root, ...], ids: tuple[int, ...] | None = None):
         self.datum = datum
         self.images = images
+        self.ids = ids
 
     def __eq__(self, other):
         if other.__class__ is not WeylElt:
@@ -219,18 +226,33 @@ def exchange(datum: RootDatum, word: Sequence[int], alpha: int) -> int:
 
 
 def bruhat_leq(u: WeylElt, v: WeylElt) -> bool:
-    """Bruhat order by downward lifting: strip the smallest descent s of v,
-    and strip it from u too when it is a descent of u, until u is as long
-    as v; then u <= v exactly when the two are equal."""
+    """Bruhat order by lifting along the left descents of v: with s the
+    first letter of v's canonical word, u <= v exactly when s*u <= s*v if s
+    is a left descent of u, and u <= s*v if not (Bjorner-Brenti, GTM 231,
+    prop. 2.2.7).  With tables, per component on the left rows, until u is
+    as long as v; then u <= v exactly when the two are equal.  Without,
+    on the weights w(2 rho) along v's whole word: u <= v exactly when u
+    ends at the identity, whose weight is the only dominant one."""
     if u.datum != v.datum:
         raise DatumMismatch("cannot compare elements of different root data")
-    lu, lv = length(u), length(v)
-    while lu < lv:
-        i = next(i for i, beta in enumerate(v.images, 1) if any(c < 0 for c in beta))
-        v, lv = _times_s(v, i), lv - 1
-        if any(c < 0 for c in u.images[i - 1]):
-            u, lu = _times_s(u, i), lu - 1
-    return u == v
+    hu, hv = _ids(u), _ids(v)
+    if hu is None or hv is None:
+        mu, rows = _weight(u), _layout(u.datum).rows
+        for a in _spell(u.datum, _weight(v)):
+            if mu[a - 1] < 0:
+                _move(rows[a - 1], mu, mu[a - 1])
+        return all(c >= 0 for c in mu)
+    for table, x, y in zip(hu[0], hu[1], hv[1]):
+        lengths, left, words = table.length, table.left, table.words
+        lx, ly = lengths[x], lengths[y]
+        while lx < ly:
+            row = left[words[y][0] - 1]
+            y, ly = row[y], ly - 1
+            if lengths[row[x]] < lx:
+                x, lx = row[x], lx - 1
+        if x != y:
+            return False
+    return True
 
 
 def bruhat_leq_subword(u: WeylElt, v: WeylElt, base_word: Sequence[int] | None = None) -> bool:
@@ -505,36 +527,39 @@ def _layout(datum: RootDatum) -> _Layout:
 
 def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
     """The component tables of w's datum and the id of w in each, or None
-    without tables.  A component on consecutive indices is read by one
-    slice per image."""
+    without tables.  The ids are w's own when it carries them; otherwise
+    they are looked up by hashing its images, a component on consecutive
+    indices by one slice per image, and kept on w."""
     layout = _layout(w.datum)
     tables = layout.tables()
     if tables is None:
         return None
-    if len(tables) == 1:
-        k = tables[0].index.get(w.images)
-        return None if k is None else (tables, (k,))
-    ids = []
-    for part, span, table in zip(layout.parts, layout.spans, tables):
-        if span is None:
-            key = tuple(tuple(w.images[i][j] for j in part) for i in part)
+    if w.ids is None:
+        if len(tables) == 1:
+            keys = [w.images]
         else:
-            key = tuple([img[span] for img in w.images[span]])
-        k = table.index.get(key)
-        if k is None:
+            keys = [
+                tuple([img[span] for img in w.images[span]]) if span is not None
+                else tuple(tuple(w.images[i][j] for j in part) for i in part)
+                for part, span in zip(layout.parts, layout.spans)
+            ]
+        ids = tuple([table.index.get(key) for table, key in zip(tables, keys)])
+        if None in ids:
             return None
-        ids.append(k)
-    return tables, tuple(ids)
+        w.ids = ids
+    return tables, w.ids
 
 
 def _element(datum: RootDatum, ids: Sequence[int]) -> WeylElt:
-    """The element with the given component ids; the tables must exist."""
+    """The element with the given component ids, carrying them; the tables
+    must exist."""
     layout = _layout(datum)
     tables = layout.tables()
+    ids = tuple(ids)
     if len(tables) == 1:
         if layout.elements is not None:
             return layout.elements[ids[0]]
-        return WeylElt(datum, tables[0].images[ids[0]])
+        return WeylElt(datum, tables[0].images[ids[0]], ids)
     r = datum.rank
     images: list[Root] = [()] * r
     for part, table, k in zip(layout.parts, tables, ids):
@@ -543,7 +568,7 @@ def _element(datum: RootDatum, ids: Sequence[int]) -> WeylElt:
             for j, c in zip(part, local):
                 full[j] = c
             images[i] = tuple(full)
-    return WeylElt(datum, tuple(images))
+    return WeylElt(datum, tuple(images), ids)
 
 
 def _word(datum: RootDatum, tables: Sequence[WeylTable | None], ids: Sequence[int]) -> Word:
@@ -594,10 +619,14 @@ def _runs(part: Sequence[int], word: Word) -> list[Word]:
 
 
 def enumerate_elements(datum: RootDatum) -> tuple[WeylElt, ...]:
-    """All elements, sorted by length then by canonical reduced word."""
+    """All elements, sorted by length then by canonical reduced word.  On
+    one component the id of an element in the datum's own table is its
+    component id, and it carries it; a reducible datum's whole-group ids
+    are not, and its elements look theirs up on first use."""
     layout = _layout(datum)
     if layout.elements is None:
-        layout.elements = tuple(WeylElt(datum, images) for images in _table(datum).images)
+        one = len(layout.parts) == 1
+        layout.elements = tuple([WeylElt(datum, img, (k,) if one else None) for k, img in enumerate(_table(datum).images)])
     return layout.elements
 
 

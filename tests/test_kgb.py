@@ -63,6 +63,7 @@ from flagorbits import (
     validate_kgb,
 )
 from clans import clan_graph
+from test_weyl import looked_up_ids
 from flagorbits import weyl
 from flagorbits.kgb import FORMAT_HEADER, _braid_order, _open_node
 from flagorbits.orbit_poset import OrbitGraph, from_weyl, lower_ideal, node_sort_key
@@ -127,6 +128,10 @@ def test_move_domain_errors():
     # an index is an int: the rows are lists
     with pytest.raises(Mismatch, match="simple index 1.0 out of range"):
         cross_action(g, 1.0, "0")
+    # spelled by repr, so a str reads apart from the int in range
+    with pytest.raises(Mismatch) as info:
+        root_type(g, "1", "0")
+    assert str(info.value) == "simple index '1' out of range 1..1"
 
 
 def monoid_by_label(g, alpha, v):
@@ -242,6 +247,20 @@ def test_every_graph_satisfies_all_axioms():
         poset = to_orbit_poset(g)
         assert validate_poset(poset) == [], name
         assert property_z_check(poset) == [], name
+
+
+def test_twisted_involutions_carry_the_ids_the_lookup_finds():
+    # group_case's carry (k, k^-1), twisted_shadow's and parse_kgb's the ids
+    # of enumerate_elements and from_word; group_case of a reducible datum
+    # leaves them to the lookup, since its table's ids are whole-group ones
+    graphs = [group_case(build_root_datum(name)) for name in ("A1", "B2", "G2", "A3", "B3", "F4")]
+    graphs += [twisted_shadow(build_root_datum(name, twist=t)) for name, t in (("A3", (3, 2, 1)), ("D4", (1, 2, 4, 3)), ("B3", (1, 2, 3)))]
+    graphs += [parse_kgb(format_kgb(g)) for g in graphs]
+    for g in graphs:
+        assert all(x.ids is not None and x.ids == looked_up_ids(x) for x in g._tw), g.datum.name
+    g = group_case(build_root_datum("A1xA2"))
+    assert all(x.ids is None for x in g._tw)
+    assert [looked_up_ids(x) for x in g._tw] == [weyl.from_word(g.datum, reduced_word(x)).ids for x in g._tw]
 
 
 def test_a1xa1_swap_is_the_diagonal_case():
@@ -745,6 +764,12 @@ def test_the_constructor_refuses_what_the_rows_cannot_hold():
         (u21, {"cayley": {(1, "0"): "zz", (2, "x"): "5"}, "label": {(2, "5"): None}}, ["BadCayley: alpha=2 node=x"]),
         (u21, {"cross": {(1, "1"): None, (2, "q"): "1"}}, ["BadCross: alpha=2 node=q"]),
         (a2, {"tw": {"zz": identity(a2.datum)}}, ["ExtraTw: node=zz"]),
+        # an index that is not an int is spelled by repr
+        (
+            a2,
+            {"label": {("1", "0"): RootType.REAL_I}, "cross": {("2", "1"): "0"}, "cayley": {(1.0, "2"): "1"}},
+            ["BadCayley: alpha=1.0 node=2", "BadCross: alpha='2' node=1", "BadLabel: alpha='1' node=0"],
+        ),
     ]
     for g, changes, want in cases:
         with pytest.raises(AxiomViolation) as info:

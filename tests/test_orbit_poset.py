@@ -208,7 +208,7 @@ def _fibers_outside_the_table():
         (2, good, [(0, "b", ("a", "b"))], ["BadSimpleIndex: alpha=0 fiber=a/b"]),
         (1, good, [(1.0, "b", ("a", "b"))], ["BadSimpleIndex: alpha=1.0 fiber=a/b"]),
         (1, good, [(True, "b", ("a", "b"))], ["BadSimpleIndex: alpha=True fiber=a/b"]),
-        (1, good, [("1", "b", ("a", "b"))], ["BadSimpleIndex: alpha=1 fiber=a/b"]),
+        (1, good, [("1", "b", ("a", "b"))], ["BadSimpleIndex: alpha='1' fiber=a/b"]),
         (2, good, [(1, "b", ("zz", "b"))], ["UnknownNode: alpha=1 fiber=b/zz nodes=zz"]),
         (2, good, [(1, "b", ("a", "b")), (2, "yy", ("zz", "b", "a"))], ["UnknownNode: alpha=2 fiber=a/b/yy/zz nodes=yy,zz"]),
         # names that sort alike, in node order whatever the order of the set
@@ -258,6 +258,11 @@ def test_order_is_refused_on_fibers_outside_the_table():
         ):
             with pytest.raises(Mismatch, match=r"simple index .* out of range 1\.\.[12]$"):
                 call()
+    # the index is spelled by repr, so a str reads apart from the int in range
+    for alpha, spelled in ((3, "3"), (1.0, "1.0"), ("1", "'1'")):
+        with pytest.raises(Mismatch) as info:
+            g.fiber(alpha, "e")
+        assert str(info.value) == f"simple index {spelled} out of range 1..2"
     assert subexpression_endpoints(g, rd) == ("1", "2", "1,2", "e")
 
 
@@ -541,7 +546,7 @@ def reference_refusals(rank, lengths, fibers):
     order = sorted(lengths, key=node_sort_key)  # names that sort alike keep this order, unknown names last
     for alpha, dense, members in fibers:
         group = sorted({dense, *members}, key=lambda x: (node_sort_key(x), order.index(x) if x in lengths else len(order), x))
-        tag = f"alpha={alpha} fiber={'/'.join(group)}"
+        tag = f"alpha={alpha!r} fiber={'/'.join(group)}"
         unknown = [x for x in group if x not in lengths]
         if type(alpha) is not int or not 1 <= alpha <= rank:
             bad.add(f"BadSimpleIndex: {tag}")

@@ -424,11 +424,12 @@ def eulerian_count(g):
 
 def mobius(g, u, v):
     """mu(u, v) by the recursion mu(u, u) = 1, mu(u, z) = -sum of mu(u, y)
-    over u <= y < z, each y read off the lower ideal of z."""
+    over u <= y < z, the y read once off the lower ideal of z within [u, v]."""
+    span = upper_ideal(g, u) & lower_ideal(g, v)
     mu = {}
     for z in interval(g, u, v):
-        below = lower_ideal(g, g.nodes[z])
-        mu[z] = -sum(m for y, m in mu.items() if below >> y & 1) if mu else 1
+        below = _members(lower_ideal(g, g.nodes[z]) & span & ~(1 << z))
+        mu[z] = -sum(map(mu.__getitem__, below)) if mu else 1
     return mu[g.index[v]]
 
 
@@ -440,7 +441,7 @@ def sample_intervals(g, rng, count):
     for _ in range(count):
         v = rng.choice(tall)
         below = lower_ideal(g, v) & ~(1 << g.index[v])
-        u = rng.choice([x for k, x in enumerate(g.nodes) if below >> k & 1])
+        u = rng.choice([g.nodes[k] for k in _members(below)])
         out.append((u, v))
     return out
 

@@ -620,6 +620,115 @@ def test_bruhat_subword_accepts_any_base_word():
         bruhat_leq_subword(u, v, base_word=(1, 1, 2, 1))
 
 
+def looked_up_ids(w):
+    """w's component ids found by hashing its images, on a copy made
+    without ids."""
+    return weyl._ids(WeylElt(w.datum, w.images))[1]
+
+
+def test_table_born_elements_carry_the_ids_the_lookup_finds():
+    # enumerate_elements on one component, from_word and inv carry their
+    # ids; a reducible datum's elements look theirs up on first use, since
+    # its own table's ids are whole-group ones
+    for spec in [spec for spec, _ in TABLE_SPECS] + ["A1xA1"]:
+        d = build_root_datum(spec)
+        one = len(weyl._layout(d).parts) == 1
+        for w in enumerate_elements(d):
+            assert (w.ids is not None) == one, spec
+            want = looked_up_ids(w)
+            assert from_word(d, reduced_word(w)).ids == want, spec
+            assert inv(w).ids == looked_up_ids(inv(w)), spec
+            length(w)  # the first use keeps the ids it looks up
+            assert w.ids == want, spec
+
+
+def test_kernel_born_elements_equal_the_table_born_ones():
+    # equality and hashing read the images, not the ids
+    for spec in ("B3", "G2", "A1xA1", INTERLEAVED):
+        d = build_root_datum(spec)
+        e = identity(d)
+        for w in enumerate_elements(d):
+            x = mul(w, e)
+            y = from_word(d, reduced_word(w))
+            assert x.ids is None and y.ids is not None
+            assert x == w == y and hash(x) == hash(w) == hash(y)
+            assert {x: 0}[y] == {y: 0}[w] == 0
+            # the lookup keeps what it finds
+            assert length(x) == length(y) and x.ids == y.ids
+
+
+def reference_bruhat_leq(u, v):
+    """Bruhat order by lifting along right descents on the root images:
+    strip the smallest right descent s of v, and strip it from u too when
+    it is a descent of u, until u is as long as v; then u <= v exactly
+    when the two are equal."""
+    lu, lv = length(u), length(v)
+    while lu < lv:
+        i = next(i for i, beta in enumerate(v.images, 1) if any(c < 0 for c in beta))
+        v, lv = weyl._times_s(v, i), lv - 1
+        if any(c < 0 for c in u.images[i - 1]):
+            u, lu = weyl._times_s(u, i), lu - 1
+    return u == v
+
+
+def seeded_pairs(d, rng, count):
+    """count seeded pairs (u, v), v from a uniform word of up to N letters
+    (N positive roots), u alternately from a seeded subword of v's reduced
+    word, so u <= v, and from a uniform word of its own."""
+    top = len(positive_roots(d))
+    out = []
+    for k in range(count):
+        v = from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(0, top))])
+        if k % 2:
+            u = from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(0, top))])
+        else:
+            u = from_word(d, [a for a in reduced_word(v) if rng.random() < 0.75])
+        out.append((u, v))
+    return out
+
+
+# The acceptance types, and reducible data with interleaved components.
+ORDER_SPECS = ("A1", "A1xA1", "A2", "B2", "G2", "A3", "A1xA2", "B2xA1", INTERLEAVED)
+
+
+def test_bruhat_leq_matches_the_image_lifting_oracle(monkeypatch):
+    # every pair, on the table rows and then on the weights with every
+    # table hidden, against the root-image lifting and the subword oracle;
+    # seeded pairs of larger reducible data against the lifting
+    rng = random.Random(37)
+    cases = [[(u, v) for u in enumerate_elements(d) for v in enumerate_elements(d)] for d in map(build_root_datum, ORDER_SPECS)]
+    seeded = [seeded_pairs(build_root_datum(spec), rng, 300) for spec in (THREE_WAY, "A3xA3", "B2xG2")]
+    for hidden in (False, True):
+        if hidden:
+            monkeypatch.setattr(weyl._Layout, "tables", lambda self: None)
+        for pairs in cases:
+            for u, v in pairs:
+                assert bruhat_leq(u, v) == reference_bruhat_leq(u, v) == bruhat_leq_subword(u, v), u.datum.name
+        for pairs in seeded:
+            for u, v in pairs:
+                assert bruhat_leq(u, v) == reference_bruhat_leq(u, v), u.datum.name
+                assert bruhat_leq(v, u) == reference_bruhat_leq(v, u), u.datum.name
+    assert sum(bruhat_leq(u, v) for u, v in seeded[0]) >= 150
+
+
+def test_bruhat_leq_without_tables_matches_the_oracle():
+    # E7 and E8 have no table: the weights against the root-image lifting,
+    # and against the subword oracle where v is short
+    rng = random.Random(41)
+    for name in ("E7", "E8"):
+        d = build_root_datum(name)
+        pairs = seeded_pairs(d, rng, 60)
+        for u, v in pairs:
+            assert bruhat_leq(u, v) == reference_bruhat_leq(u, v), name
+            assert bruhat_leq(v, u) == reference_bruhat_leq(v, u), name
+        assert sum(bruhat_leq(u, v) for u, v in pairs) >= 30, name
+        for _ in range(40):
+            v = from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(0, 9))])
+            u = from_word(d, [rng.randint(1, d.rank) for _ in range(rng.randint(0, 5))])
+            assert bruhat_leq(u, v) == bruhat_leq_subword(u, v), name
+        assert d.cartan not in weyl._tables and weyl._layout(d).tables() is None
+
+
 def test_reflection_words_are_palindromes():
     for name in ("A2", "B2", "G2"):
         d = build_root_datum(name)
