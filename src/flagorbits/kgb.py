@@ -11,8 +11,9 @@ The graph keeps its nodes in node order and, per simple root, three rows
 indexed by position: the label as a small int (its rule's index in
 ``_RULES``), the cross target and the Cayley target (the layout of the Atlas
 software, Adams-du Cloux, J. Inst. Math. Jussieu 8, 2009).  The builders,
-parse_kgb and the dict constructor fill the rows; validate_kgb, format_kgb,
-ascent_consistency_check and to_orbit_poset read them.  Each rule gives the
+parse_kgb and the dict constructor fill the rows, the last two refusing
+rows that miss a move; validate_kgb, format_kgb, ascent_consistency_check,
+to_orbit_poset and the moves read them.  Each rule gives the
 class of the root, the cross move and the Cayley transform, and validate_kgb
 reads every local axiom off it.  The twist axioms (theta(w) = w^-1, the
 cross action s_a * w * s_theta(a), the Cayley transform s_a * w) are
@@ -83,23 +84,23 @@ class KgbGraph:
 
     Held by position in ``nodes``, which is kept in node order: ``_len`` and
     ``_tw`` per node, and per simple index alpha, row alpha - 1 of
-    ``_label`` (label codes), ``_cross`` and ``_cayley`` (target positions),
-    None where there is no entry.  A target that is not a node sits at
-    position n + i for ``_far[i]``.  ``tw`` and ``length`` are read-only
-    mappings by node, built once with the rows.
+    ``_label`` (label codes), ``_cross`` and ``_cayley`` (target positions):
+    every label and cross target is there, and a Cayley target wherever the
+    label is noncompact or the graph gave one, None elsewhere.  ``tw`` and
+    ``length`` are read-only mappings by node, built once with the rows.
 
     The constructor lowers its dicts, keyed by node and by (alpha, node), to
     the rows, and refuses with AxiomViolation, one sorted line per entry,
     what they cannot hold: a node listed twice, a length or twisted
     involution of a node that is not listed, a missing length or one that
     is not an int, a twisted involution that is not a WeylElt of the graph's
-    datum, and a label, cross or Cayley entry keyed by an unknown node or
-    an index outside 1..rank, a label that is not a RootType or a target
-    None.  Two graphs are equal when their rows are, targets named; the
-    memos do not count, and a graph is not hashable.  Immutable, so the
-    memos never go stale."""
+    datum, a label, cross or Cayley entry keyed by an unknown node or an
+    index outside 1..rank, a label that is not a RootType or a target None,
+    and every move the rows then miss (see _move_faults).  Two graphs are
+    equal when their rows are, targets named; the memos do not count, and a
+    graph is not hashable.  Immutable, so the memos never go stale."""
 
-    __slots__ = ("datum", "nodes", "tw", "length", "_index", "_len", "_tw", "_label", "_cross", "_cayley", "_far")
+    __slots__ = ("datum", "nodes", "tw", "length", "_index", "_len", "_tw", "_label", "_cross", "_cayley")
     __slots__ += ("_poset", "_open")
 
     def __init__(self, datum: RootDatum, nodes, tw: dict, length: dict, label: dict, cross: dict, cayley: dict):
@@ -125,18 +126,19 @@ class KgbGraph:
                     bad.append(f"Bad{field}: alpha={alpha!r} node={v}")
                 else:
                     rows[-1][alpha - 1][k] = _CODE[t] if field == "Label" else index[t] if t in index else far.setdefault(t, n + len(far))
+        bad += _move_faults(nodes, *rows, far)
         if bad:
             raise AxiomViolation(sorted(bad))
-        self._fill(datum, nodes, [length[v] for v in nodes], [tw[v] for v in nodes], *rows, far)
+        self._fill(datum, nodes, [length[v] for v in nodes], [tw[v] for v in nodes], *rows)
 
-    def _fill(self, datum, nodes, lens, tws, labels, cross, cayley, far=()):
-        """Set every field, in slot order, from nodes in node order, the rows
-        and far, the targets that are not nodes in position order.  The
-        memos, filled on first use, are the orbit poset (see to_orbit_poset)
-        and the open node."""
+    def _fill(self, datum, nodes, lens, tws, labels, cross, cayley):
+        """Set every field, in slot order, from nodes in node order and rows
+        that hold every move (_move_faults finds none).  The memos, filled on
+        first use, are the orbit poset (see to_orbit_poset) and the open
+        node."""
         maps = (MappingProxyType(dict(zip(nodes, got))) for got in (tws, lens))
         index = {v: k for k, v in enumerate(nodes)}
-        values = (datum, nodes, *maps, index, lens, tws, labels, cross, cayley, tuple(far), None, None)
+        values = (datum, nodes, *maps, index, lens, tws, labels, cross, cayley, None, None)
         for f, v in zip(self.__slots__, values):
             object.__setattr__(self, f, v)
         return self
@@ -151,13 +153,12 @@ class KgbGraph:
         """The constructor's arguments by name, spelled from the rows: tw and
         length by node, and label, cross and cayley by (alpha, node), in
         (alpha, node) order."""
-        names = (*self.nodes, *self._far)
 
         def keyed(rows, names):
             return {(a, v): names[j] for a, row in enumerate(rows, 1) for v, j in zip(self.nodes, row) if j is not None}
 
         return {"datum": self.datum, "nodes": self.nodes, "tw": dict(self.tw), "length": dict(self.length),
-                "label": keyed(self._label, _TYPES), "cross": keyed(self._cross, names), "cayley": keyed(self._cayley, names)}
+                "label": keyed(self._label, _TYPES), "cross": keyed(self._cross, self.nodes), "cayley": keyed(self._cayley, self.nodes)}
 
     def __eq__(self, other):
         if other.__class__ is not KgbGraph:
@@ -174,13 +175,31 @@ class KgbGraph:
             raise Mismatch(f"unknown node {v!r}")
 
     def _require_at(self, alpha: int, v: NodeId) -> int:
-        """The position of v, once v is a node, alpha a simple index and
-        every move lowers (to_orbit_poset refuses a graph with one missing)."""
+        """The position of v, once v is a node and alpha a simple index."""
         self._require(v)
         if alpha.__class__ is not int or not 1 <= alpha <= self.datum.rank:
             raise Mismatch(f"simple index {alpha!r} out of range 1..{self.datum.rank}")
-        to_orbit_poset(self)
         return self._index[v]
+
+
+def _move_faults(nodes, labels, cross, cayley, far) -> list[str]:
+    """The lines refusing rows that miss a move, the first fault of each
+    (alpha, node): no label or no cross entry (None), a cross or Cayley
+    target that is no node (at position n + i for the i-th name of far), or
+    a noncompact label with no Cayley target."""
+    n, names, out = len(nodes), (*nodes, *far), []
+    for alpha, rows in enumerate(zip(labels, cross, cayley), 1):
+        for v, lab, j, t in zip(nodes, *rows):
+            if lab is None or j is None:
+                out.append(f"MissingLabel: alpha={alpha} node={v}")
+            elif j >= n:
+                out.append(f"UnknownNode: alpha={alpha} node={v} cross={names[j]}")
+            elif t is None:
+                if lab in _NONCOMPACT:
+                    out.append(f"MissingCayley: alpha={alpha} node={v}")
+            elif t >= n:
+                out.append(f"UnknownNode: alpha={alpha} node={v} cayley={names[t]}")
+    return out
 
 
 # --- twisted involutions -----------------------------------------------------
@@ -235,7 +254,7 @@ def inverse_cayley(g: KgbGraph, alpha: int, v: NodeId) -> tuple[NodeId, ...]:
     k = g._require_at(alpha, v)
     if _RULES[g._label[alpha - 1][k]].cls != "real":
         raise NotReal(f"root {alpha} is not real at node {v}")
-    return tuple(g.nodes[j] for j in _below(g._poset, alpha, k))
+    return tuple(g.nodes[j] for j in _below(to_orbit_poset(g), alpha, k))
 
 
 def monoid(g: KgbGraph, alpha: int, v: NodeId) -> NodeId:
@@ -324,10 +343,8 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
 def validate_kgb(g: KgbGraph) -> list[str]:
     """Check the structural axioms; returns sorted human-readable violations.
     The ascent criterion is deliberately not examined here, see
-    ascent_consistency_check.  Reads the rows: a missing entry is None, and
-    a target past the n nodes is not a node."""
+    ascent_consistency_check.  Reads the rows, which hold every move."""
     datum, nodes, lens, n = g.datum, g.nodes, g._len, len(g.nodes)
-    names = (*nodes, *g._far)
     out: list[str] = []
     tw_keys, moved, is_twisted = _twist_kernels(datum, g._tw)
 
@@ -348,17 +365,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
         # the keys of s_alpha * x * s_theta(alpha), and of s_alpha * x once a Cayley target needs them
         crossed, raised = moved(alpha, theta), None
         for k, (v, lab, j) in enumerate(zip(nodes, labels, targets)):
-            if lab is None or j is None:
-                out.append(f"MissingLabel: alpha={alpha} node={v}")
-                continue
-            if j >= n:
-                out.append(f"UnknownNode: alpha={alpha} node={v} cross={names[j]}")
-                continue
-            # None when j has no label or no cross entry here: that is
-            # reported as MissingLabel at j, and the checks against the
-            # partner are skipped.
-            partner = labels[j] if targets[j] is not None else None
-            if partner is not None and targets[j] != k:
+            if targets[j] != k:
                 out.append(f"CrossNotInvolution: alpha={alpha} node={v}")
             cls, step, mate, code, real, want = _RULES[lab]
             if cls != classes[k]:
@@ -368,17 +375,15 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                 out.append(f"CrossTwist: alpha={alpha} node={v}")
             if (j != k) if step is None else (j == k or lens[j] != lens[k] + step):
                 out.append(f"{code}: alpha={alpha} node={v}")
-            elif mate is not None and partner not in (None, mate):
+            elif mate is not None and labels[j] != mate:
                 out.append(f"PartnerLabel: alpha={alpha} node={v}")
             if trivial and lab in (_NCI1, _R1):
                 out.append(f"TypeIForbidden: alpha={alpha} node={v} (m_alpha trivial)")
             if want is not None and (got := preimages[k]) != want:
                 out.append(f"InverseCayleyCount: alpha={alpha} node={v} got={got} want={want}")
             t = cays[k]
-            if (t is not None) != (real is not None):
-                out.append(f"{'Missing' if real is not None else 'Spurious'}Cayley: alpha={alpha} node={v}")
-            elif real is not None and t >= n:
-                out.append(f"UnknownNode: alpha={alpha} node={v} cayley={names[t]}")
+            if real is None and t is not None:
+                out.append(f"SpuriousCayley: alpha={alpha} node={v}")
             elif real is not None:
                 if lens[t] != lens[k] + 1:
                     out.append(f"CayleyLength: alpha={alpha} node={v}")
@@ -388,22 +393,18 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                 if raised[k] != tw_keys[t]:
                     out.append(f"CayleyTwist: alpha={alpha} node={v}")
                 # type I: the cross partner shares the Cayley target
-                if step is not None and partner is not None and cays[j] != t:
+                if step is not None and cays[j] != t:
                     out.append(f"SharedCayley: alpha={alpha} node={v}")
 
     # cross actions must satisfy the braid relations pairwise, walked from
-    # every node at once.  A gap (a missing entry, or the step after a
-    # target that is not a node) leads to position gap, where a walk stops;
-    # it was reported above.
-    gap = n + len(g._far)
-    rows = [[gap if j is None else j for j in row] + [gap] * (len(g._far) + 1) for row in g._cross]
+    # every node at once
     for a in range(1, datum.rank + 1):
         for b in range(a + 1, datum.rank + 1):
-            x, y, ra, rb = range(n), range(n), rows[a - 1], rows[b - 1]
+            x, y, ra, rb = range(n), range(n), g._cross[a - 1], g._cross[b - 1]
             for _ in range(_braid_order(datum, a, b)):
                 x, y, ra, rb = list(map(ra.__getitem__, x)), list(map(rb.__getitem__, y)), rb, ra
             if x != y:
-                out.extend(f"CrossBraid: alpha={a} beta={b} node={v}" for v, p, q in zip(nodes, x, y) if p != q and gap not in (p, q))
+                out.extend(f"CrossBraid: alpha={a} beta={b} node={v}" for v, p, q in zip(nodes, x, y) if p != q)
 
     return sorted(out)
 
@@ -412,7 +413,6 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     """The direction criterion: a label is an ascent exactly when the twisted
     involution sends the twisted simple root to a positive root and the label
     is not compact imaginary."""
-    to_orbit_poset(g)  # refuses a graph with a move missing
     out = []
     for alpha, labels in enumerate(g._label, 1):
         theta = g.datum.twist[alpha - 1] - 1
@@ -482,20 +482,15 @@ def to_orbit_poset(g: KgbGraph) -> OrbitGraph:
     """The orbit graph of g, built once and kept on g with its order.  Its
     fiber table holds every move: along alpha, the monoid sends a node to
     its fiber's dense member, and the dense member steps down to the others
-    (across a complex descent, or to the Cayley preimages of a real root).
-    Raises AxiomViolation with validate_kgb's list unless every node has a
-    label and a cross target along every root, and a Cayley target where the
-    label is noncompact, all of them nodes: what the moves read."""
+    (across a complex descent, or to the Cayley preimages of a real root)."""
     if g._poset is not None:
         return g._poset
     n, table = len(g.nodes), []
     for labels, targets, cays in zip(g._label, g._cross, g._cayley):
         row: list = [None] * n
         for k, (lab, j, c) in enumerate(zip(labels, targets, cays)):
-            t = c if lab in _NONCOMPACT else j
-            if lab is None or j is None or t is None or j >= n or t >= n:
-                raise AxiomViolation(validate_kgb(g))
             if lab in _ASCENT:
+                t = c if lab in _NONCOMPACT else j
                 entry = (t, tuple(sorted({k, j, t})))
                 for m in entry[1]:
                     row[m] = entry
@@ -655,21 +650,29 @@ def _open_node(g: KgbGraph) -> NodeId:
 
 
 def canonical_sequences(g: KgbGraph, v: NodeId) -> CanonicalSequences:
+    """The climb takes the first root that moves a node to a dense one; a
+    climb that comes back to a node raises Unreachable."""
     poset = to_orbit_poset(g)
     rd = reduced_decomposition(poset, v)
     open_node = _open_node(g)
     top, k = poset.index[open_node], poset.index[v]
     down = []  # from v up, reversed at the end
-    while k != top:
+    for _ in poset.nodes:  # a climb that does not come back passes each node once
+        if k == top:
+            break
         for alpha, row in enumerate(poset._table, 1):
             dense, members = row[k] or (k, ())
             if dense != k:
                 break
         else:
             raise Unreachable(f"node {poset.nodes[k]} has no ascent but is not the open node")
+        if row[dense] is not row[k]:  # dense's fiber, one entry shared by its members, does not list k
+            raise Unreachable(f"node {poset.nodes[k]} is not one step below node {poset.nodes[dense]} along root {alpha}")
         branch = _below(poset, alpha, dense).index(k) if len(members) > 2 else None
         down.append((alpha, branch))
         k = dense
+    if k != top:
+        raise Unreachable(f"the climb from node {v} comes back to a node below the open node")
     return CanonicalSequences(rd.nodes[0], rd.roots, open_node, tuple(reversed(down)))
 
 
@@ -700,17 +703,14 @@ _CODE_BY_TEXT = {t.value: c for c, t in enumerate(_TYPES)}
 
 
 def format_kgb(g: KgbGraph) -> str:
-    """The text form, written from the rows; a missing label or cross entry
-    raises AxiomViolation with validate_kgb's list."""
+    """The text form, written from the rows."""
     lines = [FORMAT_HEADER, "rootsystem inline"]
     lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
     lines.append(f"nodes {len(g.nodes)}")
     lines += [f"node {v} {n} {format_word(reduced_word(w))}" for v, n, w in zip(g.nodes, g._len, g._tw)]
-    names, text = (*g.nodes, *g._far), [t.value for t in _TYPES]
-    for v, labels, targets, cays in zip(g.nodes, zip(*g._label), zip(*g._cross), zip(*g._cayley)):
+    names, text = g.nodes, [t.value for t in _TYPES]
+    for v, labels, targets, cays in zip(names, zip(*g._label), zip(*g._cross), zip(*g._cayley)):
         for alpha, lab, j, t in zip(range(1, g.datum.rank + 1), labels, targets, cays):
-            if lab is None or j is None:
-                raise AxiomViolation(validate_kgb(g))
             line = f"label {v} {alpha} {text[lab]} cross={names[j]}"
             lines.append(line if t is None else f"{line} cayley={names[t]}")
     return "\n".join(lines) + "\n"
@@ -722,7 +722,8 @@ def save_kgb(g: KgbGraph, path) -> None:
 
 
 def parse_kgb(text: str, base_dir=None) -> KgbGraph:
-    """Parse and validate; a structurally bad graph raises AxiomViolation."""
+    """Parse and validate: a graph missing a move raises AxiomViolation with
+    _move_faults' lines, any other structurally bad one with validate_kgb's."""
     lines = _significant_lines(text)
     if not lines or lines[0] != FORMAT_HEADER:
         raise ParseError(f"expected header {FORMAT_HEADER!r}")
@@ -775,8 +776,10 @@ def parse_kgb(text: str, base_dir=None) -> KgbGraph:
                 raise ParseError(f"bad cayley field in {line!r}")
             t = fields[5][7:]
             cay[alpha - 1][k] = index[t] if t in index else far.setdefault(t, n + len(far))
-    g = KgbGraph.__new__(KgbGraph)._fill(datum, nodes, [n for _, n, _ in read], [w for _, _, w in read], labels, cross, cay, far)
-    violations = validate_kgb(g)
+    violations = sorted(_move_faults(nodes, labels, cross, cay, far))
+    if not violations:
+        g = KgbGraph.__new__(KgbGraph)._fill(datum, nodes, [n for _, n, _ in read], [w for _, _, w in read], labels, cross, cay)
+        violations = validate_kgb(g)
     if violations:
         raise AxiomViolation(violations)
     return g

@@ -459,17 +459,17 @@ def _part_datum(datum: RootDatum, part: Sequence[int]) -> RootDatum:
 
 class _Layout:
     """A datum's connected components: ``parts`` holds each one's 0-based
-    simple indices (the parts in order of their smallest index), ``spans``
-    its slice where the indices are consecutive (else None), ``subs`` its
-    datum, and ``where[i - 1]`` the part and local 1-based letter of simple
-    index i.  ``links[i - 1]`` lists the neighbours j of i with a_ji =
-    <alpha_j, coroot_i> (column i of the Cartan matrix), for the root kernels,
-    and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move; ``two_rho``
-    is the sum of the positive roots (from _validate_cartan), for _weight.
+    simple indices (the parts in order of their smallest index), ``subs``
+    its datum, and ``where[i - 1]`` the part and local 1-based letter of
+    simple index i.  ``links[i - 1]`` lists the neighbours j of i with a_ji
+    = <alpha_j, coroot_i> (column i of the Cartan matrix), for the root
+    kernels, and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move;
+    ``two_rho`` is the sum of the positive roots (from _validate_cartan),
+    for _weight.
     The component tables are remembered here once built, and so are the
     element list of enumerate_elements and, per component id, _word's runs."""
 
-    __slots__ = ("parts", "spans", "subs", "where", "links", "rows", "two_rho", "found", "elements", "runs")
+    __slots__ = ("parts", "subs", "where", "links", "rows", "two_rho", "found", "elements", "runs")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -489,7 +489,6 @@ class _Layout:
                         frontier.append(j)
             parts.append(tuple(sorted(part)))
         self.parts = tuple(parts)
-        self.spans = tuple(slice(p[0], p[-1] + 1) if p[-1] - p[0] == len(p) - 1 else None for p in parts)
         self.subs = tuple(_part_datum(datum, part) for part in parts)
         self.where: list[tuple[int, int]] = [(0, 0)] * r
         for c, part in enumerate(self.parts):
@@ -528,8 +527,8 @@ def _layout(datum: RootDatum) -> _Layout:
 def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
     """The component tables of w's datum and the id of w in each, or None
     without tables.  The ids are w's own when it carries them; otherwise
-    they are looked up by hashing its images, a component on consecutive
-    indices by one slice per image, and kept on w."""
+    they are looked up by hashing its images, per component the images of
+    its simple roots in its coordinates, and kept on w."""
     layout = _layout(w.datum)
     tables = layout.tables()
     if tables is None:
@@ -538,11 +537,7 @@ def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
         if len(tables) == 1:
             keys = [w.images]
         else:
-            keys = [
-                tuple([img[span] for img in w.images[span]]) if span is not None
-                else tuple(tuple(w.images[i][j] for j in part) for i in part)
-                for part, span in zip(layout.parts, layout.spans)
-            ]
+            keys = [tuple(tuple(w.images[i][j] for j in part) for i in part) for part in layout.parts]
         ids = tuple([table.index.get(key) for table, key in zip(tables, keys)])
         if None in ids:
             return None

@@ -203,6 +203,23 @@ def test_missing_labels_end_in_one_error_line(capsys, tmp_path):
         assert err == "error: MissingLabel: alpha=1 node=3 (+3 more)\n", argv
 
 
+def test_dangling_and_missing_moves_end_in_one_error_line(capsys, tmp_path):
+    # refused alone, ahead of what the other axioms would say of them
+    run(capsys, "fixtures", "--write", str(tmp_path))
+    group = (tmp_path / "group_case_a2.kgb").read_text()
+    sl2 = (tmp_path / "sl2_split.kgb").read_text()
+    cases = [
+        ("dangling.kgb", group.replace("label 0 1 C+ cross=1\n", "label 0 1 C+ cross=zz\n"), "UnknownNode: alpha=1 node=0 cross=zz"),
+        ("no_cayley.kgb", sl2.replace("label 0 1 nci1 cross=1 cayley=2\n", "label 0 1 nci1 cross=1\n"), "MissingCayley: alpha=1 node=0"),
+    ]
+    for name, text, line in cases:
+        assert text not in (group, sl2), name
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "", f"error: {line}\n"), name
+
+
 def test_type_names_above_the_rank_cap_end_in_one_error_line(capsys, tmp_path):
     big = tmp_path / "a201.rootdatum"
     big.write_text("rootdatum v1\ntype A201\nisogeny simply_connected\ntwist id\n")

@@ -8,9 +8,9 @@ parses reaches a fixed point of format after one format/parse round trip.
 An orbit-graph or K\\G/B mutant parses as the name-keyed reference parser
 reads it, and its fibers (orbit graphs), violations and text match the
 name-keyed references.  A later pass renames only the target of one cross=
-or cayley= field of a K\\G/B text to a name that is not a node, and a last
-one raises only the index of one fiber line of an orbit graph of a named
-Cartan type above the type's rank.
+or cayley= field of a K\\G/B text to a name that is not a node, which is
+refused with one line, and a last one raises only the index of one fiber
+line of an orbit graph of a named Cartan type above the type's rank.
 """
 
 import random
@@ -127,7 +127,8 @@ def test_mutants_end_in_one_error_line_or_round_trip(capsys, tmp_path):
             assert format_(parse(once)) == once, mutant
     # only the target of one cross= or cayley= field renamed to a name that
     # is not a node, which the mutants above mostly stop short of: parsed as
-    # the reference parses it, UnknownNode names it
+    # the reference parses it, and refused with the one UnknownNode line
+    # that names it
     for kind, text in sources():
         if kind != "kgb":
             continue
@@ -142,7 +143,7 @@ def test_mutants_end_in_one_error_line_or_round_trip(capsys, tmp_path):
             run_cli(capsys, ["validate", str(path)], mutant)
             got = kgb_outcome(parse_kgb, mutant)
             assert got == kgb_outcome(reference_parse_kgb, mutant), mutant
-            assert any(v.startswith("UnknownNode: ") and v.endswith(tokens[j]) for v in got[1]), (got, mutant)
+            assert got == ("AxiomViolation", [f"UnknownNode: alpha={tokens[2]} node={tokens[1]} {tokens[j]}"]), (got, mutant)
     # only the index of one fiber line of a named type raised above its rank:
     # refused at parse with one BadSimpleIndex line, as the reference refuses it
     for kind, text in sources():

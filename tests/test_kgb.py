@@ -3,6 +3,7 @@
 import os
 import random
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,11 @@ from flagorbits import (
     canonical_sequences,
     cayley,
     class_hasse,
+    class_of,
     cross_action,
+    distinct_ascents_check,
     enumerate_elements,
+    find_descent_counterexample,
     format_kgb,
     format_word,
     group_case,
@@ -38,9 +42,13 @@ from flagorbits import (
     inv,
     inverse_cayley,
     is_m_alpha_trivial,
+    kgp_leq,
+    kgp_leq_induced,
+    levi_conjugate_root_check,
     load_kgb,
     minimal_w_uniqueness_check,
     monoid,
+    monoid_descent_check,
     monoid_elt,
     monoid_word,
     mul,
@@ -65,7 +73,7 @@ from flagorbits import (
 from clans import clan_graph
 from test_weyl import looked_up_ids
 from flagorbits import weyl
-from flagorbits.kgb import FORMAT_HEADER, _braid_order, _open_node
+from flagorbits.kgb import FORMAT_HEADER, _braid_order, _open_node, doubled_datum
 from flagorbits.orbit_poset import OrbitGraph, from_weyl, lower_ideal, node_sort_key
 from flagorbits.root_datum import _decimal, _node_lines, _significant_lines, format_root_datum, parse_root_datum
 from flagorbits.root_datum import parse_root_datum_lines, simple_root
@@ -205,39 +213,79 @@ def test_moves_match_the_label_dispatch():
 
 
 def test_missing_moves_are_axiom_violations():
-    sl2 = _corrupt(sl2_split(), label={(1, "1"): None})
-    a2 = _corrupt(group_case(build_root_datum("A2")), label={(3, "4"): None})
-    unknown = _corrupt(pgl2_split(), cross={(1, "1"): "7"})
-    no_cayley = _corrupt(sl2_split(), cayley={(1, "0"): None})
-    reads = (
-        to_orbit_poset,
-        ascent_consistency_check,
-        minimal_w_uniqueness_check,
-        lambda g: monoid(g, 1, "0"),
-        lambda g: canonical_sequences(g, "0"),
-        lambda g: i_equivalence_classes(g, (1,)),
-        lambda g: p_maximal_set(g, (1,)),
-        lambda g: root_type(g, 1, "0"),
-        lambda g: cross_action(g, 1, "0"),
-        lambda g: cayley(g, 1, "0"),
-        lambda g: inverse_cayley(g, 1, "0"),
+    # refused where the rows are filled, by the dict constructor and parse_kgb
+    a2 = group_case(build_root_datum("A2"))
+    cases = [
+        (sl2_split(), {"label": {(1, "1"): None}}, ["MissingLabel: alpha=1 node=1"]),
+        (a2, {"label": {(3, "4"): None}}, ["MissingLabel: alpha=3 node=4"]),
+        (sl2_split(), {"cross": {(1, "2"): None}}, ["MissingLabel: alpha=1 node=2"]),
+        (pgl2_split(), {"cross": {(1, "1"): "7"}}, ["UnknownNode: alpha=1 node=1 cross=7"]),
+        (sl2_split(), {"cayley": {(1, "0"): "9"}}, ["UnknownNode: alpha=1 node=0 cayley=9"]),
+        (pgl2_split(), {"cayley": {(1, "0"): "7"}}, ["UnknownNode: alpha=1 node=0 cayley=7"]),
+        # on a label that is not noncompact, where the tolerant reading said SpuriousCayley
+        (pgl2_split(), {"cayley": {(1, "1"): "zz"}}, ["UnknownNode: alpha=1 node=1 cayley=zz"]),
+        (sl2_split(), {"cayley": {(1, "0"): None}}, ["MissingCayley: alpha=1 node=0"]),
+        # a braid walk whose last step lands on a name that is not a node, and
+        # one through a node whose label is missing but whose cross entry is kept
+        (a2, {"cross": {(1, "0"): "zz"}}, ["UnknownNode: alpha=1 node=0 cross=zz"]),
+        (a2, {"label": {(2, "1"): None}, "cross": {(1, "0"): "0"}}, ["MissingLabel: alpha=2 node=1"]),
+        # one line per (root, node), for its first fault
+        (sl2_split(), {"cross": {(1, "0"): "zz"}, "cayley": {(1, "0"): None}}, ["UnknownNode: alpha=1 node=0 cross=zz"]),
+        (sl2_split(), {"label": {(1, "2"): None}, "cayley": {(1, "2"): "zz"}}, ["MissingLabel: alpha=1 node=2"]),
+    ]
+    for g, changes, want in cases:
+        fields = corrupted_fields(g, **changes)
+        assert reference_refusals(fields) == want, changes
+        assert kgb_outcome(KgbGraph, **fields) == ("AxiomViolation", want), changes
+        # the text names each target and leaves out the line of a missing label
+        text = reference_format_kgb(fields)
+        assert kgb_outcome(parse_kgb, text) == kgb_outcome(reference_parse_kgb, text) == ("AxiomViolation", want), changes
+    # the refusal alone, where the tolerant reading listed what followed from it
+    fields = corrupted_fields(sl2_split(), cayley={(1, "0"): None})
+    assert reference_validate_kgb(fields) == [
+        "InverseCayleyCount: alpha=1 node=2 got=1 want=2",
+        "MissingCayley: alpha=1 node=0",
+        "SharedCayley: alpha=1 node=1",
+    ]
+
+
+def fiber_losing_its_node():
+    """sl2_split with node 1 crossing to 2: the fiber of 2 along 1 loses
+    node 0, whose fiber still names 2 as its dense member."""
+    return _corrupt(sl2_split(), cross={(1, "1"): "2"})
+
+
+def climbing_cycle():
+    """Three nodes on A1xA1: 0 climbs to 1 along root 1, and 1 to 0 along
+    root 2, below the open node 2."""
+    d = doubled_datum(build_root_datum("A1"))
+    e = identity(d)
+    up, down, ci = RootType.COMPLEX_ASCENT, RootType.COMPLEX_DESCENT, RootType.COMPACT_IMAGINARY
+    return KgbGraph(
+        d,
+        ("0", "1", "2"),
+        {v: e for v in "012"},
+        {"0": 0, "1": 0, "2": 1},
+        {(1, "0"): up, (1, "1"): down, (2, "0"): down, (2, "1"): up, (1, "2"): ci, (2, "2"): ci},
+        {(1, "0"): "1", (1, "1"): "0", (2, "0"): "1", (2, "1"): "0", (1, "2"): "2", (2, "2"): "2"},
+        {},
     )
-    for g in (sl2, a2, unknown, no_cayley):
-        want = validate_kgb(g)
-        assert want
-        for read in reads:
-            with pytest.raises(AxiomViolation) as err:
-                read(g)
-            assert err.value.violations == want
-    assert validate_kgb(sl2) == ["MissingLabel: alpha=1 node=1"]
-    assert validate_kgb(a2) == ["MissingLabel: alpha=3 node=4"]
-    # the text form names every label and cross target, so it refuses a
-    # missing one; a target that is not a node is written by its name
-    for g in (sl2, a2, _corrupt(sl2_split(), cross={(1, "2"): None})):
-        with pytest.raises(AxiomViolation) as err:
-            format_kgb(g)
-        assert err.value.violations == validate_kgb(g)
-    assert format_kgb(unknown).endswith("label 1 1 r2 cross=7\n")
+
+
+def test_canonical_sequences_refuse_a_fiber_that_does_not_list_the_node():
+    # it raised ValueError from list.index
+    g = fiber_losing_its_node()
+    with pytest.raises(Unreachable) as info:
+        canonical_sequences(g, "0")
+    assert str(info.value) == "node 0 is not one step below node 2 along root 1"
+    assert canonical_sequences(g, "1").down == ((1, None),)
+
+
+def test_canonical_sequences_refuse_a_climb_that_comes_back():
+    # the climb ran for ever
+    with pytest.raises(Unreachable) as info:
+        canonical_sequences(climbing_cycle(), "0")
+    assert str(info.value) == "the climb from node 0 comes back to a node below the open node"
 
 
 def test_every_graph_satisfies_all_axioms():
@@ -275,13 +323,20 @@ def test_validate_catches_label_flip():
         parse_kgb(format_kgb(broken))
 
 
-def _corrupt(g, **changes):
-    """A copy of g, built through the dict constructor, with some entries of
-    its tw/length/label/cross/cayley maps replaced, or deleted where the new
+def corrupted_fields(g, **changes):
+    """The constructor's arguments of g by name, with some entries of its
+    tw/length/label/cross/cayley maps replaced, or deleted where the new
     value is None."""
     fields = g._fields()
     for name, updates in changes.items():
         fields[name] = {k: v for k, v in {**fields[name], **updates}.items() if v is not None}
+    return fields
+
+
+def _corrupt(g, **changes):
+    """A copy of g built through the dict constructor from its corrupted
+    fields."""
+    fields = corrupted_fields(g, **changes)
     h = KgbGraph(**fields)
     assert h._fields() == fields  # the rows spell the maps
     return h
@@ -290,14 +345,6 @@ def _corrupt(g, **changes):
 def test_validate_checks_cayley_targets_type_i():
     e = identity(sl2_split().datum)
     cases = [
-        (
-            {"cayley": {(1, "0"): "9"}},
-            [
-                "InverseCayleyCount: alpha=1 node=2 got=1 want=2",
-                "SharedCayley: alpha=1 node=1",
-                "UnknownNode: alpha=1 node=0 cayley=9",
-            ],
-        ),
         (
             {"length": {"2": 2}},
             ["CayleyLength: alpha=1 node=0", "CayleyLength: alpha=1 node=1"],
@@ -336,13 +383,6 @@ def test_validate_checks_cayley_targets_type_i():
 
 def test_validate_checks_cayley_targets_type_ii():
     cases = [
-        (
-            {"cayley": {(1, "0"): "7"}},
-            [
-                "InverseCayleyCount: alpha=1 node=1 got=0 want=1",
-                "UnknownNode: alpha=1 node=0 cayley=7",
-            ],
-        ),
         (
             {"cayley": {(1, "0"): "0"}},
             [
@@ -477,16 +517,20 @@ def test_validate_reports_every_local_axiom():
 
 def reference_validate_kgb(g):
     """validate_kgb as it read every move through the name-keyed maps, one
-    (root, node) at a time: the oracle for the row-based version."""
-    datum = g.datum
-    label, cross, cay = map(g._fields().get, ("label", "cross", "cayley"))
+    (root, node) at a time: the oracle for the row-based version.  g is a
+    graph or the constructor's arguments by name, which may miss a move or
+    name a target that is no node; the lines for those are the refusal
+    oracle's (see reference_refusals)."""
+    f = g._fields() if isinstance(g, KgbGraph) else g
+    datum, nodes, tw, length = f["datum"], f["nodes"], f["tw"], f["length"]
+    label, cross, cay = f["label"], f["cross"], f["cayley"]
     out = []
     preimages = Counter((alpha, t) for (alpha, _), t in cay.items())
 
-    for v in g.nodes:
-        if not isinstance(g.length[v], int) or g.length[v] < 0:
+    for v in nodes:
+        if not isinstance(length[v], int) or length[v] < 0:
             out.append(f"BadLength: node={v}")
-        if apply_twist(g.tw[v]) != inv(g.tw[v]):
+        if apply_twist(tw[v]) != inv(tw[v]):
             out.append(f"TwNotTwisted: node={v}")
 
     for alpha in range(1, datum.rank + 1):
@@ -494,7 +538,7 @@ def reference_validate_kgb(g):
         alpha_root = simple_root(datum, alpha)
         minus_alpha = tuple(-c for c in alpha_root)
         trivial = is_m_alpha_trivial(datum, alpha)
-        for v in g.nodes:
+        for v in nodes:
             key = (alpha, v)
             tag = f"alpha={alpha} node={v}"
             if key not in label or key not in cross:
@@ -502,13 +546,13 @@ def reference_validate_kgb(g):
                 continue
             lab = label[key]
             cr = cross[key]
-            if cr not in g.length:
+            if cr not in length:
                 out.append(f"UnknownNode: {tag} cross={cr}")
                 continue
             partner = label.get((alpha, cr)) if (alpha, cr) in cross else None
             if partner is not None and cross[(alpha, cr)] != v:
                 out.append(f"CrossNotInvolution: {tag}")
-            img = g.tw[v].images[theta - 1]
+            img = tw[v].images[theta - 1]
             if lab in REAL_TYPES:
                 if img != minus_alpha:
                     out.append(f"LabelClass: {tag} label={lab.value} not real")
@@ -518,7 +562,7 @@ def reference_validate_kgb(g):
             else:
                 if img == alpha_root or img == minus_alpha:
                     out.append(f"LabelClass: {tag} label={lab.value} not complex")
-            if _times_s(_s_times(alpha, g.tw[v]), theta) != g.tw[cr]:
+            if _times_s(_s_times(alpha, tw[v]), theta) != tw[cr]:
                 out.append(f"CrossTwist: {tag}")
             has_cayley = key in cay
             noncompact = lab in NONCOMPACT_TYPES
@@ -526,16 +570,16 @@ def reference_validate_kgb(g):
                 if not has_cayley:
                     out.append(f"MissingCayley: {tag}")
             elif has_cayley:
-                out.append(f"SpuriousCayley: {tag}")
+                out.append(f"SpuriousCayley: {tag}" if cay[key] in length else f"UnknownNode: {tag} cayley={cay[key]}")
             if trivial and lab in (RootType.NONCOMPACT_I, RootType.REAL_I):
                 out.append(f"TypeIForbidden: {tag} (m_alpha trivial)")
             if lab is RootType.COMPLEX_ASCENT:
-                if cr == v or g.length[cr] != g.length[v] + 1:
+                if cr == v or length[cr] != length[v] + 1:
                     out.append(f"AscentPattern: {tag}")
                 elif partner is not None and partner is not RootType.COMPLEX_DESCENT:
                     out.append(f"PartnerLabel: {tag}")
             elif lab is RootType.COMPLEX_DESCENT:
-                if cr == v or g.length[cr] != g.length[v] - 1:
+                if cr == v or length[cr] != length[v] - 1:
                     out.append(f"DescentPattern: {tag}")
                 elif partner is not None and partner is not RootType.COMPLEX_ASCENT:
                     out.append(f"PartnerLabel: {tag}")
@@ -543,7 +587,7 @@ def reference_validate_kgb(g):
                 if cr != v:
                     out.append(f"CompactMoved: {tag}")
             elif lab is RootType.NONCOMPACT_I:
-                if cr == v or g.length[cr] != g.length[v]:
+                if cr == v or length[cr] != length[v]:
                     out.append(f"TypeIPattern: {tag}")
                 elif partner is not None and partner is not RootType.NONCOMPACT_I:
                     out.append(f"PartnerLabel: {tag}")
@@ -559,14 +603,14 @@ def reference_validate_kgb(g):
             if noncompact and has_cayley:
                 t = cay[key]
                 real = RootType.REAL_I if lab is RootType.NONCOMPACT_I else RootType.REAL_II
-                if t not in g.length:
+                if t not in length:
                     out.append(f"UnknownNode: {tag} cayley={t}")
                 else:
-                    if g.length[t] != g.length[v] + 1:
+                    if length[t] != length[v] + 1:
                         out.append(f"CayleyLength: {tag}")
                     if label.get((alpha, t)) is not real:
                         out.append(f"CayleyTarget: {tag} expected {real.value}")
-                    if _s_times(alpha, g.tw[v]) != g.tw[t]:
+                    if _s_times(alpha, tw[v]) != tw[t]:
                         out.append(f"CayleyTwist: {tag}")
                     if real is RootType.REAL_I and partner is not None:
                         if cay.get((alpha, cr)) != t:
@@ -575,7 +619,7 @@ def reference_validate_kgb(g):
     for a in range(1, datum.rank + 1):
         for b in range(a + 1, datum.rank + 1):
             order = _braid_order(datum, a, b)
-            for v in g.nodes:
+            for v in nodes:
                 x = y = v
                 for step in range(order):
                     x = cross.get((a if step % 2 == 0 else b, x))
@@ -589,9 +633,21 @@ def reference_validate_kgb(g):
     return sorted(out)
 
 
+# the codes of a move that is missing or names no node
+REFUSAL_CODES = frozenset({"MissingLabel", "UnknownNode", "MissingCayley"})
+
+
+def reference_refusals(fields):
+    """The lines the dict constructor and parse_kgb refuse the constructor's
+    arguments with: the tolerant reference's lines of the moves that are
+    missing or name no node."""
+    return [v for v in reference_validate_kgb(fields) if v.split(":")[0] in REFUSAL_CODES]
+
+
 def reference_parse_kgb(text, base_dir=None):
-    """parse_kgb as it filled the name-keyed maps and built the graph through
-    the dict constructor: the oracle for the row-based version."""
+    """parse_kgb as it filled the name-keyed maps, refused what the refusal
+    oracle spells and built the graph through the dict constructor: the
+    oracle for the row-based version."""
     codes = {t.value: t for t in RootType}
     lines = _significant_lines(text)
     if not lines or lines[0] != FORMAT_HEADER:
@@ -641,7 +697,11 @@ def reference_parse_kgb(text, base_dir=None):
             if not fields[5].startswith("cayley="):
                 raise ParseError(f"bad cayley field in {line!r}")
             cay[(alpha, name)] = fields[5][len("cayley=") :]
-    g = KgbGraph(datum, tuple(length), tw, length, label, cross, cay)
+    fields = {"datum": datum, "nodes": tuple(length), "tw": tw, "length": length, "label": label, "cross": cross, "cayley": cay}
+    refused = reference_refusals(fields)
+    if refused:
+        raise AxiomViolation(refused)
+    g = KgbGraph(**fields)
     violations = reference_validate_kgb(g)
     if violations:
         raise AxiomViolation(violations)
@@ -649,17 +709,21 @@ def reference_parse_kgb(text, base_dir=None):
 
 
 def reference_format_kgb(g):
-    """format_kgb as it read the name-keyed maps, one (node, root) at a time."""
-    label, cross, cay = map(g._fields().get, ("label", "cross", "cayley"))
+    """format_kgb as it read the name-keyed maps, one (node, root) at a time.
+    g is a graph or the constructor's arguments by name: a (root, node)
+    with no label or no cross entry gets no line, and a target that is no
+    node is written by its name."""
+    f = g._fields() if isinstance(g, KgbGraph) else g
+    label, cross, cay = f["label"], f["cross"], f["cayley"]
     lines = [FORMAT_HEADER, "rootsystem inline"]
-    lines.extend(format_root_datum(g.datum).rstrip("\n").split("\n"))
-    lines.append(f"nodes {len(g.nodes)}")
-    for v in g.nodes:
-        lines.append(f"node {v} {g.length[v]} {format_word(reduced_word(g.tw[v]))}")
-    for v in g.nodes:
-        for alpha in range(1, g.datum.rank + 1):
+    lines.extend(format_root_datum(f["datum"]).rstrip("\n").split("\n"))
+    lines.append(f"nodes {len(f['nodes'])}")
+    for v in f["nodes"]:
+        lines.append(f"node {v} {f['length'][v]} {format_word(reduced_word(f['tw'][v]))}")
+    for v in f["nodes"]:
+        for alpha in range(1, f["datum"].rank + 1):
             if (alpha, v) not in label or (alpha, v) not in cross:
-                raise AxiomViolation(reference_validate_kgb(g))
+                continue
             lab = label[(alpha, v)]
             parts = [f"label {v} {alpha} {lab.value} cross={cross[(alpha, v)]}"]
             if (alpha, v) in cay:
@@ -678,41 +742,54 @@ def reference_to_orbit_poset(g):
     fibers = []
     for alpha in range(1, g.datum.rank + 1):
         for v in g.nodes:
-            lab = label.get((alpha, v))
-            cr = cross.get((alpha, v))
-            t = cay.get((alpha, v)) if lab in NONCOMPACT_TYPES else cr
-            if lab is None or cr not in g.length or t not in g.length:
-                raise AxiomViolation(reference_validate_kgb(g))
+            lab, cr = label[(alpha, v)], cross[(alpha, v)]
             if lab in ASCENT_TYPES:
+                t = cay[(alpha, v)] if lab in NONCOMPACT_TYPES else cr
                 fibers.append((alpha, t, (v, cr, t)))
     return OrbitGraph(g.datum.name or "custom", g.datum.rank, g.length, fibers)
 
 
-def kgb_outcome(f, *args):
-    """f(*args), or the error it raised: AxiomViolation with its list, any
-    other with its message."""
+def kgb_outcome(f, *args, **kwargs):
+    """f(*args, **kwargs), or the error it raised: AxiomViolation with its
+    list, any other with its message."""
     try:
-        return f(*args)
+        return f(*args, **kwargs)
     except AxiomViolation as err:
         return "AxiomViolation", err.violations
     except (FlagOrbitsError, OSError) as err:
         return type(err).__name__, str(err)
 
 
-def assert_rows_match_the_references(g):
-    """validate_kgb, format_kgb, to_orbit_poset and parse_kgb on rows give
-    what the name-keyed references give, errors included."""
-    assert validate_kgb(g) == reference_validate_kgb(g), g.datum.name
-    text = kgb_outcome(format_kgb, g)
-    assert text == kgb_outcome(reference_format_kgb, g), g.datum.name
-    got, want = kgb_outcome(to_orbit_poset, g), kgb_outcome(reference_to_orbit_poset, g)
-    if isinstance(want, OrbitGraph):
-        assert (graph_fields(got), got.rank) == (graph_fields(want), want.rank)
-        assert got.nodes is g.nodes  # one node order
-    else:
-        assert got == want, g.datum.name
-    if isinstance(text, str):
-        assert kgb_outcome(parse_kgb, text) == kgb_outcome(reference_parse_kgb, text), g.datum.name
+def check_corruption(fields):
+    """KgbGraph(**fields), or None where the constructor refuses, and the
+    lines it is refused with or validated with: the constructor refuses
+    exactly the refusal oracle's lines, and validate_kgb reads a graph it
+    builds as the tolerant reference does."""
+    want = reference_validate_kgb(fields)
+    refused = [v for v in want if v.split(":")[0] in REFUSAL_CODES]
+    got = kgb_outcome(KgbGraph, **fields)
+    if refused:
+        assert got == ("AxiomViolation", refused), refused
+        return None, refused
+    assert validate_kgb(got) == want, want
+    return got, want
+
+
+def assert_rows_match_the_references(fields):
+    """The fields pass check_corruption, and parse_kgb reads their reference
+    text as the reference parser does, errors included; on a graph the
+    constructor builds, format_kgb and to_orbit_poset give what the
+    name-keyed references give."""
+    name = fields["datum"].name
+    text = reference_format_kgb(fields)
+    assert kgb_outcome(parse_kgb, text) == kgb_outcome(reference_parse_kgb, text), name
+    g, _ = check_corruption(fields)
+    if g is None:
+        return
+    assert format_kgb(g) == text, name
+    got, want = to_orbit_poset(g), reference_to_orbit_poset(g)
+    assert (graph_fields(got), got.rank) == (graph_fields(want), want.rank), name
+    assert got.nodes is g.nodes  # one node order
 
 
 def row_reference_graphs():
@@ -729,11 +806,11 @@ def row_reference_graphs():
 def test_rows_match_the_name_keyed_references():
     graphs = row_reference_graphs()
     for g in graphs.values():
-        assert_rows_match_the_references(g)
-    # targets that are not nodes keep their positions past the nodes
+        assert_rows_match_the_references(g._fields())
+    # targets that are not nodes, each refused by its name
     a2 = graphs["group_case_A2"]
-    assert_rows_match_the_references(_corrupt(a2, cross={(1, "0"): "zz", (2, "3"): "zz", (3, "1"): "yy"}))
-    assert_rows_match_the_references(_corrupt(pgl2_split(), cayley={(1, "0"): "zz", (1, "1"): "zz"}, cross={(1, "1"): "yy"}))
+    assert_rows_match_the_references(corrupted_fields(a2, cross={(1, "0"): "zz", (2, "3"): "zz", (3, "1"): "yy"}))
+    assert_rows_match_the_references(corrupted_fields(pgl2_split(), cayley={(1, "0"): "zz", (1, "1"): "zz"}, cross={(1, "1"): "yy"}))
     # seeded corruptions, the type I graphs of U(p, q) among them
     small = [g for g in graphs.values() if 2 <= len(g.nodes) <= 32] + [graphs["U(3,2)"]]
     rng = random.Random(28)
@@ -743,7 +820,8 @@ def test_rows_match_the_name_keyed_references():
 
 def test_the_constructor_refuses_what_the_rows_cannot_hold():
     # keys naming unknown nodes or a root outside 1..rank, and a twisted
-    # involution of an unknown node: one sorted line each, as for lengths
+    # involution of an unknown node: one sorted line each, as for lengths,
+    # in one list with the moves that the rows then miss
     a2 = group_case(build_root_datum("A2"))
     u21 = clan_graph(2, 1)
     e = identity(build_root_datum("A1"))
@@ -758,11 +836,19 @@ def test_the_constructor_refuses_what_the_rows_cannot_hold():
             {"label": {(0, "1"): RootType.REAL_I}, "cross": {(0, "2"): "zz"}, "cayley": {(0, "0"): "1", (-1, "1"): "2"}},
             ["BadCayley: alpha=-1 node=1", "BadCayley: alpha=0 node=0", "BadCross: alpha=0 node=2", "BadLabel: alpha=0 node=1"],
         ),
-        (a2, {"cayley": {(1, "zz"): "1", (5, "0"): "2", (1, "0"): "zz"}}, ["BadCayley: alpha=1 node=zz", "BadCayley: alpha=5 node=0"]),
-        (sl2_split(), {"cayley": {(1, "zz"): "2", (1, "1"): None}}, ["BadCayley: alpha=1 node=zz"]),
+        (
+            a2,
+            {"cayley": {(1, "zz"): "1", (5, "0"): "2", (1, "0"): "zz"}},
+            ["BadCayley: alpha=1 node=zz", "BadCayley: alpha=5 node=0", "UnknownNode: alpha=1 node=0 cayley=zz"],
+        ),
+        (sl2_split(), {"cayley": {(1, "zz"): "2", (1, "1"): None}}, ["BadCayley: alpha=1 node=zz", "MissingCayley: alpha=1 node=1"]),
         (sl2_split(), {"cayley": {(1, "9"): "2"}, "tw": {"zz": e}}, ["BadCayley: alpha=1 node=9", "ExtraTw: node=zz"]),
-        (u21, {"cayley": {(1, "0"): "zz", (2, "x"): "5"}, "label": {(2, "5"): None}}, ["BadCayley: alpha=2 node=x"]),
-        (u21, {"cross": {(1, "1"): None, (2, "q"): "1"}}, ["BadCross: alpha=2 node=q"]),
+        (
+            u21,
+            {"cayley": {(1, "0"): "zz", (2, "x"): "5"}, "label": {(2, "5"): None}},
+            ["BadCayley: alpha=2 node=x", "MissingLabel: alpha=2 node=5", "UnknownNode: alpha=1 node=0 cayley=zz"],
+        ),
+        (u21, {"cross": {(1, "1"): None, (2, "q"): "1"}}, ["BadCross: alpha=2 node=q", "MissingLabel: alpha=1 node=1"]),
         (a2, {"tw": {"zz": identity(a2.datum)}}, ["ExtraTw: node=zz"]),
         # an index that is not an int is spelled by repr
         (
@@ -775,7 +861,8 @@ def test_the_constructor_refuses_what_the_rows_cannot_hold():
         with pytest.raises(AxiomViolation) as info:
             _corrupt(g, **changes)
         assert info.value.violations == want, changes
-    # a label that is not a RootType, targets None and an index that is not an int
+    # a label that is not a RootType, targets None and an index that is not
+    # an int; a refused label or cross entry also leaves its move missing
     fields = a2._fields()
     fields["label"][(1, "0")] = "C+"
     fields["cross"][(2, "1")] = None
@@ -788,16 +875,20 @@ def test_the_constructor_refuses_what_the_rows_cannot_hold():
         "BadCross: alpha=2 node=1",
         "BadCross: alpha=2.0 node=4",
         "BadLabel: alpha=1 node=0",
+        "MissingLabel: alpha=1 node=0",
+        "MissingLabel: alpha=2 node=1",
+        "MissingLabel: alpha=2 node=4",
     ]
     assert not any(hasattr(a2, name) for name in ("label", "cross", "cayley", "_loose"))
 
 
 def random_corruption(g, rng):
-    """g with one to three seeded changes: a cross entry retargeted (to a
-    node or to a name that is not one) or deleted, a label deleted with its
-    cross entry kept or swapped with another, a Cayley entry added, removed
-    or retargeted, two twisted involutions swapped, one replaced by an element
-    that is not twisted, or a length shifted."""
+    """The constructor's arguments of g with one to three seeded changes: a
+    cross entry retargeted (to a node or to a name that is not one) or
+    deleted, a label deleted with its cross entry kept or swapped with
+    another, a Cayley entry added, removed or retargeted, two twisted
+    involutions swapped, one replaced by an element that is not twisted, or
+    a length shifted."""
     datum = g.datum
     # s_a * s_b with a, b adjacent and theta(a) != b is not twisted: theta
     # sends its one reduced word a,b to theta(a),theta(b), not to b,a
@@ -837,15 +928,15 @@ def random_corruption(g, rng):
         else:
             v = rng.choice(g.nodes)
             changes["length"][v] = g.length[v] + rng.choice((-2, -1, 1, 2))
-    return _corrupt(g, **changes)
+    return corrupted_fields(g, **changes)
 
 
 # every code validate_kgb emits
 VIOLATION_CODES = {
-    "BadLength", "TwNotTwisted", "MissingLabel", "UnknownNode", "CrossNotInvolution", "LabelClass",
-    "CrossTwist", "AscentPattern", "DescentPattern", "CompactMoved", "TypeIPattern", "TypeIIPattern",
-    "RealMoved", "PartnerLabel", "TypeIForbidden", "InverseCayleyCount", "MissingCayley",
-    "SpuriousCayley", "CayleyLength", "CayleyTarget", "CayleyTwist", "SharedCayley", "CrossBraid",
+    "BadLength", "TwNotTwisted", "CrossNotInvolution", "LabelClass", "CrossTwist", "AscentPattern",
+    "DescentPattern", "CompactMoved", "TypeIPattern", "TypeIIPattern", "RealMoved", "PartnerLabel",
+    "TypeIForbidden", "InverseCayleyCount", "SpuriousCayley", "CayleyLength", "CayleyTarget",
+    "CayleyTwist", "SharedCayley", "CrossBraid",
 }
 
 
@@ -878,22 +969,88 @@ def test_validate_matches_the_reference_without_tables(monkeypatch):
 def check_against_the_reference(graphs):
     for name, g in graphs.items():
         assert validate_kgb(g) == reference_validate_kgb(g) == [], name
-    # a braid walk whose last step lands on a name that is not a node, and
-    # one through a node whose label is missing but whose cross entry is kept
-    for changes in ({"cross": {(1, "0"): "zz"}}, {"label": {(2, "1"): None}, "cross": {(1, "0"): "0"}}):
-        g = _corrupt(graphs["group_case_A2"], **changes)
-        want = reference_validate_kgb(g)
-        assert validate_kgb(g) == want and any(v.startswith("CrossBraid") for v in want), changes
     # seeded corruptions of the smaller graphs, so that most lists are short
     small = [g for g in graphs.values() if len(g.nodes) <= 32]
     rng = random.Random(14)
-    seen = set()
-    for trial in range(1200):
-        g = random_corruption(rng.choice(small), rng)
-        want = reference_validate_kgb(g)
-        assert validate_kgb(g) == want, (trial, want)
-        seen.update(v.split(":")[0] for v in want)
-    assert seen == VIOLATION_CODES, VIOLATION_CODES - seen
+    seen = {True: set(), False: set()}
+    for _ in range(1200):
+        g, lines = check_corruption(random_corruption(rng.choice(small), rng))
+        seen[g is None] |= {v.split(":")[0] for v in lines}
+    assert seen == {True: REFUSAL_CODES, False: VIOLATION_CODES}, seen
+
+
+MOVES = (root_type, cross_action, cayley, inverse_cayley, monoid)
+
+
+def every_query(g, levi, rng):
+    """Zero-argument calls of every K\\G/B query on g: the orbit poset, the
+    text and its round trip, the ascent and minimal-w checks, the five moves
+    at each (root, node), a seeded monoid word and the canonical sequences of
+    each node, replayed both ways, a seeded downward route, and every kgp
+    function over the Levi set."""
+    rank = g.datum.rank
+    calls = [
+        partial(to_orbit_poset, g),
+        partial(format_kgb, g),
+        lambda: parse_kgb(format_kgb(g)),
+        partial(ascent_consistency_check, g),
+        partial(minimal_w_uniqueness_check, g),
+        partial(replay_downward, g, [(rng.randint(1, rank), rng.choice((None, 0, 1))) for _ in range(2)]),
+        partial(levi_conjugate_root_check, g.datum, levi),
+    ]
+    for v in g.nodes:
+        calls += [partial(query, g, alpha, v) for alpha in range(1, rank + 1) for query in MOVES]
+        calls.append(partial(monoid_word, g, rng.choices(range(1, rank + 1), k=3), v))
+        calls.append(lambda v=v: replay_upward(g, *canonical_sequences(g, v)[:2]))
+        calls.append(lambda v=v: replay_downward(g, canonical_sequences(g, v).down))
+        calls.append(partial(class_of, g, levi, v))
+    for check in (p_maximal_set, i_equivalence_classes, monoid_descent_check, find_descent_counterexample):
+        calls.append(partial(check, g, levi))
+    calls += [partial(distinct_ascents_check, g, levi), partial(class_hasse, g, levi)]
+
+    def class_orders():
+        classes = i_equivalence_classes(g, levi)
+        return [(kgp_leq(g, levi, c, d), kgp_leq_induced(g, levi, c, d)) for c in classes for d in classes]
+
+    return calls + [class_orders]
+
+
+def refusals(g, rng):
+    """Runs every_query's calls on g over a seeded Levi set: the number that
+    answered, and the number that raised each kind of FlagOrbitsError; any
+    other exception escapes."""
+    rank = g.datum.rank
+    levi = tuple(sorted(rng.sample(range(1, rank + 1), rng.randint(0, rank))))
+    answered, refused = 0, Counter()
+    for call in every_query(g, levi, rng):
+        try:
+            call()
+            answered += 1
+        except FlagOrbitsError as err:
+            refused[type(err).__name__] += 1
+    return answered, refused
+
+
+def test_every_query_answers_or_refuses_on_accepted_corruptions(monkeypatch):
+    # the seeded corruptions that the constructor accepts, and two graphs on
+    # which canonical_sequences raised ValueError or ran for ever; the Levi
+    # checks tabulate Levi subgroups, which later tests count on not finding
+    monkeypatch.setattr(weyl, "_tables", dict(weyl._tables))
+    graphs = [g for g in reference_graphs().values() if len(g.nodes) <= 32]
+    rng = random.Random(32)
+    accepted = [fiber_losing_its_node(), climbing_cycle()]
+    for _ in range(300):
+        try:
+            accepted.append(KgbGraph(**random_corruption(rng.choice(graphs), rng)))
+        except AxiomViolation:
+            pass
+    answered, refused = 0, Counter()
+    for g in accepted:
+        got = refusals(g, rng)
+        answered += got[0]
+        refused += got[1]
+    assert len(accepted) > 100 and answered > sum(refused.values()), (len(accepted), answered, refused)
+    assert {"AxiomViolation", "NoOpenNode", "NotNoncompact", "NotReal", "Unreachable"} <= set(refused), refused
 
 
 def test_monoid_idempotent_and_braid():
@@ -1370,7 +1527,8 @@ def test_graphs_refuse_node_lists_that_disagree_with_their_lengths():
     assert info.value.violations == ["DuplicateNode: node=0", "DuplicateNode: node=2"]
     with pytest.raises(AxiomViolation) as info:
         KgbGraph(g.datum, ("0", "0", "2"), **{**fields, "length": {"0": "0", "1": 0}})
-    # node 1 is not listed, so its twisted involution and moves are refused too
+    # node 1 is not listed, so its twisted involution and moves are refused
+    # too, and so is the cross move of node 0, which names it
     assert info.value.violations == [
         "BadCayley: alpha=1 node=1",
         "BadCross: alpha=1 node=1",
@@ -1380,6 +1538,7 @@ def test_graphs_refuse_node_lists_that_disagree_with_their_lengths():
         "ExtraLength: node=1",
         "ExtraTw: node=1",
         "MissingLength: node=2",
+        "UnknownNode: alpha=1 node=0 cross=1",
     ]
 
 
