@@ -74,11 +74,13 @@ def monoid_descent_check(g: KgbGraph, levi) -> list[str]:
     levi = normalize_levi(g.datum, levi)
     datum = g.datum
     index = _classes(g, levi)[1]
-    members = levi_subgroup_elements(datum, levi)
+    outside = [a for a in range(1, datum.rank + 1) if a not in levi]
+    # the Levi subgroup is read only against a root outside it
+    members = levi_subgroup_elements(datum, levi) if outside else ()
     # the word of each Levi conjugate depends on (alpha, w) only
     conjugates = {
         alpha: [(w, reflection_word(datum, _apply(w, simple_root(datum, alpha)))) for w in members]
-        for alpha in range(1, datum.rank + 1) if alpha not in levi
+        for alpha in outside
     }
     out = []
     for v in p_maximal_set(g, levi):
@@ -137,11 +139,11 @@ def levi_conjugate_root_check(datum, levi) -> list[str]:
     """For a simple root outside the Levi set, every Levi conjugate must keep
     coefficient one at that root and stay outside the Levi span."""
     levi = normalize_levi(datum, levi)
-    members = levi_subgroup_elements(datum, levi)
+    outside = [a for a in range(1, datum.rank + 1) if a not in levi]
+    # the Levi subgroup is read only against a root outside it
+    members = levi_subgroup_elements(datum, levi) if outside else ()
     out = []
-    for alpha in range(1, datum.rank + 1):
-        if alpha in levi:
-            continue
+    for alpha in outside:
         alpha_root = simple_root(datum, alpha)
         for w in members:
             beta = _apply(w, alpha_root)

@@ -306,8 +306,8 @@ class RootPosition(enum.Enum):
 
 
 def _check_letter(datum: RootDatum, i: int) -> None:
-    if not 1 <= i <= datum.rank:
-        raise NotARoot(f"simple index {i} out of range 1..{datum.rank}")
+    if i.__class__ is not int or not 1 <= i <= datum.rank:
+        raise NotARoot(f"simple index {i!r} out of range 1..{datum.rank}")
 
 
 def simple_root(datum: RootDatum, i: int) -> Root:
@@ -387,10 +387,12 @@ def twist_root(datum: RootDatum, beta: Root) -> Root:
 
 
 def normalize_levi(datum: RootDatum, levi: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(i) for i in levi)))
+    levi = tuple(levi)
+    # an index is an int: a float, bool or str is refused, not truncated
+    out = tuple(sorted(set(levi))) if all(i.__class__ is int for i in levi) else levi
     for i in out:
-        if not 1 <= i <= datum.rank:
-            raise NotARoot(f"Levi index {i} out of range 1..{datum.rank}")
+        if i.__class__ is not int or not 1 <= i <= datum.rank:
+            raise NotARoot(f"Levi index {i!r} out of range 1..{datum.rank}")
     return out
 
 

@@ -9,12 +9,13 @@ components of its Dynkin diagram.  There is one WeylTable per irreducible
 Cartan matrix, shared by every datum with such a component (the two copies
 in group_case's doubled datum read the table of the one group), and an
 element is one table id per component.  An element made from the tables
-carries its ids; one made by a root-image kernel has them looked up once
-by hashing its images.  Lengths, words, inverses and the Bruhat order are
-then reads of the table rows.  Whole-group operations build the tables, up
-to TABLE_CAP elements; per-element calls only read tables that exist, and
-otherwise spell and compare by walks on the weight w(2 rho) and multiply by
-simple-reflection kernels, so E7 and E8 still answer.
+carries its ids; one made by a root-image kernel finds them once, by
+spelling its canonical word from its weight and walking the table rows.
+Lengths, words, inverses and the Bruhat order are then reads of the table
+rows.  Whole-group operations build the tables, up to TABLE_CAP elements;
+per-element calls only read tables that exist, and otherwise spell and
+compare by walks on the weight w(2 rho) and multiply by simple-reflection
+kernels, so E7 and E8 still answer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -117,16 +118,10 @@ def mul(u: WeylElt, v: WeylElt) -> WeylElt:
 
 
 def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
-    layout = _layout(datum)
-    tables = layout.tables()
+    tables = _layout(datum).tables()
     if tables is None:
         return _root_from_word(datum, word)
-    ids = [0] * len(tables)
-    for i in word:
-        _check_letter(datum, i)
-        c, a = layout.where[i - 1]
-        ids[c] = tables[c].right[a - 1][ids[c]]
-    return _element(datum, ids)
+    return _element(datum, _walk(datum, tables, word))
 
 
 def length(w: WeylElt) -> int:
@@ -135,10 +130,7 @@ def length(w: WeylElt) -> int:
     hit = _ids(w)
     if hit is None:
         return len(_spell(w.datum, _weight(w)))
-    tables, ids = hit
-    if len(ids) == 1:
-        return tables[0].length[ids[0]]
-    return sum([table.length[k] for table, k in zip(tables, ids)])
+    return sum([table.length[k] for table, k in zip(*hit)])
 
 
 def reduced_word(w: WeylElt) -> Word:
@@ -154,10 +146,7 @@ def inv(w: WeylElt) -> WeylElt:
     hit = _ids(w)
     if hit is None:
         return _root_from_word(w.datum, reversed(_spell(w.datum, _weight(w))))
-    tables, ids = hit
-    if len(ids) == 1:
-        return _element(w.datum, (tables[0].inverse[ids[0]],))
-    return _element(w.datum, [table.inverse[k] for table, k in zip(tables, ids)])
+    return _element(w.datum, [table.inverse[k] for table, k in zip(*hit)])
 
 
 def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
@@ -236,7 +225,7 @@ def bruhat_leq(u: WeylElt, v: WeylElt) -> bool:
     if u.datum != v.datum:
         raise DatumMismatch("cannot compare elements of different root data")
     hu, hv = _ids(u), _ids(v)
-    if hu is None or hv is None:
+    if hu is None:  # no tables
         mu, rows = _weight(u), _layout(u.datum).rows
         for a in _spell(u.datum, _weight(v)):
             if mu[a - 1] < 0:
@@ -343,7 +332,8 @@ class WeylTable:
     Ids run in (length, canonical word) order, so id 0 is the identity.  For
     the element w with id k, ``images[k]`` holds its simple-root images,
     ``left[i - 1][k]`` and ``right[i - 1][k]`` are the ids of s_i * w and
-    w * s_i, and ``inverse[k]`` is the id of w^-1.
+    w * s_i, and ``inverse[k]`` is the id of w^-1.  No key leads from
+    images to ids: _walk finds them along a word.
 
     Built by breadth-first search under left multiplication, one length at a
     time, on elements held as byte strings of the indices of their simple-root
@@ -354,7 +344,7 @@ class WeylTable:
     word of s_i * w; each length's elements are found in canonical-word order.
     """
 
-    __slots__ = ("images", "index", "length", "words", "left", "right", "inverse")
+    __slots__ = ("images", "length", "words", "left", "right", "inverse")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -400,7 +390,6 @@ class WeylTable:
                 prefix[k] = first[prefix[first[k]]]
             inverse[k] = left[word[-1] - 1][inverse[prefix[k]]]
         self.images = tuple([tuple(map(roots.__getitem__, key)) for key in keys])
-        self.index = {images: k for k, images in enumerate(self.images)}
         self.length = tuple(lengths)
         self.words = tuple(words)
         self.left = tuple(tuple(row) for row in left)
@@ -466,10 +455,10 @@ class _Layout:
     kernels, and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move;
     ``two_rho`` is the sum of the positive roots (from _validate_cartan),
     for _weight.
-    The component tables are remembered here once built, and so are the
-    element list of enumerate_elements and, per component id, _word's runs."""
+    The component tables are remembered here once built, and so is the
+    element list of enumerate_elements."""
 
-    __slots__ = ("parts", "subs", "where", "links", "rows", "two_rho", "found", "elements", "runs")
+    __slots__ = ("parts", "subs", "where", "links", "rows", "two_rho", "found", "elements")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -501,7 +490,6 @@ class _Layout:
         self.two_rho = _validate_cartan(datum.cartan) if r else ()  # a rank-0 part datum has no matrix to check
         self.found: list[WeylTable] | None = None
         self.elements: tuple[WeylElt, ...] | None = None
-        self.runs: list[dict[int, list[Word]]] = [{} for _ in parts]
 
     def tables(self) -> list[WeylTable] | None:
         """The component tables, or None while some component has none."""
@@ -527,22 +515,25 @@ def _layout(datum: RootDatum) -> _Layout:
 def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
     """The component tables of w's datum and the id of w in each, or None
     without tables.  The ids are w's own when it carries them; otherwise
-    they are looked up by hashing its images, per component the images of
-    its simple roots in its coordinates, and kept on w."""
-    layout = _layout(w.datum)
-    tables = layout.tables()
+    they are found by spelling w's canonical word from its weight and
+    walking the right rows along it, and kept on w."""
+    tables = _layout(w.datum).tables()
     if tables is None:
         return None
     if w.ids is None:
-        if len(tables) == 1:
-            keys = [w.images]
-        else:
-            keys = [tuple(tuple(w.images[i][j] for j in part) for i in part) for part in layout.parts]
-        ids = tuple([table.index.get(key) for table, key in zip(tables, keys)])
-        if None in ids:
-            return None
-        w.ids = ids
+        w.ids = tuple(_walk(w.datum, tables, _spell(w.datum, _weight(w))))
     return tables, w.ids
+
+
+def _walk(datum: RootDatum, tables: Sequence[WeylTable], word: Iterable[int]) -> list[int]:
+    """The component ids of the product of the word's letters: from the
+    identity, each letter moves its component's id along its right row."""
+    where, ids = _layout(datum).where, [0] * len(tables)
+    for i in word:
+        _check_letter(datum, i)
+        c, a = where[i - 1]
+        ids[c] = tables[c].right[a - 1][ids[c]]
+    return ids
 
 
 def _element(datum: RootDatum, ids: Sequence[int]) -> WeylElt:
@@ -573,41 +564,23 @@ def _word(datum: RootDatum, tables: Sequence[WeylTable | None], ids: Sequence[in
     first letter left among the components' words.  Cut each word before
     every letter larger than all letters before it: the letters of a run
     after its first are smaller than the first, so the merge takes each run
-    whole, and takes the runs in increasing order of their first letters.
-    When the components are consecutive blocks of indices, that is their
-    words one after another."""
+    whole, in increasing order of their first letters: a stable sort of the
+    letters keyed by their runs' first letters, the largest of each word up
+    to the letter.  When the components are consecutive blocks of indices,
+    that is their words one after another."""
     if len(tables) == 1:
         return tables[0].words[ids[0]]
-    layout = _layout(datum)
-    runs = []
-    for c, k in enumerate(ids):
+    letters = []
+    for part, table, k in zip(_layout(datum).parts, tables, ids):
         if k:
-            memo = layout.runs[c]
-            got = memo.get(k)
-            if got is None:
-                got = memo[k] = _runs(layout.parts[c], tables[c].words[k])
-            runs += got
-    # First letters are distinct, so the tuples sort by them.
-    runs.sort()
-    return tuple(chain.from_iterable(runs))
-
-
-def _runs(part: Sequence[int], word: Word) -> list[Word]:
-    """The word in the datum's letters, cut before each new largest letter."""
-    out: list[Word] = []
-    run: list[int] = []
-    top = 0
-    for a in word:
-        i = part[a - 1] + 1
-        if i > top:
-            if run:
-                out.append(tuple(run))
-            run, top = [i], i
-        else:
-            run.append(i)
-    if run:
-        out.append(tuple(run))
-    return out
+            top = 0
+            for a in table.words[k]:
+                i = part[a - 1] + 1
+                if i > top:
+                    top = i
+                letters.append((top, i))
+    letters.sort(key=itemgetter(0))
+    return tuple([i for _, i in letters])
 
 
 # --- whole-group operations ----------------------------------------------------------

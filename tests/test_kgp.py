@@ -43,6 +43,7 @@ from flagorbits import (
     to_orbit_poset,
     twisted_shadow,
 )
+from flagorbits import weyl
 from flagorbits.orbit_poset import _gather, _levi_classes, lower_ideal, validate
 from flagorbits.root_datum import normalize_levi
 from flagorbits.weyl import _apply
@@ -207,6 +208,21 @@ def test_levi_conjugates_stay_in_nilradical():
         datum = build_root_datum(name)
         for levi in all_levis(datum.rank):
             assert levi_conjugate_root_check(datum, levi) == [], (name, levi)
+
+
+def test_levi_checks_on_every_root_read_no_levi_subgroup(monkeypatch):
+    # with no simple root outside the Levi set there is no Levi conjugate to
+    # read: W(B4) x W(B4) has 147 456 elements, above the table cap, and
+    # G2 x G2's own table is not built
+    g = group_case(build_root_datum("B4"))
+    assert monoid_descent_check(g, range(1, 9)) == []
+    assert levi_conjugate_root_check(g.datum, range(1, 9)) == []
+    g = group_case(build_root_datum("G2"))
+    dd = g.datum
+    monkeypatch.setattr(weyl, "_tables", {k: t for k, t in weyl._tables.items() if k != dd.cartan})
+    assert monoid_descent_check(g, range(1, 5)) == []
+    assert levi_conjugate_root_check(dd, range(1, 5)) == []
+    assert dd.cartan not in weyl._tables
 
 
 def reference_monoid_descent_check(g, levi):

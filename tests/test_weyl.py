@@ -43,7 +43,7 @@ from flagorbits import (
 )
 from flagorbits import TableTooLarge, group_order, weyl
 from flagorbits.kgb import doubled_datum
-from flagorbits.root_datum import all_roots, reflect
+from flagorbits.root_datum import all_roots, normalize_levi, reflect
 from flagorbits.weyl import WeylTable, _table, act_on_root
 
 GROUP_ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
@@ -133,7 +133,7 @@ THREE_WAY = (
 
 
 def reference_table(datum):
-    """The seven WeylTable fields from a breadth-first search on tuples of
+    """The six WeylTable fields from a breadth-first search on tuples of
     root indices, each simple reflection applied to a root by
     root_datum.reflect: the oracle for WeylTable's byte-string search."""
     r = datum.rank
@@ -174,7 +174,6 @@ def reference_table(datum):
     images = tuple(tuple([roots[b] for b in key]) for key in keys)
     return {
         "images": images,
-        "index": {imgs: k for k, imgs in enumerate(images)},
         "length": tuple(lengths),
         "words": tuple(words),
         "left": tuple(tuple(row) for row in left),
@@ -621,8 +620,8 @@ def test_bruhat_subword_accepts_any_base_word():
 
 
 def looked_up_ids(w):
-    """w's component ids found by hashing its images, on a copy made
-    without ids."""
+    """w's component ids found by spelling its weight and walking the table
+    rows, on a copy made without ids."""
     return weyl._ids(WeylElt(w.datum, w.images))[1]
 
 
@@ -640,6 +639,20 @@ def test_table_born_elements_carry_the_ids_the_lookup_finds():
             assert inv(w).ids == looked_up_ids(inv(w)), spec
             length(w)  # the first use keeps the ids it looks up
             assert w.ids == want, spec
+    # elements made by the root-image kernels carry no ids, and the ids
+    # they find name them, on data whose components' letters interleave
+    for spec in (INTERLEAVED, THREE_WAY):
+        d = build_root_datum(spec)
+        elements = enumerate_elements(d)
+        rng = random.Random(33)
+        made = [identity(d)]
+        for w in elements:
+            made += [mul(w, rng.choice(elements)), apply_twist(w)]
+            made += [weyl._s_times(i, w) for i in range(1, d.rank + 1)]
+            made += [weyl._times_s(w, i) for i in range(1, d.rank + 1)]
+        for x in made:
+            assert x.ids is None, spec
+            assert weyl._element(d, looked_up_ids(x)) == x, spec
 
 
 def test_kernel_born_elements_equal_the_table_born_ones():
@@ -783,6 +796,16 @@ def test_refusals_across_data_and_off_the_roots():
         (lambda: bruhat_leq_subword(identity(a2), identity(b2)), DatumMismatch, across),
         (lambda: reflection_word(a2, (2, 0)), NotARoot, "(2, 0) is not a root"),
         (lambda: reflection_word(a2, (-1, -1)), NotPositiveRoot, "(-1, -1) is not positive"),
+        # a simple index is an int: a float, bool or str is refused, by repr
+        (lambda: simple_root(a2, 1.5), NotARoot, "simple index 1.5 out of range 1..2"),
+        (lambda: simple_root(a2, True), NotARoot, "simple index True out of range 1..2"),
+        (lambda: from_word(a2, [1.0]), NotARoot, "simple index 1.0 out of range 1..2"),
+        (lambda: from_word(a2, "12"), NotARoot, "simple index '1' out of range 1..2"),
+        (lambda: is_reduced(a2, [1.5]), NotARoot, "simple index 1.5 out of range 1..2"),
+        (lambda: normalize_levi(a2, [1.5]), NotARoot, "Levi index 1.5 out of range 1..2"),
+        (lambda: normalize_levi(a2, (1, True)), NotARoot, "Levi index True out of range 1..2"),
+        (lambda: normalize_levi(a2, "12"), NotARoot, "Levi index '1' out of range 1..2"),
+        (lambda: normalize_levi(a2, [0, 5]), NotARoot, "Levi index 0 out of range 1..2"),
     ):
         with pytest.raises(error) as err:
             call()
