@@ -35,8 +35,8 @@ from .errors import AxiomViolation, Mismatch, NoOpenNode, NotNoncompact, NotReal
 from .orbit_poset import NodeId, OrbitGraph, node_sort_key, reduced_decomposition
 from .root_datum import RootDatum, build_root_datum, format_root_datum, is_m_alpha_trivial, parse_root_datum
 from .root_datum import parse_root_datum_lines, simple_root, _decimal, _node_lines, _significant_lines
-from .weyl import WeylElt, _ids, _layout, _s_times, _table, _times_s, _word, apply_twist, enumerate_elements
-from .weyl import format_word, from_word, identity, inv, parse_word, reduced_word, simple_reflection
+from .weyl import WeylElt, _ids, _layout, _root_column, _s_times, _table, _times_s, _word, apply_twist
+from .weyl import enumerate_elements, format_word, from_word, identity, mul, parse_word, reduced_word, simple_reflection
 
 
 class RootType(enum.Enum):
@@ -291,23 +291,22 @@ def _braid_order(datum: RootDatum, a: int, b: int) -> int:
 
 def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
     """How validate_kgb compares twisted involutions, chosen once per call:
-    the key of each element, moved(a, b) giving the keys of s_a * x * s_b
-    for every element x in order (of s_a * x when b is None), and
-    twisted(x), whether theta(x) = x^-1.  Keys are component ids when the
-    datum's tables exist: s_a and s_b map a column of ids through a left
-    and a right row, and theta moves the id of a component whose letters it
-    keeps (so its table), else acts on its canonical word letter by letter.
-    Otherwise they are the elements, moved by the root-image kernels; no
-    table is built."""
+    the key of each element, moved(a, b)(k), the key of s_a * x * s_b for
+    the k-th element x (of s_a * x when b is None), and twisted(x), whether
+    theta(x) = x^-1.  Keys are component ids when the datum's tables exist:
+    s_a and s_b map a column of ids through a left and a right row, and
+    theta moves the id of a component whose letters it keeps (so its
+    table), else acts on its canonical word letter by letter.  Otherwise,
+    building no table, they are the elements, moved by the root-image
+    kernels when asked, and theta(x) = x^-1 when x * theta(x) = e."""
     layout = _layout(datum)
     tables = layout.tables()
     if not tables:
 
         def moved(a, b=None):
-            ys = [_s_times(a, x) for x in elements]
-            return ys if b is None else [_times_s(y, b) for y in ys]
+            return lambda k: _s_times(a, elements[k]) if b is None else _times_s(_s_times(a, elements[k]), b)
 
-        return elements, moved, lambda x: apply_twist(x) == inv(x)
+        return elements, moved, lambda x: mul(x, apply_twist(x)) == identity(datum)
 
     where = layout.where
     # theta sends letter a of part c to letter b of part d: image[c][a - 1]; onto[c] = d where b = a throughout
@@ -323,7 +322,7 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
         if b is not None:
             c, i = where[b - 1]
             ids[c] = list(map(tables[c].right[i - 1].__getitem__, ids[c]))
-        return list(zip(*ids))
+        return list(zip(*ids)).__getitem__
 
     def twisted(x):
         y = [0] * len(x)
@@ -359,18 +358,21 @@ def validate_kgb(g: KgbGraph) -> list[str]:
         minus_alpha = tuple(-c for c in alpha_root)
         trivial = is_m_alpha_trivial(datum, alpha)
         preimages = Counter(cays)
-        images = [w.images[theta - 1] for w in g._tw]
+        images = _root_column(datum, g._tw, theta)  # w(alpha_theta) for each node's w
         classes = ["imaginary" if img == alpha_root else "real" if img == minus_alpha else "complex" for img in images]
         # the keys of s_alpha * x * s_theta(alpha), and of s_alpha * x once a Cayley target needs them
         crossed, raised = moved(alpha, theta), None
+        matched = [False] * n
         for k, (v, lab, j) in enumerate(zip(nodes, labels, targets)):
             if targets[j] != k:
                 out.append(f"CrossNotInvolution: alpha={alpha} node={v}")
             cls, step, mate, code, real, want = _RULES[lab]
             if cls != classes[k]:
                 out.append(f"LabelClass: alpha={alpha} node={v} label={_TYPES[lab].value} not {cls}")
-            # twisted involution transforms uniformly under the cross action
-            if crossed[k] != tw_keys[j]:
+            # twisted involution transforms uniformly under the cross action, an
+            # involution: when j's move reached k, k's reaches j
+            matched[k] = matched[j] and targets[j] == k or crossed(k) == tw_keys[j]
+            if not matched[k]:
                 out.append(f"CrossTwist: alpha={alpha} node={v}")
             if (j != k) if step is None else (j == k or lens[j] != lens[k] + step):
                 out.append(f"{code}: alpha={alpha} node={v}")
@@ -389,7 +391,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
                 if labels[t] != real:
                     out.append(f"CayleyTarget: alpha={alpha} node={v} expected {_TYPES[real].value}")
                 raised = raised or moved(alpha)
-                if raised[k] != tw_keys[t]:
+                if raised(k) != tw_keys[t]:
                     out.append(f"CayleyTwist: alpha={alpha} node={v}")
                 # type I: the cross partner shares the Cayley target
                 if step is not None and cays[j] != t:
@@ -414,9 +416,8 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     is not compact imaginary."""
     out = []
     for alpha, labels in enumerate(g._label, 1):
-        theta = g.datum.twist[alpha - 1] - 1
-        for v, lab, w in zip(g.nodes, labels, g._tw):
-            predicted = min(w.images[theta]) >= 0 and lab != _CI
+        for v, lab, img in zip(g.nodes, labels, _root_column(g.datum, g._tw, g.datum.twist[alpha - 1])):
+            predicted = min(img) >= 0 and lab != _CI
             if (lab in _ASCENT) != predicted:
                 out.append(f"AscentCriterion: alpha={alpha} node={v} label={_TYPES[lab].value}")
     return sorted(out)
@@ -521,16 +522,12 @@ def doubled_datum(datum: RootDatum) -> RootDatum:
 def group_case(datum: RootDatum) -> KgbGraph:
     """The diagonal symmetric pair: nodes are group elements, every label is
     complex, and the two copies of each simple root act by the two sides."""
-    dd = doubled_datum(datum)
-    table = _table(datum)
-    lens, zero = list(table.length), (0,) * datum.rank
-    # The simple roots of dd are those of datum, then their copies; node k's
-    # twisted involution acts as k on the first copy and k^-1 on the second,
-    # which are its component ids when datum is irreducible.
-    first = [tuple([img + zero for img in images]) for images in table.images]
-    second = [tuple([zero + img for img in images]) for images in table.images]
-    one = len(_layout(datum).parts) == 1
-    tws = [WeylElt(dd, first[k] + second[j], (k, j) if one else None) for k, j in enumerate(table.inverse)]
+    dd, table, elements = doubled_datum(datum), _table(datum), enumerate_elements(datum)
+    lens = list(table.length)
+    # The components of dd are those of datum, then their copies: node k's
+    # twisted involution is k on the first and k^-1 on the second.
+    _layout(dd).tables()  # found, for the images read off the keys
+    tws = [WeylElt(dd, None, elements[k].ids + elements[j].ids) for k, j in enumerate(table.inverse)]
     moves = table.left + table.right
     labels = [[_DOWN if lens[m] < n else _UP for m, n in zip(row, lens)] for row in moves]
     nodes = tuple(map(str, range(len(lens))))

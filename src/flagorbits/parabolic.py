@@ -23,10 +23,10 @@ from .weyl import (
     _part_datum,
     _s_times,
     _spell,
-    _table,
     _weight,
     bruhat_leq,
     bruhat_leq_subword,
+    enumerate_elements,
     exchange,
     format_word,
     from_word,
@@ -60,15 +60,14 @@ class ParabolicCoset(NamedTuple):
 
 def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
     """The subgroup generated by the chosen simple reflections, sorted by
-    length, then by canonical reduced word.  A whole-subgroup walk: it
-    builds the table of the Levi set's own sub-diagram, whose letter a
-    stands for levi[a - 1], so it raises TableTooLarge above TABLE_CAP
-    elements, as coset_elements does.  Every reduced word of an element of
-    W_levi uses only letters from levi, and renaming the letters in
-    increasing order keeps the order of the words."""
+    length, then by canonical reduced word: the group of the Levi set's
+    own sub-diagram, whose letter a stands for levi[a - 1], so it raises
+    TableTooLarge above TABLE_CAP elements, as coset_elements does.  Every
+    reduced word of an element of W_levi uses only letters from levi, and
+    renaming the letters in increasing order keeps the order of the words."""
     levi = normalize_levi(datum, levi)
-    words = _table(_part_datum(datum, [i - 1 for i in levi])).words if levi else ((),)
-    return tuple(from_word(datum, [levi[a - 1] for a in word]) for word in words)
+    sub = _part_datum(datum, [i - 1 for i in levi])
+    return tuple(from_word(datum, [levi[a - 1] for a in reduced_word(w)]) for w in enumerate_elements(sub))
 
 
 def _extreme(w: WeylElt, mu: list[int], levi: Levi, shorten: bool) -> WeylElt:

@@ -1,21 +1,21 @@
 """Weyl group elements, words, lengths, Bruhat order, and the exchange map.
 
-An element is stored by its images of the simple roots, which makes equality
-and hashing canonical and keeps every product exact.  Words are tuples of
-1-based simple indices.
+An element is stored by its images of the simple roots, which makes hashing
+canonical and keeps every product exact.  Words are tuples of 1-based
+simple indices.
 
 The group of a datum is the product of the groups of the connected
 components of its Dynkin diagram.  There is one WeylTable per irreducible
 Cartan matrix, shared by every datum with such a component (the two copies
 in group_case's doubled datum read the table of the one group), and an
 element is one table id per component.  An element made from the tables
-carries its ids; one made by a root-image kernel finds them once, by
-spelling its canonical word from its weight and walking the table rows.
-Lengths, words, inverses and the Bruhat order are then reads of the table
-rows.  Whole-group operations build the tables, up to TABLE_CAP elements;
-per-element calls only read tables that exist, and otherwise spell and
-compare by walks on the weight w(2 rho) and multiply by simple-reflection
-kernels, so E7 and E8 still answer.
+carries its ids (and reads its images off the table keys); one made by a
+root-image kernel finds them once, by spelling its canonical word from its
+weight and walking the table rows.  Lengths, words, inverses and the Bruhat
+order are then reads of the table rows.  Whole-group operations build the
+tables, up to TABLE_CAP elements; per-element calls only read tables that
+exist, and otherwise spell and compare by walks on the weight w(2 rho) and
+multiply by simple-reflection kernels, so E7 and E8 still answer.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -53,28 +54,36 @@ from .root_datum import (
 Word = tuple[int, ...]
 Cartan = tuple[tuple[int, ...], ...]
 
-# |W(E6)|: the largest group tabulated, so about 50 MB of tables at most.
+# |W(E6)|: the largest group tabulated, whose table keeps about 19 MiB.
 TABLE_CAP = 51_840
 
 
 class WeylElt:
-    """A Weyl group element, canonically the tuple of simple-root images.
-    ``ids`` is its id in each component table of the datum (see _ids), or
-    None until they are known: it is a memo, so equality and hashing read
-    the datum and the images only.  Treat it as immutable: it is hashed by
-    value."""
+    """A Weyl group element: ``images``, its simple-root images (for one
+    born from the tables, decoded on first use), and ``ids``, its id in each
+    component table of the datum (see _ids), or None until known.  Two with
+    ids compare by them, others by their images, and hashing reads the
+    images.  Treat it as immutable: it is hashed by value."""
 
-    __slots__ = ("datum", "images", "ids")
+    __slots__ = ("datum", "_images", "ids")
 
-    def __init__(self, datum: RootDatum, images: tuple[Root, ...], ids: tuple[int, ...] | None = None):
+    def __init__(self, datum: RootDatum, images: tuple[Root, ...] | None, ids: tuple[int, ...] | None = None):
         self.datum = datum
-        self.images = images
+        self._images = images
         self.ids = ids
+
+    @property
+    def images(self) -> tuple[Root, ...]:
+        if self._images is None:
+            self._images = _decode(self)
+        return self._images
 
     def __eq__(self, other):
         if other.__class__ is not WeylElt:
             return NotImplemented
         # one tuple comparison: an identical datum is not compared field by field
+        if self.ids is not None and other.ids is not None:
+            return (self.datum, self.ids) == (other.datum, other.ids)
         return (self.datum, self.images) == (other.datum, other.images)
 
     def __hash__(self) -> int:
@@ -95,11 +104,11 @@ def simple_reflection(datum: RootDatum, i: int) -> WeylElt:
 
 def _apply(w: WeylElt, beta: Sequence[int]) -> Root:
     """Linear extension of the simple-root images; no membership check."""
-    n = w.datum.rank
+    images, n = w.images, w.datum.rank
     out = [0] * n
     for j, c in enumerate(beta):
         if c:
-            img = w.images[j]
+            img = images[j]
             for k in range(n):
                 out[k] += c * img[k]
     return tuple(out)
@@ -330,24 +339,24 @@ class WeylTable:
     """The whole group of one Cartan matrix as integer tables, O(|W| * rank).
 
     Ids run in (length, canonical word) order, so id 0 is the identity.  For
-    the element w with id k, ``images[k]`` holds its simple-root images,
-    ``left[i - 1][k]`` and ``right[i - 1][k]`` are the ids of s_i * w and
-    w * s_i, and ``inverse[k]`` is the id of w^-1.  No key leads from
-    images to ids: _walk finds them along a word.
+    the element w with id k, ``keys[k]`` holds its simple-root images, each
+    as its index in the sorted ``roots``, ``left[i - 1][k]`` and
+    ``right[i - 1][k]`` are the ids of s_i * w and w * s_i, and
+    ``inverse[k]`` is the id of w^-1.  _walk finds ids along a word.
 
     Built by breadth-first search under left multiplication, one length at a
-    time, on elements held as byte strings of the indices of their simple-root
-    images in the sorted roots (one byte each: below TABLE_CAP there are at
-    most 72 roots, in E6 and B6), so that s_i acts by one bytes.translate.
+    time, on the keys (below TABLE_CAP there are at most 72 roots, in E6 and
+    B6, so an index fits a byte), so that s_i acts by one bytes.translate.
     With the simple index in the outer loop, an element is first reached from
     its smallest left descent i, and its canonical word is i followed by the
     word of s_i * w; each length's elements are found in canonical-word order.
+    Each edge found fills both its ends, so a left descent costs no translate.
     """
 
-    __slots__ = ("images", "length", "words", "left", "right", "inverse")
+    __slots__ = ("keys", "roots", "length", "words", "left", "right", "inverse")
 
     def __init__(self, datum: RootDatum):
-        r = datum.rank
+        r, n = datum.rank, group_order(datum)
         roots = sorted(all_roots(datum))
         position = {beta: k for k, beta in enumerate(roots)}
         # s_i(beta) = beta - <beta, coroot_i> alpha_i as a bytes.translate table
@@ -360,13 +369,15 @@ class WeylTable:
         seen = {start: 0}
         words: list[Word] = [()]
         lengths = [0]
-        left: list[list[int]] = [[] for _ in range(r)]
+        left = [[-1] * n for _ in range(r)]
         level = [0]
         while level:
             nxt = []
             for i in range(r):
                 perm, row = perms[i], left[i]
                 for x in level:
+                    if row[x] >= 0:  # s_i * x is one shorter: the edge is filled
+                        continue
                     y = keys[x].translate(perm)
                     k = seen.get(y)
                     if k is None:
@@ -375,12 +386,10 @@ class WeylTable:
                         words.append((i + 1,) + words[x])
                         lengths.append(lengths[x] + 1)
                         nxt.append(k)
-                    # Per i, x runs through the ids in increasing order.
-                    row.append(k)
+                    row[x], row[k] = k, x
             level = nxt
         # w = s_a * tail has the prefix w * s_last = s_a * prefix(tail), and
         # the inverse s_last * inverse(prefix); both are shorter than w.
-        n = len(keys)
         prefix = [0] * n
         inverse = [0] * n
         for k in range(1, n):
@@ -389,7 +398,7 @@ class WeylTable:
                 first = left[word[0] - 1]
                 prefix[k] = first[prefix[first[k]]]
             inverse[k] = left[word[-1] - 1][inverse[prefix[k]]]
-        self.images = tuple([tuple(map(roots.__getitem__, key)) for key in keys])
+        self.keys, self.roots = tuple(keys), tuple(roots)
         self.length = tuple(lengths)
         self.words = tuple(words)
         self.left = tuple(tuple(row) for row in left)
@@ -416,19 +425,18 @@ def group_order(datum: RootDatum) -> int:
 
 
 def _table(datum: RootDatum) -> WeylTable:
-    """The table of the whole group of the datum, built on first use, with
-    those of its components; refused above TABLE_CAP elements."""
+    """The table of the whole group of the datum, built on first use;
+    refused above TABLE_CAP elements."""
     table = _tables.get(datum.cartan)
     if table is None:
-        order = group_order(datum)
-        if order > TABLE_CAP:
-            raise TableTooLarge(f"|W| = {order} is above the table cap of {TABLE_CAP} elements")
-        subs = _layout(datum).subs
-        if len(subs) > 1:
-            for sub in subs:
-                _table(sub)
+        _check_cap(datum)
         table = _tables[datum.cartan] = WeylTable(datum)
     return table
+
+
+def _check_cap(datum: RootDatum) -> None:
+    if (order := group_order(datum)) > TABLE_CAP:
+        raise TableTooLarge(f"|W| = {order} is above the table cap of {TABLE_CAP} elements")
 
 
 def _part_datum(datum: RootDatum, part: Sequence[int]) -> RootDatum:
@@ -454,11 +462,11 @@ class _Layout:
     = <alpha_j, coroot_i> (column i of the Cartan matrix), for the root
     kernels, and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move;
     ``two_rho`` is the sum of the positive roots (from _validate_cartan),
-    for _weight.
-    The component tables are remembered here once built, and so is the
-    element list of enumerate_elements."""
+    for _weight.  The component tables are kept in ``found`` once built,
+    with ``roots[c]``, the roots part c's keys index, in the datum's
+    coordinates, and so is the element list of enumerate_elements."""
 
-    __slots__ = ("parts", "subs", "where", "links", "rows", "two_rho", "found", "elements")
+    __slots__ = ("parts", "subs", "where", "links", "rows", "two_rho", "found", "roots", "elements")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -489,6 +497,7 @@ class _Layout:
         self.rows = [[(j, y) for j, y in enumerate(row) if y] for row in datum.cartan]
         self.two_rho = _validate_cartan(datum.cartan) if r else ()  # a rank-0 part datum has no matrix to check
         self.found: list[WeylTable] | None = None
+        self.roots: list[list[Root]] | None = None
         self.elements: tuple[WeylElt, ...] | None = None
 
     def tables(self) -> list[WeylTable] | None:
@@ -497,6 +506,9 @@ class _Layout:
             got = [_tables.get(sub.cartan) for sub in self.subs]
             if None in got:
                 return None
+            r = len(self.where)  # a part holding every index reads its table's roots as they are
+            self.roots = [[tuple(dict(zip(part, b)).get(j, 0) for j in range(r)) for b in t.roots] if len(part) < r
+                          else t.roots for part, t in zip(self.parts, got)]
             self.found = got
         return self.found
 
@@ -537,24 +549,32 @@ def _walk(datum: RootDatum, tables: Sequence[WeylTable], word: Iterable[int]) ->
 
 
 def _element(datum: RootDatum, ids: Sequence[int]) -> WeylElt:
-    """The element with the given component ids, carrying them; the tables
-    must exist."""
+    """The element with the given component ids, carrying them only."""
+    elements = _layout(datum).elements
+    if elements is not None and len(ids) == 1:
+        return elements[ids[0]]
+    return WeylElt(datum, None, tuple(ids))
+
+
+def _decode(w: WeylElt) -> tuple[Root, ...]:
+    """w's simple-root images off the key bytes of the tables its ids came
+    from: those its layout found, not tables(), which may hide them."""
+    layout = _layout(w.datum)
+    images: list[Root] = [()] * w.datum.rank
+    for part, table, k, roots in zip(layout.parts, layout.found, w.ids, layout.roots):
+        for i, b in zip(part, table.keys[k]):
+            images[i] = roots[b]
+    return tuple(images)
+
+
+def _root_column(datum: RootDatum, elements: Sequence[WeylElt], i: int) -> list[Root]:
+    """w(alpha_i) for every element w, off one key byte for those with ids."""
     layout = _layout(datum)
-    tables = layout.tables()
-    ids = tuple(ids)
-    if len(tables) == 1:
-        if layout.elements is not None:
-            return layout.elements[ids[0]]
-        return WeylElt(datum, tables[0].images[ids[0]], ids)
-    r = datum.rank
-    images: list[Root] = [()] * r
-    for part, table, k in zip(layout.parts, tables, ids):
-        for i, local in zip(part, table.images[k]):
-            full = [0] * r
-            for j, c in zip(part, local):
-                full[j] = c
-            images[i] = tuple(full)
-    return WeylElt(datum, tuple(images), ids)
+    if layout.found is None:
+        return [w.images[i - 1] for w in elements]
+    c, a = layout.where[i - 1]
+    keys, roots = layout.found[c].keys, layout.roots[c]
+    return [w.images[i - 1] if w.ids is None else roots[keys[w.ids[c]][a - 1]] for w in elements]
 
 
 def _word(datum: RootDatum, tables: Sequence[WeylTable | None], ids: Sequence[int]) -> Word:
@@ -587,14 +607,18 @@ def _word(datum: RootDatum, tables: Sequence[WeylTable | None], ids: Sequence[in
 
 
 def enumerate_elements(datum: RootDatum) -> tuple[WeylElt, ...]:
-    """All elements, sorted by length then by canonical reduced word.  On
-    one component the id of an element in the datum's own table is its
-    component id, and it carries it; a reducible datum's whole-group ids
-    are not, and its elements look theirs up on first use."""
+    """All elements, sorted by length then by canonical reduced word, each
+    carrying its component ids; no table of a product of components."""
     layout = _layout(datum)
     if layout.elements is None:
-        one = len(layout.parts) == 1
-        layout.elements = tuple([WeylElt(datum, img, (k,) if one else None) for k, img in enumerate(_table(datum).images)])
+        _check_cap(datum)
+        # on one component, the datum's own table: its roots are already known
+        tables = [_table(datum if len(layout.subs) == 1 else sub) for sub in layout.subs]
+        ids = product(*(range(len(table.words)) for table in tables))
+        if len(tables) > 1:
+            ids = sorted(ids, key=lambda x: (sum([t.length[k] for t, k in zip(tables, x)]), _word(datum, tables, x)))
+        layout.tables()  # found, for the images read off the keys
+        layout.elements = tuple([WeylElt(datum, None, x) for x in ids])
     return layout.elements
 
 

@@ -59,6 +59,7 @@ from flagorbits import (
     twisted_shadow,
 )
 from flagorbits import parabolic, weyl
+from flagorbits.kgb import doubled_datum
 from flagorbits.orbit_poset import _coset_walk, _members, _pull_kernels, cover_pairs, lower_ideal
 from flagorbits.root_datum import normalize_levi
 from flagorbits.weyl import _layout, _part_datum, _table, parse_word
@@ -167,6 +168,24 @@ def test_levi_subgroups_match_the_search():
     # the Levi set is normalized first
     d = build_root_datum("B3")
     assert levi_subgroup_elements(d, (3, 1, 3)) == levi_subgroup_by_search(d, (1, 3))
+
+
+def test_levi_subgroups_across_components_build_no_product_table(monkeypatch):
+    # the subgroup is the product of its components' tables, so a Levi set
+    # that spans components, as every root of group_case's doubled datum
+    # does, leaves only irreducible Cartan matrices in the tables
+    monkeypatch.setattr(weyl, "_tables", {})
+    cases = [(doubled_datum(build_root_datum("G2")), (1, 2, 3, 4)), (build_root_datum("A2xA2"), (1, 3, 4))]
+    cases += [(build_root_datum(THREE_WAY), (1, 2, 3, 4, 6)), (build_root_datum(INTERLEAVED), (1, 2, 3))]
+    for d, levi in cases:
+        assert levi_subgroup_elements(d, levi) == levi_subgroup_by_search(d, levi), (d.name, levi)
+    assert len(weyl._tables) == 4  # G2, A2, B2 and A1
+    assert all(len(_layout(build_root_datum(cartan)).parts) == 1 for cartan in weyl._tables)
+    # W(B4) x W(B4) is above the table cap: refused before any table is built
+    with pytest.raises(TableTooLarge) as err:
+        levi_subgroup_elements(doubled_datum(build_root_datum("B4")), range(1, 9))
+    assert str(err.value) == "|W| = 147456 is above the table cap of 51840 elements"
+    assert len(weyl._tables) == 4
 
 
 def test_per_element_coset_functions_build_no_table():

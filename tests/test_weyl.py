@@ -42,7 +42,7 @@ from flagorbits import (
     simple_root,
 )
 from flagorbits import TableTooLarge, group_order, weyl
-from flagorbits.kgb import doubled_datum
+from flagorbits.kgb import doubled_datum, group_case
 from flagorbits.root_datum import all_roots, normalize_levi, reflect
 from flagorbits.weyl import WeylTable, _table, act_on_root
 
@@ -183,7 +183,11 @@ def reference_table(datum):
 
 
 def table_fields(table):
-    return {field: getattr(table, field) for field in WeylTable.__slots__}
+    """reference_table's fields of a WeylTable: every element's images
+    decoded from its key bytes and the sorted roots, then the rows."""
+    fields = {"images": tuple(tuple([table.roots[b] for b in key]) for key in table.keys)}
+    fields.update((field, getattr(table, field)) for field in ("length", "words", "left", "right", "inverse"))
+    return fields
 
 
 # Each datum whose table is checked, with its Cartan type for the degrees.
@@ -626,19 +630,15 @@ def looked_up_ids(w):
 
 
 def test_table_born_elements_carry_the_ids_the_lookup_finds():
-    # enumerate_elements on one component, from_word and inv carry their
-    # ids; a reducible datum's elements look theirs up on first use, since
-    # its own table's ids are whole-group ones
+    # enumerate_elements, from_word and inv carry their ids, on reducible
+    # data too, where enumerate_elements finds them along its table's rows
     for spec in [spec for spec, _ in TABLE_SPECS] + ["A1xA1"]:
         d = build_root_datum(spec)
-        one = len(weyl._layout(d).parts) == 1
         for w in enumerate_elements(d):
-            assert (w.ids is not None) == one, spec
             want = looked_up_ids(w)
+            assert w.ids == want, spec
             assert from_word(d, reduced_word(w)).ids == want, spec
             assert inv(w).ids == looked_up_ids(inv(w)), spec
-            length(w)  # the first use keeps the ids it looks up
-            assert w.ids == want, spec
     # elements made by the root-image kernels carry no ids, and the ids
     # they find name them, on data whose components' letters interleave
     for spec in (INTERLEAVED, THREE_WAY):
@@ -655,19 +655,77 @@ def test_table_born_elements_carry_the_ids_the_lookup_finds():
             assert weyl._element(d, looked_up_ids(x)) == x, spec
 
 
-def test_kernel_born_elements_equal_the_table_born_ones():
-    # equality and hashing read the images, not the ids
-    for spec in ("B3", "G2", "A1xA1", INTERLEAVED):
+def holds_images(w):
+    """Whether w's images are filled in, asked without filling them."""
+    return w._images is not None
+
+
+def test_table_born_elements_hold_no_images_until_one_is_read():
+    for spec in ("B3", INTERLEAVED):
         d = build_root_datum(spec)
-        e = identity(d)
-        for w in enumerate_elements(d):
-            x = mul(w, e)
+        elements = enumerate_elements(d)
+        born = [elements[5], from_word(d, (1, 2, 3)), inv(elements[7]), group_case(d)._tw[9]]
+        for w in born:
+            assert not holds_images(w), spec
+            reduced_word(w), length(w), inv(w)  # table reads
+            assert not holds_images(w), spec
+            images = w.images
+            assert holds_images(w) and w.images is images, spec
+            assert images == weyl._root_from_word(w.datum, reduced_word(w)).images, spec
+
+
+def twin_cases():
+    """Table-born elements of an irreducible datum, of interleaved and
+    three-way components, and of group_case's doubled datum."""
+    cases = [enumerate_elements(build_root_datum(spec)) for spec in ("B3", "G2", "A1xA1", INTERLEAVED, THREE_WAY)]
+    b2 = build_root_datum("B2")
+    cases.append(enumerate_elements(doubled_datum(b2)) + tuple(group_case(b2)._tw))
+    return cases
+
+
+def test_kernel_born_elements_equal_the_table_born_ones():
+    # two elements with ids compare by them; an element and its twin made by
+    # the root-image kernels compare and hash by their images
+    for elements in twin_cases():
+        d = elements[0].datum
+        twins = [weyl._root_from_word(d, reduced_word(w)) for w in elements]
+        for w, x in zip(elements, twins):
+            assert x.ids is None, d.name
             y = from_word(d, reduced_word(w))
-            assert x.ids is None and y.ids is not None
-            assert x == w == y and hash(x) == hash(w) == hash(y)
-            assert {x: 0}[y] == {y: 0}[w] == 0
+            assert y == w and not holds_images(y), d.name
+            assert x == w == y and w == x and hash(x) == hash(w) == hash(y), d.name
+            assert {x: 0}[y] == {y: 0}[x] == {w: 0}[x] == 0, d.name
+            assert w in {x} and x in {w} and y in {x}, d.name
             # the lookup keeps what it finds
-            assert length(x) == length(y) and x.ids == y.ids
+            assert length(x) == length(y) and x.ids == y.ids, d.name
+        assert set(elements) == set(twins), d.name
+        assert len(set(elements) | set(twins)) == group_order(d), d.name
+
+
+@pytest.mark.parametrize("hide", ["patched", "refused"])
+def test_table_born_elements_answer_with_the_tables_hidden(monkeypatch, hide):
+    # a table-born element's images come from the tables its ids came from,
+    # so they and the order answer once tables() gives None or every table
+    # is refused; the kernel twins and the lifting give the answers
+    rng = random.Random(43)
+    cases = []
+    for elements in twin_cases():
+        d = elements[0].datum
+        words = [reduced_word(rng.choice(elements)) for _ in range(60)]
+        fresh = [from_word(d, word) for word in words]
+        twins = [weyl._root_from_word(d, word) for word in words]
+        pairs = list(zip(fresh, fresh[1:] + fresh[:1]))
+        want = [reference_bruhat_leq(weyl._root_from_word(d, reduced_word(u)), weyl._root_from_word(d, reduced_word(v))) for u, v in pairs]
+        assert not any(map(holds_images, fresh)), d.name
+        cases.append((fresh, twins, pairs, want))
+    if hide == "patched":
+        monkeypatch.setattr(weyl._Layout, "tables", lambda self: None)
+    else:
+        refuse_tables(monkeypatch)
+    for fresh, twins, pairs, want in cases:
+        assert [w.images for w in fresh] == [x.images for x in twins]
+        assert [bruhat_leq(u, v) for u, v in pairs] == want
+        assert 0 < sum(want) < len(want)
 
 
 def reference_bruhat_leq(u, v):
