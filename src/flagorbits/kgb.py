@@ -18,7 +18,7 @@ class of the root, the cross move and the Cayley transform, and validate_kgb
 reads every local axiom off it.  The twist axioms (theta(w) = w^-1, the
 cross action s_a * w * s_theta(a), the Cayley transform s_a * w) are
 compared by component ids in the Weyl tables when the tables exist, and on
-root images otherwise; validate_kgb builds no table.
+the weights w(2 rho) otherwise; validate_kgb builds no table.
 
 Monoid words act first letter first, matching upward sequences of moves.
 """
@@ -34,9 +34,9 @@ from typing import NamedTuple
 from .errors import AxiomViolation, Mismatch, NoOpenNode, NotNoncompact, NotReal, ParseError, Unreachable
 from .orbit_poset import NodeId, OrbitGraph, node_sort_key, reduced_decomposition
 from .root_datum import RootDatum, build_root_datum, format_root_datum, is_m_alpha_trivial, parse_root_datum
-from .root_datum import parse_root_datum_lines, simple_root, _decimal, _node_lines, _significant_lines
-from .weyl import WeylElt, _ids, _layout, _root_column, _s_times, _table, _times_s, _word, apply_twist
-from .weyl import enumerate_elements, format_word, from_word, identity, mul, parse_word, reduced_word, simple_reflection
+from .root_datum import parse_root_datum_lines, simple_root, twist_root, _decimal, _node_lines, _significant_lines
+from .weyl import WeylElt, _ids, _layout, _moved, _reflected, _root_column, _spell, _table, _weight, _word
+from .weyl import enumerate_elements, format_word, from_word, identity, parse_word, reduced_word, simple_reflection
 
 
 class RootType(enum.Enum):
@@ -291,22 +291,34 @@ def _braid_order(datum: RootDatum, a: int, b: int) -> int:
 
 def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
     """How validate_kgb compares twisted involutions, chosen once per call:
-    the key of each element, moved(a, b)(k), the key of s_a * x * s_b for
-    the k-th element x (of s_a * x when b is None), and twisted(x), whether
-    theta(x) = x^-1.  Keys are component ids when the datum's tables exist:
-    s_a and s_b map a column of ids through a left and a right row, and
-    theta moves the id of a component whose letters it keeps (so its
-    table), else acts on its canonical word letter by letter.  Otherwise,
-    building no table, they are the elements, moved by the root-image
-    kernels when asked, and theta(x) = x^-1 when x * theta(x) = e."""
+    the key of each element, column(b), w(alpha_b) for each element w,
+    moved(a, b)(k), the key of s_a * x * s_b for the k-th element x (of
+    s_a * x when b is None), and twisted(k), whether theta(x) = x^-1.  Keys
+    are component ids when the datum's tables exist: s_a and s_b map a
+    column of ids through a left and a right row, and theta moves the id of
+    a component whose letters it keeps (so its table), else acts on its
+    canonical word letter by letter.  Otherwise, building no table, keys are
+    the weights x(2 rho), and each element's canonical word is spelled once:
+    column(b) walks alpha_b back through the words, the weight of a product
+    is 2 rho moved along its letters, last first, and theta(x) = x^-1 when
+    2 rho moved along x's word, first letter first, is theta(x(2 rho))."""
     layout = _layout(datum)
     tables = layout.tables()
     if not tables:
+        two = (2,) * datum.rank
+        keys = [_weight(x) for x in elements]
+        words = [_spell(datum, mu) for mu in keys]
+
+        def column(b):
+            alpha = simple_root(datum, b)
+            return [_reflected(datum, alpha, reversed(word)) for word in words]
 
         def moved(a, b=None):
-            return lambda k: _s_times(a, elements[k]) if b is None else _times_s(_s_times(a, elements[k]), b)
+            if b is None:
+                return lambda k: _moved(datum, keys[k], (a,)).weight
+            return lambda k: _moved(datum, two, (b, *reversed(words[k]), a)).weight
 
-        return elements, moved, lambda x: mul(x, apply_twist(x)) == identity(datum)
+        return keys, column, moved, lambda k: _moved(datum, two, words[k]).weight == twist_root(datum, keys[k])
 
     where = layout.where
     # theta sends letter a of part c to letter b of part d: image[c][a - 1]; onto[c] = d where b = a throughout
@@ -324,8 +336,8 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
             ids[c] = list(map(tables[c].right[i - 1].__getitem__, ids[c]))
         return list(zip(*ids)).__getitem__
 
-    def twisted(x):
-        y = [0] * len(x)
+    def twisted(node):
+        x, y = keys[node], [0] * len(tables)
         for c, k in enumerate(x):
             if onto[c] is not None:
                 y[onto[c]] = k
@@ -335,7 +347,7 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
                 y[d] = tables[d].right[b - 1][y[d]]
         return y == [t.inverse[k] for t, k in zip(tables, x)]
 
-    return keys, moved, twisted
+    return keys, lambda b: _root_column(datum, elements, b), moved, twisted
 
 
 def validate_kgb(g: KgbGraph) -> list[str]:
@@ -344,12 +356,12 @@ def validate_kgb(g: KgbGraph) -> list[str]:
     ascent_consistency_check.  Reads the rows, which hold every move."""
     datum, nodes, lens, n = g.datum, g.nodes, g._len, len(g.nodes)
     out: list[str] = []
-    tw_keys, moved, is_twisted = _twist_kernels(datum, g._tw)
+    tw_keys, column, moved, is_twisted = _twist_kernels(datum, g._tw)
 
-    for v, x, length in zip(nodes, tw_keys, lens):
+    for k, (v, length) in enumerate(zip(nodes, lens)):
         if length < 0:
             out.append(f"BadLength: node={v}")
-        if not is_twisted(x):
+        if not is_twisted(k):
             out.append(f"TwNotTwisted: node={v}")
 
     for alpha, labels, targets, cays in zip(range(1, datum.rank + 1), g._label, g._cross, g._cayley):
@@ -358,7 +370,7 @@ def validate_kgb(g: KgbGraph) -> list[str]:
         minus_alpha = tuple(-c for c in alpha_root)
         trivial = is_m_alpha_trivial(datum, alpha)
         preimages = Counter(cays)
-        images = _root_column(datum, g._tw, theta)  # w(alpha_theta) for each node's w
+        images = column(theta)  # w(alpha_theta) for each node's w
         classes = ["imaginary" if img == alpha_root else "real" if img == minus_alpha else "complex" for img in images]
         # the keys of s_alpha * x * s_theta(alpha), and of s_alpha * x once a Cayley target needs them
         crossed, raised = moved(alpha, theta), None
@@ -414,9 +426,9 @@ def ascent_consistency_check(g: KgbGraph) -> list[str]:
     """The direction criterion: a label is an ascent exactly when the twisted
     involution sends the twisted simple root to a positive root and the label
     is not compact imaginary."""
-    out = []
+    out, column = [], _twist_kernels(g.datum, g._tw)[1]
     for alpha, labels in enumerate(g._label, 1):
-        for v, lab, img in zip(g.nodes, labels, _root_column(g.datum, g._tw, g.datum.twist[alpha - 1])):
+        for v, lab, img in zip(g.nodes, labels, column(g.datum.twist[alpha - 1])):
             predicted = min(img) >= 0 and lab != _CI
             if (lab in _ASCENT) != predicted:
                 out.append(f"AscentCriterion: alpha={alpha} node={v} label={_TYPES[lab].value}")

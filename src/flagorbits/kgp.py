@@ -21,8 +21,9 @@ from .weyl import _apply, format_word, reduced_word, reflection_word
 
 def _classes(g: KgbGraph, levi) -> tuple[tuple[IEquivClass, ...], dict[NodeId, IEquivClass]]:
     """The classes over a Levi set and the class of each node, kept on the
-    orbit poset per normalized Levi set (a tuple kept there is one)."""
-    got = g._poset and levi.__class__ is tuple and g._poset._classes.get(levi)
+    orbit poset per normalized Levi set (a tuple of ints kept there is one;
+    a bool or a float equal to an index would find its entry too)."""
+    got = g._poset and levi.__class__ is tuple and all(i.__class__ is int for i in levi) and g._poset._classes.get(levi)
     if not got:
         levi = normalize_levi(g.datum, levi)
         got = _levi_classes(to_orbit_poset(g), levi)

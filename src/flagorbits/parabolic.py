@@ -21,7 +21,6 @@ from .weyl import (
     _layout,
     _move,
     _part_datum,
-    _s_times,
     _spell,
     _weight,
     bruhat_leq,
@@ -70,24 +69,21 @@ def levi_subgroup_elements(datum: RootDatum, levi: Levi) -> tuple[WeylElt, ...]:
     return tuple(from_word(datum, [levi[a - 1] for a in reduced_word(w)]) for w in enumerate_elements(sub))
 
 
-def _extreme(w: WeylElt, mu: list[int], levi: Levi, shorten: bool) -> WeylElt:
+def _extreme(w: WeylElt, levi: Levi, shorten: bool) -> WeylElt:
     """Multiply w on the left by letters of levi while one shortens it (or,
-    with shorten false, lengthens it), with a copy of mu = _weight(w) moved
-    along: s_i * w is shorter than w exactly when mu_i < 0.  The result is
-    the minimal (or maximal) element of the coset W_levi * w."""
-    rows, mu = _layout(w.datum).rows, list(mu)
-    while True:
-        i = next((i for i in levi if (mu[i - 1] < 0) == shorten), None)
-        if i is None:
-            return w
-        w = _s_times(i, w)
+    with shorten false, lengthens it), on a copy of its weight mu: s_i * w
+    is shorter than w exactly when mu_i < 0.  The result, w itself if no
+    letter moves it, is the minimal (or maximal) element of W_levi * w."""
+    rows, mu = _layout(w.datum).rows, list(_weight(w))
+    while (i := next((i for i in levi if (mu[i - 1] < 0) == shorten), None)) is not None:
         _move(rows[i - 1], mu, mu[i - 1])
+    return w if w.weight == tuple(mu) else WeylElt(w.datum, tuple(mu))
 
 
 def longest_levi_element(datum: RootDatum, levi: Levi) -> WeylElt:
-    """The longest element of W_levi, grown on the root images without a
-    table: the maximal element of the coset W_levi * e, whose weight is 2 rho."""
-    return _extreme(identity(datum), [2] * datum.rank, normalize_levi(datum, levi), False)
+    """The longest element of W_levi, grown on the weights without a table:
+    the maximal element of the coset W_levi * e, whose weight is 2 rho."""
+    return _extreme(identity(datum), normalize_levi(datum, levi), False)
 
 
 def is_p_minimal(w: WeylElt, levi: Levi) -> bool:
@@ -103,8 +99,8 @@ def is_p_maximal(w: WeylElt, levi: Levi) -> bool:
 
 def coset_of(w: WeylElt, levi: Levi) -> ParabolicCoset:
     """The coset W_levi * w, both representatives from the weight of w."""
-    levi, mu = normalize_levi(w.datum, levi), _weight(w)
-    return ParabolicCoset(levi, _extreme(w, mu, levi, True), _extreme(w, mu, levi, False))
+    levi = normalize_levi(w.datum, levi)
+    return ParabolicCoset(levi, _extreme(w, levi, True), _extreme(w, levi, False))
 
 
 def coset_elements(coset: ParabolicCoset) -> tuple[WeylElt, ...]:

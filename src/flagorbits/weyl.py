@@ -1,28 +1,26 @@
 """Weyl group elements, words, lengths, Bruhat order, and the exchange map.
 
-An element is stored by its images of the simple roots, which makes hashing
-canonical and keeps every product exact.  Words are tuples of 1-based
+An element w is named by integers: by its weight w(2 rho) in fundamental-
+weight coordinates, which is regular (its negative coordinates are the left
+descents of w, and s_i * w has it moved by s_i, see _move; Bjorner-Brenti,
+GTM 231, ch. 2 and 4), or by its ids, one per connected component of the
+Dynkin diagram, in the one WeylTable of that component's Cartan matrix that
+every datum with such a component shares.  Words are tuples of 1-based
 simple indices.
 
-The group of a datum is the product of the groups of the connected
-components of its Dynkin diagram.  There is one WeylTable per irreducible
-Cartan matrix, shared by every datum with such a component (the two copies
-in group_case's doubled datum read the table of the one group), and an
-element is one table id per component.  An element made from the tables
-carries its ids (and reads its images off the table keys); one made by a
-root-image kernel finds them once, by spelling its canonical word from its
-weight and walking the table rows.  Lengths, words, inverses and the Bruhat
-order are then reads of the table rows.  Whole-group operations build the
-tables, up to TABLE_CAP elements; per-element calls only read tables that
-exist, and otherwise spell and compare by walks on the weight w(2 rho) and
-multiply by simple-reflection kernels, so E7 and E8 still answer.
+Whole-group operations build the tables, up to TABLE_CAP elements, and an
+element made from them carries its ids: lengths, words, inverses, products
+and the Bruhat order are then reads of the table rows.  Per-element calls
+only read tables that exist, and otherwise spell, multiply and compare by
+moving weights, so E7 and E8 still answer.  The image of a root (_apply) is
+a derived view: read off the table keys with ids, walked back through the
+canonical word without.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -59,24 +57,25 @@ TABLE_CAP = 51_840
 
 
 class WeylElt:
-    """A Weyl group element: ``images``, its simple-root images (for one
-    born from the tables, decoded on first use), and ``ids``, its id in each
-    component table of the datum (see _ids), or None until known.  Two with
-    ids compare by them, others by their images, and hashing reads the
-    images.  Treat it as immutable: it is hashed by value."""
+    """A Weyl group element: ``weight``, w(2 rho) in fundamental-weight
+    coordinates, and ``ids``, its id in each component table of the datum
+    (see _ids).  One made without tables holds its weight, and its ids are
+    None until known; one born from the tables holds its ids, and its weight
+    is None until first read (see _weight).  Two with ids compare by them,
+    others by their weights, and hashing reads the weight.  Treat it as
+    immutable: it is hashed by value."""
 
-    __slots__ = ("datum", "_images", "ids")
+    __slots__ = ("datum", "weight", "ids")
 
-    def __init__(self, datum: RootDatum, images: tuple[Root, ...] | None, ids: tuple[int, ...] | None = None):
+    def __init__(self, datum: RootDatum, weight: tuple[int, ...] | None, ids: tuple[int, ...] | None = None):
         self.datum = datum
-        self._images = images
+        self.weight = weight
         self.ids = ids
 
     @property
     def images(self) -> tuple[Root, ...]:
-        if self._images is None:
-            self._images = _decode(self)
-        return self._images
+        """The simple-root images, a read-only view (see _apply)."""
+        return tuple([_apply(self, simple_root(self.datum, i)) for i in range(1, self.datum.rank + 1)])
 
     def __eq__(self, other):
         if other.__class__ is not WeylElt:
@@ -84,33 +83,36 @@ class WeylElt:
         # one tuple comparison: an identical datum is not compared field by field
         if self.ids is not None and other.ids is not None:
             return (self.datum, self.ids) == (other.datum, other.ids)
-        return (self.datum, self.images) == (other.datum, other.images)
+        return (self.datum, _weight(self)) == (other.datum, _weight(other))
 
     def __hash__(self) -> int:
-        return hash((self.datum, self.images))
+        return hash((self.datum, _weight(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WeylElt({format_word(reduced_word(self))})"
 
 
 def identity(datum: RootDatum) -> WeylElt:
-    return WeylElt(datum, tuple(simple_root(datum, i) for i in range(1, datum.rank + 1)))
+    return WeylElt(datum, (2,) * datum.rank)
 
 
-@lru_cache(maxsize=None)
 def simple_reflection(datum: RootDatum, i: int) -> WeylElt:
-    return WeylElt(datum, tuple(reflect(datum, i, simple_root(datum, j)) for j in range(1, datum.rank + 1)))
+    return from_word(datum, (i,))
 
 
 def _apply(w: WeylElt, beta: Sequence[int]) -> Root:
-    """Linear extension of the simple-root images; no membership check."""
-    images, n = w.images, w.datum.rank
-    out = [0] * n
+    """w(beta), linear in beta; no membership check.  With ids, off the key
+    bytes of the simple roots in beta's support, in the tables the ids came
+    from (those w's layout found: tables() may be hidden); without, beta is
+    walked back through w's canonical word, as exchange walks gamma."""
+    if w.ids is None and _ids(w) is None:
+        return _reflected(w.datum, beta, reversed(_spell(w.datum, w.weight)))
+    layout, ids, out = _layout(w.datum), w.ids, [0] * len(beta)
+    where, roots, found = layout.where, layout.roots, layout.found
     for j, c in enumerate(beta):
         if c:
-            img = images[j]
-            for k in range(n):
-                out[k] += c * img[k]
+            p, a = where[j]
+            out = [x + c * y for x, y in zip(out, roots[p][found[p].keys[ids[p]][a - 1]])]
     return tuple(out)
 
 
@@ -121,16 +123,24 @@ def act_on_root(w: WeylElt, beta: Root) -> Root:
 
 
 def mul(u: WeylElt, v: WeylElt) -> WeylElt:
+    """Walked along the table rows, or v's weight moved along u's word, last letter first."""
     if u.datum != v.datum:
         raise DatumMismatch("cannot multiply elements of different root data")
-    return WeylElt(u.datum, tuple(_apply(u, img) for img in v.images))
+    tables = _layout(u.datum).tables()
+    if tables is None:
+        return _moved(u.datum, _weight(v), reversed(_spell(u.datum, _weight(u))))
+    return _element(u.datum, _walk(u.datum, tables, reduced_word(u) + reduced_word(v)))
 
 
 def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
+    """Walked along the table rows, or 2 rho moved along the word, last letter first."""
     tables = _layout(datum).tables()
-    if tables is None:
-        return _root_from_word(datum, word)
-    return _element(datum, _walk(datum, tables, word))
+    if tables is not None:
+        return _element(datum, _walk(datum, tables, word))
+    word = tuple(word)
+    for i in word:
+        _check_letter(datum, i)
+    return _moved(datum, (2,) * datum.rank, reversed(word))
 
 
 def length(w: WeylElt) -> int:
@@ -152,9 +162,10 @@ def reduced_word(w: WeylElt) -> Word:
 
 
 def inv(w: WeylElt) -> WeylElt:
+    """Without tables, 2 rho moved along w's word, first letter first."""
     hit = _ids(w)
     if hit is None:
-        return _root_from_word(w.datum, reversed(_spell(w.datum, _weight(w))))
+        return _moved(w.datum, (2,) * w.datum.rank, _spell(w.datum, _weight(w)))
     return _element(w.datum, [table.inverse[k] for table, k in zip(*hit)])
 
 
@@ -169,6 +180,28 @@ def _move(row: Sequence[tuple[int, int]], mu: list[int], c: int) -> None:
     fundamental-weight coordinates (Bjorner-Brenti, GTM 231, ch. 2 and 4)."""
     for j, y in row:
         mu[j] -= c * y
+
+
+def _moved(datum: RootDatum, mu: Sequence[int], letters: Iterable[int]) -> WeylElt:
+    """The element whose weight is mu moved by s_a for each letter a in turn:
+    from w's weight along a_1, ..., a_k, s_a_k * ... * s_a_1 * w, unchecked."""
+    rows, mu = _layout(datum).rows, list(mu)
+    for a in letters:
+        _move(rows[a - 1], mu, mu[a - 1])
+    return WeylElt(datum, tuple(mu))
+
+
+def _reflected(datum: RootDatum, beta: Sequence[int], letters: Iterable[int]) -> Root:
+    """beta moved by s_a, s_a(gamma) = gamma - <gamma, coroot_a> alpha_a, for
+    each letter a in turn: along w's canonical word, last letter first, w(beta)."""
+    gamma, links = list(beta), _layout(datum).links
+    for a in letters:
+        k = a - 1
+        c = 2 * gamma[k]
+        for i, y in links[k]:
+            c += y * gamma[i]
+        gamma[k] -= c
+    return tuple(gamma)
 
 
 def _climbs(datum: RootDatum, word: Iterable[int], mu: Sequence[int]) -> bool:
@@ -235,7 +268,7 @@ def bruhat_leq(u: WeylElt, v: WeylElt) -> bool:
         raise DatumMismatch("cannot compare elements of different root data")
     hu, hv = _ids(u), _ids(v)
     if hu is None:  # no tables
-        mu, rows = _weight(u), _layout(u.datum).rows
+        mu, rows = list(_weight(u)), _layout(u.datum).rows
         for a in _spell(u.datum, _weight(v)):
             if mu[a - 1] < 0:
                 _move(rows[a - 1], mu, mu[a - 1])
@@ -273,47 +306,20 @@ def bruhat_leq_subword(u: WeylElt, v: WeylElt, base_word: Sequence[int] | None =
     return u in reachable
 
 
-# --- simple-reflection kernels on the root images -----------------------------
-
-
-def _times_s(w: WeylElt, i: int) -> WeylElt:
-    """w * s_i: since s_i(alpha_j) = alpha_j - a_ji alpha_i, only alpha_i and
-    its neighbours in the Dynkin diagram change image."""
-    images = w.images
-    img = images[i - 1]
-    out = list(images)
-    out[i - 1] = tuple([-c for c in img])
-    for j, a in _layout(w.datum).links[i - 1]:
-        out[j] = tuple([x - a * y for x, y in zip(images[j], img)])
-    return WeylElt(w.datum, tuple(out))
-
-
-def _s_times(i: int, w: WeylElt) -> WeylElt:
-    """s_i * w: s_i(beta) = beta - <beta, coroot_i> alpha_i on every image,
-    the pairing read off the neighbours of i."""
-    links = _layout(w.datum).links[i - 1]
-    k = i - 1
-    out = []
-    for beta in w.images:
-        c = 2 * beta[k]
-        for j, a in links:
-            c += a * beta[j]
-        out.append(beta[:k] + (beta[k] - c,) + beta[i:] if c else beta)
-    return WeylElt(w.datum, tuple(out))
-
-
-def _weight(w: WeylElt) -> list[int]:
+def _weight(w: WeylElt) -> tuple[int, ...]:
     """w(2 rho) in fundamental-weight coordinates, <w(2 rho), coroot_i>:
-    the left descents of w are the i where it is negative (Bjorner-Brenti,
-    GTM 231, ch. 4), and s_i * w has it moved by s_i (see _move)."""
-    beta = _apply(w, _layout(w.datum).two_rho)
-    return [sum(map(int.__mul__, beta, col)) for col in zip(*w.datum.cartan)]
+    for a table-born element, filled on first read from its image of 2 rho
+    (see _apply) and kept on w."""
+    if w.weight is None:
+        beta = _apply(w, _layout(w.datum).two_rho)
+        w.weight = tuple([sum(map(int.__mul__, beta, col)) for col in zip(*w.datum.cartan)])
+    return w.weight
 
 
-def _spell(datum: RootDatum, mu: list[int]) -> Word:
+def _spell(datum: RootDatum, mu: Sequence[int]) -> Word:
     """The canonical word of the w with w(2 rho) = mu (see _weight), without w:
-    strip the smallest left descent from mu, in place, until mu is dominant."""
-    rows, word, i = _layout(datum).rows, [], 0
+    strip the smallest left descent from a copy of mu until it is dominant."""
+    rows, word, i, mu = _layout(datum).rows, [], 0, list(mu)
     while i < len(mu):
         if mu[i] < 0:
             word.append(i + 1)
@@ -322,14 +328,6 @@ def _spell(datum: RootDatum, mu: list[int]) -> Word:
         else:
             i += 1
     return tuple(word)
-
-
-def _root_from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
-    w = identity(datum)
-    for i in word:
-        _check_letter(datum, i)
-        w = _times_s(w, i)
-    return w
 
 
 # --- tables and component lookups ------------------------------------------------
@@ -460,7 +458,7 @@ class _Layout:
     its datum, and ``where[i - 1]`` the part and local 1-based letter of
     simple index i.  ``links[i - 1]`` lists the neighbours j of i with a_ji
     = <alpha_j, coroot_i> (column i of the Cartan matrix), for the root
-    kernels, and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move;
+    walks, and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move;
     ``two_rho`` is the sum of the positive roots (from _validate_cartan),
     for _weight.  The component tables are kept in ``found`` once built,
     with ``roots[c]``, the roots part c's keys index, in the datum's
@@ -556,25 +554,14 @@ def _element(datum: RootDatum, ids: Sequence[int]) -> WeylElt:
     return WeylElt(datum, None, tuple(ids))
 
 
-def _decode(w: WeylElt) -> tuple[Root, ...]:
-    """w's simple-root images off the key bytes of the tables its ids came
-    from: those its layout found, not tables(), which may hide them."""
-    layout = _layout(w.datum)
-    images: list[Root] = [()] * w.datum.rank
-    for part, table, k, roots in zip(layout.parts, layout.found, w.ids, layout.roots):
-        for i, b in zip(part, table.keys[k]):
-            images[i] = roots[b]
-    return tuple(images)
-
-
 def _root_column(datum: RootDatum, elements: Sequence[WeylElt], i: int) -> list[Root]:
-    """w(alpha_i) for every element w, off one key byte for those with ids."""
-    layout = _layout(datum)
+    """w(alpha_i) for every element w: _apply, read off one key byte for those with ids."""
+    layout, alpha = _layout(datum), simple_root(datum, i)
     if layout.found is None:
-        return [w.images[i - 1] for w in elements]
+        return [_apply(w, alpha) for w in elements]
     c, a = layout.where[i - 1]
     keys, roots = layout.found[c].keys, layout.roots[c]
-    return [w.images[i - 1] if w.ids is None else roots[keys[w.ids[c]][a - 1]] for w in elements]
+    return [_apply(w, alpha) if w.ids is None else roots[keys[w.ids[c]][a - 1]] for w in elements]
 
 
 def _word(datum: RootDatum, tables: Sequence[WeylTable | None], ids: Sequence[int]) -> Word:
@@ -617,7 +604,7 @@ def enumerate_elements(datum: RootDatum) -> tuple[WeylElt, ...]:
         ids = product(*(range(len(table.words)) for table in tables))
         if len(tables) > 1:
             ids = sorted(ids, key=lambda x: (sum([t.length[k] for t, k in zip(tables, x)]), _word(datum, tables, x)))
-        layout.tables()  # found, for the images read off the keys
+        layout.tables()  # found, for the weights and images read off the keys
         layout.elements = tuple([WeylElt(datum, None, x) for x in ids])
     return layout.elements
 
@@ -644,12 +631,11 @@ def reflection_element(datum: RootDatum, beta: Root) -> WeylElt:
 
 
 def apply_twist(w: WeylElt) -> WeylElt:
-    """The diagram twist acting as a group automorphism."""
-    datum = w.datum
-    out: list[Root] = [()] * datum.rank
-    for i in range(datum.rank):
-        out[datum.twist[i] - 1] = twist_root(datum, w.images[i])
-    return WeylElt(datum, tuple(out))
+    """The diagram twist theta acting as a group automorphism: theta fixes
+    2 rho and sends the fundamental weight of i to that of theta(i), so
+    theta(w)(2 rho) = theta(w(2 rho)) is w's weight with its coordinates
+    permuted as twist_root permutes a root's."""
+    return WeylElt(w.datum, twist_root(w.datum, _weight(w)))
 
 
 # --- word strings ----------------------------------------------------------

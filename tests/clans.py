@@ -25,7 +25,7 @@ from itertools import permutations
 from math import factorial
 
 from flagorbits import KgbGraph, RootType, build_root_datum
-from flagorbits.weyl import WeylElt
+from image_oracle import from_images
 
 
 def yamamoto_count(p, q):
@@ -74,7 +74,7 @@ def weyl_element(datum, sigma):
     for a, b in zip(sigma, sigma[1:]):
         lo, hi, sign = min(a, b), max(a, b), 1 if a < b else -1
         images.append(tuple(sign if lo <= j < hi else 0 for j in range(len(sigma) - 1)))
-    return WeylElt(datum, tuple(images))
+    return from_images(datum, tuple(images))
 
 
 def clan_graph(p, q):

@@ -77,9 +77,10 @@ from flagorbits.kgb import FORMAT_HEADER, _braid_order, _open_node, doubled_datu
 from flagorbits.orbit_poset import OrbitGraph, from_weyl, lower_ideal, node_sort_key
 from flagorbits.root_datum import _decimal, _node_lines, _significant_lines, format_root_datum, parse_root_datum
 from flagorbits.root_datum import parse_root_datum_lines, simple_root
-from flagorbits.weyl import _s_times, _table, _times_s
+from flagorbits.weyl import _table
 from flagorbits.weyl import length as weyl_length
 from test_orbit_poset import graph_fields
+from image_oracle import s_times, times_s
 from test_parabolic import eulerian_count
 
 
@@ -512,6 +513,18 @@ def test_validate_reports_every_local_axiom():
     assert all(ascent_consistency_check(g) == [] for g in all_graphs().values())
 
 
+# The simple-root images of each twisted involution read so far, keyed by its
+# datum and table ids where it has them: the corruptions of a graph share it.
+_IMAGES = {}
+
+
+def element_images(w):
+    key = (w.datum, w.ids) if w.ids is not None else w
+    if key not in _IMAGES:
+        _IMAGES[key] = w.images
+    return _IMAGES[key]
+
+
 def reference_validate_kgb(g):
     """validate_kgb as it read every move through the name-keyed maps, one
     (root, node) at a time: the oracle for the row-based version.  g is a
@@ -523,6 +536,12 @@ def reference_validate_kgb(g):
     label, cross, cay = f["label"], f["cross"], f["cayley"]
     out = []
     preimages = Counter((alpha, t) for (alpha, _), t in cay.items())
+    images = {}
+
+    def image(v):
+        if v not in images:
+            images[v] = element_images(tw[v])
+        return images[v]
 
     for v in nodes:
         if not isinstance(length[v], int) or length[v] < 0:
@@ -549,7 +568,7 @@ def reference_validate_kgb(g):
             partner = label.get((alpha, cr)) if (alpha, cr) in cross else None
             if partner is not None and cross[(alpha, cr)] != v:
                 out.append(f"CrossNotInvolution: {tag}")
-            img = tw[v].images[theta - 1]
+            img = image(v)[theta - 1]
             if lab in REAL_TYPES:
                 if img != minus_alpha:
                     out.append(f"LabelClass: {tag} label={lab.value} not real")
@@ -559,7 +578,7 @@ def reference_validate_kgb(g):
             else:
                 if img == alpha_root or img == minus_alpha:
                     out.append(f"LabelClass: {tag} label={lab.value} not complex")
-            if _times_s(_s_times(alpha, tw[v]), theta) != tw[cr]:
+            if times_s(datum, s_times(datum, alpha, image(v)), theta) != image(cr):
                 out.append(f"CrossTwist: {tag}")
             has_cayley = key in cay
             noncompact = lab in NONCOMPACT_TYPES
@@ -607,7 +626,7 @@ def reference_validate_kgb(g):
                         out.append(f"CayleyLength: {tag}")
                     if label.get((alpha, t)) is not real:
                         out.append(f"CayleyTarget: {tag} expected {real.value}")
-                    if _s_times(alpha, tw[v]) != tw[t]:
+                    if s_times(datum, alpha, image(v)) != image(t):
                         out.append(f"CayleyTwist: {tag}")
                     if real is RootType.REAL_I and partner is not None:
                         if cay.get((alpha, cr)) != t:

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from flagorbits import (
+    NotARoot,
     AxiomViolation,
     KgbGraph,
     Mismatch,
@@ -114,6 +115,30 @@ def test_classes_are_kept_per_normalized_levi_set():
     for cls in classes:
         for v in cls.members:
             assert class_of(g, (3, 1), v) is cls
+
+
+def test_levi_sets_of_bools_and_floats_are_refused_cold_and_warm():
+    # True == 1.0 == 1, so a memo keyed by Levi tuples would answer them
+    # once (1,) is kept; each query refuses them before and after
+    g = group_case(build_root_datum("A2"))
+    # cold, a class of another graph: the Levi set is refused before the class is looked up
+    cls = i_equivalence_classes(group_case(build_root_datum("A2")), (1,))[0]
+    queries = (
+        lambda levi: i_equivalence_classes(g, levi),
+        lambda levi: p_maximal_set(g, levi),
+        lambda levi: class_of(g, levi, g.nodes[0]),
+        lambda levi: kgp_leq(g, levi, cls, cls),
+        lambda levi: class_hasse(g, levi),
+    )
+    for warm in (False, True):
+        if warm:
+            cls = i_equivalence_classes(g, (1,))[0]
+            assert len(i_equivalence_classes(g, (1,))) == 3
+            assert kgp_leq(g, (1,), cls, cls)
+        for query in queries:
+            for levi in ((True,), (1.0,)):
+                with pytest.raises(NotARoot, match=f"Levi index {levi[0]!r} out of range"):
+                    query(levi)
 
 
 def test_foreign_class_is_rejected():

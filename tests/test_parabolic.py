@@ -64,6 +64,7 @@ from flagorbits.orbit_poset import _coset_walk, _members, _pull_kernels, cover_p
 from flagorbits.root_datum import normalize_levi
 from flagorbits.weyl import _layout, _part_datum, _table, parse_word
 from test_weyl import INTERLEAVED, THREE_WAY, degrees, poincare, refuse_tables, seeded_words
+from image_oracle import from_images, times_s
 
 
 def all_levis(rank):
@@ -670,11 +671,12 @@ def right_extreme(w, levi, shorten):
     it (or, with shorten false, lengthens it), w * s_i being shorter exactly
     when w sends alpha_i to a negative root: the minimal (or maximal)
     element of w * W_levi."""
+    images = w.images
     while True:
-        i = next((i for i in levi if any(c < 0 for c in w.images[i - 1]) == shorten), None)
+        i = next((i for i in levi if any(c < 0 for c in images[i - 1]) == shorten), None)
         if i is None:
-            return w
-        w = weyl._times_s(w, i)
+            return from_images(w.datum, images)
+        images = times_s(w.datum, images, i)
 
 
 def coset_of_by_inverses(w, levi):

@@ -459,7 +459,8 @@ def test_equal_data_hash_equal_and_share_cache_entries():
         e = parse_root_datum(format_root_datum(d))
         assert d == e and d is not e
         assert hash(d) == hash(e) == hash(d)
-        assert simple_reflection(e, 1) is simple_reflection(d, 1)
+        assert simple_reflection(e, 1) == simple_reflection(d, 1)
+        assert hash(simple_reflection(e, 1)) == hash(simple_reflection(d, 1))
         assert {d: 1}[e] == 1
     d = build_root_datum("B3")
     positive_roots(d)

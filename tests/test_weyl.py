@@ -45,6 +45,7 @@ from flagorbits import TableTooLarge, group_order, weyl
 from flagorbits.kgb import doubled_datum, group_case
 from flagorbits.root_datum import all_roots, normalize_levi, reflect
 from flagorbits.weyl import WeylTable, _table, act_on_root
+from image_oracle import apply_images, from_images, s_times, times_s, twist_images, word_images
 
 GROUP_ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12, "A3": 24}
 
@@ -251,10 +252,10 @@ def test_component_lookups_match_the_root_image_path():
             assert word == weyl._spell(d, weyl._weight(w)), spec
             inversions = sum(any(c < 0 for c in weyl._apply(w, beta)) for beta in positive_roots(d))
             assert length(w) == inversions == len(word)
-            assert inv(w) == weyl._root_from_word(d, word[::-1])
-            assert from_word(d, word) == weyl._root_from_word(d, word) == w
+            assert inv(w) == from_images(d, word_images(d, word[::-1]))
+            assert from_word(d, word) == from_images(d, word_images(d, word)) == w
             doubled = word + word[::-1]
-            assert from_word(d, doubled) == weyl._root_from_word(d, doubled) == identity(d)
+            assert from_word(d, doubled) == from_images(d, word_images(d, doubled)) == identity(d)
     # A3xA3 is looked up through the A3 table
     d = build_root_datum("A3xA3")
     assert len(weyl._layout(d).tables()) == 2
@@ -279,14 +280,66 @@ def test_kernels_are_products_with_simple_reflections():
     for spec in ("B3", "G2", INTERLEAVED):
         d = build_root_datum(spec)
         for w in enumerate_elements(d):
+            images = w.images
             for i in range(1, d.rank + 1):
                 s = simple_reflection(d, i)
-                assert weyl._times_s(w, i) == mul(w, s)
-                assert weyl._s_times(i, w) == mul(s, w)
+                assert from_images(d, times_s(d, images, i)) == mul(w, s)
+                assert from_images(d, s_times(d, i, images)) == mul(s, w)
     for d in (build_root_datum("A2"), build_root_datum("E8")):
         for word in ((d.rank + 1,), (0,), (1, -1)):
             with pytest.raises(NotARoot):
                 from_word(d, word)
+
+
+def check_against_root_images(d, words, every_root=True):
+    """The elements of the words against the root-image oracle: from_word,
+    mul (by the element of the word before), inv, apply_twist and images;
+    == and hash against the twin made from the images, and a product with
+    s_1, which differs; with every_root, act_on_root on every root and
+    descent_direction on every positive one."""
+    elements = [from_word(d, word) for word in words]
+    oracle = [word_images(d, word) for word in words]
+    roots = all_roots(d) if every_root else ()
+    s = simple_reflection(d, 1)
+    for k, (w, images) in enumerate(zip(elements, oracle)):
+        assert w.images == images, (d.name, words[k])
+        twin = from_images(d, images)
+        assert w == twin and twin == w and hash(w) == hash(twin), (d.name, words[k])
+        ws, twin_s = mul(w, s), from_images(d, times_s(d, images, 1))
+        assert ws == twin_s and hash(ws) == hash(twin_s) and ws != w and w != twin_s, (d.name, words[k])
+        product = tuple(apply_images(images, beta) for beta in oracle[k - 1])
+        assert mul(w, elements[k - 1]).images == product, (d.name, words[k])
+        assert mul(w, elements[k - 1]) == from_images(d, product), (d.name, words[k])
+        assert inv(w).images == word_images(d, words[k][::-1]), (d.name, words[k])
+        assert apply_twist(w).images == twist_images(d, images), (d.name, words[k])
+        assert apply_twist(w) == from_images(d, twist_images(d, images)), (d.name, words[k])
+        for beta in roots:
+            image = apply_images(images, beta)
+            assert act_on_root(w, beta) == image, (d.name, words[k], beta)
+            if min(beta) >= 0:
+                want = Direction.UP if min(image) >= 0 else Direction.DOWN
+                assert descent_direction(w, beta) is want, (d.name, words[k], beta)
+
+
+def test_weights_and_ids_match_the_root_image_oracle():
+    # table-less E7 and renumbered B3, then table-born B3, F4, D4 with a
+    # flip, the interleaved datum and the doubled B2 with its swap
+    rng = random.Random(47)
+    b3 = build_root_datum("B3")
+    bare = build_root_datum(tuple(tuple(row[::-1]) for row in b3.cartan[::-1]))
+    for d, count in ((build_root_datum("E7"), 12), (bare, 30)):
+        top = len(positive_roots(d))
+        words = [[rng.randint(1, d.rank) for _ in range(rng.randint(0, top))] for _ in range(count)]
+        check_against_root_images(d, words)
+        assert weyl._layout(d).tables() is None, d.name
+    for d in (b3, build_root_datum("F4"), build_root_datum("D4", twist=(1, 2, 4, 3)), build_root_datum(INTERLEAVED),
+              doubled_datum(build_root_datum("B2"))):
+        elements = enumerate_elements(d)
+        top = len(positive_roots(d))
+        words = [[rng.randint(1, d.rank) for _ in range(rng.randint(0, top))] for _ in range(30)]
+        words += [reduced_word(w) for w in rng.sample(elements, min(10, len(elements)))]
+        assert all(from_word(d, word).ids is not None for word in words), d.name
+        check_against_root_images(d, words)
 
 
 def test_per_element_queries_build_no_table():
@@ -318,18 +371,17 @@ def test_rho_walk_length_counts_inversions():
         assert length(w0) == len(pos)
 
 
-def reference_descent_walk(w):
-    """Strip the smallest right descent until the identity is reached: the
-    letters j1..jl with w * s_j1 * ... * s_jl = e.  Since the right descents
-    of w are the left descents of its inverse, these are the greedy
-    left-descent word of the inverse."""
+def reference_descent_walk(d, images):
+    """Strip the smallest right descent from the element with these images
+    until the identity is reached: the letters j1..jl with w * s_j1 * ... *
+    s_jl = e.  Since the right descents of w are the left descents of its
+    inverse, these are the greedy left-descent word of the inverse."""
     word = []
-    x = w
     while True:
-        for i, beta in enumerate(x.images, 1):
+        for i, beta in enumerate(images, 1):
             if any(c < 0 for c in beta):
                 word.append(i)
-                x = weyl._times_s(x, i)
+                images = times_s(d, images, i)
                 break
         else:
             return tuple(word)
@@ -351,11 +403,11 @@ def test_tableless_queries_match_the_right_descent_walk(monkeypatch):
     monkeypatch.setattr(weyl._Layout, "tables", lambda self: None)
     for d, samples in cases:
         for w in samples:
-            inverse_word = reference_descent_walk(w)
-            inverse = weyl._root_from_word(d, inverse_word)
-            assert reduced_word(w) == reference_descent_walk(inverse), d.name
+            inverse_word = reference_descent_walk(d, w.images)
+            inverse = word_images(d, inverse_word)
+            assert reduced_word(w) == reference_descent_walk(d, inverse), d.name
             assert length(w) == len(inverse_word), d.name
-            assert inv(w) == inverse, d.name
+            assert inv(w) == from_images(d, inverse), d.name
 
 
 def test_identity_and_simple_reflections():
@@ -433,11 +485,11 @@ def test_is_reduced_prefix_criterion():
 def is_reduced_by_prefixes(d, word):
     """The root-image prefix loop, kept as the oracle for is_reduced's climb
     from rho: each prefix w keeps the next simple root positive."""
-    w = identity(d)
+    images = word_images(d, ())
     for i in word:
-        if any(c < 0 for c in w.images[i - 1]):
+        if any(c < 0 for c in images[i - 1]):
             return False
-        w = weyl._times_s(w, i)
+        images = times_s(d, images, i)
     return True
 
 
@@ -458,16 +510,16 @@ def seeded_words(d, rng, count, levi=()):
     far sends into the nilradical of levi (P-reduced; reduced for levi ())."""
     out = []
     for k in range(count):
-        w, word = identity(d), ()
+        images, word = word_images(d, ()), ()
         for _ in range(rng.randint(0, 3 * d.rank)):
             if k % 2:
                 word += (rng.randint(1, d.rank),)
                 continue
-            ups = [i for i, beta in enumerate(w.images, 1) if classify_wrt_parabolic(d, beta, levi) is RootPosition.NILRADICAL]
+            ups = [i for i, beta in enumerate(images, 1) if classify_wrt_parabolic(d, beta, levi) is RootPosition.NILRADICAL]
             if not ups:
                 break
             i = rng.choice(ups)
-            w, word = weyl._times_s(w, i), word + (i,)
+            images, word = times_s(d, images, i), word + (i,)
         out.append(word)
     return out
 
@@ -538,13 +590,13 @@ def test_exchange_matches_deleting_each_letter():
     for name in ("G2", "B3", "B4", "D4", "A5", "F4", "E6", "E7", "E8"):
         d = build_root_datum(name)
         for _ in range(30):
-            w, word = identity(d), ()
+            images, word = word_images(d, ()), ()
             for _ in range(rng.randint(0, 40)):
-                ups = [i for i, beta in enumerate(w.images, 1) if all(c >= 0 for c in beta)]
+                ups = [i for i, beta in enumerate(images, 1) if all(c >= 0 for c in beta)]
                 if not ups:
                     break
                 i = rng.choice(ups)
-                w, word = weyl._times_s(w, i), word + (i,)
+                images, word = times_s(d, images, i), word + (i,)
             alpha = rng.randint(1, d.rank)
             try:
                 expected = reference_exchange(d, word, alpha)
@@ -592,7 +644,7 @@ def test_bruhat_routes_agree_on_b2():
     bare = build_root_datum(flipped)
 
     def renumbered(w):
-        return WeylElt(bare, tuple(img[::-1] for img in w.images[::-1]))
+        return from_images(bare, tuple(img[::-1] for img in w.images[::-1]))
 
     elements = enumerate_elements(d)
     for u in elements:
@@ -626,7 +678,7 @@ def test_bruhat_subword_accepts_any_base_word():
 def looked_up_ids(w):
     """w's component ids found by spelling its weight and walking the table
     rows, on a copy made without ids."""
-    return weyl._ids(WeylElt(w.datum, w.images))[1]
+    return weyl._ids(WeylElt(w.datum, weyl._weight(w)))[1]
 
 
 def test_table_born_elements_carry_the_ids_the_lookup_finds():
@@ -639,39 +691,47 @@ def test_table_born_elements_carry_the_ids_the_lookup_finds():
             assert w.ids == want, spec
             assert from_word(d, reduced_word(w)).ids == want, spec
             assert inv(w).ids == looked_up_ids(inv(w)), spec
-    # elements made by the root-image kernels carry no ids, and the ids
-    # they find name them, on data whose components' letters interleave
+    # so do mul and simple_reflection; elements made from weights carry no
+    # ids, and the ids they find name them, on data whose components'
+    # letters interleave
     for spec in (INTERLEAVED, THREE_WAY):
         d = build_root_datum(spec)
         elements = enumerate_elements(d)
         rng = random.Random(33)
+        for s in [simple_reflection(d, i) for i in range(1, d.rank + 1)]:
+            assert s.ids == looked_up_ids(s), spec
         made = [identity(d)]
         for w in elements:
-            made += [mul(w, rng.choice(elements)), apply_twist(w)]
-            made += [weyl._s_times(i, w) for i in range(1, d.rank + 1)]
-            made += [weyl._times_s(w, i) for i in range(1, d.rank + 1)]
+            x = mul(w, rng.choice(elements))
+            assert x.ids == looked_up_ids(x), spec
+            images = w.images
+            made.append(apply_twist(w))
+            made += [from_images(d, s_times(d, i, images)) for i in range(1, d.rank + 1)]
+            made += [from_images(d, times_s(d, images, i)) for i in range(1, d.rank + 1)]
         for x in made:
             assert x.ids is None, spec
             assert weyl._element(d, looked_up_ids(x)) == x, spec
 
 
-def holds_images(w):
-    """Whether w's images are filled in, asked without filling them."""
-    return w._images is not None
+def holds_weight(w):
+    """Whether w's weight is filled in, asked without filling it."""
+    return w.weight is not None
 
 
-def test_table_born_elements_hold_no_images_until_one_is_read():
+def test_table_born_elements_hold_no_weight_until_one_is_read():
     for spec in ("B3", INTERLEAVED):
         d = build_root_datum(spec)
         elements = enumerate_elements(d)
         born = [elements[5], from_word(d, (1, 2, 3)), inv(elements[7]), group_case(d)._tw[9]]
         for w in born:
-            assert not holds_images(w), spec
+            assert not holds_weight(w), spec
             reduced_word(w), length(w), inv(w)  # table reads
-            assert not holds_images(w), spec
-            images = w.images
-            assert holds_images(w) and w.images is images, spec
-            assert images == weyl._root_from_word(w.datum, reduced_word(w)).images, spec
+            images = w.images  # key reads
+            assert not holds_weight(w), spec
+            assert images == word_images(w.datum, reduced_word(w)), spec
+            weight = weyl._weight(w)
+            assert holds_weight(w) and weyl._weight(w) is weight, spec
+            assert weight == from_images(w.datum, images).weight, spec
 
 
 def twin_cases():
@@ -684,15 +744,15 @@ def twin_cases():
 
 
 def test_kernel_born_elements_equal_the_table_born_ones():
-    # two elements with ids compare by them; an element and its twin made by
-    # the root-image kernels compare and hash by their images
+    # two elements with ids compare by them; an element and its twin made
+    # by the root-image kernels compare and hash by their weights
     for elements in twin_cases():
         d = elements[0].datum
-        twins = [weyl._root_from_word(d, reduced_word(w)) for w in elements]
+        twins = [from_images(d, word_images(d, reduced_word(w))) for w in elements]
         for w, x in zip(elements, twins):
             assert x.ids is None, d.name
             y = from_word(d, reduced_word(w))
-            assert y == w and not holds_images(y), d.name
+            assert y == w and not holds_weight(y), d.name
             assert x == w == y and w == x and hash(x) == hash(w) == hash(y), d.name
             assert {x: 0}[y] == {y: 0}[x] == {w: 0}[x] == 0, d.name
             assert w in {x} and x in {w} and y in {x}, d.name
@@ -704,26 +764,27 @@ def test_kernel_born_elements_equal_the_table_born_ones():
 
 @pytest.mark.parametrize("hide", ["patched", "refused"])
 def test_table_born_elements_answer_with_the_tables_hidden(monkeypatch, hide):
-    # a table-born element's images come from the tables its ids came from,
-    # so they and the order answer once tables() gives None or every table
-    # is refused; the kernel twins and the lifting give the answers
+    # a table-born element's weight and images come from the tables its ids
+    # came from, so they and the order answer once tables() gives None or
+    # every table is refused; the kernel twins and the lifting give the answers
     rng = random.Random(43)
     cases = []
     for elements in twin_cases():
         d = elements[0].datum
         words = [reduced_word(rng.choice(elements)) for _ in range(60)]
         fresh = [from_word(d, word) for word in words]
-        twins = [weyl._root_from_word(d, word) for word in words]
+        twins = [from_images(d, word_images(d, word)) for word in words]
         pairs = list(zip(fresh, fresh[1:] + fresh[:1]))
-        want = [reference_bruhat_leq(weyl._root_from_word(d, reduced_word(u)), weyl._root_from_word(d, reduced_word(v))) for u, v in pairs]
-        assert not any(map(holds_images, fresh)), d.name
-        cases.append((fresh, twins, pairs, want))
+        want = [reference_bruhat_leq(from_images(d, u.images), from_images(d, v.images)) for u, v in pairs]
+        assert not any(map(holds_weight, fresh)), d.name
+        cases.append((d, words, fresh, twins, pairs, want))
     if hide == "patched":
         monkeypatch.setattr(weyl._Layout, "tables", lambda self: None)
     else:
         refuse_tables(monkeypatch)
-    for fresh, twins, pairs, want in cases:
-        assert [w.images for w in fresh] == [x.images for x in twins]
+    for d, words, fresh, twins, pairs, want in cases:
+        assert [w.images for w in fresh] == [word_images(d, word) for word in words]
+        assert [weyl._weight(w) for w in fresh] == [x.weight for x in twins]
         assert [bruhat_leq(u, v) for u, v in pairs] == want
         assert 0 < sum(want) < len(want)
 
@@ -733,13 +794,13 @@ def reference_bruhat_leq(u, v):
     strip the smallest right descent s of v, and strip it from u too when
     it is a descent of u, until u is as long as v; then u <= v exactly
     when the two are equal."""
-    lu, lv = length(u), length(v)
+    d, lu, lv, x, y = u.datum, length(u), length(v), u.images, v.images
     while lu < lv:
-        i = next(i for i, beta in enumerate(v.images, 1) if any(c < 0 for c in beta))
-        v, lv = weyl._times_s(v, i), lv - 1
-        if any(c < 0 for c in u.images[i - 1]):
-            u, lu = weyl._times_s(u, i), lu - 1
-    return u == v
+        i = next(i for i, beta in enumerate(y, 1) if any(c < 0 for c in beta))
+        y, lv = times_s(d, y, i), lv - 1
+        if any(c < 0 for c in x[i - 1]):
+            x, lu = times_s(d, x, i), lu - 1
+    return x == y
 
 
 def seeded_pairs(d, rng, count):
@@ -849,7 +910,17 @@ def test_word_text_round_trip():
 def test_refusals_across_data_and_off_the_roots():
     a2, b2 = build_root_datum("A2"), build_root_datum("B2")
     across = "cannot compare elements of different root data"
+    # True == 1.0 == 1: a cache keyed by the index would answer s_1 for them
+    # once s_1 is made; refused cold, on a datum no other test builds, and warm
+    cold = build_root_datum(((2, -1), (-1, 2)), twist=(2, 1))
+    for bad in (True, 1.0):
+        with pytest.raises(NotARoot) as err:
+            simple_reflection(cold, bad)
+        assert str(err.value) == f"simple index {bad!r} out of range 1..2"
+    assert reduced_word(simple_reflection(cold, 1)) == (1,)
     for call, error, message in (
+        (lambda: simple_reflection(cold, True), NotARoot, "simple index True out of range 1..2"),
+        (lambda: simple_reflection(cold, 1.0), NotARoot, "simple index 1.0 out of range 1..2"),
         (lambda: bruhat_leq(identity(a2), identity(b2)), DatumMismatch, across),
         (lambda: bruhat_leq_subword(identity(a2), identity(b2)), DatumMismatch, across),
         (lambda: reflection_word(a2, (2, 0)), NotARoot, "(2, 0) is not a root"),
