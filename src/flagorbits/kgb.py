@@ -324,7 +324,7 @@ def _twist_kernels(datum: RootDatum, elements: list[WeylElt]):
     # theta sends letter a of part c to letter b of part d: image[c][a - 1]; onto[c] = d where b = a throughout
     image = [[where[datum.twist[i] - 1] for i in part] for part in layout.parts]
     onto = [p[0][0] if p == [(p[0][0], a) for a in range(1, len(p) + 1)] else None for p in image]
-    keys = [_ids(w)[1] for w in elements]
+    keys = [_ids(w) for w in elements]
     columns = list(zip(*keys)) or [()] * len(tables)  # columns[c][k]: the id of part c of element k
 
     def moved(a, b=None):

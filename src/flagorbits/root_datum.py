@@ -312,7 +312,7 @@ def _check_letter(datum: RootDatum, i: int) -> None:
 
 def simple_root(datum: RootDatum, i: int) -> Root:
     _check_letter(datum, i)
-    return tuple(1 if j == i - 1 else 0 for j in range(datum.rank))
+    return (0,) * (i - 1) + (1,) + (0,) * (datum.rank - i)
 
 
 def coroot_pairing(datum: RootDatum, beta: Root, i: int) -> int:

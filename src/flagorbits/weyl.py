@@ -9,12 +9,13 @@ every datum with such a component shares.  Words are tuples of 1-based
 simple indices.
 
 Whole-group operations build the tables, up to TABLE_CAP elements, and an
-element made from them carries its ids: lengths, words, inverses, products
-and the Bruhat order are then reads of the table rows.  Per-element calls
-only read tables that exist, and otherwise spell, multiply and compare by
-moving weights, so E7 and E8 still answer.  The image of a root (_apply) is
-a derived view: read off the table keys with ids, walked back through the
-canonical word without.
+element made from them carries its ids: its word, length, inverse and simple
+descents (descent_direction on alpha_i reads the right row), its products and
+the Bruhat order are then reads of the table rows.  Per-element calls only
+read tables that exist, and otherwise spell, multiply and compare by moving
+weights, so E7 and E8 still answer.  Root images (_apply), with ids needed
+only for roots that are not simple, are a derived view: read off the table
+keys with ids, walked back through the canonical word without.
 """
 
 from __future__ import annotations
@@ -74,8 +75,12 @@ class WeylElt:
 
     @property
     def images(self) -> tuple[Root, ...]:
-        """The simple-root images, a read-only view (see _apply)."""
-        return tuple([_apply(self, simple_root(self.datum, i)) for i in range(1, self.datum.rank + 1)])
+        """The simple-root images, a read-only view (see _apply); without ids, off one spelling."""
+        datum, simples = self.datum, _layout(self.datum).simple
+        if _ids(self) is None:
+            letters = _spell(datum, self.weight)[::-1]
+            return tuple([_reflected(datum, beta, letters) for beta in simples])
+        return tuple([_apply(self, beta) for beta in simples])
 
     def __eq__(self, other):
         if other.__class__ is not WeylElt:
@@ -137,36 +142,37 @@ def from_word(datum: RootDatum, word: Iterable[int]) -> WeylElt:
     tables = _layout(datum).tables()
     if tables is not None:
         return _element(datum, _walk(datum, tables, word))
-    word = tuple(word)
+    word, r = tuple(word), datum.rank
     for i in word:
-        _check_letter(datum, i)
-    return _moved(datum, (2,) * datum.rank, reversed(word))
+        if i.__class__ is not int or not 0 < i <= r:
+            _check_letter(datum, i)
+    return _moved(datum, (2,) * r, reversed(word))
 
 
 def length(w: WeylElt) -> int:
-    """Number of positive roots sent negative: without a table, the number
-    of letters of the weight walk."""
-    hit = _ids(w)
-    if hit is None:
-        return len(_spell(w.datum, _weight(w)))
-    return sum([table.length[k] for table, k in zip(*hit)])
+    """Number of positive roots sent negative: a row read with ids, else the
+    number of letters of the weight walk."""
+    ids = _ids(w)
+    if ids is None:
+        return len(_spell(w.datum, w.weight))
+    return sum([table.length[k] for table, k in zip(_layout(w.datum).found, ids)])
 
 
 def reduced_word(w: WeylElt) -> Word:
     """The lexicographically smallest reduced word, built by always taking
     the smallest simple reflection that shortens on the left."""
-    hit = _ids(w)
-    if hit is None:
-        return _spell(w.datum, _weight(w))
-    return _word(w.datum, *hit)
+    ids = _ids(w)
+    if ids is None:
+        return _spell(w.datum, w.weight)
+    return _word(w.datum, _layout(w.datum).found, ids)
 
 
 def inv(w: WeylElt) -> WeylElt:
     """Without tables, 2 rho moved along w's word, first letter first."""
-    hit = _ids(w)
-    if hit is None:
-        return _moved(w.datum, (2,) * w.datum.rank, _spell(w.datum, _weight(w)))
-    return _element(w.datum, [table.inverse[k] for table, k in zip(*hit)])
+    ids = _ids(w)
+    if ids is None:
+        return _moved(w.datum, (2,) * w.datum.rank, _spell(w.datum, w.weight))
+    return _element(w.datum, [table.inverse[k] for table, k in zip(_layout(w.datum).found, ids)])
 
 
 def is_reduced(datum: RootDatum, word: Iterable[int]) -> bool:
@@ -209,9 +215,10 @@ def _climbs(datum: RootDatum, word: Iterable[int], mu: Sequence[int]) -> bool:
     fundamental-weight coordinates (Bjorner-Brenti, GTM 231, ch. 2): from
     rho, W's reduced words; from 1 off a Levi set and 0 on it, the minimal
     coset representatives' ones."""
-    word = tuple(word)
+    word, r = tuple(word), datum.rank
     for i in word:
-        _check_letter(datum, i)
+        if i.__class__ is not int or not 0 < i <= r:
+            _check_letter(datum, i)
     rows, mu = _layout(datum).rows, list(mu)
     for a in word:
         c = mu[a - 1]
@@ -227,8 +234,13 @@ class Direction(enum.Enum):
 
 
 def descent_direction(w: WeylElt, alpha: Root) -> Direction:
-    """Whether right multiplication by the reflection in the positive root
-    alpha lengthens (UP) or shortens (DOWN) the element."""
+    """Whether right multiplication by the reflection in the positive root alpha lengthens
+    (UP) or shortens (DOWN) the element: with ids and a simple alpha, read off the right row."""
+    layout = _layout(w.datum)
+    if w.ids is not None and alpha.__class__ is tuple and alpha in layout.simple:
+        c, a = layout.simple[alpha]
+        table, k = layout.found[c], w.ids[c]
+        return Direction.UP if table.length[table.right[a - 1][k]] > table.length[k] else Direction.DOWN
     if not is_root(w.datum, alpha):
         raise NotARoot(f"{alpha} is not a root")
     if any(c < 0 for c in alpha):
@@ -273,7 +285,7 @@ def bruhat_leq(u: WeylElt, v: WeylElt) -> bool:
             if mu[a - 1] < 0:
                 _move(rows[a - 1], mu, mu[a - 1])
         return all(c >= 0 for c in mu)
-    for table, x, y in zip(hu[0], hu[1], hv[1]):
+    for table, x, y in zip(_layout(u.datum).found, hu, hv):
         lengths, left, words = table.length, table.left, table.words
         lx, ly = lengths[x], lengths[y]
         while lx < ly:
@@ -459,12 +471,13 @@ class _Layout:
     simple index i.  ``links[i - 1]`` lists the neighbours j of i with a_ji
     = <alpha_j, coroot_i> (column i of the Cartan matrix), for the root
     walks, and ``rows[i - 1]`` the nonzero (j, a_ij) of row i, for _move;
+    ``simple`` maps the simple root alpha_i to where[i - 1], in order of i;
     ``two_rho`` is the sum of the positive roots (from _validate_cartan),
     for _weight.  The component tables are kept in ``found`` once built,
     with ``roots[c]``, the roots part c's keys index, in the datum's
     coordinates, and so is the element list of enumerate_elements."""
 
-    __slots__ = ("parts", "subs", "where", "links", "rows", "two_rho", "found", "roots", "elements")
+    __slots__ = ("parts", "subs", "where", "links", "rows", "simple", "two_rho", "found", "roots", "elements")
 
     def __init__(self, datum: RootDatum):
         r = datum.rank
@@ -493,6 +506,7 @@ class _Layout:
             [(j, row[i]) for j, row in enumerate(datum.cartan) if row[i] and j != i] for i in range(r)
         ]
         self.rows = [[(j, y) for j, y in enumerate(row) if y] for row in datum.cartan]
+        self.simple = {simple_root(datum, i): self.where[i - 1] for i in range(1, r + 1)}
         self.two_rho = _validate_cartan(datum.cartan) if r else ()  # a rank-0 part datum has no matrix to check
         self.found: list[WeylTable] | None = None
         self.roots: list[list[Root]] | None = None
@@ -522,25 +536,26 @@ def _layout(datum: RootDatum) -> _Layout:
         return layout
 
 
-def _ids(w: WeylElt) -> tuple[list[WeylTable], tuple[int, ...]] | None:
-    """The component tables of w's datum and the id of w in each, or None
-    without tables.  The ids are w's own when it carries them; otherwise
-    they are found by spelling w's canonical word from its weight and
-    walking the right rows along it, and kept on w."""
-    tables = _layout(w.datum).tables()
-    if tables is None:
-        return None
+def _ids(w: WeylElt) -> tuple[int, ...] | None:
+    """The id of w in each component table of its datum (_Layout.found), or
+    None without tables.  The ids are w's own when it carries them;
+    otherwise they are found by spelling w's canonical word from its weight
+    and walking the right rows along it, and kept on w."""
     if w.ids is None:
-        w.ids = tuple(_walk(w.datum, tables, _spell(w.datum, _weight(w))))
-    return tables, w.ids
+        tables = _layout(w.datum).tables()
+        if tables is None:
+            return None
+        w.ids = tuple(_walk(w.datum, tables, _spell(w.datum, w.weight)))
+    return w.ids
 
 
 def _walk(datum: RootDatum, tables: Sequence[WeylTable], word: Iterable[int]) -> list[int]:
     """The component ids of the product of the word's letters: from the
     identity, each letter moves its component's id along its right row."""
-    where, ids = _layout(datum).where, [0] * len(tables)
+    where, ids, r = _layout(datum).where, [0] * len(tables), datum.rank
     for i in word:
-        _check_letter(datum, i)
+        if i.__class__ is not int or not 0 < i <= r:
+            _check_letter(datum, i)
         c, a = where[i - 1]
         ids[c] = tables[c].right[a - 1][ids[c]]
     return ids

@@ -342,6 +342,42 @@ def test_weights_and_ids_match_the_root_image_oracle():
         check_against_root_images(d, words)
 
 
+def check_simple_descents(w, images):
+    """descent_direction on each simple root against the sign of its image in the oracle."""
+    for i in range(1, w.datum.rank + 1):
+        want = Direction.UP if min(images[i - 1]) >= 0 else Direction.DOWN
+        assert descent_direction(w, simple_root(w.datum, i)) is want, (w.datum.name, reduced_word(w), i)
+
+
+def test_table_born_reads_match_the_reference_table():
+    # Every element, in enumeration order, which is the reference table's id
+    # order (length, then canonical word); irreducible ids are that id.
+    for spec in ("B3", "D4", "F4", INTERLEAVED, THREE_WAY):
+        d = build_root_datum(spec)
+        elements, ref = enumerate_elements(d), reference_table(d)
+        for k, w in enumerate(elements):
+            assert len(w.ids) > 1 or w.ids == (k,), spec
+            assert reduced_word(w) == ref["words"][k], (spec, k)
+            assert length(w) == ref["length"][k], (spec, k)
+            assert inv(w).ids == elements[ref["inverse"][k]].ids, (spec, k)
+            check_simple_descents(w, word_images(d, ref["words"][k]))
+
+
+def test_table_less_reads_match_the_root_image_oracle():
+    d, rng = build_root_datum("E7"), random.Random(36)
+    for _ in range(40):
+        word = [rng.randint(1, 7) for _ in range(rng.randint(0, 63))]
+        w, images = from_word(d, word), word_images(d, word)
+        assert w.ids is None
+        canonical = reduced_word(w)
+        assert is_reduced(d, canonical) and word_images(d, canonical) == images, word
+        inversions = sum(min(apply_images(images, beta)) < 0 for beta in positive_roots(d))
+        assert length(w) == len(canonical) == inversions, word
+        assert inv(w) == from_images(d, word_images(d, word[::-1])), word
+        check_simple_descents(w, images)
+    assert weyl._layout(d).tables() is None
+
+
 def test_per_element_queries_build_no_table():
     d = build_root_datum("E8")
     u = from_word(d, (4, 2))
@@ -678,7 +714,7 @@ def test_bruhat_subword_accepts_any_base_word():
 def looked_up_ids(w):
     """w's component ids found by spelling its weight and walking the table
     rows, on a copy made without ids."""
-    return weyl._ids(WeylElt(w.datum, weyl._weight(w)))[1]
+    return weyl._ids(WeylElt(w.datum, weyl._weight(w)))
 
 
 def test_table_born_elements_carry_the_ids_the_lookup_finds():
@@ -918,7 +954,9 @@ def test_refusals_across_data_and_off_the_roots():
             simple_reflection(cold, bad)
         assert str(err.value) == f"simple index {bad!r} out of range 1..2"
     assert reduced_word(simple_reflection(cold, 1)) == (1,)
-    for call, error, message in (
+    e7, born, bare = build_root_datum("E7"), enumerate_elements(a2)[3], WeylElt(a2, (-2, 4))
+    assert born.ids is not None and bare.ids is None
+    for call, error, message in [
         (lambda: simple_reflection(cold, True), NotARoot, "simple index True out of range 1..2"),
         (lambda: simple_reflection(cold, 1.0), NotARoot, "simple index 1.0 out of range 1..2"),
         (lambda: bruhat_leq(identity(a2), identity(b2)), DatumMismatch, across),
@@ -935,7 +973,22 @@ def test_refusals_across_data_and_off_the_roots():
         (lambda: normalize_levi(a2, (1, True)), NotARoot, "Levi index True out of range 1..2"),
         (lambda: normalize_levi(a2, "12"), NotARoot, "Levi index '1' out of range 1..2"),
         (lambda: normalize_levi(a2, [0, 5]), NotARoot, "Levi index 0 out of range 1..2"),
-    ):
+        # letters checked inline: in from_word without a table, and all before the climb answers
+        (lambda: from_word(e7, [9]), NotARoot, "simple index 9 out of range 1..7"),
+        (lambda: from_word(e7, [True]), NotARoot, "simple index True out of range 1..7"),
+        (lambda: is_reduced(a2, (1, 1, 5)), NotARoot, "simple index 5 out of range 1..2"),
+        (lambda: exchange(a2, (1, 2), 3), NotARoot, "simple index 3 out of range 1..2"),
+    ] + [
+        # off the simple roots, with ids and without
+        (lambda w=w, beta=beta: descent_direction(w, beta), error, message)
+        for w in (born, bare)
+        for beta, error, message in (((1, 0, 0), NotARoot, "(1, 0, 0) is not a root"),
+                                     ((-1, 0), NotPositiveRoot, "(-1, 0) is not positive"))
+    ]:
         with pytest.raises(error) as err:
             call()
         assert str(err.value) == message
+    # a bool pair reads as the simple root it equals
+    for w in enumerate_elements(a2) + (bare,):
+        for twin, beta in (((True, False), (1, 0)), ((False, True), (0, 1))):
+            assert descent_direction(w, twin) is descent_direction(w, beta)
